@@ -18,7 +18,7 @@ from .core import (
     DEFAULT_ETA,
     DEFAULT_OMEGA_RAD_S,
     PhysicalParams,
-    _rabi,
+    rabi_column,
 )
 from .oracle import build_hamiltonian, verify_schedule
 from .serialization import (
@@ -140,10 +140,13 @@ def cmd_rabi(args) -> int:
     cfg = _config(args)
     etas = [cfg.eta] if cfg.eta is not None else list(RABI_ETA_SET)
     rows = []
+    size = max(args.m_max, -1) + 1
+    orders = range(max(args.k_max, -1) + 1)
     for eta in etas:
-        for m in range(max(args.m_max, -1) + 1):
-            for k in range(max(args.k_max, -1) + 1):
-                value = _rabi(eta, cfg.omega, m, k)
+        columns = [rabi_column(eta, cfg.omega, k, size).tolist() for k in orders]
+        for m in range(size):
+            for k in orders:
+                value = columns[k][m]
                 rows.append(
                     {
                         "eta": eta,

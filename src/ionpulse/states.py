@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalParams, _rabi, ipow
+from .core import PhysicalParams, _check_kind, ipow, rabi_column
 
 __all__ = [
     "GROUND",
@@ -81,13 +81,7 @@ class Pulse:
     duration: float
 
     def __post_init__(self):
-        if self.kind not in ("red", "blue", "carrier"):
-            raise ValueError(f"unknown pulse kind {self.kind!r}")
-        if self.kind == "carrier":
-            if self.k != 0:
-                raise ValueError(f"carrier pulses have k = 0, got k={self.k}")
-        elif self.k < 1:
-            raise ValueError(f"{self.kind} sideband order must be >= 1, got k={self.k}")
+        _check_kind(self.kind, self.k)
         if not (self.duration >= 0.0 and math.isfinite(self.duration)):
             raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
         if not math.isfinite(self.phase):
@@ -190,18 +184,15 @@ class JointState:
         return f"JointState(dim={self.dim})"
 
 
-def _guard_indices(kind: str, k: int, dim: int) -> list[int]:
-    """Flat indices that must be empty before a (kind, k) pulse."""
-    if kind == "carrier" or k == 0:
-        return []
-    s = EXCITED if kind == "red" else GROUND
-    return [2 * m + s for m in range(dim - k, dim)]
-
-
 def _check_guard(amps: np.ndarray, kind: str, k: int, dim: int, pulse_index=None):
-    bad = [i for i in _guard_indices(kind, k, dim) if abs(amps[i]) > GUARD_TOL]
-    if bad:
-        m, s = bad[0] // 2, bad[0] % 2
+    """Raise if a (kind, k) pulse would push amplitude past the truncation."""
+    if kind == "carrier":
+        return
+    s = EXCITED if kind == "red" else GROUND
+    first = max(dim - k, 0)
+    bad = np.flatnonzero(np.abs(amps[2 * first + s :: 2]) > GUARD_TOL)
+    if bad.size:
+        m = first + int(bad[0])
         label = "e" if s == EXCITED else "g"
         raise TruncationOverflowError(
             f"{kind} k={k} pulse would push |{m}>|{label}> past truncation D={dim}; "
@@ -220,6 +211,9 @@ def apply_pulse_amplitudes(
 
     Does not require or enforce normalization (the action is linear), but
     does enforce the truncation support guard.  Returns a new array.
+    All D - k pairs rotate at once: the lower members sit at flat indices
+    2*(m + k if red else m) + GROUND and the upper ones at
+    2*(m + k if blue else m) + EXCITED, two stride-2 slices of the vector.
     """
     dim = params.fock_dim
     amps = np.asarray(amps, dtype=complex)
@@ -227,23 +221,17 @@ def apply_pulse_amplitudes(
         raise ValueError(f"amplitude vector must have shape ({2 * dim},), got {amps.shape}")
     kind, k = pulse.kind, pulse.k
     _check_guard(amps, kind, k, dim, pulse_index)
+    pairs = max(dim - k, 0)
+    angle = rabi_column(params.eta, params.omega_carrier, k, pairs) * pulse.duration
+    c = (-1j if kind == "carrier" else ipow(k - 1)) * cmath.exp(-1j * pulse.phase)
+    sin, survive = np.sin(angle), np.cos(angle)
+    lo = 2 * k + GROUND if kind == "red" else GROUND
+    up = 2 * k + EXCITED if kind == "blue" else EXCITED
+    lo, up = slice(lo, lo + 2 * pairs, 2), slice(up, up + 2 * pairs, 2)
+    a_lo, a_up = amps[lo], amps[up]
     out = amps.copy()
-    phase_unit = cmath.exp(-1j * pulse.phase)
-    unit = -1j if kind == "carrier" else ipow(k - 1)
-    for m in range(dim - k):
-        w = _rabi(params.eta, params.omega_carrier, m, k)
-        angle = w * pulse.duration
-        c = unit * phase_unit * math.sin(angle)
-        survive = math.cos(angle)
-        if kind == "carrier":
-            lo, up = 2 * m + GROUND, 2 * m + EXCITED
-        elif kind == "red":
-            lo, up = 2 * (m + k) + GROUND, 2 * m + EXCITED
-        else:
-            lo, up = 2 * m + GROUND, 2 * (m + k) + EXCITED
-        a_lo, a_up = amps[lo], amps[up]
-        out[lo] = survive * a_lo - c.conjugate() * a_up
-        out[up] = c * a_lo + survive * a_up
+    out[lo] = survive * a_lo - (c.conjugate() * sin) * a_up
+    out[up] = (c * sin) * a_lo + survive * a_up
     return out
 
 

@@ -30,7 +30,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import PhysicalParams, _rabi, ipow, neg_ipow
+from .core import PhysicalParams, ipow, neg_ipow, rabi_column, rabi_frequency
 from .states import (
     EXCITED,
     GROUND,
@@ -39,6 +39,7 @@ from .states import (
     PulseSchedule,
     apply_pulse_amplitudes,
     fidelity,
+    run_schedule,
 )
 
 __all__ = [
@@ -230,6 +231,39 @@ def _solved_phase(desired: complex, probe: complex, sign: int) -> float:
     return (sign * (cmath.phase(desired) - cmath.phase(probe))) % _TWO_PI
 
 
+def _turn(
+    params: PhysicalParams, kind: str, k: int, m: int, angle: float, phase: float, hint: str = ""
+) -> Pulse:
+    """Pulse turning pair m of a (kind, k) tuning by angle at laser phase phase.
+
+    W_{m,k} can be negative past a Laguerre zero.  A pulse of duration
+    angle / |W| at phase + pi then gives the same 2x2 block as a positive
+    coupling would: the sign of sin(W t) folds into e^{-i phase}.  A
+    coupling of exactly zero cannot turn the pair; hint names a way out.
+    """
+    w = rabi_frequency(params, m, k).value
+    if w == 0.0:
+        raise ValueError(
+            f"W_{{{m},{k}}} = 0 at eta = {params.eta}: a {kind} pulse cannot turn pair {m}{hint}"
+        )
+    return Pulse(kind, k, phase + (math.pi if w < 0.0 else 0.0), angle / abs(w))
+
+
+def _after_carrier(
+    c: np.ndarray, params: PhysicalParams, duration: float, phase: float
+) -> JointState:
+    """sum_j c_j |j>|g> after one carrier pulse, level by level.
+
+    Level j splits into c_j cos(W_j0 t) |j>|g> and
+    -i e^{-i phase} c_j sin(W_j0 t) |j>|e>.
+    """
+    angle = rabi_column(params.eta, params.omega_carrier, 0, params.fock_dim)[: c.size] * duration
+    amps = np.zeros(2 * params.fock_dim, dtype=complex)
+    amps[GROUND : 2 * c.size : 2] = c * np.cos(angle)
+    amps[EXCITED : 2 * c.size : 2] = -1j * cmath.exp(-1j * phase) * c * np.sin(angle)
+    return JointState(amps)
+
+
 def _validated_target(amplitudes) -> np.ndarray:
     c = np.asarray(amplitudes, dtype=complex)
     if c.ndim != 1 or c.size == 0:
@@ -280,28 +314,25 @@ def _invert_ladder(
     amps = np.zeros(2 * dim, dtype=complex)
     amps[2 * 0 + GROUND] = 1.0
     pulses: list[Pulse] = []
-    w00 = _rabi(params.eta, params.omega_carrier, 0, 0)
 
     if sideband == "red":
         # reservoir in |0>|e>, deposits land in |j>|g> via the C~ amplitude
         theta0 = math.acos(min(1.0, float(c[0].real)))
-        carrier = Pulse.carrier(carrier_phase, theta0 / w00)
     elif sideband == "blue":
         # reservoir in |0>|g>, c_0 itself is deposited into |0>|e> via C
         theta0 = math.asin(min(1.0, float(abs(c[0]))))
         if abs(c[0]) > 0.0:
             probe = -1j * math.sin(theta0)
             carrier_phase = _solved_phase(complex(c[0]), probe, -1)
-        carrier = Pulse.carrier(carrier_phase, theta0 / w00)
     else:
         raise ValueError(f"sideband must be 'red' or 'blue', got {sideband!r}")
+    carrier = _turn(params, "carrier", 0, 0, theta0, carrier_phase)
     pulses.append(carrier)
     amps = apply_pulse_amplitudes(amps, params, carrier)
 
     reservoir_idx = 2 * 0 + (EXCITED if sideband == "red" else GROUND)
     for pos, j in enumerate(levels):
         res = complex(amps[reservoir_idx])
-        w = _rabi(params.eta, params.omega_carrier, 0, j)
         last = pos == len(levels) - 1
         if last:
             sin_theta, theta = 1.0, _HALF_PI
@@ -323,7 +354,7 @@ def _invert_ladder(
         else:
             probe = res * ipow(j - 1) * sin_theta  # C at phase 0
             phi = _solved_phase(complex(c[j]), probe, -1)
-        pulse = Pulse(sideband, j, phi, theta / w)
+        pulse = _turn(params, sideband, j, 0, theta, phi)
         pulses.append(pulse)
         amps = apply_pulse_amplitudes(amps, params, pulse)
     return pulses, amps
@@ -356,26 +387,34 @@ def _compile_weighted(
         if support.size == 1:
             # single Fock level: the carrier acts as a pure internal rotation
             n = int(support[0])
-            w_n0 = _rabi(params.eta, params.omega_carrier, n, 0)
             res = complex(amps[2 * n + EXCITED])
             probe = res * -1j  # C~ at phase 0, sin = 1
             phi = _solved_phase(complex(c_rot[n]), probe, 1)
-            restore = Pulse.carrier(phi, _HALF_PI / w_n0)
+            restore = _turn(params, "carrier", 0, n, _HALF_PI, phi, "; compile with sideband='red'")
             pulses.append(restore)
             amps = apply_pulse_amplitudes(amps, params, restore)
             internal = GROUND
 
-    schedule = PulseSchedule(params, tuple(pulses), provenance=provenance)
-    final = JointState(amps)
-    target_vec = _motional_vector(c_rot, params.fock_dim, internal)
+    return _report(
+        PulseSchedule(params, tuple(pulses), provenance=provenance),
+        JointState(amps),
+        _motional_vector(c_rot, params.fock_dim, internal),
+        target_rotation_rad=rotation,
+        final_internal_state="g" if internal == GROUND else "e",
+    )
+
+
+def _report(
+    schedule: PulseSchedule, final: JointState, target: JointState, **extra
+) -> SynthesisReport:
+    """Report on a schedule whose simulated final state is final."""
     return SynthesisReport(
         schedule=schedule,
         predicted_final=final,
-        fidelity_vs_target=fidelity(target_vec, final),
-        exact_phase_fidelity=fidelity(target_vec, final, up_to_global_phase=False),
+        fidelity_vs_target=fidelity(target, final),
+        exact_phase_fidelity=fidelity(target, final, up_to_global_phase=False),
         total_duration_s=schedule.total_duration,
-        target_rotation_rad=rotation,
-        final_internal_state="g" if internal == GROUND else "e",
+        **extra,
     )
 
 
@@ -415,31 +454,24 @@ def compile_fock(
         raise ValueError(
             f"fock_dim {params.fock_dim} too small for Fock target {n} (need > {n + 1})"
         )
-    eta, omega = params.eta, params.omega_carrier
-    t_side = _HALF_PI / _rabi(eta, omega, 0, n)  # sin(W_0n t) = 1
+    # two full transfers: sin(|W| t) = 1 on both pulses
     if strategy == "blue-then-carrier":
-        t_flip = _HALF_PI / _rabi(eta, omega, n, 0)  # sin(W_n0 t) = 1
-        pulses = (Pulse.blue(n, 0.0, t_side), Pulse.carrier(0.0, t_flip))
+        pulses = (
+            _turn(params, "blue", n, 0, _HALF_PI, 0.0),
+            _turn(params, "carrier", 0, n, _HALF_PI, 0.0, "; use strategy='carrier-then-red'"),
+        )
     elif strategy == "carrier-then-red":
-        t_flip = _HALF_PI / _rabi(eta, omega, 0, 0)  # sin(W_00 t) = 1
-        pulses = (Pulse.carrier(0.0, t_flip), Pulse.red(n, 0.0, t_side))
+        pulses = (
+            _turn(params, "carrier", 0, 0, _HALF_PI, 0.0),
+            _turn(params, "red", n, 0, _HALF_PI, 0.0),
+        )
     else:
         raise ValueError(
             f"strategy must be 'blue-then-carrier' or 'carrier-then-red', got {strategy!r}"
         )
     schedule = PulseSchedule(params, pulses, provenance=provenance)
-    amps = JointState.ground(params.fock_dim).amplitudes
-    for p in pulses:
-        amps = apply_pulse_amplitudes(amps, params, p)
-    final = JointState(amps)
-    target = JointState.fock(n, params.fock_dim)
-    return SynthesisReport(
-        schedule=schedule,
-        predicted_final=final,
-        fidelity_vs_target=fidelity(target, final),
-        exact_phase_fidelity=fidelity(target, final, up_to_global_phase=False),
-        total_duration_s=schedule.total_duration,
-    )
+    final = run_schedule(JointState.ground(params.fock_dim), schedule)
+    return _report(schedule, final, JointState.fock(n, params.fock_dim))
 
 
 def compile_superposition(
@@ -487,12 +519,9 @@ def compile_phase_state(
         "red",
         provenance=f"phase_state(N={n_max}, theta={theta:.6g})",
     )
-    eta, omega = params.eta, params.omega_carrier
-    expected = [math.acos(1.0 / math.sqrt(n_max + 1)) / _rabi(eta, omega, 0, 0)]
-    expected += [
-        math.asin(1.0 / math.sqrt(n_max - j + 1)) / _rabi(eta, omega, 0, j)
-        for j in range(1, n_max + 1)
-    ]
+    w = [rabi_frequency(params, 0, j).value for j in range(n_max + 1)]
+    expected = [math.acos(1.0 / math.sqrt(n_max + 1)) / w[0]]
+    expected += [math.asin(1.0 / math.sqrt(n_max - j + 1)) / w[j] for j in range(1, n_max + 1)]
     for pulse, t_exp in zip(report.schedule.pulses, expected):
         if abs(pulse.duration - t_exp) > 1e-9 * t_exp:
             raise RuntimeError(
@@ -580,33 +609,20 @@ def compile_bell(params: PhysicalParams) -> SynthesisReport:
     """
     if params.fock_dim < 3:
         raise ValueError(f"fock_dim must be >= 3 for the Bell target, got {params.fock_dim}")
-    eta, omega = params.eta, params.omega_carrier
-    t0 = _HALF_PI / _rabi(eta, omega, 0, 0)  # sin(W_00 t0) = 1
-    carrier = Pulse.carrier(0.0, t0)
+    carrier = _turn(params, "carrier", 0, 0, _HALF_PI, 0.0)  # sin(W_00 t0) = 1
     amps = JointState.ground(params.fock_dim).amplitudes
     amps = apply_pulse_amplitudes(amps, params, carrier)
 
     res = complex(amps[2 * 0 + EXCITED])
     theta = math.asin(1.0 / math.sqrt(2.0))
-    t1 = theta / _rabi(eta, omega, 0, 1)
     probe = res * (-neg_ipow(0)) * math.sin(theta)  # C~ deposit at phase 0
     phi = _solved_phase(res * math.cos(theta), probe, 1)
-    red = Pulse.red(1, phi, t1)
+    red = _turn(params, "red", 1, 0, theta, phi)
     amps = apply_pulse_amplitudes(amps, params, red)
 
     schedule = PulseSchedule(params, (carrier, red), provenance="bell")
-    final = JointState(amps)
-    target = np.zeros(2 * params.fock_dim, dtype=complex)
-    target[2 * 0 + EXCITED] = target[2 * 1 + GROUND] = 1.0 / math.sqrt(2.0)
-    target_state = JointState(target)
-    return SynthesisReport(
-        schedule=schedule,
-        predicted_final=final,
-        fidelity_vs_target=fidelity(target_state, final),
-        exact_phase_fidelity=fidelity(target_state, final, up_to_global_phase=False),
-        total_duration_s=schedule.total_duration,
-        final_internal_state="entangled",
-    )
+    target = target_state_vector(BellTarget(), params)
+    return _report(schedule, JointState(amps), target, final_internal_state="entangled")
 
 
 def compile_entangled_carrier(
@@ -631,37 +647,16 @@ def compile_entangled_carrier(
         base.schedule.pulses + (extra,),
         provenance=f"entangled_carrier(N={len(base.schedule.pulses) - 1})",
     )
-    final = JointState(amps)
-
     # closed-form target from the rotated superposition weights
-    c_rot = np.zeros(params.fock_dim, dtype=complex)
-    for j in range(params.fock_dim):
-        c_rot[j] = base.predicted_final.amplitude(j, GROUND)
-    target = np.zeros(2 * params.fock_dim, dtype=complex)
-    phase_unit = cmath.exp(-1j * (carrier_phase % _TWO_PI))
-    for j in range(params.fock_dim):
-        if c_rot[j] == 0:
-            continue
-        angle = _rabi(params.eta, params.omega_carrier, j, 0) * carrier_duration
-        target[2 * j + GROUND] = c_rot[j] * math.cos(angle)
-        target[2 * j + EXCITED] = -1j * c_rot[j] * phase_unit * math.sin(angle)
-    target_state = JointState(target)
-    return SynthesisReport(
-        schedule=schedule,
-        predicted_final=final,
-        fidelity_vs_target=fidelity(target_state, final),
-        exact_phase_fidelity=fidelity(target_state, final, up_to_global_phase=False),
-        total_duration_s=schedule.total_duration,
+    c_rot = base.predicted_final.amplitudes[GROUND::2]
+    target = _after_carrier(c_rot, params, carrier_duration, carrier_phase % _TWO_PI)
+    return _report(
+        schedule,
+        JointState(amps),
+        target,
         target_rotation_rad=base.target_rotation_rad,
         final_internal_state="entangled",
     )
-
-
-def _alternating_support_bounds(i: int) -> tuple[int, int]:
-    """(max ground Fock, max excited Fock) after sideband pulse i (1-based)."""
-    if i % 2 == 1:  # red moves |m>|e> up to |m+1>|g>
-        return i, i - 1
-    return i - 1, i  # blue moves |m>|g> up to |m+1>|e>
 
 
 def generate_alternating(
@@ -688,33 +683,12 @@ def generate_alternating(
     for i, (t, phi) in enumerate(sideband_pulses):
         pulses.append(Pulse("red" if i % 2 == 0 else "blue", 1, phi, t))
 
-    amps = JointState.ground(params.fock_dim).amplitudes
-    amps = apply_pulse_amplitudes(amps, params, pulses[0])
-    w00 = _rabi(params.eta, params.omega_carrier, 0, 0)
-    inverted = abs(abs(math.sin(w00 * carrier_duration)) - 1.0) <= 1e-12
-    for i, pulse in enumerate(pulses[1:], start=1):
-        amps = apply_pulse_amplitudes(amps, params, pulse, pulse_index=i)
-        g_max, e_max = _alternating_support_bounds(i)
-        pops = np.abs(amps.reshape(params.fock_dim, 2))
-        if np.any(pops[g_max + 1 :, GROUND] > 1e-12) or np.any(
-            pops[e_max + 1 :, EXCITED] > 1e-12
-        ):
-            raise RuntimeError(f"support pattern violated after pulse {i}")
-    if inverted and n_sb:
-        pops = np.abs(amps.reshape(params.fock_dim, 2))
-        if (
-            np.max(pops[0::2, GROUND], initial=0.0) > 1e-12
-            or np.max(pops[1::2, EXCITED], initial=0.0) > 1e-12
-        ):
-            raise RuntimeError("parity segregation violated")
-
     schedule = PulseSchedule(
         params, tuple(pulses), provenance=f"alternating(n_sideband={n_sb})"
     )
-    final = JointState(amps)
     return SynthesisReport(
         schedule=schedule,
-        predicted_final=final,
+        predicted_final=run_schedule(JointState.ground(params.fock_dim), schedule),
         fidelity_vs_target=1.0,
         exact_phase_fidelity=1.0,
         total_duration_s=schedule.total_duration,
@@ -784,13 +758,7 @@ def target_state_vector(target: TargetState, params: PhysicalParams) -> JointSta
         return JointState(amps)
     if isinstance(target, EntangledCarrierTarget):
         c = _validated_target(target.amplitudes)
-        amps = np.zeros(2 * dim, dtype=complex)
-        phase_unit = cmath.exp(-1j * target.carrier_phase)
-        for j in range(c.size):
-            angle = _rabi(params.eta, params.omega_carrier, j, 0) * target.carrier_duration
-            amps[2 * j + GROUND] = c[j] * math.cos(angle)
-            amps[2 * j + EXCITED] = -1j * c[j] * phase_unit * math.sin(angle)
-        return JointState(amps)
+        return _after_carrier(c, params, target.carrier_duration, target.carrier_phase)
     if isinstance(target, AlternatingTarget):
         raise ValueError("alternating targets are forward-generated and have no closed form")
     raise TypeError(f"unknown target {type(target).__name__}")

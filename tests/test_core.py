@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ionpulse import (
+    JointState,
     PhysicalParams,
+    Pulse,
     RabiUnderflowError,
+    apply_pulse_amplitudes,
     lamb_dicke_parameter,
     pulse_coefficient,
+    rabi_column,
     rabi_frequency,
     shortest_duration_for,
 )
@@ -117,6 +121,84 @@ class TestRabiFrequency:
             rabi_frequency(p, 0, 250)
         assert excinfo.value.log_magnitude < math.log(2.3e-308)
         assert math.isfinite(excinfo.value.log_magnitude)
+
+
+SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+def mpmath_rabi(eta: float, omega: float, m: int, k: int):
+    """W_{m,k} from mpmath's associated Laguerre polynomial at 60 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        e = mpmath.mpf(eta)
+        x = e * e
+        ratio = mpmath.exp(mpmath.loggamma(m + 1) - mpmath.loggamma(m + k + 1))
+        return (
+            mpmath.mpf(omega) / 2 * mpmath.exp(-x / 2) * e**k
+            * mpmath.sqrt(ratio) * mpmath.laguerre(m, k, x)
+        )
+
+
+class TestRabiColumn:
+    @pytest.mark.parametrize("eta", [0.25, 0.9, 1.5, 3.0])
+    def test_matches_mpmath(self, eta):
+        # the range where the alternating power series lost every digit
+        # (eta = 1.5, m = 200 gave W = 841 rad/s against a true -2066)
+        omega, m_max = 5e4, 400
+        for k in (0, 1, 3, 10, 30):
+            column = rabi_column(eta, omega, k, m_max + 1)
+            for m in sorted(set(range(0, m_max + 1, 9)) | {1, m_max - 1, m_max}):
+                err = abs(float(mpmath_rabi(eta, omega, m, k)) - column[m])
+                assert err <= 1e-12 * omega, (m, k, err / omega)
+
+    def test_underflow_raised_exactly_where_magnitude_is_subnormal(self):
+        # eta = 0.05, k = 150: the lowest m fall below the smallest normal
+        # double, and |W_{m,k}| climbs back above it as m grows
+        eta, omega, k = 0.05, 5e4, 150
+        params = PhysicalParams(eta=eta, omega_carrier=omega, fock_dim=k + 50)
+        expected = [m for m in range(50) if abs(mpmath_rabi(eta, omega, m, k)) < SMALLEST_NORMAL]
+        assert 0 < len(expected) < 50
+        raised = []
+        for m in range(50):
+            try:
+                value = rabi_frequency(params, m, k).value
+            except RabiUnderflowError as exc:
+                assert (exc.m, exc.k) == (m, k)
+                raised.append(m)
+            else:
+                exact = float(mpmath_rabi(eta, omega, m, k))
+                assert value == pytest.approx(exact, rel=1e-12)
+        assert raised == expected
+        # a consumer of the whole column needs the underflowing pairs
+        with pytest.raises(RabiUnderflowError) as excinfo:
+            rabi_column(eta, omega, k, 50)
+        assert excinfo.value.m == 0
+        with pytest.raises(RabiUnderflowError):
+            apply_pulse_amplitudes(
+                JointState.ground(params.fock_dim).amplitudes, params, Pulse.red(k, 0.0, 1e-5)
+            )
+
+    def test_one_value_per_coupling(self, params):
+        # a column's entries do not depend on its length, and rabi_frequency
+        # reads the column the pulse kernel uses
+        for eta in (0.25, 1.5):
+            for k in (0, 1, 5, 30):
+                full = rabi_column(eta, 5e4, k, 400)
+                for size in (0, 1, 2, 7, 16, 123):
+                    np.testing.assert_array_equal(rabi_column(eta, 5e4, k, size), full[:size])
+        for k in (0, 1, 5):
+            kernel = rabi_column(params.eta, params.omega_carrier, k, params.fock_dim - k)
+            scalars = [rabi_frequency(params, m, k).value for m in range(params.fock_dim + 3)]
+            assert scalars[: kernel.size] == kernel.tolist()
+
+    def test_read_only(self):
+        column = rabi_column(0.25, 5e4, 1, 8)
+        with pytest.raises(ValueError):
+            column[0] = 0.0
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            rabi_column(0.25, 5e4, -1, 8)
 
 
 class TestPulseCoefficient:

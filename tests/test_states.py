@@ -18,12 +18,21 @@ from ionpulse import (
     apply_pulse,
     apply_pulse_amplitudes,
     apply_red,
+    build_hamiltonian,
     fidelity,
+    propagate,
+    pulse_coefficient,
     rabi_frequency,
     run_schedule,
 )
 
 from conftest import random_guarded_amplitudes
+
+
+# Property tests sweep these: the oracle's ladder series, the reference
+# below, stays accurate to about 1e-10 W here.
+ETAS = (0.25, 0.9, 1.5)
+MAX_DIM = 40
 
 
 def _quarter(params, m, k):
@@ -157,16 +166,54 @@ class TestBlue:
             apply_blue(state, params, 1, 0.0, 1e-5)
 
 
+def _loop_reference(amps, params, pulse):
+    """The pulse as one 2x2 block per pair, built pair by pair."""
+    kind, k, dim = pulse.kind, pulse.k, params.fock_dim
+    out = np.array(amps, dtype=complex)
+    for m in range(dim - k):
+        coeff = pulse_coefficient(params, kind, k, m, pulse.phase, pulse.duration)
+        survive = math.cos(rabi_frequency(params, m, k).value * pulse.duration)
+        lo = 2 * (m + k if kind == "red" else m) + GROUND
+        up = 2 * (m + k if kind == "blue" else m) + EXCITED
+        out[lo] = survive * amps[lo] + coeff.c_tilde * amps[up]
+        out[up] = coeff.c * amps[lo] + survive * amps[up]
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     kind_k=st.sampled_from([("carrier", 0), ("red", 1), ("red", 4), ("blue", 1), ("blue", 3)]),
+    eta=st.sampled_from(ETAS),
+    dim=st.integers(6, MAX_DIM),
     phase=st.floats(0, 2 * math.pi),
     duration=st.floats(0, 5e-4),
     seed=st.integers(0, 2**31),
 )
-def test_unitarity_on_guarded_states(kind_k, phase, duration, seed):
+def test_kernel_matches_oracle_and_pair_loop(kind_k, eta, dim, phase, duration, seed):
     kind, k = kind_k
-    params = PhysicalParams(eta=0.25, omega_carrier=5e4, fock_dim=12)
+    params = PhysicalParams(eta=eta, omega_carrier=5e4, fock_dim=dim)
+    amps = random_guarded_amplitudes(np.random.default_rng(seed), dim, kind, k)
+    pulse = Pulse(kind, k, phase, duration)
+    out = apply_pulse_amplitudes(amps, params, pulse)
+    np.testing.assert_allclose(out, _loop_reference(amps, params, pulse), rtol=0, atol=1e-13)
+    ham = build_hamiltonian(params, kind, k, pulse.phase)
+    oracle = propagate(ham, JointState(amps), duration).amplitudes
+    # the oracle's series error at eta = 1.5, D = 40 times t <= 5e-4 s
+    np.testing.assert_allclose(out, oracle, rtol=0, atol=1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind_k=st.sampled_from([("carrier", 0), ("red", 1), ("red", 4), ("blue", 1), ("blue", 3)]),
+    eta=st.sampled_from(ETAS),
+    dim=st.integers(6, MAX_DIM),
+    phase=st.floats(0, 2 * math.pi),
+    duration=st.floats(0, 5e-4),
+    seed=st.integers(0, 2**31),
+)
+def test_unitarity_on_guarded_states(kind_k, eta, dim, phase, duration, seed):
+    kind, k = kind_k
+    params = PhysicalParams(eta=eta, omega_carrier=5e4, fock_dim=dim)
     rng = np.random.default_rng(seed)
     amps = random_guarded_amplitudes(rng, params.fock_dim, kind, k)
     out = apply_pulse_amplitudes(amps, params, Pulse(kind, k, phase, duration))
@@ -176,15 +223,17 @@ def test_unitarity_on_guarded_states(kind_k, phase, duration, seed):
 @settings(max_examples=40, deadline=None)
 @given(
     kind_k=st.sampled_from([("carrier", 0), ("red", 2), ("blue", 1)]),
+    eta=st.sampled_from(ETAS),
+    dim=st.integers(6, MAX_DIM),
     phase=st.floats(0, 2 * math.pi),
     duration=st.floats(0, 5e-4),
     seed=st.integers(0, 2**31),
 )
-def test_inverse_pulse_is_phase_shifted_by_pi(kind_k, phase, duration, seed):
+def test_inverse_pulse_is_phase_shifted_by_pi(kind_k, eta, dim, phase, duration, seed):
     # each 2x2 block is a rotation; shifting the laser phase by pi realizes
     # its inverse with the same duration
     kind, k = kind_k
-    params = PhysicalParams(eta=0.25, omega_carrier=5e4, fock_dim=12)
+    params = PhysicalParams(eta=eta, omega_carrier=5e4, fock_dim=dim)
     rng = np.random.default_rng(seed)
     amps = random_guarded_amplitudes(rng, params.fock_dim, kind, k)
     forward = apply_pulse_amplitudes(amps, params, Pulse(kind, k, phase, duration))
@@ -195,11 +244,13 @@ def test_inverse_pulse_is_phase_shifted_by_pi(kind_k, phase, duration, seed):
 @settings(max_examples=40, deadline=None)
 @given(
     kind_k=st.sampled_from([("carrier", 0), ("red", 1), ("blue", 2)]),
+    eta=st.sampled_from(ETAS),
+    dim=st.integers(6, MAX_DIM),
     seed=st.integers(0, 2**31),
 )
-def test_linearity_on_raw_vectors(kind_k, seed):
+def test_linearity_on_raw_vectors(kind_k, eta, dim, seed):
     kind, k = kind_k
-    params = PhysicalParams(eta=0.25, omega_carrier=5e4, fock_dim=10)
+    params = PhysicalParams(eta=eta, omega_carrier=5e4, fock_dim=dim)
     rng = np.random.default_rng(seed)
     psi = random_guarded_amplitudes(rng, params.fock_dim, kind, k)
     chi = random_guarded_amplitudes(rng, params.fock_dim, kind, k)

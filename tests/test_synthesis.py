@@ -31,6 +31,7 @@ from ionpulse import (
     rabi_frequency,
     run_schedule,
     target_state_vector,
+    verify_schedule,
 )
 
 
@@ -113,6 +114,53 @@ class TestCompileFock:
     def test_bad_strategy(self):
         with pytest.raises(ValueError):
             compile_fock(1, _params(4), strategy="sideways")
+
+
+class TestCarrierSignChange:
+    """W_{n,0} is proportional to L_n(eta^2), which is negative or zero here.
+
+    The blue-then-carrier Fock schedule and the restoring carrier of a blue
+    superposition turn pair n by pi/2 on the carrier, so they must rotate
+    by |W_{n,0}| with the sign folded into the laser phase.
+    """
+
+    @pytest.mark.parametrize(
+        "eta,n", [(1.2, 1), (math.sqrt(2.0), 2), (0.25, 25), (0.25, 34), (0.25, 100)]
+    )
+    def test_fock_past_laguerre_zero(self, eta, n):
+        params = _params(default_fock_dim(FockTarget(n)), eta=eta)
+        assert _w(params, n, 0) < 0.0
+        report = compile_fock(n, params)
+        assert all(p.duration > 0.0 for p in report.schedule.pulses)
+        rerun = run_schedule(JointState.ground(params.fock_dim), report.schedule)
+        assert fidelity(JointState.fock(n, params.fock_dim), rerun) >= 1 - 1e-9
+        # the same final phase as below the zero (see test_blue_then_carrier_final_phase)
+        assert rerun.amplitude(n, GROUND) == pytest.approx(-(1j**n), abs=1e-9)
+
+    @pytest.mark.parametrize("eta,n", [(1.2, 1), (math.sqrt(2.0), 2)])
+    def test_oracle_agrees_past_laguerre_zero(self, eta, n):
+        params = _params(default_fock_dim(FockTarget(n)), eta=eta)
+        schedule = compile_fock(n, params).schedule
+        assert verify_schedule(JointState.ground(params.fock_dim), schedule) >= 1 - 1e-9
+
+    def test_fock_zero_coupling_names_other_strategy(self):
+        params = _params(5, eta=1.0)  # L_1(1) = 0
+        assert _w(params, 1, 0) == 0.0
+        with pytest.raises(ValueError, match="carrier-then-red"):
+            compile_fock(1, params)
+        report = compile_fock(1, params, strategy="carrier-then-red")
+        assert report.fidelity_vs_target >= 1 - 1e-9
+
+    def test_restore_ground_past_laguerre_zero(self):
+        params = _params(6, eta=1.2)
+        assert _w(params, 1, 0) < 0.0
+        report = compile_superposition([0.0, 1.0], params, sideband="blue", restore_ground=True)
+        assert report.final_internal_state == "g"
+        assert report.fidelity_vs_target >= 1 - 1e-9
+        with pytest.raises(ValueError, match="sideband='red'"):
+            compile_superposition(
+                [0.0, 1.0], _params(6, eta=1.0), sideband="blue", restore_ground=True
+            )
 
 
 class TestCompileSuperposition:
@@ -486,6 +534,14 @@ class TestGenerateAlternating:
         ]
         report = generate_alternating(0.3 / _w(params, 0, 0), 0.2, sidebands, params)
         final = report.predicted_final
+        _, trace = run_schedule(JointState.ground(params.fock_dim), report.schedule, keep_trace=True)
+        # after sideband pulse i, red (odd i) has lifted the ground component
+        # to level i and blue (even i) the excited one
+        for i, state in enumerate(trace[1:], start=1):
+            g_max, e_max = (i, i - 1) if i % 2 == 1 else (i - 1, i)
+            amps = np.abs(state.amplitudes.reshape(params.fock_dim, 2))
+            assert np.all(amps[g_max + 1 :, GROUND] <= 1e-12)
+            assert np.all(amps[e_max + 1 :, EXCITED] <= 1e-12)
         # after an even number of sideband pulses: ground <= n-1, excited <= n
         for m in range(n_sb, params.fock_dim):
             assert abs(final.amplitude(m, GROUND)) <= 1e-12
