@@ -8,19 +8,15 @@ Hamiltonian-propagation oracle.
 """
 
 from .core import (
-    DEFAULT_ATOMIC_FREQ_RAD_S,
     DEFAULT_ETA,
     DEFAULT_OMEGA_RAD_S,
-    DEFAULT_TRAP_FREQ_RAD_S,
     PhysicalParams,
     PulseCoefficient,
     RabiUnderflowError,
     RabiValue,
-    lamb_dicke_parameter,
     pulse_coefficient,
     rabi_column,
     rabi_frequency,
-    shortest_duration_for,
 )
 from .states import (
     EXCITED,
@@ -29,11 +25,8 @@ from .states import (
     Pulse,
     PulseSchedule,
     TruncationOverflowError,
-    apply_blue,
-    apply_carrier,
     apply_pulse,
     apply_pulse_amplitudes,
-    apply_red,
     fidelity,
     run_schedule,
 )
@@ -71,30 +64,23 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_ATOMIC_FREQ_RAD_S",
     "DEFAULT_ETA",
     "DEFAULT_OMEGA_RAD_S",
-    "DEFAULT_TRAP_FREQ_RAD_S",
     "PhysicalParams",
     "PulseCoefficient",
     "RabiUnderflowError",
     "RabiValue",
-    "lamb_dicke_parameter",
     "pulse_coefficient",
     "rabi_column",
     "rabi_frequency",
-    "shortest_duration_for",
     "EXCITED",
     "GROUND",
     "JointState",
     "Pulse",
     "PulseSchedule",
     "TruncationOverflowError",
-    "apply_blue",
-    "apply_carrier",
     "apply_pulse",
     "apply_pulse_amplitudes",
-    "apply_red",
     "fidelity",
     "run_schedule",
     "AlternatingTarget",

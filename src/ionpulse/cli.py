@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from .core import (
     DEFAULT_ETA,
@@ -20,7 +19,7 @@ from .core import (
     PhysicalParams,
     rabi_column,
 )
-from .oracle import build_hamiltonian, verify_schedule
+from .oracle import verify_schedule
 from .serialization import (
     atomic_write_text,
     load_schedule,
@@ -31,51 +30,13 @@ from .serialization import (
     state_to_dict,
 )
 from .states import JointState, fidelity, run_schedule
-from .synthesis import (
-    AlternatingTarget,
-    compile_target,
-    default_fock_dim,
-    target_state_vector,
-)
+from .synthesis import compile_target, default_fock_dim, target_state_vector
 
 # Lamb-Dicke parameters shown in the standard coupling-strength table.
 RABI_ETA_SET = (0.202, 0.25, 0.35, 0.5, 0.9)
 
 DEFAULT_SYNTH_TOLERANCE = 1e-9
 DEFAULT_VERIFY_TOLERANCE = 1e-8
-
-
-@dataclass
-class RunConfig:
-    """Resolved common options for one CLI invocation."""
-
-    eta: float | None
-    omega: float
-    fock_dim: int | None
-    out: str | None
-    fmt: str | None
-    tolerance: float | None
-    seed: int
-
-    def __post_init__(self):
-        if self.tolerance is not None and not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.eta is not None and not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        eta=args.eta,
-        omega=args.omega_rad_s,
-        fock_dim=args.fock_dim,
-        out=args.out,
-        fmt=args.format,
-        tolerance=args.tolerance,
-        seed=args.seed,
-    )
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -89,8 +50,17 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--fock-dim", type=int, default=None, help="Fock truncation dimension")
     parser.add_argument("--out", default=None, help="output file (stdout when omitted)")
     parser.add_argument("--format", choices=("json", "csv"), default=None, help="output format")
-    parser.add_argument("--tolerance", type=float, default=None, help="fidelity deviation tolerance")
-    parser.add_argument("--seed", type=int, default=0, help="seed echoed into outputs")
+
+
+def _check_positive(args):
+    """Reject a non-positive --tolerance, --eta or --omega-rad-s."""
+    for name, value in (
+        ("tolerance", getattr(args, "tolerance", None)),
+        ("eta", args.eta),
+        ("omega", args.omega_rad_s),
+    ):
+        if value is not None and not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,6 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--schedule", required=True, help="schedule JSON file")
     p_ver.add_argument("--target", default=None, help="optional target JSON to also check")
     _add_common(p_ver)
+
+    for p in (p_syn, p_ver):
+        p.add_argument("--tolerance", type=float, default=None, help="fidelity deviation tolerance")
     return parser
 
 
@@ -137,13 +110,12 @@ def _fail(kind: str, message: str, **extra) -> int:
 
 
 def cmd_rabi(args) -> int:
-    cfg = _config(args)
-    etas = [cfg.eta] if cfg.eta is not None else list(RABI_ETA_SET)
+    etas = [args.eta] if args.eta is not None else list(RABI_ETA_SET)
     rows = []
     size = max(args.m_max, -1) + 1
     orders = range(max(args.k_max, -1) + 1)
     for eta in etas:
-        columns = [rabi_column(eta, cfg.omega, k, size).tolist() for k in orders]
+        columns = [rabi_column(eta, args.omega_rad_s, k, size).tolist() for k in orders]
         for m in range(size):
             for k in orders:
                 value = columns[k][m]
@@ -153,11 +125,10 @@ def cmd_rabi(args) -> int:
                         "m": m,
                         "k": k,
                         "rabi_rad_s": value,
-                        "rabi_over_omega": value / cfg.omega,
+                        "rabi_over_omega": value / args.omega_rad_s,
                     }
                 )
-    fmt = cfg.fmt or "csv"
-    if fmt == "csv":
+    if args.format != "json":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["eta", "m", "k", "rabi_rad_s", "rabi_over_omega"])
@@ -165,39 +136,36 @@ def cmd_rabi(args) -> int:
             writer.writerow(
                 [repr(r["eta"]), r["m"], r["k"], repr(r["rabi_rad_s"]), repr(r["rabi_over_omega"])]
             )
-        _emit(buf.getvalue(), cfg.out)
+        _emit(buf.getvalue(), args.out)
     else:
-        _emit(json.dumps({"seed": cfg.seed, "rows": rows}, indent=2), cfg.out)
+        _emit(json.dumps({"rows": rows}, indent=2), args.out)
     return 0
 
 
 def cmd_synthesize(args) -> int:
-    cfg = _config(args)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         return _fail("format", "synthesize emits JSON only")
     target = load_target(args.target)
-    fock_dim = cfg.fock_dim if cfg.fock_dim is not None else default_fock_dim(target)
+    fock_dim = args.fock_dim if args.fock_dim is not None else default_fock_dim(target)
     params = PhysicalParams(
-        eta=cfg.eta if cfg.eta is not None else DEFAULT_ETA,
-        omega_carrier=cfg.omega,
+        eta=args.eta if args.eta is not None else DEFAULT_ETA,
+        omega_carrier=args.omega_rad_s,
         fock_dim=fock_dim,
     )
     report = compile_target(target, params)
     report_doc = report_to_dict(report)
-    report_doc["seed"] = cfg.seed
-    if cfg.out:
-        atomic_write_text(cfg.out, json.dumps(schedule_to_dict(report.schedule), indent=2) + "\n")
+    if args.out:
+        atomic_write_text(args.out, json.dumps(schedule_to_dict(report.schedule), indent=2) + "\n")
     if args.report:
         atomic_write_text(args.report, json.dumps(report_doc, indent=2) + "\n")
     sys.stdout.write(json.dumps(report_doc, indent=2) + "\n")
-    tolerance = cfg.tolerance if cfg.tolerance is not None else DEFAULT_SYNTH_TOLERANCE
+    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_SYNTH_TOLERANCE
     return 0 if report.fidelity_vs_target >= 1.0 - tolerance else 1
 
 
 def cmd_simulate(args) -> int:
-    cfg = _config(args)
     schedule = load_schedule(args.schedule)
-    if cfg.fock_dim is not None and cfg.fock_dim != schedule.params.fock_dim:
+    if args.fock_dim is not None and args.fock_dim != schedule.params.fock_dim:
         return _fail("params", "--fock-dim conflicts with the schedule's fock_dim")
     if args.initial == "ground":
         initial = JointState.ground(schedule.params.fock_dim)
@@ -208,8 +176,7 @@ def cmd_simulate(args) -> int:
     else:
         final, trace = run_schedule(initial, schedule), None
 
-    fmt = cfg.fmt or "json"
-    if fmt == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["m", "state", "re", "im", "population"])
@@ -217,10 +184,9 @@ def cmd_simulate(args) -> int:
             for s, label in ((0, "g"), (1, "e")):
                 a = final.amplitude(m, s)
                 writer.writerow([m, label, repr(a.real), repr(a.imag), repr(final.population(m, s))])
-        _emit(buf.getvalue(), cfg.out)
+        _emit(buf.getvalue(), args.out)
         return 0
     doc = {
-        "seed": cfg.seed,
         "final": state_to_dict(final),
         "populations": [
             {"m": m, "state": label, "population": final.population(m, s)}
@@ -230,42 +196,30 @@ def cmd_simulate(args) -> int:
     }
     if trace is not None:
         doc["trace"] = [state_to_dict(s) for s in trace]
-    _emit(json.dumps(doc, indent=2), cfg.out)
+    _emit(json.dumps(doc, indent=2), args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         return _fail("format", "verify emits JSON only")
     schedule = load_schedule(args.schedule)
     initial = JointState.ground(schedule.params.fock_dim)
-    tolerance = cfg.tolerance if cfg.tolerance is not None else DEFAULT_VERIFY_TOLERANCE
+    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_VERIFY_TOLERANCE
 
-    residuals = [
-        build_hamiltonian(schedule.params, p.kind, p.k, p.phase).hermiticity_residual
-        for p in schedule.pulses
-    ]
     oracle_fid = verify_schedule(initial, schedule)
     passed = oracle_fid >= 1.0 - tolerance
 
-    doc = {
-        "seed": cfg.seed,
-        "oracle_fidelity": oracle_fid,
-        "hermiticity_residuals": residuals,
-        "tolerance": tolerance,
-    }
+    doc = {"oracle_fidelity": oracle_fid, "tolerance": tolerance}
     if args.target is not None:
         target = load_target(args.target)
-        if isinstance(target, AlternatingTarget):
-            return _fail("target", "alternating targets are forward-generated; nothing to verify against")
         target_vec = target_state_vector(target, schedule.params)
         final = run_schedule(initial, schedule)
         target_fid = fidelity(target_vec, final)
         doc["target_fidelity"] = target_fid
         passed = passed and target_fid >= 1.0 - tolerance
     doc["pass"] = passed
-    _emit(json.dumps(doc, indent=2), cfg.out)
+    _emit(json.dumps(doc, indent=2), args.out)
     return 0 if passed else 1
 
 
@@ -290,6 +244,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_positive(args)
         return _COMMANDS[args.command](args)
     except _INPUT_ERRORS as exc:
         extra = {}

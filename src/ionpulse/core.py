@@ -45,8 +45,6 @@ import numpy as np
 __all__ = [
     "DEFAULT_ETA",
     "DEFAULT_OMEGA_RAD_S",
-    "DEFAULT_TRAP_FREQ_RAD_S",
-    "DEFAULT_ATOMIC_FREQ_RAD_S",
     "PhysicalParams",
     "RabiValue",
     "PulseCoefficient",
@@ -54,18 +52,11 @@ __all__ = [
     "rabi_column",
     "rabi_frequency",
     "pulse_coefficient",
-    "shortest_duration_for",
-    "lamb_dicke_parameter",
 ]
 
 # Defaults mirror a 40Ca+ quadrupole-transition trap (729 nm, 135 kHz trap).
 DEFAULT_ETA = 0.25
 DEFAULT_OMEGA_RAD_S = 5.0e4
-DEFAULT_TRAP_FREQ_RAD_S = 2.0 * math.pi * 135.0e3
-DEFAULT_ATOMIC_FREQ_RAD_S = 2.0 * math.pi * 4.11e14
-
-_HBAR = 1.054571817e-34  # J s
-_SPEED_OF_LIGHT = 299792458.0  # m / s
 
 # Smallest positive normal double; couplings below this raise.
 _LOG_MIN_NORMAL = math.log(2.2250738585072014e-308)
@@ -116,15 +107,11 @@ class PhysicalParams:
                      of a schedule (it varies only negligibly over small k).
     omega_carrier -- carrier Rabi frequency in rad/s.
     fock_dim      -- motional truncation dimension D (Fock levels 0..D-1).
-    trap_freq     -- trap frequency in rad/s (informational).
-    atomic_freq   -- atomic transition frequency in rad/s (informational).
     """
 
     eta: float
     omega_carrier: float
     fock_dim: int
-    trap_freq: float = DEFAULT_TRAP_FREQ_RAD_S
-    atomic_freq: float = DEFAULT_ATOMIC_FREQ_RAD_S
 
     def __post_init__(self):
         if not (self.eta > 0.0 and math.isfinite(self.eta)):
@@ -257,44 +244,3 @@ def pulse_coefficient(
     unit = -1j if kind == "carrier" else ipow(k - 1)
     c = unit * complex(math.cos(phase), -math.sin(phase)) * s
     return PulseCoefficient(c, -c.conjugate())
-
-
-def shortest_duration_for(
-    params: PhysicalParams,
-    kind: str,
-    k: int,
-    m: int,
-    target: float,
-    branch: str = "sin",
-) -> float:
-    """Smallest t >= 0 with sin(W_{m,k} t) = target (or cos, branch="cos").
-
-    target must lie in [0, 1]; the principal branch is used (no extra
-    2 pi n / W offsets), which is the shortest realizable duration.
-    """
-    _check_kind(kind, k)
-    if branch not in ("sin", "cos"):
-        raise ValueError(f"branch must be 'sin' or 'cos', got {branch!r}")
-    if not 0.0 <= target <= 1.0:
-        raise ValueError(f"target must lie in [0, 1], got {target}")
-    w = rabi_frequency(params, m, k).value
-    if w <= 0.0:
-        raise ValueError(
-            f"W_{{{m},{k}}} = {w} is not positive; no shortest duration exists"
-        )
-    angle = math.asin(target) if branch == "sin" else math.acos(target)
-    return angle / w
-
-
-def lamb_dicke_parameter(
-    mass_kg: float, trap_freq_rad_s: float, laser_freq_rad_s: float
-) -> float:
-    """eta = (w_laser / c) sqrt(hbar / (2 M w_trap)) for a travelling wave.
-
-    Convenience only: compiled schedules always use the eta stored in
-    PhysicalParams, which experiments quote directly.
-    """
-    if mass_kg <= 0 or trap_freq_rad_s <= 0 or laser_freq_rad_s <= 0:
-        raise ValueError("mass and frequencies must be positive")
-    kappa = laser_freq_rad_s / _SPEED_OF_LIGHT
-    return kappa * math.sqrt(_HBAR / (2.0 * mass_kg * trap_freq_rad_s))

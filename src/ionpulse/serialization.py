@@ -8,10 +8,9 @@ names are stable):
                  "phase_rad": f, "duration_s": f}, ...],
      "provenance": s}
 
-Target schema is a tagged union on "variant": fock | superposition |
-phase_state | coherent | even_coherent | odd_coherent | bell |
-entangled_carrier | alternating.  All file writes are atomic
-(write-temp-then-rename).
+Target schema is a tagged union on "variant", with one tag and one set
+of keys per target variant (synthesis._VARIANTS).  All file writes are
+atomic (write-temp-then-rename).
 """
 
 from __future__ import annotations
@@ -24,18 +23,7 @@ import numpy as np
 
 from .core import PhysicalParams
 from .states import JointState, Pulse, PulseSchedule
-from .synthesis import (
-    AlternatingTarget,
-    BellTarget,
-    CoherentTarget,
-    EntangledCarrierTarget,
-    FockTarget,
-    ParityCoherentTarget,
-    PhaseStateTarget,
-    SuperpositionTarget,
-    SynthesisReport,
-    TargetState,
-)
+from .synthesis import _VARIANTS, SynthesisReport, TargetState, complex_pair, parse_complex
 
 __all__ = [
     "atomic_write_text",
@@ -69,19 +57,6 @@ def atomic_write_text(path: str, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def complex_pair(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def parse_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ValueError(f"expected a number or [re, im] pair, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -148,80 +123,23 @@ def load_schedule(path: str) -> PulseSchedule:
 
 
 def target_to_dict(target: TargetState) -> dict:
-    if isinstance(target, FockTarget):
-        return {"variant": "fock", "n": target.n}
-    if isinstance(target, SuperpositionTarget):
-        return {
-            "variant": "superposition",
-            "amplitudes": [complex_pair(a) for a in target.amplitudes],
-        }
-    if isinstance(target, PhaseStateTarget):
-        return {"variant": "phase_state", "n_max": target.n_max, "theta_rad": target.theta}
-    if isinstance(target, CoherentTarget):
-        return {"variant": "coherent", "alpha": complex_pair(target.alpha), "n_max": target.n_max}
-    if isinstance(target, ParityCoherentTarget):
-        return {
-            "variant": f"{target.parity}_coherent",
-            "alpha": complex_pair(target.alpha),
-            "n_max": target.n_max,
-        }
-    if isinstance(target, BellTarget):
-        return {"variant": "bell"}
-    if isinstance(target, EntangledCarrierTarget):
-        return {
-            "variant": "entangled_carrier",
-            "amplitudes": [complex_pair(a) for a in target.amplitudes],
-            "carrier_duration_s": target.carrier_duration,
-            "carrier_phase_rad": target.carrier_phase,
-        }
-    if isinstance(target, AlternatingTarget):
-        return {
-            "variant": "alternating",
-            "carrier_duration_s": target.carrier_duration,
-            "carrier_phase_rad": target.carrier_phase,
-            "sideband_pulses": [
-                {"duration_s": t, "phase_rad": p} for t, p in target.sideband_pulses
-            ],
-        }
+    """The target's fields under the tag of the _VARIANTS row it matches."""
+    for tag, (variant, fixed) in _VARIANTS.items():
+        if type(target) is variant and all(getattr(target, f) == v for f, v in fixed.items()):
+            doc = {"variant": tag}
+            for key, (name, (encode, _)) in variant._JSON.items():
+                doc[key] = encode(getattr(target, name))
+            return doc
     raise TypeError(f"unknown target {type(target).__name__}")
 
 
 def target_from_dict(data: dict) -> TargetState:
-    variant = data.get("variant")
-    if variant == "fock":
-        return FockTarget(n=int(data["n"]))
-    if variant == "superposition":
-        return SuperpositionTarget(
-            amplitudes=tuple(parse_complex(a) for a in data["amplitudes"])
-        )
-    if variant == "phase_state":
-        return PhaseStateTarget(n_max=int(data["n_max"]), theta=float(data["theta_rad"]))
-    if variant == "coherent":
-        return CoherentTarget(alpha=parse_complex(data["alpha"]), n_max=int(data["n_max"]))
-    if variant in ("even_coherent", "odd_coherent"):
-        return ParityCoherentTarget(
-            alpha=parse_complex(data["alpha"]),
-            n_max=int(data["n_max"]),
-            parity=variant.split("_")[0],
-        )
-    if variant == "bell":
-        return BellTarget()
-    if variant == "entangled_carrier":
-        return EntangledCarrierTarget(
-            amplitudes=tuple(parse_complex(a) for a in data["amplitudes"]),
-            carrier_duration=float(data["carrier_duration_s"]),
-            carrier_phase=float(data["carrier_phase_rad"]),
-        )
-    if variant == "alternating":
-        return AlternatingTarget(
-            carrier_duration=float(data["carrier_duration_s"]),
-            carrier_phase=float(data["carrier_phase_rad"]),
-            sideband_pulses=tuple(
-                (float(p["duration_s"]), float(p["phase_rad"]))
-                for p in data["sideband_pulses"]
-            ),
-        )
-    raise ValueError(f"unknown target variant {variant!r}")
+    tag = data.get("variant")
+    if tag not in _VARIANTS:
+        raise ValueError(f"unknown target variant {tag!r}")
+    variant, fixed = _VARIANTS[tag]
+    fields = {name: decode(data[key]) for key, (name, (_, decode)) in variant._JSON.items()}
+    return variant(**fields, **fixed)
 
 
 def load_target(path: str) -> TargetState:

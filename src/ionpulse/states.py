@@ -43,9 +43,6 @@ __all__ = [
     "TruncationOverflowError",
     "apply_pulse_amplitudes",
     "apply_pulse",
-    "apply_carrier",
-    "apply_red",
-    "apply_blue",
     "run_schedule",
     "fidelity",
 ]
@@ -240,27 +237,6 @@ def apply_pulse(state: JointState, params: PhysicalParams, pulse: Pulse) -> Join
     if state.dim != params.fock_dim:
         raise ValueError(f"state dim {state.dim} != params fock_dim {params.fock_dim}")
     return JointState(apply_pulse_amplitudes(state.amplitudes, params, pulse))
-
-
-def apply_carrier(
-    state: JointState, params: PhysicalParams, phase: float, duration: float
-) -> JointState:
-    """Conditional internal rotation: each |m> block rotates by W_{m,0} t."""
-    return apply_pulse(state, params, Pulse.carrier(phase, duration))
-
-
-def apply_red(
-    state: JointState, params: PhysicalParams, k: int, phase: float, duration: float
-) -> JointState:
-    """k-th red sideband: mixes |m+k>|g> with |m>|e>; |m>|g>, m < k, is fixed."""
-    return apply_pulse(state, params, Pulse.red(k, phase, duration))
-
-
-def apply_blue(
-    state: JointState, params: PhysicalParams, k: int, phase: float, duration: float
-) -> JointState:
-    """k-th blue sideband: mixes |m>|g> with |m+k>|e>; |m>|e>, m < k, is fixed."""
-    return apply_pulse(state, params, Pulse.blue(k, phase, duration))
 
 
 def run_schedule(

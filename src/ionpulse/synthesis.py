@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from dataclasses import dataclass, fields, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -69,113 +69,6 @@ __all__ = [
 _HALF_PI = math.pi / 2.0
 _TWO_PI = 2.0 * math.pi
 
-# ---------------------------------------------------------------------------
-# Target descriptions
-
-
-@dataclass(frozen=True)
-class FockTarget:
-    """Motional number state |n>."""
-
-    n: int
-
-
-@dataclass(frozen=True)
-class SuperpositionTarget:
-    """Finite Fock superposition sum_j c_j |j>, c normalized."""
-
-    amplitudes: tuple[complex, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "amplitudes", tuple(complex(a) for a in self.amplitudes)
-        )
-
-
-@dataclass(frozen=True)
-class PhaseStateTarget:
-    """Uniform-magnitude phase state sum_j e^{i j theta} |j> / sqrt(N+1)."""
-
-    n_max: int
-    theta: float
-
-
-@dataclass(frozen=True)
-class CoherentTarget:
-    """Coherent state alpha truncated at Fock level n_max and renormalized."""
-
-    alpha: complex
-    n_max: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
-
-
-@dataclass(frozen=True)
-class ParityCoherentTarget:
-    """Even or odd coherent state (only even/odd Fock levels), truncated."""
-
-    alpha: complex
-    n_max: int
-    parity: str  # "even" | "odd"
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        if self.parity not in ("even", "odd"):
-            raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
-
-
-@dataclass(frozen=True)
-class BellTarget:
-    """Maximally entangled (|0>|e> + |1>|g>)/sqrt(2)."""
-
-
-@dataclass(frozen=True)
-class EntangledCarrierTarget:
-    """Fock superposition followed by one entangling carrier pulse."""
-
-    amplitudes: tuple[complex, ...]
-    carrier_duration: float
-    carrier_phase: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "amplitudes", tuple(complex(a) for a in self.amplitudes)
-        )
-
-
-@dataclass(frozen=True)
-class AlternatingTarget:
-    """Forward-generated state: carrier then alternating red-1/blue-1 pulses.
-
-    sideband_pulses is a sequence of (duration, phase) pairs; the first
-    sideband pulse is red, the second blue, and so on.
-    """
-
-    carrier_duration: float
-    carrier_phase: float
-    sideband_pulses: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "sideband_pulses",
-            tuple((float(t), float(p)) for t, p in self.sideband_pulses),
-        )
-
-
-TargetState = Union[
-    FockTarget,
-    SuperpositionTarget,
-    PhaseStateTarget,
-    CoherentTarget,
-    ParityCoherentTarget,
-    BellTarget,
-    EntangledCarrierTarget,
-    AlternatingTarget,
-]
-
-
 @dataclass(frozen=True)
 class SynthesisReport:
     """Compiled schedule plus forward-simulation diagnostics.
@@ -203,23 +96,6 @@ class SynthesisReport:
 
 # ---------------------------------------------------------------------------
 # Shared machinery
-
-
-def default_fock_dim(target: TargetState) -> int:
-    """Truncation with guard headroom: max Fock index + 2*max order + 2."""
-    if isinstance(target, FockTarget):
-        n = k = target.n
-    elif isinstance(target, (SuperpositionTarget, EntangledCarrierTarget)):
-        n = k = max(len(target.amplitudes) - 1, 1)
-    elif isinstance(target, (PhaseStateTarget, CoherentTarget, ParityCoherentTarget)):
-        n = k = max(target.n_max, 1)
-    elif isinstance(target, BellTarget):
-        n = k = 1
-    elif isinstance(target, AlternatingTarget):
-        n, k = len(target.sideband_pulses), 1
-    else:
-        raise TypeError(f"unknown target {type(target).__name__}")
-    return max(n + 2 * k + 2, 4)
 
 
 def _solved_phase(desired: complex, probe: complex, sign: int) -> float:
@@ -418,19 +294,6 @@ def _report(
     )
 
 
-def _empty_report(params: PhysicalParams, provenance: str, **extra) -> SynthesisReport:
-    schedule = PulseSchedule(params, (), provenance=provenance)
-    final = JointState.ground(params.fock_dim)
-    return SynthesisReport(
-        schedule=schedule,
-        predicted_final=final,
-        fidelity_vs_target=1.0,
-        exact_phase_fidelity=1.0,
-        total_duration_s=0.0,
-        **extra,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Compilers
 
@@ -449,7 +312,8 @@ def compile_fock(
         raise ValueError(f"Fock index must be >= 0, got {n}")
     provenance = f"fock(n={n}, strategy={strategy})"
     if n == 0:
-        return _empty_report(params, provenance)
+        ground = JointState.ground(params.fock_dim)
+        return _report(PulseSchedule(params, (), provenance), ground, ground)
     if params.fock_dim <= n + 1:
         raise ValueError(
             f"fock_dim {params.fock_dim} too small for Fock target {n} (need > {n + 1})"
@@ -506,28 +370,18 @@ def compile_phase_state(
 ) -> SynthesisReport:
     """Uniform-magnitude phase state sum_j e^{i j theta} |j> / sqrt(N+1).
 
-    Compiled through the superposition inverter; the resulting durations
-    are additionally checked against their closed forms
-    t_0 = arccos(1/sqrt(N+1))/W_00 and t_j = arcsin(1/sqrt(N-j+1))/W_0j.
+    Compiled through the superposition inverter; the durations take the
+    closed forms t_0 = arccos(1/sqrt(N+1))/W_00 and
+    t_j = arcsin(1/sqrt(N-j+1))/W_0j.
     """
     if n_max < 1:
         raise ValueError(f"phase state needs n_max >= 1, got {n_max}")
-    c = np.exp(1j * theta * np.arange(n_max + 1)) / math.sqrt(n_max + 1)
-    report = _compile_weighted(
-        c,
+    return _compile_weighted(
+        PhaseStateTarget(n_max, theta)._amplitudes(),
         params,
         "red",
         provenance=f"phase_state(N={n_max}, theta={theta:.6g})",
     )
-    w = [rabi_frequency(params, 0, j).value for j in range(n_max + 1)]
-    expected = [math.acos(1.0 / math.sqrt(n_max + 1)) / w[0]]
-    expected += [math.asin(1.0 / math.sqrt(n_max - j + 1)) / w[j] for j in range(1, n_max + 1)]
-    for pulse, t_exp in zip(report.schedule.pulses, expected):
-        if abs(pulse.duration - t_exp) > 1e-9 * t_exp:
-            raise RuntimeError(
-                f"phase-state duration {pulse.duration} deviates from closed form {t_exp}"
-            )
-    return report
 
 
 def _coherent_weights(alpha: complex, n_max: int) -> np.ndarray:
@@ -556,16 +410,15 @@ def compile_coherent(alpha, n_max: int, params: PhysicalParams) -> SynthesisRepo
     truncation_overlap reports how much of the untruncated coherent state
     the kept levels capture, so the approximation quality is visible.
     """
-    alpha = complex(alpha)
+    target = CoherentTarget(alpha, n_max)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    provenance = f"coherent(alpha={alpha:.6g}, N={n_max})"
-    if alpha == 0:
-        return _empty_report(params, provenance, truncation_overlap=1.0)
-    c = _coherent_weights(alpha, n_max)
-    c /= np.linalg.norm(c)
-    report = _compile_weighted(c, params, "red", provenance=provenance)
-    return replace(report, truncation_overlap=_poisson_head(alpha, n_max))
+    provenance = f"coherent(alpha={target.alpha:.6g}, N={n_max})"
+    if target.alpha == 0:
+        ground = JointState.ground(params.fock_dim)
+        return _report(PulseSchedule(params, (), provenance), ground, ground, truncation_overlap=1.0)
+    report = _compile_weighted(target._amplitudes(), params, "red", provenance=provenance)
+    return replace(report, truncation_overlap=_poisson_head(target.alpha, n_max))
 
 
 def compile_even_odd_coherent(
@@ -577,25 +430,17 @@ def compile_even_odd_coherent(
     never acquires amplitude.  At alpha = 0 the odd state degenerates to
     its lowest component |1>.
     """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    alpha = complex(alpha)
+    target = ParityCoherentTarget(alpha, n_max, parity)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     rem = 0 if parity == "even" else 1
-    provenance = f"{parity}_coherent(alpha={alpha:.6g}, N={n_max})"
-    if alpha == 0 and parity == "even":
-        return _empty_report(params, provenance, truncation_overlap=1.0)
+    provenance = f"{parity}_coherent(alpha={target.alpha:.6g}, N={n_max})"
+    if target.alpha == 0 and parity == "even":
+        ground = JointState.ground(params.fock_dim)
+        return _report(PulseSchedule(params, (), provenance), ground, ground, truncation_overlap=1.0)
     if n_max < rem:
         raise ValueError(f"truncation n_max={n_max} excludes every {parity} level")
-    if alpha == 0:  # odd limit: single lowest component
-        c = np.zeros(2, dtype=complex)
-        c[1] = 1.0
-    else:
-        c = _coherent_weights(alpha, n_max)
-        c[np.arange(n_max + 1) % 2 != rem] = 0.0
-        c /= np.linalg.norm(c)
-        c = c[: int(np.max(np.nonzero(np.abs(c))[0])) + 1]
+    c = target._amplitudes()
     levels = [j for j in range(1, c.size) if j % 2 == rem]
     return _compile_weighted(c, params, "red", provenance=provenance, levels=levels)
 
@@ -697,32 +542,246 @@ def generate_alternating(
 
 
 # ---------------------------------------------------------------------------
-# Dispatch and reference vectors
+# Target variants
+
+
+def complex_pair(z) -> list[float]:
+    z = complex(z)
+    return [z.real, z.imag]
+
+
+def parse_complex(value) -> complex:
+    if isinstance(value, (int, float)):
+        return complex(value)
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(float(value[0]), float(value[1]))
+    raise ValueError(f"expected a number or [re, im] pair, got {value!r}")
+
+
+# JSON codecs (encode, decode) of target fields
+_INT = (int, int)
+_FLOAT = (float, float)
+_COMPLEX = (complex_pair, parse_complex)
+_COMPLEXES = (
+    lambda zs: [complex_pair(z) for z in zs],
+    lambda value: tuple(parse_complex(z) for z in value),
+)
+_TIMED_PHASES = (
+    lambda pairs: [{"duration_s": t, "phase_rad": p} for t, p in pairs],
+    lambda value: tuple((float(p["duration_s"]), float(p["phase_rad"])) for p in value),
+)
+
+
+class TargetState:
+    """A target variant: a frozen dataclass that says all it does.
+
+    _JSON maps each JSON key to (field, codec).  _compiler takes the
+    fields in order, then the PhysicalParams.  _reach() gives (top Fock
+    level, top sideband order) of the schedule, and _vector(params) the
+    ideal state: by default the motional superposition of _amplitudes(),
+    the weights its compiler inverts, in |g>.  _VARIANTS maps each JSON
+    tag to its variant.
+    """
+
+    _JSON: dict = {}
+
+    def _vector(self, params: PhysicalParams) -> JointState:
+        return _motional_vector(self._amplitudes(), params.fock_dim, GROUND)
+
+
+@dataclass(frozen=True)
+class FockTarget(TargetState):
+    """Motional number state |n>."""
+
+    n: int
+    _JSON = {"n": ("n", _INT)}
+    _compiler = staticmethod(compile_fock)
+
+    def _reach(self):
+        return self.n, self.n
+
+    def _vector(self, params):
+        return JointState.fock(self.n, params.fock_dim)
+
+
+@dataclass(frozen=True)
+class SuperpositionTarget(TargetState):
+    """Finite Fock superposition sum_j c_j |j>, c normalized."""
+
+    amplitudes: tuple[complex, ...]
+    _JSON = {"amplitudes": ("amplitudes", _COMPLEXES)}
+    _compiler = staticmethod(compile_superposition)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "amplitudes", tuple(complex(a) for a in self.amplitudes)
+        )
+
+    def _reach(self):
+        n = max(len(self.amplitudes) - 1, 1)
+        return n, n
+
+    def _amplitudes(self):
+        return _validated_target(self.amplitudes)
+
+
+@dataclass(frozen=True)
+class PhaseStateTarget(TargetState):
+    """Uniform-magnitude phase state sum_j e^{i j theta} |j> / sqrt(N+1)."""
+
+    n_max: int
+    theta: float
+    _JSON = {"n_max": ("n_max", _INT), "theta_rad": ("theta", _FLOAT)}
+    _compiler = staticmethod(compile_phase_state)
+
+    def _reach(self):
+        n = max(self.n_max, 1)
+        return n, n
+
+    def _amplitudes(self):
+        return np.exp(1j * self.theta * np.arange(self.n_max + 1)) / math.sqrt(self.n_max + 1)
+
+
+@dataclass(frozen=True)
+class CoherentTarget(TargetState):
+    """Coherent state alpha truncated at Fock level n_max and renormalized."""
+
+    alpha: complex
+    n_max: int
+    _JSON = {"alpha": ("alpha", _COMPLEX), "n_max": ("n_max", _INT)}
+    _compiler = staticmethod(compile_coherent)
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", complex(self.alpha))
+
+    def _reach(self):
+        n = max(self.n_max, 1)
+        return n, n
+
+    def _amplitudes(self):
+        c = _coherent_weights(self.alpha, self.n_max)
+        return c / np.linalg.norm(c)
+
+
+@dataclass(frozen=True)
+class ParityCoherentTarget(CoherentTarget):
+    """Even or odd coherent state (only even/odd Fock levels), truncated."""
+
+    parity: str  # "even" | "odd"
+    _compiler = staticmethod(compile_even_odd_coherent)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.parity not in ("even", "odd"):
+            raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
+
+    def _amplitudes(self):
+        """Normalized weights of one parity up to the last nonzero one.
+
+        At alpha = 0 only the lowest level of the parity remains.
+        """
+        rem = 0 if self.parity == "even" else 1
+        if self.alpha == 0:
+            c = np.zeros(rem + 1, dtype=complex)
+            c[rem] = 1.0
+            return c
+        c = _coherent_weights(self.alpha, self.n_max)
+        c[np.arange(self.n_max + 1) % 2 != rem] = 0.0
+        c /= np.linalg.norm(c)
+        return c[: int(np.max(np.nonzero(np.abs(c))[0])) + 1]
+
+
+@dataclass(frozen=True)
+class BellTarget(TargetState):
+    """Maximally entangled (|0>|e> + |1>|g>)/sqrt(2)."""
+
+    _compiler = staticmethod(compile_bell)
+
+    def _reach(self):
+        return 1, 1
+
+    def _vector(self, params):
+        amps = np.zeros(2 * params.fock_dim, dtype=complex)
+        amps[2 * 0 + EXCITED] = amps[2 * 1 + GROUND] = 1.0 / math.sqrt(2.0)
+        return JointState(amps)
+
+
+@dataclass(frozen=True)
+class EntangledCarrierTarget(SuperpositionTarget):
+    """Fock superposition followed by one entangling carrier pulse."""
+
+    carrier_duration: float
+    carrier_phase: float
+    _JSON = {
+        "amplitudes": ("amplitudes", _COMPLEXES),
+        "carrier_duration_s": ("carrier_duration", _FLOAT),
+        "carrier_phase_rad": ("carrier_phase", _FLOAT),
+    }
+    _compiler = staticmethod(compile_entangled_carrier)
+
+    def _vector(self, params):
+        return _after_carrier(self._amplitudes(), params, self.carrier_duration, self.carrier_phase)
+
+
+@dataclass(frozen=True)
+class AlternatingTarget(TargetState):
+    """Forward-generated state: carrier then alternating red-1/blue-1 pulses.
+
+    sideband_pulses is a sequence of (duration, phase) pairs; the first
+    sideband pulse is red, the second blue, and so on.
+    """
+
+    carrier_duration: float
+    carrier_phase: float
+    sideband_pulses: tuple[tuple[float, float], ...]
+    _JSON = {
+        "carrier_duration_s": ("carrier_duration", _FLOAT),
+        "carrier_phase_rad": ("carrier_phase", _FLOAT),
+        "sideband_pulses": ("sideband_pulses", _TIMED_PHASES),
+    }
+    _compiler = staticmethod(generate_alternating)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self,
+            "sideband_pulses",
+            tuple((float(t), float(p)) for t, p in self.sideband_pulses),
+        )
+
+    def _reach(self):
+        return len(self.sideband_pulses), 1
+
+    def _vector(self, params):
+        raise ValueError("alternating targets are forward-generated and have no closed form")
+
+
+# JSON tag -> (variant, the field values the tag fixes)
+_VARIANTS = {
+    "fock": (FockTarget, {}),
+    "superposition": (SuperpositionTarget, {}),
+    "phase_state": (PhaseStateTarget, {}),
+    "coherent": (CoherentTarget, {}),
+    "even_coherent": (ParityCoherentTarget, {"parity": "even"}),
+    "odd_coherent": (ParityCoherentTarget, {"parity": "odd"}),
+    "bell": (BellTarget, {}),
+    "entangled_carrier": (EntangledCarrierTarget, {}),
+    "alternating": (AlternatingTarget, {}),
+}
+
+
+# ---------------------------------------------------------------------------
+# Dispatch
+
+
+def default_fock_dim(target: TargetState) -> int:
+    """Truncation with guard headroom: max Fock index + 2*max order + 2."""
+    n, k = target._reach()
+    return max(n + 2 * k + 2, 4)
 
 
 def compile_target(target: TargetState, params: PhysicalParams) -> SynthesisReport:
     """Compile any TargetState variant under the given parameters."""
-    if isinstance(target, FockTarget):
-        return compile_fock(target.n, params)
-    if isinstance(target, SuperpositionTarget):
-        return compile_superposition(target.amplitudes, params)
-    if isinstance(target, PhaseStateTarget):
-        return compile_phase_state(target.n_max, target.theta, params)
-    if isinstance(target, CoherentTarget):
-        return compile_coherent(target.alpha, target.n_max, params)
-    if isinstance(target, ParityCoherentTarget):
-        return compile_even_odd_coherent(target.alpha, target.n_max, target.parity, params)
-    if isinstance(target, BellTarget):
-        return compile_bell(params)
-    if isinstance(target, EntangledCarrierTarget):
-        return compile_entangled_carrier(
-            target.amplitudes, target.carrier_duration, target.carrier_phase, params
-        )
-    if isinstance(target, AlternatingTarget):
-        return generate_alternating(
-            target.carrier_duration, target.carrier_phase, target.sideband_pulses, params
-        )
-    raise TypeError(f"unknown target {type(target).__name__}")
+    return target._compiler(*(getattr(target, f.name) for f in fields(target)), params)
 
 
 def target_state_vector(target: TargetState, params: PhysicalParams) -> JointState:
@@ -731,34 +790,4 @@ def target_state_vector(target: TargetState, params: PhysicalParams) -> JointSta
     AlternatingTarget has no closed-form target (it is forward-generated)
     and raises ValueError.
     """
-    dim = params.fock_dim
-    if isinstance(target, FockTarget):
-        return JointState.fock(target.n, dim)
-    if isinstance(target, SuperpositionTarget):
-        c = _validated_target(target.amplitudes)
-        return _motional_vector(c, dim, GROUND)
-    if isinstance(target, PhaseStateTarget):
-        c = np.exp(1j * target.theta * np.arange(target.n_max + 1))
-        return _motional_vector(c / math.sqrt(target.n_max + 1), dim, GROUND)
-    if isinstance(target, CoherentTarget):
-        if target.alpha == 0:
-            return JointState.ground(dim)
-        c = _coherent_weights(target.alpha, target.n_max)
-        return _motional_vector(c / np.linalg.norm(c), dim, GROUND)
-    if isinstance(target, ParityCoherentTarget):
-        rem = 0 if target.parity == "even" else 1
-        if target.alpha == 0:
-            return JointState.ground(dim) if rem == 0 else JointState.fock(1, dim)
-        c = _coherent_weights(target.alpha, target.n_max)
-        c[np.arange(target.n_max + 1) % 2 != rem] = 0.0
-        return _motional_vector(c / np.linalg.norm(c), dim, GROUND)
-    if isinstance(target, BellTarget):
-        amps = np.zeros(2 * dim, dtype=complex)
-        amps[2 * 0 + EXCITED] = amps[2 * 1 + GROUND] = 1.0 / math.sqrt(2.0)
-        return JointState(amps)
-    if isinstance(target, EntangledCarrierTarget):
-        c = _validated_target(target.amplitudes)
-        return _after_carrier(c, params, target.carrier_duration, target.carrier_phase)
-    if isinstance(target, AlternatingTarget):
-        raise ValueError("alternating targets are forward-generated and have no closed form")
-    raise TypeError(f"unknown target {type(target).__name__}")
+    return target._vector(params)

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,10 +51,10 @@ class TestRabi:
         assert lines == ["eta,m,k,rabi_rad_s,rabi_over_omega"]
 
     def test_json_format(self, capsys):
-        code, out, _ = run_cli(capsys, "rabi", "--eta", "0.5", "--k-max", "2", "--format", "json", "--seed", "7")
+        code, out, _ = run_cli(capsys, "rabi", "--eta", "0.5", "--k-max", "2", "--format", "json")
         assert code == 0
         doc = json.loads(out)
-        assert doc["seed"] == 7
+        assert list(doc) == ["rows"]
         assert len(doc["rows"]) == 3
 
     def test_out_file(self, capsys, tmp_path):
@@ -236,11 +237,10 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["pass"] is True
         assert doc["oracle_fidelity"] >= 1 - 1e-8
-        assert all(r <= 1e-13 for r in doc["hermiticity_residuals"])
 
     def test_corrupted_duration_fails_against_target(self, capsys, tmp_path):
         target, sched = self._synth(capsys, tmp_path, {"variant": "fock", "n": 2})
-        doc = json.loads(open(sched).read())
+        doc = json.loads(Path(sched).read_text())
         doc["pulses"][0]["duration_s"] *= 1.1
         atomic_write_text(sched, json.dumps(doc))
         code, out, _ = run_cli(capsys, "verify", "--schedule", sched, "--target", target)
@@ -268,7 +268,7 @@ class TestVerify:
 
     def test_tolerance_flag_loosens_target_gate(self, capsys, tmp_path):
         target, sched = self._synth(capsys, tmp_path, {"variant": "fock", "n": 2})
-        doc = json.loads(open(sched).read())
+        doc = json.loads(Path(sched).read_text())
         doc["pulses"][0]["duration_s"] *= 1.1
         atomic_write_text(sched, json.dumps(doc))
         # fails at the default tolerance, passes when loosened to 0.1

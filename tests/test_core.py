@@ -10,11 +10,9 @@ from ionpulse import (
     Pulse,
     RabiUnderflowError,
     apply_pulse_amplitudes,
-    lamb_dicke_parameter,
     pulse_coefficient,
     rabi_column,
     rabi_frequency,
-    shortest_duration_for,
 )
 
 from conftest import laguerre_rabi
@@ -246,44 +244,3 @@ class TestPulseCoefficient:
             pulse_coefficient(params, "green", 1, 0, 0.0, 1e-5)
         with pytest.raises(ValueError):
             pulse_coefficient(params, "carrier", 0, 0, 0.0, -1e-5)
-
-
-class TestShortestDuration:
-    def test_carrier_cos_branch(self, params):
-        t = shortest_duration_for(params, "carrier", 0, 0, 1 / math.sqrt(2), branch="cos")
-        assert t == pytest.approx(3.24e-5, rel=0.01)
-
-    def test_red_full_transfer(self, params):
-        t = shortest_duration_for(params, "red", 1, 0, 1.0, branch="sin")
-        assert t == pytest.approx(2.6e-4, rel=0.01)
-
-    def test_zero_target(self, params):
-        assert shortest_duration_for(params, "red", 2, 0, 0.0) == 0.0
-
-    def test_shortest_property(self, params):
-        # returned t satisfies the equation, and no shorter t does
-        target = 0.6
-        t = shortest_duration_for(params, "blue", 1, 2, target)
-        w = rabi_frequency(params, 2, 1).value
-        assert math.sin(w * t) == pytest.approx(target, abs=1e-12)
-        for frac in (0.25, 0.5, 0.9):
-            assert math.sin(w * t * frac) < target
-
-    def test_domain_errors(self, params):
-        with pytest.raises(ValueError):
-            shortest_duration_for(params, "red", 1, 0, 1.5)
-        with pytest.raises(ValueError):
-            shortest_duration_for(params, "red", 1, 0, -0.1)
-        with pytest.raises(ValueError):
-            shortest_duration_for(params, "red", 1, 0, 0.5, branch="tan")
-
-
-def test_lamb_dicke_helper_matches_ca40_scale():
-    # 40Ca+ at 729 nm in a 135 kHz trap sits near eta ~ 0.25
-    mass = 39.9625909 * 1.66053906660e-27
-    trap = 2 * math.pi * 135e3
-    laser = 2 * math.pi * 4.11e14
-    eta = lamb_dicke_parameter(mass, trap, laser)
-    assert 0.2 < eta < 0.3
-    with pytest.raises(ValueError):
-        lamb_dicke_parameter(-mass, trap, laser)

@@ -13,11 +13,8 @@ from ionpulse import (
     Pulse,
     PulseSchedule,
     TruncationOverflowError,
-    apply_blue,
-    apply_carrier,
     apply_pulse,
     apply_pulse_amplitudes,
-    apply_red,
     build_hamiltonian,
     fidelity,
     propagate,
@@ -95,12 +92,13 @@ class TestCarrier:
     def test_zero_duration_is_identity(self, params, rng):
         amps = random_guarded_amplitudes(rng, params.fock_dim, "carrier", 0)
         state = JointState(amps)
-        out = apply_carrier(state, params, 1.3, 0.0)
+        out = apply_pulse(state, params, Pulse.carrier(1.3, 0.0))
         np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
 
     def test_quarter_period_flips_with_phase(self, params):
         # |0>|g>, phi = pi/2, W_00 t = pi/2  ->  -|0>|e>
-        out = apply_carrier(JointState.ground(params.fock_dim), params, math.pi / 2, _quarter(params, 0, 0))
+        pulse = Pulse.carrier(math.pi / 2, _quarter(params, 0, 0))
+        out = apply_pulse(JointState.ground(params.fock_dim), params, pulse)
         assert out.amplitude(0, EXCITED) == pytest.approx(-1.0, abs=1e-12)
         assert abs(out.amplitude(0, GROUND)) <= 1e-12
 
@@ -109,7 +107,7 @@ class TestCarrier:
         amps = np.zeros(2 * params.fock_dim, dtype=complex)
         amps[2 * 0 + GROUND] = amps[2 * 5 + GROUND] = 1 / math.sqrt(2)
         t = 2e-5
-        out = apply_carrier(JointState(amps), params, 0.0, t)
+        out = apply_pulse(JointState(amps), params, Pulse.carrier(0.0, t))
         w0 = rabi_frequency(params, 0, 0).value
         w5 = rabi_frequency(params, 5, 0).value
         assert w0 != w5
@@ -123,26 +121,26 @@ class TestRed:
         k = 3
         for m in range(k):
             state = JointState.fock(m, params.fock_dim)
-            out = apply_red(state, params, k, rng.uniform(0, 2 * math.pi), 1e-4)
+            out = apply_pulse(state, params, Pulse.red(k, rng.uniform(0, 2 * math.pi), 1e-4))
             assert out.population(m, GROUND) == pytest.approx(1.0, abs=1e-15)
 
     def test_full_transfer_phase(self, params):
         # |0>|e> --red-n full transfer--> -(-i)^(n-1) e^{i phi} |n>|g>
         n, phi = 4, 0.8
         state = JointState.fock(0, params.fock_dim, internal=EXCITED)
-        out = apply_red(state, params, n, phi, _quarter(params, 0, n))
+        out = apply_pulse(state, params, Pulse.red(n, phi, _quarter(params, 0, n)))
         expected = -((-1j) ** (n - 1)) * cmath.exp(1j * phi)
         assert out.amplitude(n, GROUND) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_duration_is_identity(self, params, rng):
         amps = random_guarded_amplitudes(rng, params.fock_dim, "red", 2)
-        out = apply_red(JointState(amps), params, 2, 0.7, 0.0)
+        out = apply_pulse(JointState(amps), params, Pulse.red(2, 0.7, 0.0))
         np.testing.assert_allclose(out.amplitudes, amps, atol=1e-15)
 
     def test_guard_violation_raises(self, params):
         state = JointState.fock(params.fock_dim - 1, params.fock_dim, internal=EXCITED)
         with pytest.raises(TruncationOverflowError):
-            apply_red(state, params, 2, 0.0, 1e-5)
+            apply_pulse(state, params, Pulse.red(2, 0.0, 1e-5))
 
 
 class TestBlue:
@@ -150,20 +148,21 @@ class TestBlue:
         k = 3
         for m in range(k):
             state = JointState.fock(m, params.fock_dim, internal=EXCITED)
-            out = apply_blue(state, params, k, rng.uniform(0, 2 * math.pi), 1e-4)
+            out = apply_pulse(state, params, Pulse.blue(k, rng.uniform(0, 2 * math.pi), 1e-4))
             assert out.population(m, EXCITED) == pytest.approx(1.0, abs=1e-15)
 
     def test_full_transfer_phase(self, params):
         # |0>|g> --blue-n full transfer--> i^(n-1) e^{-i phi} |n>|e>
         n, phi = 3, 1.1
-        out = apply_blue(JointState.ground(params.fock_dim), params, n, phi, _quarter(params, 0, n))
+        pulse = Pulse.blue(n, phi, _quarter(params, 0, n))
+        out = apply_pulse(JointState.ground(params.fock_dim), params, pulse)
         expected = (1j) ** (n - 1) * cmath.exp(-1j * phi)
         assert out.amplitude(n, EXCITED) == pytest.approx(expected, abs=1e-12)
 
     def test_guard_violation_raises(self, params):
         state = JointState.fock(params.fock_dim - 1, params.fock_dim)
         with pytest.raises(TruncationOverflowError):
-            apply_blue(state, params, 1, 0.0, 1e-5)
+            apply_pulse(state, params, Pulse.blue(1, 0.0, 1e-5))
 
 
 def _loop_reference(amps, params, pulse):

@@ -294,9 +294,10 @@ class TestCompilePhaseState:
         np.testing.assert_allclose(mags, 1 / math.sqrt(n + 1), atol=1e-10)
         assert report.fidelity_vs_target >= 1 - 1e-10
 
-    def test_durations_match_closed_forms(self):
-        n = 6
-        params = _params(3 * n + 2)
+    @pytest.mark.parametrize("n", [1, 6, 20])
+    @pytest.mark.parametrize("eta", [0.25, 1.5])
+    def test_durations_match_closed_forms(self, n, eta):
+        params = _params(3 * n + 2, eta=eta)
         report = compile_phase_state(n, 1.1, params)
         t0 = report.schedule.pulses[0].duration
         assert t0 == pytest.approx(
