@@ -19,7 +19,7 @@ from .core import (
     PhysicalParams,
     rabi_column,
 )
-from .oracle import verify_schedule
+from .oracle import _oracle_final
 from .serialization import (
     atomic_write_text,
     load_schedule,
@@ -207,14 +207,14 @@ def cmd_verify(args) -> int:
     initial = JointState.ground(schedule.params.fock_dim)
     tolerance = args.tolerance if args.tolerance is not None else DEFAULT_VERIFY_TOLERANCE
 
-    oracle_fid = verify_schedule(initial, schedule)
+    final = run_schedule(initial, schedule)
+    oracle_fid = fidelity(final, _oracle_final(initial, schedule))
     passed = oracle_fid >= 1.0 - tolerance
 
     doc = {"oracle_fidelity": oracle_fid, "tolerance": tolerance}
     if args.target is not None:
         target = load_target(args.target)
         target_vec = target_state_vector(target, schedule.params)
-        final = run_schedule(initial, schedule)
         target_fid = fidelity(target_vec, final)
         doc["target_fidelity"] = target_fid
         passed = passed and target_fid >= 1.0 - tolerance

@@ -134,6 +134,8 @@ def target_to_dict(target: TargetState) -> dict:
 
 
 def target_from_dict(data: dict) -> TargetState:
+    if not isinstance(data, dict):
+        raise ValueError(f"a target is a JSON object, got {type(data).__name__}")
     tag = data.get("variant")
     if tag not in _VARIANTS:
         raise ValueError(f"unknown target variant {tag!r}")

@@ -29,6 +29,19 @@ def laguerre_rabi(eta: float, omega: float, m: int, k: int) -> float:
     return math.exp(log_pref) * float(eval_genlaguerre(m, k, x))
 
 
+def mpmath_rabi(eta: float, omega: float, m: int, k: int):
+    """W_{m,k} from mpmath's associated Laguerre polynomial at 60 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        e = mpmath.mpf(eta)
+        x = e * e
+        ratio = mpmath.exp(mpmath.loggamma(m + 1) - mpmath.loggamma(m + k + 1))
+        return (
+            mpmath.mpf(omega) / 2 * mpmath.exp(-x / 2) * e**k
+            * mpmath.sqrt(ratio) * mpmath.laguerre(m, k, x)
+        )
+
+
 def random_guarded_amplitudes(rng, dim: int, kind: str, k: int) -> np.ndarray:
     """Normalized random state with zero amplitude in the pulse's guard cells."""
     amps = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)

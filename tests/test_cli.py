@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ionpulse import PhysicalParams, compile_fock
+from ionpulse import PhysicalParams, cli, compile_fock, oracle, run_schedule
 from ionpulse.cli import main
 from ionpulse.serialization import atomic_write_text, save_schedule
 
@@ -116,6 +116,13 @@ class TestSynthesize:
         code, out, err = run_cli(capsys, "synthesize", "--target", str(bad))
         assert code == 2
         assert json.loads(err)["error"]["type"] == "JSONDecodeError"
+
+    @pytest.mark.parametrize("doc", [[1, 2], "fock", 3])
+    def test_non_object_target_exits_2(self, capsys, tmp_path, doc):
+        target = write_target(tmp_path, doc)
+        code, _, err = run_cli(capsys, "synthesize", "--target", target)
+        assert code == 2
+        assert "JSON object" in json.loads(err)["error"]["message"]
 
     def test_unknown_variant_exits_2(self, capsys, tmp_path):
         target = write_target(tmp_path, {"variant": "squeezed"})
@@ -250,6 +257,21 @@ class TestVerify:
         assert result["target_fidelity"] < 1 - 1e-3
         # the two propagation paths still agree on the (wrong) state
         assert result["oracle_fidelity"] >= 1 - 1e-8
+
+    def test_target_check_runs_the_closed_form_once(self, capsys, tmp_path, monkeypatch):
+        target, sched = self._synth(capsys, tmp_path, {"variant": "fock", "n": 2})
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_schedule(*args, **kwargs)
+
+        for module in (cli, oracle):
+            monkeypatch.setattr(module, "run_schedule", counted)
+        code, out, _ = run_cli(capsys, "verify", "--schedule", sched, "--target", target)
+        assert code == 0
+        assert json.loads(out)["target_fidelity"] >= 1 - 1e-9
+        assert len(calls) == 1
 
     def test_fock_dim_too_small_structured_error(self, capsys, tmp_path):
         doc = {

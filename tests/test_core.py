@@ -15,7 +15,7 @@ from ionpulse import (
     rabi_frequency,
 )
 
-from conftest import laguerre_rabi
+from conftest import laguerre_rabi, mpmath_rabi
 
 
 class TestPhysicalParams:
@@ -122,19 +122,6 @@ class TestRabiFrequency:
 
 
 SMALLEST_NORMAL = 2.2250738585072014e-308
-
-
-def mpmath_rabi(eta: float, omega: float, m: int, k: int):
-    """W_{m,k} from mpmath's associated Laguerre polynomial at 60 digits."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(60):
-        e = mpmath.mpf(eta)
-        x = e * e
-        ratio = mpmath.exp(mpmath.loggamma(m + 1) - mpmath.loggamma(m + k + 1))
-        return (
-            mpmath.mpf(omega) / 2 * mpmath.exp(-x / 2) * e**k
-            * mpmath.sqrt(ratio) * mpmath.laguerre(m, k, x)
-        )
 
 
 class TestRabiColumn:
