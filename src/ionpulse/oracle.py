@@ -21,9 +21,14 @@ No closed-form Rabi frequency enters the construction; that the coupling
 magnitudes equal the W_{m,k} of ionpulse.core is asserted in tests, which
 is precisely what makes this an independent check of the pulse operators.
 
-States are propagated through exp(-i H t) via the eigendecomposition of
-the Hermitian matrix, which stays stable for arbitrarily long durations
-(slow high-order sidebands need t of order seconds).
+H is kept dense, but it is exponentiated by its own 2x2 blocks: the
+coupled pairs are read from H's nonzero pattern (not from the pulse
+kind), every block is diagonalized by one batched eigh, and a state in
+no pair only picks up exp(-i H_ii t).  A pattern that couples a state to
+more than one other is refused.  Eigendecomposition stays stable for
+arbitrarily long durations (slow high-order sidebands need t of order
+seconds), and a pulse costs O(D^2), the scan of H, in place of the
+O(D^3) of a dense eigh.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ __all__ = [
 ]
 
 _HERMITICITY_TOL = 1e-12
+# Largest dense (2D, 2D) complex Hamiltonian build_hamiltonian allocates: D <= 2896.
+_MAX_HAMILTONIAN_BYTES = 512 * 2**20
 
 
 @dataclass(frozen=True)
@@ -79,13 +86,22 @@ def build_hamiltonian(
     """Assemble the coupling matrix for one laser tuning.
 
     Only the diagonal the pulse couples is summed, each element to its
-    last term j = m (see the module docstring).
+    last term j = m (see the module docstring).  A fock_dim whose dense
+    matrix would exceed _MAX_HAMILTONIAN_BYTES raises ValueError before
+    anything is allocated.
     """
     _check_kind(kind, k)
-    if not k < params.fock_dim:
-        raise ValueError(f"sideband order k={k} needs k < fock_dim={params.fock_dim}")
+    dim = params.fock_dim
+    if not k < dim:
+        raise ValueError(f"sideband order k={k} needs k < fock_dim={dim}")
+    nbytes = (2 * dim) ** 2 * np.dtype(complex).itemsize
+    if nbytes > _MAX_HAMILTONIAN_BYTES:
+        raise ValueError(
+            f"fock_dim={dim} needs a {nbytes / 2**20:.0f} MiB dense Hamiltonian, "
+            f"over the oracle's {_MAX_HAMILTONIAN_BYTES // 2**20} MiB budget"
+        )
     x = params.eta * params.eta
-    m = np.arange(params.fock_dim - k, dtype=float)
+    m = np.arange(dim - k, dtype=float)
     # j = 0 term: [a^k]_{m,m+k} / k! = sqrt((m+k)!/m!) / k!
     i = np.arange(1.0, k + 1)
     term = np.prod(np.sqrt(m[:, None] + i) / i, axis=1)
@@ -94,7 +110,6 @@ def build_hamiltonian(
         # the (m - j) factor zeroes every term of element m past j = m
         term *= -x * (m - j) / ((j + 1) * (j + k + 1))
         diagonal += term
-    series = np.diag(diagonal, {"red": k, "blue": -k, "carrier": 0}[kind])
 
     pref = (
         (params.omega_carrier / 2.0)
@@ -102,19 +117,36 @@ def build_hamiltonian(
         * (params.eta**k)
         * cmath.exp(-x / 2.0 - 1j * phase)
     )
-    sigma_plus = np.array([[0.0, 0.0], [1.0, 0.0]])  # |e><g| in (g, e) order
-    half = pref * np.kron(series, sigma_plus)
-    entries = half + half.conj().T
+    # element m couples |g, n_g> to |e, n_e>; sigma+ = |e><g| in (g, e) order
+    n = np.arange(m.size)
+    n_g, n_e = {"red": (n + k, n), "blue": (n, n + k), "carrier": (n, n)}[kind]
+    rows, cols = 2 * n_e + 1, 2 * n_g
+    coupling = pref * diagonal
+    entries = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    entries[rows, cols] = coupling
+    entries[cols, rows] = coupling.conj()
     return HamiltonianMatrix(entries, kind, k, phase, m.size)
 
 
 def _propagate_amplitudes(entries: np.ndarray, amps: np.ndarray, duration: float) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(entries)
-    return evecs @ (np.exp(-1j * evals * duration) * (evecs.conj().T @ amps))
+    """exp(-i H t) amps, H taken apart into the 2x2 blocks its nonzeros form."""
+    rows, cols = np.nonzero(entries != 0)
+    upper = rows < cols
+    lo, up = rows[upper], cols[upper]
+    if np.count_nonzero(rows > cols) != lo.size or not np.all(entries[up, lo]):
+        raise ValueError("Hamiltonian's nonzero pattern is not symmetric")
+    pairs = np.stack((lo, up), axis=1)
+    if np.unique(pairs).size != pairs.size:
+        raise ValueError("Hamiltonian couples a basis state to more than one other")
+    evals, evecs = np.linalg.eigh(entries[pairs[:, :, None], pairs[:, None, :]])
+    phased = np.exp(-1j * evals * duration) * np.einsum("pji,pj->pi", evecs.conj(), amps[pairs])
+    out = np.exp(-1j * np.diagonal(entries).real * duration) * amps
+    out[pairs] = np.einsum("pij,pj->pi", evecs, phased)
+    return out
 
 
 def propagate(ham: HamiltonianMatrix, state: JointState, duration: float) -> JointState:
-    """exp(-i H t) |state> via eigendecomposition; norm preserved to 1e-11."""
+    """exp(-i H t) |state> by eigendecomposition of H's 2x2 blocks; norm preserved to 1e-11."""
     entries = ham.entries
     scale = float(np.max(np.abs(entries))) if entries.size else 0.0
     if ham.hermiticity_residual > _HERMITICITY_TOL * (1.0 + scale):

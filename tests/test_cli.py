@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -287,6 +288,28 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--schedule", str(path))
         assert code == 2
         assert json.loads(err)["error"]["type"] == "TruncationOverflowError"
+
+    def test_fock_dim_over_the_oracle_budget_exits_2(self, capsys, tmp_path):
+        # fock_dim 2897 would need a 512.2 MiB dense Hamiltonian
+        doc = {
+            "params": {"eta": 0.25, "omega_carrier_rad_s": 5e4, "fock_dim": 2897},
+            "pulses": [{"kind": "carrier", "k": 0, "phase_rad": 0.0, "duration_s": 1e-5}],
+            "provenance": "",
+        }
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "verify", "--schedule", str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert "MiB" in error["message"]
+        assert peak < 16 * 2**20
 
     def test_tolerance_flag_loosens_target_gate(self, capsys, tmp_path):
         target, sched = self._synth(capsys, tmp_path, {"variant": "fock", "n": 2})

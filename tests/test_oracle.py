@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from ionpulse import (
     EXCITED,
     GROUND,
     HamiltonianMatrix,
     JointState,
+    PhaseStateTarget,
     PhysicalParams,
     Pulse,
     PulseSchedule,
@@ -15,6 +18,7 @@ from ionpulse import (
     build_hamiltonian,
     compile_fock,
     compile_phase_state,
+    default_fock_dim,
     propagate,
     rabi_frequency,
     states,
@@ -27,6 +31,20 @@ from conftest import mpmath_rabi, random_guarded_amplitudes
 
 def _params(dim, eta=0.25):
     return PhysicalParams(eta=eta, omega_carrier=5e4, fock_dim=dim)
+
+
+def _perturb_closed_form(monkeypatch, order):
+    """Scale the closed-form W_{0,order} the pulse kernel reads by 1 + 1e-3."""
+    exact = states.rabi_column
+
+    def wrong(eta, omega, k, size):
+        column = exact(eta, omega, k, size)
+        if k == order:
+            column = column.copy()
+            column[0] *= 1 + 1e-3
+        return column
+
+    monkeypatch.setattr(states, "rabi_column", wrong)
 
 
 class TestBuildHamiltonian:
@@ -105,6 +123,19 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError):
             build_hamiltonian(params, "carrier", 1, 0.0)
 
+    def test_refuses_a_matrix_over_the_memory_budget(self):
+        # D = 2897 needs (2 * 2897)^2 complex entries, 512.2 MiB; the
+        # refusal comes before any array is allocated
+        params = _params(2897)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MiB"):
+                build_hamiltonian(params, "red", 1, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestPropagate:
     def test_zero_duration_identity(self, params, rng):
@@ -132,6 +163,67 @@ class TestPropagate:
         bad[0, 1] = 1e4  # no conjugate partner
         ham = HamiltonianMatrix(bad, "carrier", 0, 0.0, 1)
         with pytest.raises(ValueError):
+            propagate(ham, JointState.ground(params.fock_dim), 1e-5)
+
+    @pytest.mark.parametrize("eta", [0.25, 0.9, 1.5])
+    def test_matches_dense_expm(self, eta, rng):
+        # random pulses on random states; the longest duration turns the
+        # most strongly coupled pair by up to 4 pi
+        worst = 0.0
+        for _ in range(30):
+            dim = int(rng.integers(6, 61))
+            kind = ("red", "blue", "carrier")[int(rng.integers(3))]
+            k = 0 if kind == "carrier" else int(rng.integers(1, min(6, dim - 1) + 1))
+            ham = build_hamiltonian(_params(dim, eta), kind, k, float(rng.uniform(0, 2 * math.pi)))
+            duration = float(rng.uniform(0, 4 * math.pi / np.max(np.abs(ham.entries))))
+            amps = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)
+            amps /= np.linalg.norm(amps)
+            out = propagate(ham, JointState(amps), duration).amplitudes
+            dense = expm(-1j * ham.entries * duration) @ amps
+            worst = max(worst, float(np.linalg.norm(out - dense)))
+        assert worst <= 1e-12
+
+    def test_zero_coupling_leaves_its_pair_unchanged(self, rng):
+        # at eta = 1 the carrier element m = 1 is 1 - 1 = 0 exactly, so the
+        # pair {|1,g>, |1,e>} is absent from H's nonzero pattern
+        ham = build_hamiltonian(_params(12, eta=1.0), "carrier", 0, 0.4)
+        assert ham.entries[2 + EXCITED, 2 + GROUND] == 0.0
+        amps = rng.normal(size=24) + 1j * rng.normal(size=24)
+        amps /= np.linalg.norm(amps)
+        duration = 3.0 / np.max(np.abs(ham.entries))
+        out = propagate(ham, JointState(amps), duration).amplitudes
+        assert np.array_equal(out[2:4], amps[2:4])
+        assert np.linalg.norm(out - expm(-1j * ham.entries * duration) @ amps) <= 1e-12
+
+    def test_diagonal_entries_match_dense_expm(self, rng):
+        # a general block-diagonal H: energies on every state, two pairs,
+        # and states 1 and 4 in no pair
+        h = np.diag(rng.normal(size=6) * 1e4).astype(complex)
+        h[0, 3] = 2e4 * np.exp(0.3j)
+        h[2, 5] = -7e3j
+        h = h + np.triu(h, 1).conj().T
+        amps = rng.normal(size=6) + 1j * rng.normal(size=6)
+        amps /= np.linalg.norm(amps)
+        ham = HamiltonianMatrix(h, "carrier", 0, 0.0, 1)
+        out = propagate(ham, JointState(amps), 3e-4).amplitudes
+        assert np.linalg.norm(out - expm(-3e-4j * h) @ amps) <= 1e-12
+
+    def test_rejects_a_state_coupled_to_two_others(self, params):
+        bad = np.zeros((2 * params.fock_dim, 2 * params.fock_dim), dtype=complex)
+        bad[0, 1] = bad[1, 0] = 1e4
+        bad[0, 3] = bad[3, 0] = 2e4
+        ham = HamiltonianMatrix(bad, "carrier", 0, 0.0, 1)
+        assert ham.hermiticity_residual == 0.0
+        with pytest.raises(ValueError, match="more than one"):
+            propagate(ham, JointState.ground(params.fock_dim), 1e-5)
+
+    def test_rejects_an_unsymmetric_pattern(self, params):
+        # Hermitian within tolerance, but |0> -> |1> has no partner entry
+        bad = np.zeros((2 * params.fock_dim, 2 * params.fock_dim), dtype=complex)
+        bad[2, 3] = bad[3, 2] = 1e4
+        bad[0, 1] = 1e-9
+        ham = HamiltonianMatrix(bad, "carrier", 0, 0.0, 1)
+        with pytest.raises(ValueError, match="not symmetric"):
             propagate(ham, JointState.ground(params.fock_dim), 1e-5)
 
     def test_energy_conserved_along_evolution(self, params, rng):
@@ -194,16 +286,19 @@ class TestVerifySchedule:
         schedule = compile_phase_state(4, math.pi / 3, params).schedule
         ground = JointState.ground(params.fock_dim)
         assert verify_schedule(ground, schedule) >= 1 - 1e-12
-        exact = states.rabi_column
+        _perturb_closed_form(monkeypatch, 2)
+        assert verify_schedule(ground, schedule) < 1 - 1e-8
 
-        def wrong(eta, omega, k, size):
-            column = exact(eta, omega, k, size)
-            if k == 2:
-                column = column.copy()
-                column[0] *= 1 + 1e-3
-            return column
-
-        monkeypatch.setattr(states, "rabi_column", wrong)
+    def test_phase_state_eighty_at_default_fock_dim(self, monkeypatch):
+        # N = 80 at eta = 0.25 with the default truncation (D = 242); a
+        # closed-form W_{0,80} off by 1e-3 relative reads 1 - F = 3.0e-8
+        target = PhaseStateTarget(80, 0.3)
+        params = _params(default_fock_dim(target))
+        assert params.fock_dim == 242
+        schedule = compile_phase_state(80, 0.3, params).schedule
+        ground = JointState.ground(params.fock_dim)
+        assert verify_schedule(ground, schedule) >= 1 - 1e-9
+        _perturb_closed_form(monkeypatch, 80)
         assert verify_schedule(ground, schedule) < 1 - 1e-8
 
     def test_verify_report_fills_oracle_fidelity(self):
