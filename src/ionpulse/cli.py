@@ -236,6 +236,7 @@ _INPUT_ERRORS = (
     KeyError,
     TypeError,
     OSError,
+    MemoryError,
     json.JSONDecodeError,
 )
 

@@ -1,4 +1,4 @@
-"""Independent verification by Hamiltonian matrix exponentiation.
+"""Independent verification by Hamiltonian exponentiation.
 
 The interaction-picture coupling for each laser tuning is the
 normal-ordered ladder-operator series
@@ -21,14 +21,13 @@ No closed-form Rabi frequency enters the construction; that the coupling
 magnitudes equal the W_{m,k} of ionpulse.core is asserted in tests, which
 is precisely what makes this an independent check of the pulse operators.
 
-H is kept dense, but it is exponentiated by its own 2x2 blocks: the
-coupled pairs are read from H's nonzero pattern (not from the pulse
-kind), every block is diagonalized by one batched eigh, and a state in
-no pair only picks up exp(-i H_ii t).  A pattern that couples a state to
-more than one other is refused.  Eigendecomposition stays stable for
-arbitrarily long durations (slow high-order sidebands need t of order
-seconds), and a pulse costs O(D^2), the scan of H, in place of the
-O(D^3) of a dense eigh.
+H is held as what it is, disjoint two-level pairs |n_g, g> <-> |n_e, e>
+and one coupling each, so it is Hermitian by construction and takes
+O(D) memory.  It is exponentiated by its own 2x2 blocks: the pairs are
+read from the HamiltonianMatrix (not from the pulse kind), and every
+block is diagonalized by one batched eigh.  Eigendecomposition stays
+stable for arbitrarily long durations (slow high-order sidebands need t
+of order seconds), and a pulse costs O(D) after the O(D^2) series.
 """
 
 from __future__ import annotations
@@ -50,31 +49,45 @@ __all__ = [
     "verify_report",
 ]
 
-_HERMITICITY_TOL = 1e-12
-# Largest dense (2D, 2D) complex Hamiltonian build_hamiltonian allocates: D <= 2896.
-_MAX_HAMILTONIAN_BYTES = 512 * 2**20
-
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
     """Interaction Hamiltonian H/hbar (rad/s) on the 2*D truncated space.
 
-    series_terms is the number of series terms summed: the length of the
-    coupled diagonal.
+    H[i, j] = c and H[j, i] = conj(c) for each pair (i, j) and its
+    coupling c; every other element is zero.  A basis state is in at
+    most one pair.
     """
 
-    entries: np.ndarray
-    kind: str
-    k: int
-    phase: float
-    series_terms: int
+    pairs: np.ndarray
+    couplings: np.ndarray
+    fock_dim: int
 
     def __post_init__(self):
-        self.entries.setflags(write=False)
+        pairs, couplings = self.pairs, self.couplings
+        if not (
+            pairs.ndim == 2
+            and pairs.shape[1] == 2
+            and np.issubdtype(pairs.dtype, np.integer)
+            and couplings.shape == pairs.shape[:1]
+        ):
+            raise ValueError(
+                f"pairs need shape (P, 2) and an integer dtype, couplings shape (P,); got "
+                f"{pairs.shape} {pairs.dtype} and {couplings.shape}"
+            )
+        if pairs.size and not (0 <= pairs.min() and pairs.max() < 2 * self.fock_dim):
+            raise ValueError(f"a pair index is outside [0, {2 * self.fock_dim})")
+        if np.any(pairs[:, 0] == pairs[:, 1]):
+            raise ValueError("a pair couples a basis state to itself")
+        if np.unique(pairs).size != pairs.size:
+            raise ValueError("Hamiltonian couples a basis state to more than one other")
+        pairs.setflags(write=False)
+        couplings.setflags(write=False)
 
     @property
-    def hermiticity_residual(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
+    def series_terms(self) -> int:
+        """Number of series summed: the length of the coupled diagonal."""
+        return self.couplings.size
 
 
 def build_hamiltonian(
@@ -83,23 +96,15 @@ def build_hamiltonian(
     k: int,
     phase: float,
 ) -> HamiltonianMatrix:
-    """Assemble the coupling matrix for one laser tuning.
+    """Assemble the coupled pairs for one laser tuning.
 
     Only the diagonal the pulse couples is summed, each element to its
-    last term j = m (see the module docstring).  A fock_dim whose dense
-    matrix would exceed _MAX_HAMILTONIAN_BYTES raises ValueError before
-    anything is allocated.
+    last term j = m (see the module docstring).
     """
     _check_kind(kind, k)
     dim = params.fock_dim
     if not k < dim:
         raise ValueError(f"sideband order k={k} needs k < fock_dim={dim}")
-    nbytes = (2 * dim) ** 2 * np.dtype(complex).itemsize
-    if nbytes > _MAX_HAMILTONIAN_BYTES:
-        raise ValueError(
-            f"fock_dim={dim} needs a {nbytes / 2**20:.0f} MiB dense Hamiltonian, "
-            f"over the oracle's {_MAX_HAMILTONIAN_BYTES // 2**20} MiB budget"
-        )
     x = params.eta * params.eta
     m = np.arange(dim - k, dtype=float)
     # j = 0 term: [a^k]_{m,m+k} / k! = sqrt((m+k)!/m!) / k!
@@ -120,44 +125,32 @@ def build_hamiltonian(
     # element m couples |g, n_g> to |e, n_e>; sigma+ = |e><g| in (g, e) order
     n = np.arange(m.size)
     n_g, n_e = {"red": (n + k, n), "blue": (n, n + k), "carrier": (n, n)}[kind]
-    rows, cols = 2 * n_e + 1, 2 * n_g
-    coupling = pref * diagonal
-    entries = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    entries[rows, cols] = coupling
-    entries[cols, rows] = coupling.conj()
-    return HamiltonianMatrix(entries, kind, k, phase, m.size)
+    pairs = np.stack((2 * n_e + 1, 2 * n_g), axis=1)
+    return HamiltonianMatrix(pairs, pref * diagonal, dim)
 
 
-def _propagate_amplitudes(entries: np.ndarray, amps: np.ndarray, duration: float) -> np.ndarray:
-    """exp(-i H t) amps, H taken apart into the 2x2 blocks its nonzeros form."""
-    rows, cols = np.nonzero(entries != 0)
-    upper = rows < cols
-    lo, up = rows[upper], cols[upper]
-    if np.count_nonzero(rows > cols) != lo.size or not np.all(entries[up, lo]):
-        raise ValueError("Hamiltonian's nonzero pattern is not symmetric")
-    pairs = np.stack((lo, up), axis=1)
-    if np.unique(pairs).size != pairs.size:
-        raise ValueError("Hamiltonian couples a basis state to more than one other")
-    evals, evecs = np.linalg.eigh(entries[pairs[:, :, None], pairs[:, None, :]])
+def _propagate_amplitudes(ham: HamiltonianMatrix, amps: np.ndarray, duration: float) -> np.ndarray:
+    """exp(-i H t) amps, by one batched eigh of H's 2x2 blocks."""
+    blocks = np.zeros((ham.couplings.size, 2, 2), dtype=complex)
+    blocks[:, 0, 1] = ham.couplings
+    blocks[:, 1, 0] = ham.couplings.conj()
+    evals, evecs = np.linalg.eigh(blocks)
+    pairs = ham.pairs
     phased = np.exp(-1j * evals * duration) * np.einsum("pji,pj->pi", evecs.conj(), amps[pairs])
-    out = np.exp(-1j * np.diagonal(entries).real * duration) * amps
+    out = amps.copy()
     out[pairs] = np.einsum("pij,pj->pi", evecs, phased)
     return out
 
 
 def propagate(ham: HamiltonianMatrix, state: JointState, duration: float) -> JointState:
     """exp(-i H t) |state> by eigendecomposition of H's 2x2 blocks; norm preserved to 1e-11."""
-    entries = ham.entries
-    scale = float(np.max(np.abs(entries))) if entries.size else 0.0
-    if ham.hermiticity_residual > _HERMITICITY_TOL * (1.0 + scale):
-        raise ValueError("Hamiltonian is not Hermitian")
-    if entries.shape != (2 * state.dim, 2 * state.dim):
+    if ham.fock_dim != state.dim:
         raise ValueError(
-            f"Hamiltonian shape {entries.shape} does not match state dim {state.dim}"
+            f"Hamiltonian fock_dim {ham.fock_dim} does not match state dim {state.dim}"
         )
     if duration < 0.0:
         raise ValueError(f"duration must be >= 0, got {duration}")
-    return JointState(_propagate_amplitudes(entries, state.amplitudes, duration))
+    return JointState(_propagate_amplitudes(ham, state.amplitudes, duration))
 
 
 def _oracle_final(initial: JointState, schedule: PulseSchedule) -> JointState:
@@ -165,7 +158,7 @@ def _oracle_final(initial: JointState, schedule: PulseSchedule) -> JointState:
     amps = initial.amplitudes
     for pulse in schedule.pulses:
         ham = build_hamiltonian(schedule.params, pulse.kind, pulse.k, pulse.phase)
-        amps = _propagate_amplitudes(ham.entries, amps, pulse.duration)
+        amps = _propagate_amplitudes(ham, amps, pulse.duration)
     return JointState(amps)
 
 

@@ -27,8 +27,6 @@ from .synthesis import _VARIANTS, SynthesisReport, TargetState, complex_pair, pa
 
 __all__ = [
     "atomic_write_text",
-    "complex_pair",
-    "parse_complex",
     "params_to_dict",
     "params_from_dict",
     "schedule_to_dict",

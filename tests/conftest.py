@@ -52,3 +52,12 @@ def random_guarded_amplitudes(rng, dim: int, kind: str, k: int) -> np.ndarray:
         for m in range(dim - k, dim):
             amps[2 * m + 0] = 0.0
     return amps / np.linalg.norm(amps)
+
+
+def dense(ham) -> np.ndarray:
+    """The (2D, 2D) matrix a HamiltonianMatrix stands for."""
+    h = np.zeros((2 * ham.fock_dim, 2 * ham.fock_dim), dtype=complex)
+    i, j = ham.pairs.T
+    h[i, j] = ham.couplings
+    h[j, i] = ham.couplings.conj()
+    return h

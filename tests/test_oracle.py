@@ -26,7 +26,7 @@ from ionpulse import (
     verify_schedule,
 )
 
-from conftest import mpmath_rabi, random_guarded_amplitudes
+from conftest import dense, mpmath_rabi, random_guarded_amplitudes
 
 
 def _params(dim, eta=0.25):
@@ -50,18 +50,18 @@ def _perturb_closed_form(monkeypatch, order):
 class TestBuildHamiltonian:
     def test_hermitian_by_construction(self, params):
         for kind, k in (("carrier", 0), ("red", 1), ("red", 4), ("blue", 2)):
-            ham = build_hamiltonian(params, kind, k, 0.77)
-            assert ham.hermiticity_residual <= 1e-13
+            h = dense(build_hamiltonian(params, kind, k, 0.77))
+            assert np.array_equal(h, h.conj().T)
 
     def test_carrier_lamb_dicke_limit(self):
         # eta -> 0: H = (W/2)(e^{-i phi} sigma+ + h.c.) identically on Fock
         params = _params(6, eta=1e-10)
         phi = 0.6
-        ham = build_hamiltonian(params, "carrier", 0, phi)
+        h = dense(build_hamiltonian(params, "carrier", 0, phi))
         w = params.omega_carrier / 2.0
         expected_ge = w * np.exp(-1j * phi)
         for m in range(params.fock_dim):
-            assert ham.entries[2 * m + EXCITED, 2 * m + GROUND] == pytest.approx(
+            assert h[2 * m + EXCITED, 2 * m + GROUND] == pytest.approx(
                 expected_ge, rel=1e-9
             )
 
@@ -69,7 +69,7 @@ class TestBuildHamiltonian:
     def test_coupling_magnitudes_equal_rabi(self, kind, k):
         # ladder-assembled elements reproduce the series Rabi frequencies
         params = _params(20)
-        ham = build_hamiltonian(params, kind, k, 0.3)
+        h = dense(build_hamiltonian(params, kind, k, 0.3))
         for m in range(params.fock_dim - k):
             if kind == "red":
                 row, col = 2 * m + EXCITED, 2 * (m + k) + GROUND
@@ -78,17 +78,15 @@ class TestBuildHamiltonian:
             else:
                 row, col = 2 * m + EXCITED, 2 * m + GROUND
             w = rabi_frequency(params, m, k).value
-            assert abs(ham.entries[row, col]) == pytest.approx(abs(w), rel=1e-10)
+            assert abs(h[row, col]) == pytest.approx(abs(w), rel=1e-10)
 
     def test_couplings_only_k_apart(self, params):
         ham = build_hamiltonian(params, "red", 2, 0.0)
-        for i in range(2 * params.fock_dim):
-            for j in range(2 * params.fock_dim):
-                if abs(ham.entries[i, j]) > 0:
-                    mi, si = divmod(i, 2)
-                    mj, sj = divmod(j, 2)
-                    assert si != sj
-                    assert abs(mi - mj) == 2
+        assert ham.pairs.shape == (params.fock_dim - 2, 2)
+        for i, j in ham.pairs:
+            (mi, si), (mj, sj) = divmod(int(i), 2), divmod(int(j), 2)
+            assert (si, sj) == (EXCITED, GROUND)
+            assert mj - mi == 2
 
     @pytest.mark.parametrize(
         "eta,dim,k",
@@ -111,10 +109,10 @@ class TestBuildHamiltonian:
         # every element of the coupled diagonal, relative to itself: the
         # high orders of a ladder schedule sit on its smallest elements
         params = _params(dim, eta)
-        ham = build_hamiltonian(params, "carrier" if k == 0 else "red", k, 0.3)
+        h = dense(build_hamiltonian(params, "carrier" if k == 0 else "red", k, 0.3))
         for m in range(dim - k):
             exact = abs(float(mpmath_rabi(eta, params.omega_carrier, m, k)))
-            coupling = abs(ham.entries[2 * m + EXCITED, 2 * (m + k) + GROUND])
+            coupling = abs(h[2 * m + EXCITED, 2 * (m + k) + GROUND])
             assert abs(coupling - exact) <= 1e-12 * exact, (m, abs(coupling - exact) / exact)
 
     def test_truncation_errors(self, params):
@@ -123,18 +121,20 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError):
             build_hamiltonian(params, "carrier", 1, 0.0)
 
-    def test_refuses_a_matrix_over_the_memory_budget(self):
-        # D = 2897 needs (2 * 2897)^2 complex entries, 512.2 MiB; the
-        # refusal comes before any array is allocated
+    def test_verifies_past_a_dense_matrix_budget_in_a_few_mib(self):
+        # a dense (2D, 2D) H at D = 2897 would take 512.2 MiB; the coupled
+        # pairs take O(D)
         params = _params(2897)
+        w = rabi_frequency(params, 0, 1).value
+        schedule = PulseSchedule(params, (Pulse("red", 1, 0.0, 1.0 / w),))
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="MiB"):
-                build_hamiltonian(params, "red", 1, 0.0)
+            fid = verify_schedule(JointState.fock(1, params.fock_dim), schedule)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
+        assert fid >= 1 - 1e-12
+        assert peak < 4 * 2**20
 
 
 class TestPropagate:
@@ -158,13 +158,6 @@ class TestPropagate:
         out = propagate(ham, state, 0.2)
         assert abs(np.linalg.norm(out.amplitudes) - 1) <= 1e-11
 
-    def test_rejects_non_hermitian(self, params):
-        bad = np.zeros((2 * params.fock_dim, 2 * params.fock_dim), dtype=complex)
-        bad[0, 1] = 1e4  # no conjugate partner
-        ham = HamiltonianMatrix(bad, "carrier", 0, 0.0, 1)
-        with pytest.raises(ValueError):
-            propagate(ham, JointState.ground(params.fock_dim), 1e-5)
-
     @pytest.mark.parametrize("eta", [0.25, 0.9, 1.5])
     def test_matches_dense_expm(self, eta, rng):
         # random pulses on random states; the longest duration turns the
@@ -175,66 +168,60 @@ class TestPropagate:
             kind = ("red", "blue", "carrier")[int(rng.integers(3))]
             k = 0 if kind == "carrier" else int(rng.integers(1, min(6, dim - 1) + 1))
             ham = build_hamiltonian(_params(dim, eta), kind, k, float(rng.uniform(0, 2 * math.pi)))
-            duration = float(rng.uniform(0, 4 * math.pi / np.max(np.abs(ham.entries))))
+            duration = float(rng.uniform(0, 4 * math.pi / np.max(np.abs(ham.couplings))))
             amps = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)
             amps /= np.linalg.norm(amps)
             out = propagate(ham, JointState(amps), duration).amplitudes
-            dense = expm(-1j * ham.entries * duration) @ amps
-            worst = max(worst, float(np.linalg.norm(out - dense)))
+            exact = expm(-1j * dense(ham) * duration) @ amps
+            worst = max(worst, float(np.linalg.norm(out - exact)))
         assert worst <= 1e-12
 
     def test_zero_coupling_leaves_its_pair_unchanged(self, rng):
         # at eta = 1 the carrier element m = 1 is 1 - 1 = 0 exactly, so the
-        # pair {|1,g>, |1,e>} is absent from H's nonzero pattern
+        # block of pair {|1,g>, |1,e>} is zero
         ham = build_hamiltonian(_params(12, eta=1.0), "carrier", 0, 0.4)
-        assert ham.entries[2 + EXCITED, 2 + GROUND] == 0.0
+        assert ham.couplings[1] == 0.0
         amps = rng.normal(size=24) + 1j * rng.normal(size=24)
         amps /= np.linalg.norm(amps)
-        duration = 3.0 / np.max(np.abs(ham.entries))
+        duration = 3.0 / np.max(np.abs(ham.couplings))
         out = propagate(ham, JointState(amps), duration).amplitudes
         assert np.array_equal(out[2:4], amps[2:4])
-        assert np.linalg.norm(out - expm(-1j * ham.entries * duration) @ amps) <= 1e-12
+        assert np.linalg.norm(out - expm(-1j * dense(ham) * duration) @ amps) <= 1e-12
 
-    def test_diagonal_entries_match_dense_expm(self, rng):
-        # a general block-diagonal H: energies on every state, two pairs,
-        # and states 1 and 4 in no pair
-        h = np.diag(rng.normal(size=6) * 1e4).astype(complex)
-        h[0, 3] = 2e4 * np.exp(0.3j)
-        h[2, 5] = -7e3j
-        h = h + np.triu(h, 1).conj().T
-        amps = rng.normal(size=6) + 1j * rng.normal(size=6)
-        amps /= np.linalg.norm(amps)
-        ham = HamiltonianMatrix(h, "carrier", 0, 0.0, 1)
-        out = propagate(ham, JointState(amps), 3e-4).amplitudes
-        assert np.linalg.norm(out - expm(-3e-4j * h) @ amps) <= 1e-12
+    def test_rejects_non_hermitian(self):
+        # pairs (0, 1) and (1, 0) would set H[0, 1] = 1e4 and H[1, 0] = 2e4
+        with pytest.raises(ValueError, match="more than one other"):
+            HamiltonianMatrix(np.array([[0, 1], [1, 0]]), np.array([1e4, 2e4], complex), 16)
 
-    def test_rejects_a_state_coupled_to_two_others(self, params):
-        bad = np.zeros((2 * params.fock_dim, 2 * params.fock_dim), dtype=complex)
-        bad[0, 1] = bad[1, 0] = 1e4
-        bad[0, 3] = bad[3, 0] = 2e4
-        ham = HamiltonianMatrix(bad, "carrier", 0, 0.0, 1)
-        assert ham.hermiticity_residual == 0.0
-        with pytest.raises(ValueError, match="more than one"):
-            propagate(ham, JointState.ground(params.fock_dim), 1e-5)
+    @pytest.mark.parametrize(
+        "pairs,couplings,match",
+        [
+            pytest.param([[0, 3], [2, 2]], 2, "itself", id="self_pair"),
+            pytest.param([[0, 3], [1, 32]], 2, "outside", id="index_past_2D"),
+            pytest.param([[0, -1]], 1, "outside", id="negative_index"),
+            pytest.param([[0, 3], [1, 2]], 3, "shape", id="length_mismatch"),
+            pytest.param([0, 3], 1, "shape", id="flat_pairs"),
+            pytest.param([[0.0, 3.0]], 1, "shape", id="float_pairs"),
+        ],
+    )
+    def test_rejects_a_malformed_pair_list(self, pairs, couplings, match):
+        with pytest.raises(ValueError, match=match):
+            HamiltonianMatrix(np.array(pairs), np.ones(couplings, complex), 16)
 
-    def test_rejects_an_unsymmetric_pattern(self, params):
-        # Hermitian within tolerance, but |0> -> |1> has no partner entry
-        bad = np.zeros((2 * params.fock_dim, 2 * params.fock_dim), dtype=complex)
-        bad[2, 3] = bad[3, 2] = 1e4
-        bad[0, 1] = 1e-9
-        ham = HamiltonianMatrix(bad, "carrier", 0, 0.0, 1)
-        with pytest.raises(ValueError, match="not symmetric"):
-            propagate(ham, JointState.ground(params.fock_dim), 1e-5)
+    def test_rejects_a_state_coupled_to_two_others(self):
+        with pytest.raises(ValueError, match="more than one other"):
+            HamiltonianMatrix(np.array([[0, 1], [0, 3]]), np.array([1e4, 2e4], complex), 16)
 
     def test_energy_conserved_along_evolution(self, params, rng):
         ham = build_hamiltonian(params, "red", 1, 0.8)
         amps = random_guarded_amplitudes(rng, params.fock_dim, "red", 1)
         state = JointState(amps)
-        e0 = float(np.vdot(amps, ham.entries @ amps).real)
+        h = dense(ham)
+        e0 = float(np.vdot(amps, h @ amps).real)
         assert abs(e0) > 1.0  # a generic state carries nonzero coupling energy
         for t in (1e-5, 7e-5, 3e-4, 2e-3):
             evolved = propagate(ham, state, t).amplitudes
-            et = float(np.vdot(evolved, ham.entries @ evolved).real)
+            et = float(np.vdot(evolved, h @ evolved).real)
             assert abs(et - e0) <= 1e-9 * abs(e0)
 
 

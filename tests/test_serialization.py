@@ -21,8 +21,6 @@ from ionpulse import (
 )
 from ionpulse.serialization import (
     atomic_write_text,
-    complex_pair,
-    parse_complex,
     params_from_dict,
     params_to_dict,
     report_to_dict,
@@ -35,6 +33,7 @@ from ionpulse.serialization import (
     target_from_dict,
     target_to_dict,
 )
+from ionpulse.synthesis import complex_pair, parse_complex
 
 
 @pytest.fixture
