@@ -1,4 +1,4 @@
-"""Trap/laser parameters, sideband Rabi frequencies, and pulse coefficients.
+"""Trap/laser parameters and sideband Rabi frequencies.
 
 A classical laser tuned to the carrier (w_L = w0) or to the k-th red/blue
 sideband (w_L = w0 -/+ k*w_trap) of a harmonically trapped two-level ion
@@ -24,14 +24,6 @@ series in x, the recurrence does not cancel catastrophically: against
 mpmath at 60 digits, |W_{m,k} - exact| <= 7e-14 W for eta in {0.25, 0.9, 1.5, 3},
 m <= 400 and k in {0, 1, 3, 10, 30}.  Columns are memoized, so the pulse
 kernel, the compilers and the CLI all read one value per W_{m,k}.
-
-A square pulse of duration t and initial laser phase phi acts on each
-coupled pair as a 2x2 rotation built from the transition amplitude
-
-    red/blue:  C = i^(k-1) exp(-i phi) sin(W_{m,k} t)
-    carrier:   C = -i      exp(-i phi) sin(W_{m,0} t)
-
-and its back-transition partner C~ = -conj(C).
 """
 
 from __future__ import annotations
@@ -47,11 +39,9 @@ __all__ = [
     "DEFAULT_OMEGA_RAD_S",
     "PhysicalParams",
     "RabiValue",
-    "PulseCoefficient",
     "RabiUnderflowError",
     "rabi_column",
     "rabi_frequency",
-    "pulse_coefficient",
 ]
 
 # Defaults mirror a 40Ca+ quadrupole-transition trap (729 nm, 135 kHz trap).
@@ -133,17 +123,6 @@ class RabiValue:
     value: float  # rad/s
 
 
-@dataclass(frozen=True)
-class PulseCoefficient:
-    """Transition amplitude pair (C, C~) of one pulse on one Fock pair.
-
-    C~ = -conj(C) always; |C| = |sin(W_{m,k} t)| <= 1.
-    """
-
-    c: complex
-    c_tilde: complex
-
-
 # Bounded: a phase-state schedule at N reads N + 1 columns.
 @functools.lru_cache(maxsize=1024)
 def _column(eta: float, omega: float, k: int, size: int) -> tuple[np.ndarray, dict]:
@@ -219,28 +198,3 @@ def _check_kind(kind: str, k: int):
     elif k < 1:
         raise ValueError(f"{kind} sideband order must be >= 1, got k={k}")
 
-
-def pulse_coefficient(
-    params: PhysicalParams,
-    kind: str,
-    k: int,
-    m: int,
-    phase: float,
-    duration: float,
-) -> PulseCoefficient:
-    """Transition amplitude pair (C, C~) for one pulse acting on pair index m.
-
-    For red/blue sidebands C = i^(k-1) e^{-i phase} sin(W_{m,k} duration);
-    for the carrier C = -i e^{-i phase} sin(W_{m,0} duration).  m indexes
-    the lower Fock level of the coupled pair.
-    """
-    _check_kind(kind, k)
-    if duration < 0.0:
-        raise ValueError(f"duration must be >= 0, got {duration}")
-    if not 0 <= m < params.fock_dim:
-        raise ValueError(f"pair index m={m} outside truncation 0..{params.fock_dim - 1}")
-    w = rabi_frequency(params, m, k).value
-    s = math.sin(w * duration)
-    unit = -1j if kind == "carrier" else ipow(k - 1)
-    c = unit * complex(math.cos(phase), -math.sin(phase)) * s
-    return PulseCoefficient(c, -c.conjugate())

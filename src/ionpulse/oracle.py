@@ -27,7 +27,13 @@ O(D) memory.  It is exponentiated by its own 2x2 blocks: the pairs are
 read from the HamiltonianMatrix (not from the pulse kind), and every
 block is diagonalized by one batched eigh.  Eigendecomposition stays
 stable for arbitrarily long durations (slow high-order sidebands need t
-of order seconds), and a pulse costs O(D) after the O(D^2) series.
+of order seconds).
+
+A schedule sums the series of its K distinct orders in one loop of at
+most D - 1 steps over K rows at most D long, O(K D^2) in all; each
+element goes through the same floating-point operations, in the same
+order, as in a loop over its own order alone, so a coupling does not
+depend on the other orders in its schedule.  A pulse then costs O(D).
 """
 
 from __future__ import annotations
@@ -90,6 +96,54 @@ class HamiltonianMatrix:
         return self.couplings.size
 
 
+def _check_pulse(kind: str, k: int, dim: int):
+    _check_kind(kind, k)
+    if not k < dim:
+        raise ValueError(f"sideband order k={k} needs k < fock_dim={dim}")
+
+
+def _series(x: float, dim: int, ks: list[int]) -> np.ndarray:
+    """Coupled-diagonal series of each order in ks, one row per order.
+
+    Row r holds elements m < dim - ks[r], each summed to its last term
+    j = m in one loop for all orders (see the module docstring), and zeros
+    past them up to dim - min(ks).  Each k must be below dim.
+    """
+    m = np.arange(dim - min(ks, default=dim), dtype=float)
+    term = np.zeros((len(ks), m.size))
+    for row, k in zip(term, ks):
+        # j = 0 term: [a^k]_{m,m+k} / k! = sqrt((m+k)!/m!) / k!
+        i = np.arange(1.0, k + 1)
+        row[: dim - k] = np.prod(np.sqrt(m[: dim - k, None] + i) / i, axis=1)
+    diagonal = term.copy()
+    # (j + 1)(j + k + 1) for every step and order, exact in floats below 2^53
+    steps = np.arange(m.size - 1.0)[:, None, None]
+    denominators = (steps + 1) * (steps + np.array(ks, dtype=float)[:, None] + 1)
+    for j, denominator in enumerate(denominators):
+        # the (m - j) factor zeroes every term of element m past j = m
+        term *= -x * (m - j) / denominator
+        diagonal += term
+    return diagonal
+
+
+def _hamiltonian(
+    params: PhysicalParams, kind: str, k: int, phase: float, row: np.ndarray
+) -> HamiltonianMatrix:
+    """The coupled pairs of one pulse, from its order's row of _series."""
+    x = params.eta * params.eta
+    pref = (
+        (params.omega_carrier / 2.0)
+        * ipow(k)
+        * (params.eta**k)
+        * cmath.exp(-x / 2.0 - 1j * phase)
+    )
+    # element m couples |g, n_g> to |e, n_e>; sigma+ = |e><g| in (g, e) order
+    n = np.arange(params.fock_dim - k)
+    n_g, n_e = {"red": (n + k, n), "blue": (n, n + k), "carrier": (n, n)}[kind]
+    pairs = np.stack((2 * n_e + 1, 2 * n_g), axis=1)
+    return HamiltonianMatrix(pairs, pref * row[: n.size], params.fock_dim)
+
+
 def build_hamiltonian(
     params: PhysicalParams,
     kind: str,
@@ -101,32 +155,9 @@ def build_hamiltonian(
     Only the diagonal the pulse couples is summed, each element to its
     last term j = m (see the module docstring).
     """
-    _check_kind(kind, k)
-    dim = params.fock_dim
-    if not k < dim:
-        raise ValueError(f"sideband order k={k} needs k < fock_dim={dim}")
-    x = params.eta * params.eta
-    m = np.arange(dim - k, dtype=float)
-    # j = 0 term: [a^k]_{m,m+k} / k! = sqrt((m+k)!/m!) / k!
-    i = np.arange(1.0, k + 1)
-    term = np.prod(np.sqrt(m[:, None] + i) / i, axis=1)
-    diagonal = term.copy()
-    for j in range(m.size - 1):
-        # the (m - j) factor zeroes every term of element m past j = m
-        term *= -x * (m - j) / ((j + 1) * (j + k + 1))
-        diagonal += term
-
-    pref = (
-        (params.omega_carrier / 2.0)
-        * ipow(k)
-        * (params.eta**k)
-        * cmath.exp(-x / 2.0 - 1j * phase)
-    )
-    # element m couples |g, n_g> to |e, n_e>; sigma+ = |e><g| in (g, e) order
-    n = np.arange(m.size)
-    n_g, n_e = {"red": (n + k, n), "blue": (n, n + k), "carrier": (n, n)}[kind]
-    pairs = np.stack((2 * n_e + 1, 2 * n_g), axis=1)
-    return HamiltonianMatrix(pairs, pref * diagonal, dim)
+    _check_pulse(kind, k, params.fock_dim)
+    row = _series(params.eta * params.eta, params.fock_dim, [k])[0]
+    return _hamiltonian(params, kind, k, phase, row)
 
 
 def _propagate_amplitudes(ham: HamiltonianMatrix, amps: np.ndarray, duration: float) -> np.ndarray:
@@ -154,10 +185,18 @@ def propagate(ham: HamiltonianMatrix, state: JointState, duration: float) -> Joi
 
 
 def _oracle_final(initial: JointState, schedule: PulseSchedule) -> JointState:
-    """The schedule's final state by Hamiltonian exponentiation, pulse by pulse."""
+    """The schedule's final state by Hamiltonian exponentiation, pulse by pulse.
+
+    Every pulse is checked before the one series loop of all its orders.
+    """
+    params, pulses = schedule.params, schedule.pulses
+    for pulse in pulses:
+        _check_pulse(pulse.kind, pulse.k, params.fock_dim)
+    ks = sorted({pulse.k for pulse in pulses})
+    rows = dict(zip(ks, _series(params.eta * params.eta, params.fock_dim, ks)))
     amps = initial.amplitudes
-    for pulse in schedule.pulses:
-        ham = build_hamiltonian(schedule.params, pulse.kind, pulse.k, pulse.phase)
+    for pulse in pulses:
+        ham = _hamiltonian(params, pulse.kind, pulse.k, pulse.phase, rows[pulse.k])
         amps = _propagate_amplitudes(ham, amps, pulse.duration)
     return JointState(amps)
 

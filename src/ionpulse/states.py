@@ -12,10 +12,16 @@ Each pulse decomposes into independent 2x2 rotations of coupled pairs:
     blue k:   (|m>|g>, |m+k>|e>)      rotation angle W_{m,k} t
 
 with the block [[cos(W t), C~], [C, cos(W t)]] acting on (lower, upper) of
-the pair, C from ionpulse.core.  The cosine is signed: past a quarter
-Rabi period the survival amplitude goes negative, which the compact
-sqrt(1 - |C|^2) notation hides but the Schrodinger dynamics (and the
-matrix-exponential oracle) require.
+the pair, built from the transition amplitude of a pulse with initial
+laser phase phi
+
+    red/blue:  C = i^(k-1) exp(-i phi) sin(W_{m,k} t)
+    carrier:   C = -i      exp(-i phi) sin(W_{m,0} t)
+
+and its back-transition partner C~ = -conj(C).  The cosine is signed:
+past a quarter Rabi period the survival amplitude goes negative, which
+the compact sqrt(1 - |C|^2) notation hides but the Schrodinger dynamics
+(and the matrix-exponential oracle) require.
 
 A sideband pulse of order k would push |m>|e> (red) or |m>|g> (blue) with
 m >= D - k past the truncation boundary.  Such states must carry zero

@@ -1,10 +1,12 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
 
-from ionpulse import PhysicalParams
+from ionpulse import PhysicalParams, rabi_frequency
+from ionpulse.core import _check_kind, ipow
 
 
 @pytest.fixture
@@ -61,3 +63,57 @@ def dense(ham) -> np.ndarray:
     h[i, j] = ham.couplings
     h[j, i] = ham.couplings.conj()
     return h
+
+
+def loop_series(x: float, dim: int, k: int) -> np.ndarray:
+    """The coupled-diagonal series of one order k, in a loop of its own.
+
+    The oracle sums all orders of a schedule in one loop; this is the
+    per-order loop it must reproduce bit for bit.
+    """
+    m = np.arange(dim - k, dtype=float)
+    i = np.arange(1.0, k + 1)
+    term = np.prod(np.sqrt(m[:, None] + i) / i, axis=1)
+    diagonal = term.copy()
+    for j in range(m.size - 1):
+        term *= -x * (m - j) / ((j + 1) * (j + k + 1))
+        diagonal += term
+    return diagonal
+
+
+@dataclass(frozen=True)
+class PulseCoefficient:
+    """Transition amplitude pair (C, C~) of one pulse on one Fock pair.
+
+    C~ = -conj(C) always; |C| = |sin(W_{m,k} t)| <= 1.
+    """
+
+    c: complex
+    c_tilde: complex
+
+
+def pulse_coefficient(
+    params: PhysicalParams,
+    kind: str,
+    k: int,
+    m: int,
+    phase: float,
+    duration: float,
+) -> PulseCoefficient:
+    """Transition amplitude pair (C, C~) for one pulse acting on pair index m.
+
+    The pulse kernel's reference, one pair at a time: for red/blue
+    sidebands C = i^(k-1) e^{-i phase} sin(W_{m,k} duration); for the
+    carrier C = -i e^{-i phase} sin(W_{m,0} duration).  m indexes the
+    lower Fock level of the coupled pair.
+    """
+    _check_kind(kind, k)
+    if duration < 0.0:
+        raise ValueError(f"duration must be >= 0, got {duration}")
+    if not 0 <= m < params.fock_dim:
+        raise ValueError(f"pair index m={m} outside truncation 0..{params.fock_dim - 1}")
+    w = rabi_frequency(params, m, k).value
+    s = math.sin(w * duration)
+    unit = -1j if kind == "carrier" else ipow(k - 1)
+    c = unit * complex(math.cos(phase), -math.sin(phase)) * s
+    return PulseCoefficient(c, -c.conjugate())

@@ -10,12 +10,11 @@ from ionpulse import (
     Pulse,
     RabiUnderflowError,
     apply_pulse_amplitudes,
-    pulse_coefficient,
     rabi_column,
     rabi_frequency,
 )
 
-from conftest import laguerre_rabi, mpmath_rabi
+from conftest import laguerre_rabi, mpmath_rabi, pulse_coefficient
 
 
 class TestPhysicalParams:

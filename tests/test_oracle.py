@@ -25,8 +25,9 @@ from ionpulse import (
     verify_report,
     verify_schedule,
 )
+from ionpulse.oracle import _oracle_final, _series
 
-from conftest import dense, mpmath_rabi, random_guarded_amplitudes
+from conftest import dense, loop_series, mpmath_rabi, random_guarded_amplitudes
 
 
 def _params(dim, eta=0.25):
@@ -135,6 +136,52 @@ class TestBuildHamiltonian:
             tracemalloc.stop()
         assert fid >= 1 - 1e-12
         assert peak < 4 * 2**20
+
+
+class TestSeries:
+    @pytest.mark.parametrize("dim", [17, 62, 122])
+    @pytest.mark.parametrize("eta", [0.25, 0.9, 1.5, 3.0])
+    def test_rows_match_the_per_order_loop(self, eta, dim):
+        # the carrier, low and high sideband orders (a red and a blue pulse
+        # of one order read one row) and the last order the diagonal holds
+        ks = sorted({0, 1, 2, 3, 7, dim // 3, dim // 2, dim - 2, dim - 1})
+        x = eta * eta
+        for orders in (ks, ks[1:], ks[-1:]):
+            rows = _series(x, dim, orders)
+            assert rows.shape == (len(orders), dim - orders[0])
+            for row, k in zip(rows, orders):
+                assert np.array_equal(row[: dim - k], loop_series(x, dim, k)), k
+                assert not row[dim - k :].any(), k
+
+    @pytest.mark.parametrize("eta", [0.25, 0.9, 1.5])
+    def test_schedule_matches_per_pulse_propagation(self, eta, rng):
+        # repeated carriers, red and blue at one order and random phases,
+        # from a state on every pair: one series loop for the schedule gives
+        # the amplitudes of one Hamiltonian per pulse, bit for bit
+        params = _params(40, eta)
+        orders = [("carrier", 0), ("red", 3), ("blue", 3), ("carrier", 0), ("red", 1),
+                  ("blue", 12), ("red", 12), ("carrier", 0), ("blue", 39)]
+        schedule = PulseSchedule(params, tuple(
+            Pulse(kind, k, float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0, 1e-3)))
+            for kind, k in orders
+        ))
+        amps = rng.normal(size=80) + 1j * rng.normal(size=80)
+        state = initial = JointState(amps / np.linalg.norm(amps))
+        for p in schedule.pulses:
+            state = propagate(build_hamiltonian(params, p.kind, p.k, p.phase), state, p.duration)
+        assert np.array_equal(_oracle_final(initial, schedule).amplitudes, state.amplitudes)
+
+    def test_rejects_an_order_past_the_truncation_mid_schedule(self):
+        # the kernel passes red k = D from |0>|g> (no pair, nothing in the
+        # guard); the oracle must refuse it before summing any series
+        params = _params(8)
+        schedule = PulseSchedule(params, (
+            Pulse("carrier", 0, 0.0, 0.0),
+            Pulse("red", 8, 0.0, 1e-5),
+            Pulse("red", 1, 0.3, 1e-5),
+        ))
+        with pytest.raises(ValueError, match="sideband order k=8 needs k < fock_dim=8"):
+            verify_schedule(JointState.ground(8), schedule)
 
 
 class TestPropagate:

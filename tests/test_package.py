@@ -20,7 +20,6 @@ def test_public_names_are_pinned():
         "PhaseStateTarget",
         "PhysicalParams",
         "Pulse",
-        "PulseCoefficient",
         "PulseSchedule",
         "RabiUnderflowError",
         "RabiValue",
@@ -44,7 +43,6 @@ def test_public_names_are_pinned():
         "fidelity",
         "generate_alternating",
         "propagate",
-        "pulse_coefficient",
         "rabi_column",
         "rabi_frequency",
         "run_schedule",

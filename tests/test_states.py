@@ -18,12 +18,11 @@ from ionpulse import (
     build_hamiltonian,
     fidelity,
     propagate,
-    pulse_coefficient,
     rabi_frequency,
     run_schedule,
 )
 
-from conftest import random_guarded_amplitudes
+from conftest import pulse_coefficient, random_guarded_amplitudes
 
 
 # Property tests sweep these: the oracle's ladder series, the reference
