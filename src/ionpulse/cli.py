@@ -1,8 +1,12 @@
 """Command-line interface: rabi | synthesize | simulate | verify.
 
-Exit codes: 0 success, 1 verification/fidelity failure, 2 input error.
-Input errors emit a machine-readable JSON object on stderr.  Number
-formatting is locale-independent ('.' decimal separator).
+Each subcommand declares only the flags it reads: simulate and verify
+take the physical parameters from the schedule file, so only rabi and
+synthesize take --eta and --omega-rad-s, and only synthesize --fock-dim.
+Exit codes: 0 success, 1 verification/fidelity failure, 2 input error
+(argparse's own usage errors included).  Input errors emit a
+machine-readable JSON object on stderr.  Number formatting is
+locale-independent ('.' decimal separator).
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from .core import (
@@ -21,12 +26,13 @@ from .core import (
 )
 from .oracle import _oracle_final
 from .serialization import (
+    _populations,
     atomic_write_text,
     load_schedule,
     load_state,
     load_target,
     report_to_dict,
-    schedule_to_dict,
+    save_schedule,
     state_to_dict,
 )
 from .states import JointState, fidelity, run_schedule
@@ -39,28 +45,24 @@ DEFAULT_SYNTH_TOLERANCE = 1e-9
 DEFAULT_VERIFY_TOLERANCE = 1e-8
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--eta", type=float, default=None, help="Lamb-Dicke parameter")
-    parser.add_argument(
-        "--omega-rad-s",
-        type=float,
-        default=DEFAULT_OMEGA_RAD_S,
-        help="carrier Rabi frequency in rad/s",
-    )
-    parser.add_argument("--fock-dim", type=int, default=None, help="Fock truncation dimension")
-    parser.add_argument("--out", default=None, help="output file (stdout when omitted)")
-    parser.add_argument("--format", choices=("json", "csv"), default=None, help="output format")
+# flags that more than one subcommand reads
+_SHARED = {
+    "--eta": dict(type=float, default=None, help="Lamb-Dicke parameter"),
+    "--omega-rad-s": dict(
+        type=float, default=DEFAULT_OMEGA_RAD_S, help="carrier Rabi frequency in rad/s"
+    ),
+    "--out": dict(default=None, help="output file (stdout when omitted)"),
+    "--format": dict(choices=("json", "csv"), default=None, help="output format"),
+    "--tolerance": dict(type=float, default=None, help="fidelity deviation tolerance"),
+}
 
 
 def _check_positive(args):
-    """Reject a non-positive --tolerance, --eta or --omega-rad-s."""
-    for name, value in (
-        ("tolerance", getattr(args, "tolerance", None)),
-        ("eta", args.eta),
-        ("omega", args.omega_rad_s),
-    ):
-        if value is not None and not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+    """Reject a --tolerance, --eta or --omega-rad-s that is not finite and positive."""
+    for name in ("tolerance", "eta", "omega_rad_s"):
+        value = getattr(args, name, None)
+        if value is not None and not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,26 +75,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_rabi = sub.add_parser("rabi", help="tabulate sideband Rabi frequencies")
     p_rabi.add_argument("--m-max", type=int, default=0, help="largest Fock index (-1 for none)")
     p_rabi.add_argument("--k-max", type=int, default=10, help="largest sideband order (-1 for none)")
-    _add_common(p_rabi)
 
     p_syn = sub.add_parser("synthesize", help="compile a target state into a pulse schedule")
     p_syn.add_argument("--target", required=True, help="target JSON file")
     p_syn.add_argument("--report", default=None, help="also write the report JSON here")
-    _add_common(p_syn)
+    p_syn.add_argument("--fock-dim", type=int, default=None, help="Fock truncation dimension")
 
     p_sim = sub.add_parser("simulate", help="run a schedule and print the final state")
     p_sim.add_argument("--schedule", required=True, help="schedule JSON file")
     p_sim.add_argument("--initial", default="ground", help="'ground' or a state JSON file")
     p_sim.add_argument("--trace", action="store_true", help="include intermediate states")
-    _add_common(p_sim)
 
     p_ver = sub.add_parser("verify", help="check a schedule against the Hamiltonian oracle")
     p_ver.add_argument("--schedule", required=True, help="schedule JSON file")
     p_ver.add_argument("--target", default=None, help="optional target JSON to also check")
-    _add_common(p_ver)
 
-    for p in (p_syn, p_ver):
-        p.add_argument("--tolerance", type=float, default=None, help="fidelity deviation tolerance")
+    for p, flags in (
+        (p_rabi, ("--eta", "--omega-rad-s", "--out", "--format")),
+        (p_syn, ("--eta", "--omega-rad-s", "--out", "--tolerance")),
+        (p_sim, ("--out", "--format")),
+        (p_ver, ("--out", "--tolerance")),
+    ):
+        for flag in flags:
+            p.add_argument(flag, **_SHARED[flag])
     return parser
 
 
@@ -143,8 +148,6 @@ def cmd_rabi(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    if args.format == "csv":
-        return _fail("format", "synthesize emits JSON only")
     target = load_target(args.target)
     fock_dim = args.fock_dim if args.fock_dim is not None else default_fock_dim(target)
     params = PhysicalParams(
@@ -155,7 +158,7 @@ def cmd_synthesize(args) -> int:
     report = compile_target(target, params)
     report_doc = report_to_dict(report)
     if args.out:
-        atomic_write_text(args.out, json.dumps(schedule_to_dict(report.schedule), indent=2) + "\n")
+        save_schedule(args.out, report.schedule)
     if args.report:
         atomic_write_text(args.report, json.dumps(report_doc, indent=2) + "\n")
     sys.stdout.write(json.dumps(report_doc, indent=2) + "\n")
@@ -165,8 +168,6 @@ def cmd_synthesize(args) -> int:
 
 def cmd_simulate(args) -> int:
     schedule = load_schedule(args.schedule)
-    if args.fock_dim is not None and args.fock_dim != schedule.params.fock_dim:
-        return _fail("params", "--fock-dim conflicts with the schedule's fock_dim")
     if args.initial == "ground":
         initial = JointState.ground(schedule.params.fock_dim)
     else:
@@ -186,14 +187,7 @@ def cmd_simulate(args) -> int:
                 writer.writerow([m, label, repr(a.real), repr(a.imag), repr(final.population(m, s))])
         _emit(buf.getvalue(), args.out)
         return 0
-    doc = {
-        "final": state_to_dict(final),
-        "populations": [
-            {"m": m, "state": label, "population": final.population(m, s)}
-            for m in range(final.dim)
-            for s, label in ((0, "g"), (1, "e"))
-        ],
-    }
+    doc = {"final": state_to_dict(final), "populations": _populations(final)}
     if trace is not None:
         doc["trace"] = [state_to_dict(s) for s in trace]
     _emit(json.dumps(doc, indent=2), args.out)
@@ -201,8 +195,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.format == "csv":
-        return _fail("format", "verify emits JSON only")
     schedule = load_schedule(args.schedule)
     initial = JointState.ground(schedule.params.fock_dim)
     tolerance = args.tolerance if args.tolerance is not None else DEFAULT_VERIFY_TOLERANCE
@@ -237,7 +229,6 @@ _INPUT_ERRORS = (
     TypeError,
     OSError,
     MemoryError,
-    json.JSONDecodeError,
 )
 
 

@@ -9,13 +9,15 @@ names are stable):
      "provenance": s}
 
 Target schema is a tagged union on "variant", with one tag and one set
-of keys per target variant (synthesis._VARIANTS).  All file writes are
-atomic (write-temp-then-rename).
+of keys per target variant (synthesis._VARIANTS).  The loaders refuse
+non-finite numbers (NaN, Infinity, 1e999).  All file writes are atomic
+(write-temp-then-rename).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -55,6 +57,18 @@ def atomic_write_text(path: str, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _finite(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite JSON number {literal}")
+    return value
+
+
+def _load_json(path: str):
+    with open(path) as fh:
+        return json.load(fh, parse_float=_finite, parse_constant=_finite)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +126,7 @@ def save_schedule(path: str, schedule: PulseSchedule):
 
 
 def load_schedule(path: str) -> PulseSchedule:
-    with open(path) as fh:
-        return schedule_from_dict(json.load(fh))
+    return schedule_from_dict(_load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +156,7 @@ def target_from_dict(data: dict) -> TargetState:
 
 
 def load_target(path: str) -> TargetState:
-    with open(path) as fh:
-        return target_from_dict(json.load(fh))
+    return target_from_dict(_load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -168,30 +180,24 @@ def state_from_dict(data: dict) -> JointState:
 
 
 def load_state(path: str) -> JointState:
-    with open(path) as fh:
-        return state_from_dict(json.load(fh))
+    return state_from_dict(_load_json(path))
+
+
+def _populations(state: JointState) -> list[dict]:
+    return [
+        {"m": m, "state": label, "population": state.population(m, s)}
+        for m in range(state.dim)
+        for s, label in ((0, "g"), (1, "e"))
+    ]
 
 
 def report_to_dict(report: SynthesisReport) -> dict:
-    final = report.predicted_final
+    schedule = schedule_to_dict(report.schedule)
     return {
-        "schedule": schedule_to_dict(report.schedule),
-        "pulses": [
-            {
-                "index": i,
-                "kind": p.kind,
-                "k": p.k,
-                "phase_rad": p.phase,
-                "duration_s": p.duration,
-            }
-            for i, p in enumerate(report.schedule.pulses)
-        ],
-        "predicted_final": state_to_dict(final),
-        "populations": [
-            {"m": m, "state": label, "population": final.population(m, s)}
-            for m in range(final.dim)
-            for s, label in ((0, "g"), (1, "e"))
-        ],
+        "schedule": schedule,
+        "pulses": [{"index": i, **p} for i, p in enumerate(schedule["pulses"])],
+        "predicted_final": state_to_dict(report.predicted_final),
+        "populations": _populations(report.predicted_final),
         "fidelity_vs_target": report.fidelity_vs_target,
         "exact_phase_fidelity": report.exact_phase_fidelity,
         "oracle_fidelity": report.oracle_fidelity,

@@ -144,7 +144,7 @@ class JointState:
                 f"amplitudes must be a flat vector of even length >= 4, got shape {arr.shape}"
             )
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
         arr.setflags(write=False)
         object.__setattr__(self, "_amps", arr)

@@ -7,7 +7,7 @@ amplitude, leaving a reservoir in one internal level, and a sequence of
 ascending sideband pulses peels amplitude off the reservoir and deposits
 it at the requested Fock levels.  Durations follow the recursion
 
-    t_0:        cos(W_00 t_0) = |c_0|        (carrier, red variant)
+    t_0:        cos(W_00 t_0) = |c_0|        (carrier)
     t_j:        sin(W_0j t_j) = |c_j| / r_{j-1},   r_j = r_{j-1} cos(W_0j t_j)
     t_N:        sin(W_0N t_N) = 1            (reservoir fully deposited)
 
@@ -17,8 +17,9 @@ argument.  Solved phases make the compiler immune to sign-convention
 drift in the coefficient algebra; quoting fixed phases does not.
 
 Targets are pre-rotated by a global phase so c_0 is real nonnegative
-(the carrier deposit for the red variant is forced real); the rotation
-is recorded in the report.
+(the carrier deposit is forced real); the rotation is recorded in the
+report.  The reservoir is |0>|e> and every deposit is made by a red
+sideband, so the motional state ends in |g>.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PhysicalParams, ipow, neg_ipow, rabi_column, rabi_frequency
+from .core import PhysicalParams, neg_ipow, rabi_column, rabi_frequency
 from .states import (
     EXCITED,
     GROUND,
@@ -98,29 +99,27 @@ class SynthesisReport:
 # Shared machinery
 
 
-def _solved_phase(desired: complex, probe: complex, sign: int) -> float:
+def _solved_phase(desired: complex, probe: complex) -> float:
     """Laser phase placing a deposit of known modulus at arg(desired).
 
     probe is the deposit amplitude evaluated at phase 0; the deposit
-    scales as e^{i*sign*phase}.
+    scales as e^{i*phase}.
     """
-    return (sign * (cmath.phase(desired) - cmath.phase(probe))) % _TWO_PI
+    return (cmath.phase(desired) - cmath.phase(probe)) % _TWO_PI
 
 
-def _turn(
-    params: PhysicalParams, kind: str, k: int, m: int, angle: float, phase: float, hint: str = ""
-) -> Pulse:
+def _turn(params: PhysicalParams, kind: str, k: int, m: int, angle: float, phase: float) -> Pulse:
     """Pulse turning pair m of a (kind, k) tuning by angle at laser phase phase.
 
     W_{m,k} can be negative past a Laguerre zero.  A pulse of duration
     angle / |W| at phase + pi then gives the same 2x2 block as a positive
     coupling would: the sign of sin(W t) folds into e^{-i phase}.  A
-    coupling of exactly zero cannot turn the pair; hint names a way out.
+    coupling of exactly zero cannot turn the pair.
     """
     w = rabi_frequency(params, m, k).value
     if w == 0.0:
         raise ValueError(
-            f"W_{{{m},{k}}} = 0 at eta = {params.eta}: a {kind} pulse cannot turn pair {m}{hint}"
+            f"W_{{{m},{k}}} = 0 at eta = {params.eta}: a {kind} pulse cannot turn pair {m}"
         )
     return Pulse(kind, k, phase + (math.pi if w < 0.0 else 0.0), angle / abs(w))
 
@@ -145,7 +144,7 @@ def _validated_target(amplitudes) -> np.ndarray:
     if c.ndim != 1 or c.size == 0:
         raise ValueError("target amplitudes must be a nonempty 1-D sequence")
     norm = float(np.linalg.norm(c))
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError(f"target amplitudes not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
     c = c / norm
     # trailing exact zeros make the final full-transfer pulse ill-posed
@@ -161,59 +160,41 @@ def _rotated(c: np.ndarray) -> tuple[np.ndarray, float]:
     return c * cmath.exp(1j * angle), angle
 
 
-def _motional_vector(c: np.ndarray, dim: int, internal: int) -> JointState:
+def _motional_vector(c: np.ndarray, dim: int) -> JointState:
+    """sum_j c_j |j>|g> on a dim-level Fock space."""
     amps = np.zeros(2 * dim, dtype=complex)
-    amps[2 * np.arange(c.size) + internal] = c
+    amps[GROUND : 2 * c.size : 2] = c
     return JointState(amps)
 
 
 def _invert_ladder(
-    c: np.ndarray,
-    params: PhysicalParams,
-    levels: Sequence[int],
-    sideband: str,
-    carrier_phase: float,
+    c: np.ndarray, params: PhysicalParams, levels: Sequence[int]
 ) -> tuple[list[Pulse], np.ndarray]:
-    """Carrier + ascending sideband pulses depositing the amplitudes c.
+    """Carrier + ascending red sideband pulses depositing the amplitudes c in |g>.
 
     c must already be rotated (c[0] real >= 0).  levels lists the sideband
     orders to emit, ascending, ending at the index of the last nonzero
     amplitude; every nonzero c_j with j >= 1 must appear in levels.
     """
-    dim = params.fock_dim
     nonzero = {int(j) for j in np.nonzero(np.abs(c))[0] if j >= 1}
     if list(levels) != sorted(set(levels)) or not nonzero <= set(levels):
         raise ValueError(f"deposit levels {levels} cannot realize the target support")
     if levels and levels[-1] != c.size - 1:
         raise ValueError("last deposit level must be the last nonzero amplitude")
 
-    amps = np.zeros(2 * dim, dtype=complex)
-    amps[2 * 0 + GROUND] = 1.0
-    pulses: list[Pulse] = []
-
-    if sideband == "red":
-        # reservoir in |0>|e>, deposits land in |j>|g> via the C~ amplitude
-        theta0 = math.acos(min(1.0, float(c[0].real)))
-    elif sideband == "blue":
-        # reservoir in |0>|g>, c_0 itself is deposited into |0>|e> via C
-        theta0 = math.asin(min(1.0, float(abs(c[0]))))
-        if abs(c[0]) > 0.0:
-            probe = -1j * math.sin(theta0)
-            carrier_phase = _solved_phase(complex(c[0]), probe, -1)
-    else:
-        raise ValueError(f"sideband must be 'red' or 'blue', got {sideband!r}")
-    carrier = _turn(params, "carrier", 0, 0, theta0, carrier_phase)
-    pulses.append(carrier)
+    amps = JointState.ground(params.fock_dim).amplitudes
+    # reservoir in |0>|e>, deposits land in |j>|g> via the C~ amplitude
+    carrier = _turn(params, "carrier", 0, 0, math.acos(min(1.0, float(c[0].real))), _HALF_PI)
+    pulses = [carrier]
     amps = apply_pulse_amplitudes(amps, params, carrier)
 
-    reservoir_idx = 2 * 0 + (EXCITED if sideband == "red" else GROUND)
     for pos, j in enumerate(levels):
-        res = complex(amps[reservoir_idx])
+        res = complex(amps[2 * 0 + EXCITED])
         last = pos == len(levels) - 1
         if last:
             sin_theta, theta = 1.0, _HALF_PI
         elif abs(c[j]) == 0.0:
-            pulses.append(Pulse(sideband, j, 0.0, 0.0))
+            pulses.append(Pulse("red", j, 0.0, 0.0))
             continue
         else:
             ratio = abs(c[j]) / abs(res)
@@ -224,26 +205,15 @@ def _invert_ladder(
                 )
             sin_theta = min(1.0, ratio)
             theta = math.asin(sin_theta)
-        if sideband == "red":
-            probe = res * (-neg_ipow(j - 1)) * sin_theta  # C~ at phase 0
-            phi = _solved_phase(complex(c[j]), probe, 1)
-        else:
-            probe = res * ipow(j - 1) * sin_theta  # C at phase 0
-            phi = _solved_phase(complex(c[j]), probe, -1)
-        pulse = _turn(params, sideband, j, 0, theta, phi)
+        probe = res * (-neg_ipow(j - 1)) * sin_theta  # C~ at phase 0
+        pulse = _turn(params, "red", j, 0, theta, _solved_phase(complex(c[j]), probe))
         pulses.append(pulse)
         amps = apply_pulse_amplitudes(amps, params, pulse)
     return pulses, amps
 
 
 def _compile_weighted(
-    amplitudes,
-    params: PhysicalParams,
-    sideband: str,
-    provenance: str,
-    levels: Sequence[int] | None = None,
-    restore_ground: bool = False,
-    carrier_phase: float = _HALF_PI,
+    amplitudes, params: PhysicalParams, provenance: str, levels: Sequence[int] | None = None
 ) -> SynthesisReport:
     c = _validated_target(amplitudes)
     n_top = c.size - 1
@@ -255,28 +225,12 @@ def _compile_weighted(
     c_rot, rotation = _rotated(c)
     if levels is None:
         levels = list(range(1, n_top + 1))
-    pulses, amps = _invert_ladder(c_rot, params, list(levels), sideband, carrier_phase)
-
-    internal = GROUND if sideband == "red" else EXCITED
-    if sideband == "blue" and restore_ground:
-        support = np.nonzero(np.abs(c_rot))[0]
-        if support.size == 1:
-            # single Fock level: the carrier acts as a pure internal rotation
-            n = int(support[0])
-            res = complex(amps[2 * n + EXCITED])
-            probe = res * -1j  # C~ at phase 0, sin = 1
-            phi = _solved_phase(complex(c_rot[n]), probe, 1)
-            restore = _turn(params, "carrier", 0, n, _HALF_PI, phi, "; compile with sideband='red'")
-            pulses.append(restore)
-            amps = apply_pulse_amplitudes(amps, params, restore)
-            internal = GROUND
-
+    pulses, amps = _invert_ladder(c_rot, params, list(levels))
     return _report(
         PulseSchedule(params, tuple(pulses), provenance=provenance),
         JointState(amps),
-        _motional_vector(c_rot, params.fock_dim, internal),
+        _motional_vector(c_rot, params.fock_dim),
         target_rotation_rad=rotation,
-        final_internal_state="g" if internal == GROUND else "e",
     )
 
 
@@ -298,71 +252,53 @@ def _report(
 # Compilers
 
 
-def compile_fock(
-    n: int, params: PhysicalParams, strategy: str = "blue-then-carrier"
-) -> SynthesisReport:
+def compile_fock(n: int, params: PhysicalParams) -> SynthesisReport:
     """Two-pulse schedule driving |0>|g> to the Fock state |n>|g>.
 
-    Either a blue-n full transfer followed by a carrier returning |e> to
-    |g>, or a carrier transfer into |e> followed by a red-n full transfer.
+    A blue-n full transfer followed by a carrier returning |e> to |g>.
+    Where W_{n,0} = 0 (a Laguerre zero, e.g. eta = 1, n = 1) the carrier
+    cannot turn pair n, so a carrier transfer into |e> followed by a red-n
+    full transfer is emitted instead; the provenance names the choice.
     Multi-quantum sidebands make any n reachable with exactly two pulses;
     n = 0 compiles to an empty schedule.
     """
     if n < 0:
         raise ValueError(f"Fock index must be >= 0, got {n}")
-    provenance = f"fock(n={n}, strategy={strategy})"
     if n == 0:
         ground = JointState.ground(params.fock_dim)
-        return _report(PulseSchedule(params, (), provenance), ground, ground)
+        schedule = PulseSchedule(params, (), "fock(n=0, strategy=blue-then-carrier)")
+        return _report(schedule, ground, ground)
     if params.fock_dim <= n + 1:
         raise ValueError(
             f"fock_dim {params.fock_dim} too small for Fock target {n} (need > {n + 1})"
         )
     # two full transfers: sin(|W| t) = 1 on both pulses
-    if strategy == "blue-then-carrier":
-        pulses = (
-            _turn(params, "blue", n, 0, _HALF_PI, 0.0),
-            _turn(params, "carrier", 0, n, _HALF_PI, 0.0, "; use strategy='carrier-then-red'"),
-        )
-    elif strategy == "carrier-then-red":
+    if rabi_frequency(params, n, 0).value == 0.0:
+        strategy = "carrier-then-red"
         pulses = (
             _turn(params, "carrier", 0, 0, _HALF_PI, 0.0),
             _turn(params, "red", n, 0, _HALF_PI, 0.0),
         )
     else:
-        raise ValueError(
-            f"strategy must be 'blue-then-carrier' or 'carrier-then-red', got {strategy!r}"
+        strategy = "blue-then-carrier"
+        pulses = (
+            _turn(params, "blue", n, 0, _HALF_PI, 0.0),
+            _turn(params, "carrier", 0, n, _HALF_PI, 0.0),
         )
-    schedule = PulseSchedule(params, pulses, provenance=provenance)
+    schedule = PulseSchedule(params, pulses, provenance=f"fock(n={n}, strategy={strategy})")
     final = run_schedule(JointState.ground(params.fock_dim), schedule)
     return _report(schedule, final, JointState.fock(n, params.fock_dim))
 
 
-def compile_superposition(
-    amplitudes,
-    params: PhysicalParams,
-    sideband: str = "red",
-    restore_ground: bool = False,
-) -> SynthesisReport:
-    """Carrier + N ascending sideband pulses realizing sum_j c_j |j>.
+def compile_superposition(amplitudes, params: PhysicalParams) -> SynthesisReport:
+    """Carrier + N ascending red sideband pulses realizing sum_j c_j |j>|g>.
 
-    The red variant ends with the motional superposition in |g>; the blue
-    variant ends in |e>.  restore_ground appends a correcting carrier only
-    when the motional state is a single Fock level (the carrier rotation
-    angle W_{m,0} t depends on m, so no single pulse can uniformly return
-    a multi-level superposition from |e>); otherwise the report documents
-    the |e> termination.  Trailing zero amplitudes are trimmed.
+    Trailing zero amplitudes are trimmed.
     """
     c = np.asarray(amplitudes, dtype=complex)
     nz = np.nonzero(np.abs(c))[0]
     n_top = int(nz.max()) if nz.size else 0
-    return _compile_weighted(
-        c,
-        params,
-        sideband,
-        provenance=f"superposition(N={n_top}, sideband={sideband})",
-        restore_ground=restore_ground,
-    )
+    return _compile_weighted(c, params, provenance=f"superposition(N={n_top}, sideband=red)")
 
 
 def compile_phase_state(
@@ -379,7 +315,6 @@ def compile_phase_state(
     return _compile_weighted(
         PhaseStateTarget(n_max, theta)._amplitudes(),
         params,
-        "red",
         provenance=f"phase_state(N={n_max}, theta={theta:.6g})",
     )
 
@@ -417,7 +352,7 @@ def compile_coherent(alpha, n_max: int, params: PhysicalParams) -> SynthesisRepo
     if target.alpha == 0:
         ground = JointState.ground(params.fock_dim)
         return _report(PulseSchedule(params, (), provenance), ground, ground, truncation_overlap=1.0)
-    report = _compile_weighted(target._amplitudes(), params, "red", provenance=provenance)
+    report = _compile_weighted(target._amplitudes(), params, provenance=provenance)
     return replace(report, truncation_overlap=_poisson_head(target.alpha, n_max))
 
 
@@ -442,7 +377,7 @@ def compile_even_odd_coherent(
         raise ValueError(f"truncation n_max={n_max} excludes every {parity} level")
     c = target._amplitudes()
     levels = [j for j in range(1, c.size) if j % 2 == rem]
-    return _compile_weighted(c, params, "red", provenance=provenance, levels=levels)
+    return _compile_weighted(c, params, provenance=provenance, levels=levels)
 
 
 def compile_bell(params: PhysicalParams) -> SynthesisReport:
@@ -461,7 +396,7 @@ def compile_bell(params: PhysicalParams) -> SynthesisReport:
     res = complex(amps[2 * 0 + EXCITED])
     theta = math.asin(1.0 / math.sqrt(2.0))
     probe = res * (-neg_ipow(0)) * math.sin(theta)  # C~ deposit at phase 0
-    phi = _solved_phase(res * math.cos(theta), probe, 1)
+    phi = _solved_phase(res * math.cos(theta), probe)
     red = _turn(params, "red", 1, 0, theta, phi)
     amps = apply_pulse_amplitudes(amps, params, red)
 
@@ -586,7 +521,7 @@ class TargetState:
     _JSON: dict = {}
 
     def _vector(self, params: PhysicalParams) -> JointState:
-        return _motional_vector(self._amplitudes(), params.fock_dim, GROUND)
+        return _motional_vector(self._amplitudes(), params.fock_dim)
 
 
 @dataclass(frozen=True)

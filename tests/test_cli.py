@@ -131,10 +131,20 @@ class TestSynthesize:
         assert code == 2
         assert "variant" in json.loads(err)["error"]["message"]
 
-    def test_csv_rejected(self, capsys, tmp_path):
+    def test_csv_rejected(self, tmp_path):
         target = write_target(tmp_path, {"variant": "fock", "n": 1})
-        code, _, err = run_cli(capsys, "synthesize", "--target", target, "--format", "csv")
+        with pytest.raises(SystemExit) as exc:
+            main(["synthesize", "--target", target, "--format", "csv"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("theta", ["NaN", "Infinity"])
+    def test_non_finite_target_number_exits_2(self, capsys, tmp_path, theta):
+        path = tmp_path / "target.json"
+        path.write_text('{"variant": "phase_state", "n_max": 3, "theta_rad": %s}' % theta)
+        code, out, err = run_cli(capsys, "synthesize", "--target", str(path))
         assert code == 2
+        assert out == ""
+        assert "non-finite" in json.loads(err)["error"]["message"]
 
 
 class TestSimulate:
@@ -211,6 +221,17 @@ class TestSimulate:
         )
         assert code == 0
         assert json.loads(out)["final"]["amplitudes"][2] == [1.0, 0.0]
+
+    def test_nan_initial_amplitude_exits_2(self, capsys, tmp_path):
+        path = self._fock_schedule(tmp_path, n=1, dim=4)
+        state_path = tmp_path / "state.json"
+        state_path.write_text('{"amplitudes": [[1, 0], [NaN, 0]' + ", [0, 0]" * 6 + "]}")
+        code, out, err = run_cli(
+            capsys, "simulate", "--schedule", path, "--initial", str(state_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in json.loads(err)["error"]["message"]
 
     def test_truncation_error_reports_pulse_index(self, capsys, tmp_path):
         doc = {
@@ -308,6 +329,20 @@ class TestVerify:
         assert json.loads(out)["pass"] is True
         assert peak < 16 * 2**20
 
+    def test_fock_at_a_carrier_laguerre_zero_round_trips(self, capsys, tmp_path):
+        # W_{1,0} = 0 at eta = 1: the carrier cannot turn pair 1, so the
+        # compiler emits carrier-then-red
+        target = write_target(tmp_path, {"variant": "fock", "n": 1})
+        sched = tmp_path / "sched.json"
+        code, out, _ = run_cli(
+            capsys, "synthesize", "--target", target, "--eta", "1", "--out", str(sched)
+        )
+        assert code == 0
+        assert "carrier-then-red" in json.loads(out)["schedule"]["provenance"]
+        code, out, _ = run_cli(capsys, "verify", "--schedule", str(sched), "--target", target)
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
     def test_tolerance_flag_loosens_target_gate(self, capsys, tmp_path):
         target, sched = self._synth(capsys, tmp_path, {"variant": "fock", "n": 2})
         doc = json.loads(Path(sched).read_text())
@@ -337,6 +372,47 @@ def test_fock_dim_past_any_address_space_exits_2(capsys, tmp_path, command):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]["type"].endswith("MemoryError")
+
+
+# flags that the subcommand does not read; argparse's usage error exits 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rabi", "--fock-dim", "8"],
+        ["synthesize", "--target", "t.json", "--format", "json"],
+        ["simulate", "--schedule", "s.json", "--eta", "0.3"],
+        ["simulate", "--schedule", "s.json", "--omega-rad-s", "1e4"],
+        ["simulate", "--schedule", "s.json", "--fock-dim", "8"],
+        ["verify", "--schedule", "s.json", "--eta", "0.3"],
+        ["verify", "--schedule", "s.json", "--omega-rad-s", "1e4"],
+        ["verify", "--schedule", "s.json", "--fock-dim", "8"],
+        ["verify", "--schedule", "s.json", "--format", "json"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_unread_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rabi", "--omega-rad-s", "inf"],
+        ["rabi", "--eta", "inf"],
+        ["rabi", "--eta", "nan"],
+        ["synthesize", "--target", "t.json", "--tolerance", "inf"],
+        ["verify", "--schedule", "s.json", "--tolerance", "nan"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
+)
+def test_non_finite_numeric_flag_is_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "finite and positive" in json.loads(err)["error"]["message"]
 
 
 def test_negative_tolerance_is_input_error(capsys, tmp_path):

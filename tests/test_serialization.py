@@ -28,6 +28,8 @@ from ionpulse.serialization import (
     schedule_to_dict,
     save_schedule,
     load_schedule,
+    load_state,
+    load_target,
     state_from_dict,
     state_to_dict,
     target_from_dict,
@@ -151,6 +153,27 @@ class TestStateFormat:
         doc["fock_dim"] = 3
         with pytest.raises(ValueError):
             state_from_dict(doc)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize(
+    "load,text",
+    [
+        (load_target, '{"variant": "phase_state", "n_max": 3, "theta_rad": %s}'),
+        (load_state, '{"amplitudes": [[1.0, 0.0], [%s, 0.0], [0.0, 0.0], [0.0, 0.0]]}'),
+        (
+            load_schedule,
+            '{"params": {"eta": 0.25, "omega_carrier_rad_s": 5e4, "fock_dim": 4}, '
+            '"pulses": [{"kind": "red", "k": 1, "phase_rad": %s, "duration_s": 1e-5}]}',
+        ),
+    ],
+    ids=["target", "state", "schedule"],
+)
+def test_loaders_refuse_non_finite_numbers(tmp_path, load, text, literal):
+    path = tmp_path / "doc.json"
+    path.write_text(text % literal)
+    with pytest.raises(ValueError, match="non-finite JSON number"):
+        load(str(path))
 
 
 class TestReportFormat:

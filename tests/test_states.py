@@ -51,6 +51,10 @@ class TestJointState:
         with pytest.raises(ValueError):
             JointState(np.ones(8, dtype=complex))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="norm"):
+            JointState([math.nan, 1.0, 0.0, 0.0])
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             JointState(np.ones((2, 2), dtype=complex))

@@ -76,11 +76,10 @@ class TestCompileFock:
         assert report.fidelity_vs_target == 1.0
         assert report.total_duration_s == 0.0
 
-    @pytest.mark.parametrize("strategy", ["blue-then-carrier", "carrier-then-red"])
     @pytest.mark.parametrize("n", [1, 4, 9])
-    def test_two_pulses_and_fidelity(self, n, strategy):
+    def test_two_pulses_and_fidelity(self, n):
         params = _params(n + 4)
-        report = compile_fock(n, params, strategy=strategy)
+        report = compile_fock(n, params)
         assert len(report.schedule.pulses) == 2
         assert report.fidelity_vs_target >= 1 - 1e-10
         rerun = run_schedule(JointState.ground(params.fock_dim), report.schedule)
@@ -89,14 +88,17 @@ class TestCompileFock:
     def test_blue_then_carrier_final_phase(self):
         # with both laser phases zero the final amplitude is -i^n
         n, params = 3, _params(8)
-        report = compile_fock(n, params, strategy="blue-then-carrier")
+        report = compile_fock(n, params)
+        assert report.schedule.provenance == "fock(n=3, strategy=blue-then-carrier)"
         amp = report.predicted_final.amplitude(n, GROUND)
         assert amp == pytest.approx(-(1j**n), abs=1e-12)
 
     def test_carrier_then_red_final_phase(self):
-        # with both laser phases zero the final amplitude is -(-i)^n
-        n, params = 3, _params(8)
-        report = compile_fock(n, params, strategy="carrier-then-red")
+        # emitted where W_{n,0} = 0 (L_1(1) = 0); with both laser phases
+        # zero the final amplitude is -(-i)^n
+        n, params = 1, _params(5, eta=1.0)
+        report = compile_fock(n, params)
+        assert [p.kind for p in report.schedule.pulses] == ["carrier", "red"]
         amp = report.predicted_final.amplitude(n, GROUND)
         assert amp == pytest.approx(-((-1j) ** n), abs=1e-12)
 
@@ -111,17 +113,14 @@ class TestCompileFock:
         with pytest.raises(ValueError):
             compile_fock(3, _params(4))
 
-    def test_bad_strategy(self):
-        with pytest.raises(ValueError):
-            compile_fock(1, _params(4), strategy="sideways")
-
 
 class TestCarrierSignChange:
     """W_{n,0} is proportional to L_n(eta^2), which is negative or zero here.
 
-    The blue-then-carrier Fock schedule and the restoring carrier of a blue
-    superposition turn pair n by pi/2 on the carrier, so they must rotate
-    by |W_{n,0}| with the sign folded into the laser phase.
+    The blue-then-carrier Fock schedule turns pair n by pi/2 on the
+    carrier, so it must rotate by |W_{n,0}| with the sign folded into the
+    laser phase; where W_{n,0} is zero it cannot, and carrier-then-red is
+    emitted instead.
     """
 
     @pytest.mark.parametrize(
@@ -146,21 +145,10 @@ class TestCarrierSignChange:
     def test_fock_zero_coupling_names_other_strategy(self):
         params = _params(5, eta=1.0)  # L_1(1) = 0
         assert _w(params, 1, 0) == 0.0
-        with pytest.raises(ValueError, match="carrier-then-red"):
-            compile_fock(1, params)
-        report = compile_fock(1, params, strategy="carrier-then-red")
+        report = compile_fock(1, params)
+        assert report.schedule.provenance == "fock(n=1, strategy=carrier-then-red)"
         assert report.fidelity_vs_target >= 1 - 1e-9
-
-    def test_restore_ground_past_laguerre_zero(self):
-        params = _params(6, eta=1.2)
-        assert _w(params, 1, 0) < 0.0
-        report = compile_superposition([0.0, 1.0], params, sideband="blue", restore_ground=True)
-        assert report.final_internal_state == "g"
-        assert report.fidelity_vs_target >= 1 - 1e-9
-        with pytest.raises(ValueError, match="sideband='red'"):
-            compile_superposition(
-                [0.0, 1.0], _params(6, eta=1.0), sideband="blue", restore_ground=True
-            )
+        assert verify_schedule(JointState.ground(params.fock_dim), report.schedule) >= 1 - 1e-9
 
 
 class TestCompileSuperposition:
@@ -244,32 +232,9 @@ class TestCompileSuperposition:
         with pytest.raises(ValueError):
             compile_superposition(_random_target(np.random.default_rng(0), 4), _params(5))
 
-    def test_blue_variant_ends_excited(self, rng):
-        n = 3
-        c = _random_target(rng, n)
-        params = _params(n + 4)
-        report = compile_superposition(c, params, sideband="blue")
-        assert report.final_internal_state == "e"
-        assert report.fidelity_vs_target >= 1 - 1e-10
-        excited = np.array(
-            [report.predicted_final.amplitude(j, EXCITED) for j in range(n + 1)]
-        )
-        expected = c * cmath.exp(1j * report.target_rotation_rad)
-        np.testing.assert_allclose(excited, expected, atol=1e-12)
-
-    def test_blue_restore_ground_single_level(self):
-        c = np.zeros(4, dtype=complex)
-        c[3] = 1.0
-        report = compile_superposition(c, _params(8), sideband="blue", restore_ground=True)
-        assert report.final_internal_state == "g"
-        assert len(report.schedule.pulses) == 5  # N+1 plus the restoring carrier
-        assert report.predicted_final.population(3, GROUND) == pytest.approx(1.0, abs=1e-12)
-
-    def test_blue_restore_ground_ignored_for_multilevel(self, rng):
-        c = _random_target(rng, 2)
-        report = compile_superposition(c, _params(6), sideband="blue", restore_ground=True)
-        assert report.final_internal_state == "e"
-        assert len(report.schedule.pulses) == 3
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            compile_superposition([math.nan, 0.6], _params(6))
 
 
 class TestCompilePhaseState:
