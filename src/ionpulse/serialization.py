@@ -25,7 +25,8 @@ import numpy as np
 
 from .core import PhysicalParams
 from .states import JointState, Pulse, PulseSchedule
-from .synthesis import _VARIANTS, SynthesisReport, TargetState, complex_pair, parse_complex
+from .synthesis import _VARIANTS, SynthesisReport, TargetState
+from .synthesis import complex_pair, parse_complex, parse_float, parse_int
 
 __all__ = [
     "atomic_write_text",
@@ -85,9 +86,9 @@ def params_to_dict(params: PhysicalParams) -> dict:
 
 def params_from_dict(data: dict) -> PhysicalParams:
     return PhysicalParams(
-        eta=float(data["eta"]),
-        omega_carrier=float(data["omega_carrier_rad_s"]),
-        fock_dim=int(data["fock_dim"]),
+        eta=parse_float(data["eta"]),
+        omega_carrier=parse_float(data["omega_carrier_rad_s"]),
+        fock_dim=parse_int(data["fock_dim"]),
     )
 
 
@@ -112,9 +113,9 @@ def schedule_from_dict(data: dict) -> PulseSchedule:
     pulses = tuple(
         Pulse(
             kind=str(p["kind"]),
-            k=int(p["k"]),
-            phase=float(p["phase_rad"]),
-            duration=float(p["duration_s"]),
+            k=parse_int(p["k"]),
+            phase=parse_float(p["phase_rad"]),
+            duration=parse_float(p["duration_s"]),
         )
         for p in data["pulses"]
     )
@@ -172,7 +173,7 @@ def state_to_dict(state: JointState) -> dict:
 
 def state_from_dict(data: dict) -> JointState:
     amps = np.array([parse_complex(a) for a in data["amplitudes"]], dtype=complex)
-    if "fock_dim" in data and int(data["fock_dim"]) * 2 != amps.size:
+    if "fock_dim" in data and parse_int(data["fock_dim"]) * 2 != amps.size:
         raise ValueError(
             f"fock_dim {data['fock_dim']} inconsistent with {amps.size} amplitudes"
         )

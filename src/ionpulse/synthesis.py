@@ -1,11 +1,12 @@
-"""Compilers that turn target quantum states into laser pulse schedules.
+"""Target states, each compiling itself into a laser pulse schedule.
 
-Every compiler emits a PulseSchedule together with the forward-simulated
-final state and its fidelity against the target (SynthesisReport).  The
-inversion strategy is shared: a carrier pulse splits the ground-state
-amplitude, leaving a reservoir in one internal level, and a sequence of
-ascending sideband pulses peels amplitude off the reservoir and deposits
-it at the requested Fock levels.  Durations follow the recursion
+compile_target(target, params) returns a PulseSchedule together with the
+forward-simulated final state and its fidelity against the target
+(SynthesisReport).  The inversion strategy is shared: a carrier pulse
+splits the ground-state amplitude, leaving a reservoir in one internal
+level, and a sequence of ascending sideband pulses peels amplitude off
+the reservoir and deposits it at the requested Fock levels.  Durations
+follow the recursion
 
     t_0:        cos(W_00 t_0) = |c_0|        (carrier)
     t_j:        sin(W_0j t_j) = |c_j| / r_{j-1},   r_j = r_{j-1} cos(W_0j t_j)
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -54,14 +55,6 @@ __all__ = [
     "AlternatingTarget",
     "TargetState",
     "SynthesisReport",
-    "compile_fock",
-    "compile_superposition",
-    "compile_phase_state",
-    "compile_coherent",
-    "compile_even_odd_coherent",
-    "compile_bell",
-    "compile_entangled_carrier",
-    "generate_alternating",
     "compile_target",
     "target_state_vector",
     "default_fock_dim",
@@ -84,7 +77,6 @@ class SynthesisReport:
     predicted_final: JointState
     fidelity_vs_target: float
     exact_phase_fidelity: float
-    total_duration_s: float
     oracle_fidelity: float | None = None
     target_rotation_rad: float = 0.0
     final_internal_state: str = "g"
@@ -93,6 +85,10 @@ class SynthesisReport:
     def __post_init__(self):
         if not 0.0 <= self.fidelity_vs_target <= 1.0:
             raise ValueError(f"fidelity {self.fidelity_vs_target} outside [0, 1]")
+
+    @property
+    def total_duration_s(self) -> float:
+        return self.schedule.total_duration
 
 
 # ---------------------------------------------------------------------------
@@ -243,80 +239,14 @@ def _report(
         predicted_final=final,
         fidelity_vs_target=fidelity(target, final),
         exact_phase_fidelity=fidelity(target, final, up_to_global_phase=False),
-        total_duration_s=schedule.total_duration,
         **extra,
     )
 
 
-# ---------------------------------------------------------------------------
-# Compilers
-
-
-def compile_fock(n: int, params: PhysicalParams) -> SynthesisReport:
-    """Two-pulse schedule driving |0>|g> to the Fock state |n>|g>.
-
-    A blue-n full transfer followed by a carrier returning |e> to |g>.
-    Where W_{n,0} = 0 (a Laguerre zero, e.g. eta = 1, n = 1) the carrier
-    cannot turn pair n, so a carrier transfer into |e> followed by a red-n
-    full transfer is emitted instead; the provenance names the choice.
-    Multi-quantum sidebands make any n reachable with exactly two pulses;
-    n = 0 compiles to an empty schedule.
-    """
-    if n < 0:
-        raise ValueError(f"Fock index must be >= 0, got {n}")
-    if n == 0:
-        ground = JointState.ground(params.fock_dim)
-        schedule = PulseSchedule(params, (), "fock(n=0, strategy=blue-then-carrier)")
-        return _report(schedule, ground, ground)
-    if params.fock_dim <= n + 1:
-        raise ValueError(
-            f"fock_dim {params.fock_dim} too small for Fock target {n} (need > {n + 1})"
-        )
-    # two full transfers: sin(|W| t) = 1 on both pulses
-    if rabi_frequency(params, n, 0).value == 0.0:
-        strategy = "carrier-then-red"
-        pulses = (
-            _turn(params, "carrier", 0, 0, _HALF_PI, 0.0),
-            _turn(params, "red", n, 0, _HALF_PI, 0.0),
-        )
-    else:
-        strategy = "blue-then-carrier"
-        pulses = (
-            _turn(params, "blue", n, 0, _HALF_PI, 0.0),
-            _turn(params, "carrier", 0, n, _HALF_PI, 0.0),
-        )
-    schedule = PulseSchedule(params, pulses, provenance=f"fock(n={n}, strategy={strategy})")
-    final = run_schedule(JointState.ground(params.fock_dim), schedule)
-    return _report(schedule, final, JointState.fock(n, params.fock_dim))
-
-
-def compile_superposition(amplitudes, params: PhysicalParams) -> SynthesisReport:
-    """Carrier + N ascending red sideband pulses realizing sum_j c_j |j>|g>.
-
-    Trailing zero amplitudes are trimmed.
-    """
-    c = np.asarray(amplitudes, dtype=complex)
-    nz = np.nonzero(np.abs(c))[0]
-    n_top = int(nz.max()) if nz.size else 0
-    return _compile_weighted(c, params, provenance=f"superposition(N={n_top}, sideband=red)")
-
-
-def compile_phase_state(
-    n_max: int, theta: float, params: PhysicalParams
-) -> SynthesisReport:
-    """Uniform-magnitude phase state sum_j e^{i j theta} |j> / sqrt(N+1).
-
-    Compiled through the superposition inverter; the durations take the
-    closed forms t_0 = arccos(1/sqrt(N+1))/W_00 and
-    t_j = arcsin(1/sqrt(N-j+1))/W_0j.
-    """
-    if n_max < 1:
-        raise ValueError(f"phase state needs n_max >= 1, got {n_max}")
-    return _compile_weighted(
-        PhaseStateTarget(n_max, theta)._amplitudes(),
-        params,
-        provenance=f"phase_state(N={n_max}, theta={theta:.6g})",
-    )
+def _ground_report(params: PhysicalParams, provenance: str, **extra) -> SynthesisReport:
+    """Empty schedule for a target that is the ground state |0>|g> itself."""
+    ground = JointState.ground(params.fock_dim)
+    return _report(PulseSchedule(params, (), provenance), ground, ground, **extra)
 
 
 def _coherent_weights(alpha: complex, n_max: int) -> np.ndarray:
@@ -339,143 +269,6 @@ def _poisson_head(alpha: complex, n_max: int) -> float:
     return min(1.0, total)
 
 
-def compile_coherent(alpha, n_max: int, params: PhysicalParams) -> SynthesisReport:
-    """Truncated, renormalized coherent state with c_j proportional to alpha^j/sqrt(j!).
-
-    truncation_overlap reports how much of the untruncated coherent state
-    the kept levels capture, so the approximation quality is visible.
-    """
-    target = CoherentTarget(alpha, n_max)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    provenance = f"coherent(alpha={target.alpha:.6g}, N={n_max})"
-    if target.alpha == 0:
-        ground = JointState.ground(params.fock_dim)
-        return _report(PulseSchedule(params, (), provenance), ground, ground, truncation_overlap=1.0)
-    report = _compile_weighted(target._amplitudes(), params, provenance=provenance)
-    return replace(report, truncation_overlap=_poisson_head(target.alpha, n_max))
-
-
-def compile_even_odd_coherent(
-    alpha, n_max: int, parity: str, params: PhysicalParams
-) -> SynthesisReport:
-    """Even or odd coherent state using only even- or odd-order red sidebands.
-
-    Restricting the pulse orders to one parity guarantees the other parity
-    never acquires amplitude.  At alpha = 0 the odd state degenerates to
-    its lowest component |1>.
-    """
-    target = ParityCoherentTarget(alpha, n_max, parity)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    rem = 0 if parity == "even" else 1
-    provenance = f"{parity}_coherent(alpha={target.alpha:.6g}, N={n_max})"
-    if target.alpha == 0 and parity == "even":
-        ground = JointState.ground(params.fock_dim)
-        return _report(PulseSchedule(params, (), provenance), ground, ground, truncation_overlap=1.0)
-    if n_max < rem:
-        raise ValueError(f"truncation n_max={n_max} excludes every {parity} level")
-    c = target._amplitudes()
-    levels = [j for j in range(1, c.size) if j % 2 == rem]
-    return _compile_weighted(c, params, provenance=provenance, levels=levels)
-
-
-def compile_bell(params: PhysicalParams) -> SynthesisReport:
-    """Two pulses to (|0>|e> + |1>|g>)/sqrt(2) from |0>|g>.
-
-    A full carrier transfer into |0>|e> followed by a red-1 half transfer
-    (sin = 1/sqrt(2)); the red phase is solved so both components carry
-    the same argument.
-    """
-    if params.fock_dim < 3:
-        raise ValueError(f"fock_dim must be >= 3 for the Bell target, got {params.fock_dim}")
-    carrier = _turn(params, "carrier", 0, 0, _HALF_PI, 0.0)  # sin(W_00 t0) = 1
-    amps = JointState.ground(params.fock_dim).amplitudes
-    amps = apply_pulse_amplitudes(amps, params, carrier)
-
-    res = complex(amps[2 * 0 + EXCITED])
-    theta = math.asin(1.0 / math.sqrt(2.0))
-    probe = res * (-neg_ipow(0)) * math.sin(theta)  # C~ deposit at phase 0
-    phi = _solved_phase(res * math.cos(theta), probe)
-    red = _turn(params, "red", 1, 0, theta, phi)
-    amps = apply_pulse_amplitudes(amps, params, red)
-
-    schedule = PulseSchedule(params, (carrier, red), provenance="bell")
-    target = target_state_vector(BellTarget(), params)
-    return _report(schedule, JointState(amps), target, final_internal_state="entangled")
-
-
-def compile_entangled_carrier(
-    amplitudes,
-    carrier_duration: float,
-    carrier_phase: float,
-    params: PhysicalParams,
-) -> SynthesisReport:
-    """Fock superposition followed by one conditional carrier pulse.
-
-    The appended carrier splits each level j into d_j^g = c_j cos(W_j0 t)
-    and d_j^e = -i c_j e^{-i phi} sin(W_j0 t); because W_j0 depends on j,
-    every level acquires its own mixing angle and the result is entangled.
-    """
-    if carrier_duration < 0.0:
-        raise ValueError(f"carrier duration must be >= 0, got {carrier_duration}")
-    base = compile_superposition(amplitudes, params)
-    extra = Pulse.carrier(carrier_phase, carrier_duration)
-    amps = apply_pulse_amplitudes(base.predicted_final.amplitudes, params, extra)
-    schedule = PulseSchedule(
-        params,
-        base.schedule.pulses + (extra,),
-        provenance=f"entangled_carrier(N={len(base.schedule.pulses) - 1})",
-    )
-    # closed-form target from the rotated superposition weights
-    c_rot = base.predicted_final.amplitudes[GROUND::2]
-    target = _after_carrier(c_rot, params, carrier_duration, carrier_phase % _TWO_PI)
-    return _report(
-        schedule,
-        JointState(amps),
-        target,
-        target_rotation_rad=base.target_rotation_rad,
-        final_internal_state="entangled",
-    )
-
-
-def generate_alternating(
-    carrier_duration: float,
-    carrier_phase: float,
-    sideband_pulses: Sequence[tuple[float, float]],
-    params: PhysicalParams,
-) -> SynthesisReport:
-    """Forward generator: carrier, then red-1, blue-1, red-1, ... pulses.
-
-    After pulse i the ground component occupies Fock levels <= i (odd i)
-    or <= i-1 (even i) and conversely for the excited component.  When the
-    carrier fully inverts the ion (|sin(W_00 t)| = 1, initial state
-    |0>|e>), the alternation keeps ground amplitude on odd levels and
-    excited amplitude on even levels only.
-    """
-    n_sb = len(sideband_pulses)
-    if params.fock_dim <= n_sb + 2:
-        raise ValueError(
-            f"fock_dim {params.fock_dim} too small for {n_sb} alternating pulses "
-            f"(need > {n_sb + 2})"
-        )
-    pulses = [Pulse.carrier(carrier_phase, carrier_duration)]
-    for i, (t, phi) in enumerate(sideband_pulses):
-        pulses.append(Pulse("red" if i % 2 == 0 else "blue", 1, phi, t))
-
-    schedule = PulseSchedule(
-        params, tuple(pulses), provenance=f"alternating(n_sideband={n_sb})"
-    )
-    return SynthesisReport(
-        schedule=schedule,
-        predicted_final=run_schedule(JointState.ground(params.fock_dim), schedule),
-        fidelity_vs_target=1.0,
-        exact_phase_fidelity=1.0,
-        total_duration_s=schedule.total_duration,
-        final_internal_state="entangled",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Target variants
 
@@ -485,17 +278,30 @@ def complex_pair(z) -> list[float]:
     return [z.real, z.imag]
 
 
+def parse_int(value) -> int:
+    """A JSON integer; floats, bools and strings are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def parse_float(value) -> float:
+    """A JSON number as a float; bools and strings are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def parse_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
+    """A JSON number or [re, im] pair of numbers as a complex."""
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ValueError(f"expected a number or [re, im] pair, got {value!r}")
+        return complex(parse_float(value[0]), parse_float(value[1]))
+    return complex(parse_float(value))
 
 
 # JSON codecs (encode, decode) of target fields
-_INT = (int, int)
-_FLOAT = (float, float)
+_INT = (int, parse_int)
+_FLOAT = (float, parse_float)
 _COMPLEX = (complex_pair, parse_complex)
 _COMPLEXES = (
     lambda zs: [complex_pair(z) for z in zs],
@@ -503,19 +309,18 @@ _COMPLEXES = (
 )
 _TIMED_PHASES = (
     lambda pairs: [{"duration_s": t, "phase_rad": p} for t, p in pairs],
-    lambda value: tuple((float(p["duration_s"]), float(p["phase_rad"])) for p in value),
+    lambda value: tuple((parse_float(p["duration_s"]), parse_float(p["phase_rad"])) for p in value),
 )
 
 
 class TargetState:
-    """A target variant: a frozen dataclass that says all it does.
+    """A target variant: a frozen dataclass that checks its fields when built.
 
-    _JSON maps each JSON key to (field, codec).  _compiler takes the
-    fields in order, then the PhysicalParams.  _reach() gives (top Fock
-    level, top sideband order) of the schedule, and _vector(params) the
-    ideal state: by default the motional superposition of _amplitudes(),
-    the weights its compiler inverts, in |g>.  _VARIANTS maps each JSON
-    tag to its variant.
+    _compile(params) compiles it, _JSON maps each JSON key to (field,
+    codec), _reach() gives (top Fock level, top sideband order) of the
+    schedule, and _vector(params) the ideal state: by default the
+    motional superposition of _amplitudes(), the weights _compile
+    inverts, in |g>.  _VARIANTS maps each JSON tag to its variant.
     """
 
     _JSON: dict = {}
@@ -526,11 +331,22 @@ class TargetState:
 
 @dataclass(frozen=True)
 class FockTarget(TargetState):
-    """Motional number state |n>."""
+    """Motional number state |n>, reached by two full transfers.
+
+    A blue-n full transfer followed by a carrier returning |e> to |g>.
+    Where W_{n,0} = 0 (a Laguerre zero, e.g. eta = 1, n = 1) the carrier
+    cannot turn pair n, so a carrier transfer into |e> followed by a red-n
+    full transfer is emitted instead; the provenance names the choice.
+    Multi-quantum sidebands make any n reachable with exactly two pulses;
+    n = 0 compiles to an empty schedule.
+    """
 
     n: int
     _JSON = {"n": ("n", _INT)}
-    _compiler = staticmethod(compile_fock)
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"Fock index must be >= 0, got {self.n}")
 
     def _reach(self):
         return self.n, self.n
@@ -538,19 +354,48 @@ class FockTarget(TargetState):
     def _vector(self, params):
         return JointState.fock(self.n, params.fock_dim)
 
+    def _compile(self, params):
+        n = self.n
+        if n == 0:
+            return _ground_report(params, "fock(n=0, strategy=blue-then-carrier)")
+        if params.fock_dim <= n + 1:
+            raise ValueError(
+                f"fock_dim {params.fock_dim} too small for Fock target {n} (need > {n + 1})"
+            )
+        # two full transfers: sin(|W| t) = 1 on both pulses
+        if rabi_frequency(params, n, 0).value == 0.0:
+            strategy = "carrier-then-red"
+            pulses = (
+                _turn(params, "carrier", 0, 0, _HALF_PI, 0.0),
+                _turn(params, "red", n, 0, _HALF_PI, 0.0),
+            )
+        else:
+            strategy = "blue-then-carrier"
+            pulses = (
+                _turn(params, "blue", n, 0, _HALF_PI, 0.0),
+                _turn(params, "carrier", 0, n, _HALF_PI, 0.0),
+            )
+        schedule = PulseSchedule(params, pulses, provenance=f"fock(n={n}, strategy={strategy})")
+        final = run_schedule(JointState.ground(params.fock_dim), schedule)
+        return _report(schedule, final, JointState.fock(n, params.fock_dim))
+
 
 @dataclass(frozen=True)
 class SuperpositionTarget(TargetState):
-    """Finite Fock superposition sum_j c_j |j>, c normalized."""
+    """Finite Fock superposition sum_j c_j |j>, c normalized.
+
+    Compiled to a carrier and N ascending red sideband pulses; trailing
+    zero amplitudes are trimmed.
+    """
 
     amplitudes: tuple[complex, ...]
     _JSON = {"amplitudes": ("amplitudes", _COMPLEXES)}
-    _compiler = staticmethod(compile_superposition)
 
     def __post_init__(self):
         object.__setattr__(
             self, "amplitudes", tuple(complex(a) for a in self.amplitudes)
         )
+        _validated_target(self.amplitudes)
 
     def _reach(self):
         n = max(len(self.amplitudes) - 1, 1)
@@ -559,35 +404,59 @@ class SuperpositionTarget(TargetState):
     def _amplitudes(self):
         return _validated_target(self.amplitudes)
 
+    def _compile(self, params):
+        n_top = int(np.max(np.nonzero(np.abs(self.amplitudes))[0]))
+        provenance = f"superposition(N={n_top}, sideband=red)"
+        return _compile_weighted(self.amplitudes, params, provenance)
+
 
 @dataclass(frozen=True)
 class PhaseStateTarget(TargetState):
-    """Uniform-magnitude phase state sum_j e^{i j theta} |j> / sqrt(N+1)."""
+    """Uniform-magnitude phase state sum_j e^{i j theta} |j> / sqrt(N+1).
+
+    Compiled through the superposition inverter; the durations take the
+    closed forms t_0 = arccos(1/sqrt(N+1))/W_00 and
+    t_j = arcsin(1/sqrt(N-j+1))/W_0j.
+    """
 
     n_max: int
     theta: float
     _JSON = {"n_max": ("n_max", _INT), "theta_rad": ("theta", _FLOAT)}
-    _compiler = staticmethod(compile_phase_state)
+
+    def __post_init__(self):
+        if self.n_max < 1:
+            raise ValueError(f"phase state needs n_max >= 1, got {self.n_max}")
 
     def _reach(self):
-        n = max(self.n_max, 1)
-        return n, n
+        return self.n_max, self.n_max
 
     def _amplitudes(self):
         return np.exp(1j * self.theta * np.arange(self.n_max + 1)) / math.sqrt(self.n_max + 1)
 
+    def _compile(self, params):
+        provenance = f"phase_state(N={self.n_max}, theta={self.theta:.6g})"
+        return _compile_weighted(self._amplitudes(), params, provenance)
+
 
 @dataclass(frozen=True)
 class CoherentTarget(TargetState):
-    """Coherent state alpha truncated at Fock level n_max and renormalized."""
+    """Coherent state alpha truncated at Fock level n_max and renormalized.
+
+    The report's truncation_overlap is how much of the untruncated
+    coherent state the kept levels capture, so the approximation quality
+    is visible.
+    """
 
     alpha: complex
     n_max: int
     _JSON = {"alpha": ("alpha", _COMPLEX), "n_max": ("n_max", _INT)}
-    _compiler = staticmethod(compile_coherent)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
+        if not cmath.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
+        if self.n_max < 0:
+            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
 
     def _reach(self):
         n = max(self.n_max, 1)
@@ -597,18 +466,31 @@ class CoherentTarget(TargetState):
         c = _coherent_weights(self.alpha, self.n_max)
         return c / np.linalg.norm(c)
 
+    def _compile(self, params):
+        provenance = f"coherent(alpha={self.alpha:.6g}, N={self.n_max})"
+        if self.alpha == 0:
+            return _ground_report(params, provenance, truncation_overlap=1.0)
+        report = _compile_weighted(self._amplitudes(), params, provenance=provenance)
+        return replace(report, truncation_overlap=_poisson_head(self.alpha, self.n_max))
+
 
 @dataclass(frozen=True)
 class ParityCoherentTarget(CoherentTarget):
-    """Even or odd coherent state (only even/odd Fock levels), truncated."""
+    """Even or odd coherent state (only even/odd Fock levels), truncated.
+
+    Compiled with red sidebands of that parity only, so the other parity
+    never acquires amplitude.  At alpha = 0 the odd state degenerates to
+    its lowest component |1>.
+    """
 
     parity: str  # "even" | "odd"
-    _compiler = staticmethod(compile_even_odd_coherent)
 
     def __post_init__(self):
         super().__post_init__()
         if self.parity not in ("even", "odd"):
             raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
+        if self.parity == "odd" and self.n_max == 0:
+            raise ValueError(f"truncation n_max={self.n_max} excludes every {self.parity} level")
 
     def _amplitudes(self):
         """Normalized weights of one parity up to the last nonzero one.
@@ -625,12 +507,24 @@ class ParityCoherentTarget(CoherentTarget):
         c /= np.linalg.norm(c)
         return c[: int(np.max(np.nonzero(np.abs(c))[0])) + 1]
 
+    def _compile(self, params):
+        provenance = f"{self.parity}_coherent(alpha={self.alpha:.6g}, N={self.n_max})"
+        if self.alpha == 0 and self.parity == "even":
+            return _ground_report(params, provenance, truncation_overlap=1.0)
+        rem = 0 if self.parity == "even" else 1
+        c = self._amplitudes()
+        levels = [j for j in range(1, c.size) if j % 2 == rem]
+        return _compile_weighted(c, params, provenance=provenance, levels=levels)
+
 
 @dataclass(frozen=True)
 class BellTarget(TargetState):
-    """Maximally entangled (|0>|e> + |1>|g>)/sqrt(2)."""
+    """Maximally entangled (|0>|e> + |1>|g>)/sqrt(2).
 
-    _compiler = staticmethod(compile_bell)
+    Compiled to a full carrier transfer into |0>|e> followed by a red-1
+    half transfer (sin = 1/sqrt(2)); the red phase is solved so both
+    components carry the same argument.
+    """
 
     def _reach(self):
         return 1, 1
@@ -640,10 +534,33 @@ class BellTarget(TargetState):
         amps[2 * 0 + EXCITED] = amps[2 * 1 + GROUND] = 1.0 / math.sqrt(2.0)
         return JointState(amps)
 
+    def _compile(self, params):
+        if params.fock_dim < 3:
+            raise ValueError(f"fock_dim must be >= 3 for the Bell target, got {params.fock_dim}")
+        carrier = _turn(params, "carrier", 0, 0, _HALF_PI, 0.0)  # sin(W_00 t0) = 1
+        amps = JointState.ground(params.fock_dim).amplitudes
+        amps = apply_pulse_amplitudes(amps, params, carrier)
+
+        res = complex(amps[2 * 0 + EXCITED])
+        theta = math.asin(1.0 / math.sqrt(2.0))
+        probe = res * (-neg_ipow(0)) * math.sin(theta)  # C~ deposit at phase 0
+        phi = _solved_phase(res * math.cos(theta), probe)
+        red = _turn(params, "red", 1, 0, theta, phi)
+        amps = apply_pulse_amplitudes(amps, params, red)
+
+        schedule = PulseSchedule(params, (carrier, red), provenance="bell")
+        target = self._vector(params)
+        return _report(schedule, JointState(amps), target, final_internal_state="entangled")
+
 
 @dataclass(frozen=True)
 class EntangledCarrierTarget(SuperpositionTarget):
-    """Fock superposition followed by one entangling carrier pulse."""
+    """Fock superposition followed by one entangling carrier pulse.
+
+    The appended carrier splits each level j into d_j^g = c_j cos(W_j0 t)
+    and d_j^e = -i c_j e^{-i phi} sin(W_j0 t); because W_j0 depends on j,
+    every level acquires its own mixing angle and the result is entangled.
+    """
 
     carrier_duration: float
     carrier_phase: float
@@ -652,10 +569,34 @@ class EntangledCarrierTarget(SuperpositionTarget):
         "carrier_duration_s": ("carrier_duration", _FLOAT),
         "carrier_phase_rad": ("carrier_phase", _FLOAT),
     }
-    _compiler = staticmethod(compile_entangled_carrier)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.carrier_duration < 0.0:
+            raise ValueError(f"carrier duration must be >= 0, got {self.carrier_duration}")
 
     def _vector(self, params):
         return _after_carrier(self._amplitudes(), params, self.carrier_duration, self.carrier_phase)
+
+    def _compile(self, params):
+        base = super()._compile(params)
+        extra = Pulse.carrier(self.carrier_phase, self.carrier_duration)
+        amps = apply_pulse_amplitudes(base.predicted_final.amplitudes, params, extra)
+        schedule = PulseSchedule(
+            params,
+            base.schedule.pulses + (extra,),
+            provenance=f"entangled_carrier(N={len(base.schedule.pulses) - 1})",
+        )
+        # closed-form target from the rotated superposition weights
+        c_rot = base.predicted_final.amplitudes[GROUND::2]
+        target = _after_carrier(c_rot, params, self.carrier_duration, self.carrier_phase % _TWO_PI)
+        return _report(
+            schedule,
+            JointState(amps),
+            target,
+            target_rotation_rad=base.target_rotation_rad,
+            final_internal_state="entangled",
+        )
 
 
 @dataclass(frozen=True)
@@ -663,7 +604,12 @@ class AlternatingTarget(TargetState):
     """Forward-generated state: carrier then alternating red-1/blue-1 pulses.
 
     sideband_pulses is a sequence of (duration, phase) pairs; the first
-    sideband pulse is red, the second blue, and so on.
+    sideband pulse is red, the second blue, and so on.  After pulse i the
+    ground component occupies Fock levels <= i (odd i) or <= i-1 (even i)
+    and conversely for the excited component.  When the carrier fully
+    inverts the ion (|sin(W_00 t)| = 1, initial state |0>|e>), the
+    alternation keeps ground amplitude on odd levels and excited
+    amplitude on even levels only.
     """
 
     carrier_duration: float
@@ -674,7 +620,6 @@ class AlternatingTarget(TargetState):
         "carrier_phase_rad": ("carrier_phase", _FLOAT),
         "sideband_pulses": ("sideband_pulses", _TIMED_PHASES),
     }
-    _compiler = staticmethod(generate_alternating)
 
     def __post_init__(self):
         object.__setattr__(
@@ -688,6 +633,28 @@ class AlternatingTarget(TargetState):
 
     def _vector(self, params):
         raise ValueError("alternating targets are forward-generated and have no closed form")
+
+    def _compile(self, params):
+        n_sb = len(self.sideband_pulses)
+        if params.fock_dim <= n_sb + 2:
+            raise ValueError(
+                f"fock_dim {params.fock_dim} too small for {n_sb} alternating pulses "
+                f"(need > {n_sb + 2})"
+            )
+        pulses = [Pulse.carrier(self.carrier_phase, self.carrier_duration)]
+        for i, (t, phi) in enumerate(self.sideband_pulses):
+            pulses.append(Pulse("red" if i % 2 == 0 else "blue", 1, phi, t))
+
+        schedule = PulseSchedule(
+            params, tuple(pulses), provenance=f"alternating(n_sideband={n_sb})"
+        )
+        return SynthesisReport(
+            schedule=schedule,
+            predicted_final=run_schedule(JointState.ground(params.fock_dim), schedule),
+            fidelity_vs_target=1.0,
+            exact_phase_fidelity=1.0,
+            final_internal_state="entangled",
+        )
 
 
 # JSON tag -> (variant, the field values the tag fixes)
@@ -716,7 +683,7 @@ def default_fock_dim(target: TargetState) -> int:
 
 def compile_target(target: TargetState, params: PhysicalParams) -> SynthesisReport:
     """Compile any TargetState variant under the given parameters."""
-    return target._compiler(*(getattr(target, f.name) for f in fields(target)), params)
+    return target._compile(params)
 
 
 def target_state_vector(target: TargetState, params: PhysicalParams) -> JointState:

@@ -13,16 +13,18 @@ import numpy as np
 from ionpulse import (
     EXCITED,
     GROUND,
+    AlternatingTarget,
+    BellTarget,
+    CoherentTarget,
+    FockTarget,
     JointState,
+    PhaseStateTarget,
     PhysicalParams,
     Pulse,
+    SuperpositionTarget,
     apply_pulse_amplitudes,
     build_hamiltonian,
-    compile_bell,
-    compile_fock,
-    compile_phase_state,
-    compile_superposition,
-    generate_alternating,
+    compile_target,
     propagate,
     rabi_frequency,
     verify_schedule,
@@ -46,7 +48,7 @@ def _params(dim, eta=ETA):
 
 
 def test_01_phase_state_durations():
-    report = compile_phase_state(1, 0.7, _params(6))
+    report = compile_target(PhaseStateTarget(1, 0.7), _params(6))
     t0, t1 = (p.duration for p in report.schedule.pulses)
     ok = abs(t0 - 3.24e-5) <= 0.01 * 3.24e-5 and abs(t1 - 2.6e-4) <= 0.01 * 2.6e-4
     _report(1, "phase-state N=1 durations 3.24e-5 s / 2.6e-4 s within 1%", ok,
@@ -54,7 +56,7 @@ def test_01_phase_state_durations():
 
 
 def test_02_bell_duration_and_fidelity():
-    report = compile_bell(_params(5))
+    report = compile_target(BellTarget(), _params(5))
     t0 = report.schedule.pulses[0].duration
     ok_t = abs(t0 - 6.48e-5) <= 0.01 * 6.48e-5
     ok_f = report.fidelity_vs_target >= 1 - 1e-10
@@ -67,7 +69,7 @@ def test_03_two_pulse_fock():
     worst = 1.0
     ok = True
     for n in range(1, 16):
-        report = compile_fock(n, params)
+        report = compile_target(FockTarget(n), params)
         ok = ok and len(report.schedule.pulses) == 2
         worst = min(worst, report.fidelity_vs_target)
     ok = ok and worst >= 1 - 1e-10
@@ -115,7 +117,7 @@ def test_06_superposition_compiler_soundness():
         c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
         c /= np.linalg.norm(c)
         params = _params(n + 4)
-        report = compile_superposition(c, params)
+        report = compile_target(SuperpositionTarget(c), params)
         worst_fid = min(worst_fid, report.fidelity_vs_target)
         worst_oracle = min(
             worst_oracle,
@@ -136,11 +138,11 @@ def test_06_superposition_compiler_soundness():
 
 
 def test_07_coherent_approximation():
-    from ionpulse import compile_coherent, fidelity
+    from ionpulse import fidelity
 
     n = 12
     params = _params(3 * n + 2)
-    report = compile_coherent(1.0, n, params)
+    report = compile_target(CoherentTarget(1.0, n), params)
     # independent Poisson tail: 1 - sum_{j<=N} e^{-1}/j!
     tail = 1.0 - math.fsum(math.exp(-1.0) / math.factorial(j) for j in range(n + 1))
     ref = np.array([1.0 / math.sqrt(math.factorial(j)) for j in range(n + 1)])
@@ -163,9 +165,8 @@ def test_08_parity_segregation():
         (float(rng.uniform(0, math.pi / w01)), float(rng.uniform(0, 2 * math.pi)))
         for _ in range(6)
     ]
-    final = generate_alternating(
-        t_invert, float(rng.uniform(0, 2 * math.pi)), sidebands, params
-    ).predicted_final
+    target = AlternatingTarget(t_invert, float(rng.uniform(0, 2 * math.pi)), sidebands)
+    final = compile_target(target, params).predicted_final
     leak = 0.0
     for m in range(0, params.fock_dim, 2):
         leak = max(leak, abs(final.amplitude(m, GROUND)))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ionpulse import PhysicalParams, cli, compile_fock, oracle, run_schedule
+from ionpulse import FockTarget, PhysicalParams, cli, compile_target, oracle, run_schedule
 from ionpulse.cli import main
 from ionpulse.serialization import atomic_write_text, save_schedule
 
@@ -150,7 +150,7 @@ class TestSynthesize:
 class TestSimulate:
     def _fock_schedule(self, tmp_path, n=1, dim=8):
         params = PhysicalParams(eta=0.25, omega_carrier=5e4, fock_dim=dim)
-        report = compile_fock(n, params)
+        report = compile_target(FockTarget(n), params)
         path = tmp_path / "sched.json"
         save_schedule(str(path), report.schedule)
         return str(path)
@@ -423,6 +423,74 @@ def test_negative_tolerance_is_input_error(capsys, tmp_path):
     assert code == 2
     assert "tolerance" in json.loads(err)["error"]["message"]
 
+
+
+def assert_one_json_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error"}
+
+
+# a JSON value of the wrong type is refused, not rounded or parsed into one
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"variant": "fock", "n": 2.7},
+        {"variant": "fock", "n": True},
+        {"variant": "phase_state", "n_max": 3.9, "theta_rad": 0.4},
+        {"variant": "phase_state", "n_max": 3, "theta_rad": "0.4"},
+        {"variant": "coherent", "alpha": ["nan", 0], "n_max": 3},
+        {"variant": "coherent", "alpha": True, "n_max": 3},
+        {
+            "variant": "alternating",
+            "carrier_duration_s": 1e-5,
+            "carrier_phase_rad": 0.0,
+            "sideband_pulses": [{"duration_s": "1e-5", "phase_rad": 0.0}],
+        },
+    ],
+    ids=["n-float", "n-bool", "n_max-float", "theta-str", "alpha-nan-str", "alpha-bool", "sb-str"],
+)
+def test_mistyped_target_field_exits_2(capsys, tmp_path, doc):
+    target = write_target(tmp_path, doc)
+    assert_one_json_error(*run_cli(capsys, "synthesize", "--target", target))
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("fock_dim", 8.9), ("k", 2.5), ("eta", "0.25"), ("duration_s", True)],
+)
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_mistyped_schedule_field_exits_2(capsys, tmp_path, command, field, value):
+    params = {"eta": 0.25, "omega_carrier_rad_s": 5e4, "fock_dim": 8}
+    pulse = {"kind": "red", "k": 2, "phase_rad": 0.0, "duration_s": 1e-4}
+    (params if field in params else pulse)[field] = value
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps({"params": params, "pulses": [pulse], "provenance": ""}))
+    assert_one_json_error(*run_cli(capsys, command, "--schedule", str(path)))
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        {"fock_dim": 4.0, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 7},
+        {"fock_dim": 4, "amplitudes": [True] + [0.0] * 7},
+    ],
+    ids=["fock_dim-float", "amplitude-bool"],
+)
+def test_mistyped_state_field_exits_2(capsys, tmp_path, state):
+    doc = {
+        "params": {"eta": 0.25, "omega_carrier_rad_s": 5e4, "fock_dim": 4},
+        "pulses": [],
+        "provenance": "",
+    }
+    sched = tmp_path / "empty.json"
+    sched.write_text(json.dumps(doc))
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(state))
+    argv = ("simulate", "--schedule", str(sched), "--initial", str(state_path))
+    assert_one_json_error(*run_cli(capsys, *argv))
 
 def test_module_entry_point_smoke(tmp_path):
     result = subprocess.run(

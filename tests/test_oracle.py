@@ -8,6 +8,7 @@ from scipy.linalg import expm
 from ionpulse import (
     EXCITED,
     GROUND,
+    FockTarget,
     HamiltonianMatrix,
     JointState,
     PhaseStateTarget,
@@ -16,8 +17,7 @@ from ionpulse import (
     PulseSchedule,
     apply_pulse_amplitudes,
     build_hamiltonian,
-    compile_fock,
-    compile_phase_state,
+    compile_target,
     default_fock_dim,
     propagate,
     rabi_frequency,
@@ -299,13 +299,13 @@ class TestVerifySchedule:
 
     def test_fock_five(self):
         params = _params(12)
-        report = compile_fock(5, params)
+        report = compile_target(FockTarget(5), params)
         fid = verify_schedule(JointState.ground(params.fock_dim), report.schedule)
         assert fid >= 1 - 1e-8
 
     def test_phase_state_four(self):
         params = _params(14)
-        report = compile_phase_state(4, math.pi / 3, params)
+        report = compile_target(PhaseStateTarget(4, math.pi / 3), params)
         fid = verify_schedule(JointState.ground(params.fock_dim), report.schedule)
         assert fid >= 1 - 1e-8
 
@@ -317,7 +317,7 @@ class TestVerifySchedule:
         below any fidelity tolerance the CLI uses; 1e-3 gives 2.3e-7.
         """
         params = _params(14)
-        schedule = compile_phase_state(4, math.pi / 3, params).schedule
+        schedule = compile_target(PhaseStateTarget(4, math.pi / 3), params).schedule
         ground = JointState.ground(params.fock_dim)
         assert verify_schedule(ground, schedule) >= 1 - 1e-12
         _perturb_closed_form(monkeypatch, 2)
@@ -329,7 +329,7 @@ class TestVerifySchedule:
         target = PhaseStateTarget(80, 0.3)
         params = _params(default_fock_dim(target))
         assert params.fock_dim == 242
-        schedule = compile_phase_state(80, 0.3, params).schedule
+        schedule = compile_target(PhaseStateTarget(80, 0.3), params).schedule
         ground = JointState.ground(params.fock_dim)
         assert verify_schedule(ground, schedule) >= 1 - 1e-9
         _perturb_closed_form(monkeypatch, 80)
@@ -337,7 +337,7 @@ class TestVerifySchedule:
 
     def test_verify_report_fills_oracle_fidelity(self):
         params = _params(10)
-        report = compile_fock(3, params)
+        report = compile_target(FockTarget(3), params)
         assert report.oracle_fidelity is None
         filled = verify_report(report)
         assert filled.oracle_fidelity is not None

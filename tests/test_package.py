@@ -31,17 +31,9 @@ def test_public_names_are_pinned():
         "apply_pulse",
         "apply_pulse_amplitudes",
         "build_hamiltonian",
-        "compile_bell",
-        "compile_coherent",
-        "compile_entangled_carrier",
-        "compile_even_odd_coherent",
-        "compile_fock",
-        "compile_phase_state",
-        "compile_superposition",
         "compile_target",
         "default_fock_dim",
         "fidelity",
-        "generate_alternating",
         "propagate",
         "rabi_column",
         "rabi_frequency",

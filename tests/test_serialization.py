@@ -17,7 +17,7 @@ from ionpulse import (
     Pulse,
     PulseSchedule,
     SuperpositionTarget,
-    compile_bell,
+    compile_target,
 )
 from ionpulse.serialization import (
     atomic_write_text,
@@ -178,7 +178,7 @@ def test_loaders_refuse_non_finite_numbers(tmp_path, load, text, literal):
 
 class TestReportFormat:
     def test_keys_and_values(self):
-        report = compile_bell(PhysicalParams(0.25, 5e4, 5))
+        report = compile_target(BellTarget(), PhysicalParams(0.25, 5e4, 5))
         doc = report_to_dict(report)
         assert doc["fidelity_vs_target"] >= 1 - 1e-10
         assert doc["oracle_fidelity"] is None

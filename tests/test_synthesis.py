@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,17 +18,9 @@ from ionpulse import (
     PhaseStateTarget,
     PhysicalParams,
     SuperpositionTarget,
-    compile_bell,
-    compile_coherent,
-    compile_entangled_carrier,
-    compile_even_odd_coherent,
-    compile_fock,
-    compile_phase_state,
-    compile_superposition,
     compile_target,
     default_fock_dim,
     fidelity,
-    generate_alternating,
     rabi_frequency,
     run_schedule,
     target_state_vector,
@@ -71,7 +64,7 @@ def analytic_superposition_weights(schedule):
 
 class TestCompileFock:
     def test_n0_empty_schedule(self):
-        report = compile_fock(0, _params(4))
+        report = compile_target(FockTarget(0), _params(4))
         assert len(report.schedule.pulses) == 0
         assert report.fidelity_vs_target == 1.0
         assert report.total_duration_s == 0.0
@@ -79,7 +72,7 @@ class TestCompileFock:
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_two_pulses_and_fidelity(self, n):
         params = _params(n + 4)
-        report = compile_fock(n, params)
+        report = compile_target(FockTarget(n), params)
         assert len(report.schedule.pulses) == 2
         assert report.fidelity_vs_target >= 1 - 1e-10
         rerun = run_schedule(JointState.ground(params.fock_dim), report.schedule)
@@ -88,7 +81,7 @@ class TestCompileFock:
     def test_blue_then_carrier_final_phase(self):
         # with both laser phases zero the final amplitude is -i^n
         n, params = 3, _params(8)
-        report = compile_fock(n, params)
+        report = compile_target(FockTarget(n), params)
         assert report.schedule.provenance == "fock(n=3, strategy=blue-then-carrier)"
         amp = report.predicted_final.amplitude(n, GROUND)
         assert amp == pytest.approx(-(1j**n), abs=1e-12)
@@ -97,21 +90,21 @@ class TestCompileFock:
         # emitted where W_{n,0} = 0 (L_1(1) = 0); with both laser phases
         # zero the final amplitude is -(-i)^n
         n, params = 1, _params(5, eta=1.0)
-        report = compile_fock(n, params)
+        report = compile_target(FockTarget(n), params)
         assert [p.kind for p in report.schedule.pulses] == ["carrier", "red"]
         amp = report.predicted_final.amplitude(n, GROUND)
         assert amp == pytest.approx(-((-1j) ** n), abs=1e-12)
 
     def test_sideband_duration_scales_inversely_with_coupling(self):
         params = _params(16)
-        t1 = compile_fock(1, params).schedule.pulses[0].duration
-        t10 = compile_fock(10, params).schedule.pulses[0].duration
+        t1 = compile_target(FockTarget(1), params).schedule.pulses[0].duration
+        t10 = compile_target(FockTarget(10), params).schedule.pulses[0].duration
         ratio = _w(params, 0, 1) / _w(params, 0, 10)
         assert t10 / t1 == pytest.approx(ratio, rel=1e-12)
 
     def test_truncation_too_small(self):
         with pytest.raises(ValueError):
-            compile_fock(3, _params(4))
+            compile_target(FockTarget(3), _params(4))
 
 
 class TestCarrierSignChange:
@@ -129,7 +122,7 @@ class TestCarrierSignChange:
     def test_fock_past_laguerre_zero(self, eta, n):
         params = _params(default_fock_dim(FockTarget(n)), eta=eta)
         assert _w(params, n, 0) < 0.0
-        report = compile_fock(n, params)
+        report = compile_target(FockTarget(n), params)
         assert all(p.duration > 0.0 for p in report.schedule.pulses)
         rerun = run_schedule(JointState.ground(params.fock_dim), report.schedule)
         assert fidelity(JointState.fock(n, params.fock_dim), rerun) >= 1 - 1e-9
@@ -139,13 +132,13 @@ class TestCarrierSignChange:
     @pytest.mark.parametrize("eta,n", [(1.2, 1), (math.sqrt(2.0), 2)])
     def test_oracle_agrees_past_laguerre_zero(self, eta, n):
         params = _params(default_fock_dim(FockTarget(n)), eta=eta)
-        schedule = compile_fock(n, params).schedule
+        schedule = compile_target(FockTarget(n), params).schedule
         assert verify_schedule(JointState.ground(params.fock_dim), schedule) >= 1 - 1e-9
 
     def test_fock_zero_coupling_names_other_strategy(self):
         params = _params(5, eta=1.0)  # L_1(1) = 0
         assert _w(params, 1, 0) == 0.0
-        report = compile_fock(1, params)
+        report = compile_target(FockTarget(1), params)
         assert report.schedule.provenance == "fock(n=1, strategy=carrier-then-red)"
         assert report.fidelity_vs_target >= 1 - 1e-9
         assert verify_schedule(JointState.ground(params.fock_dim), report.schedule) >= 1 - 1e-9
@@ -153,15 +146,14 @@ class TestCarrierSignChange:
 
 class TestCompileSuperposition:
     def test_vacuum_target_all_zero_durations(self):
-        report = compile_superposition([1.0, 0.0, 0.0], _params(6))
+        report = compile_target(SuperpositionTarget([1.0, 0.0, 0.0]), _params(6))
         assert all(p.duration == 0.0 for p in report.schedule.pulses)
         assert report.predicted_final.population(0, GROUND) == pytest.approx(1.0, abs=1e-15)
 
     def test_equal_pair_durations_match_worked_values(self):
         # c = (1, e^{i theta})/sqrt(2): carrier 3.24e-5 s then red-1 2.6e-4 s
-        report = compile_superposition(
-            np.array([1.0, cmath.exp(0.9j)]) / math.sqrt(2), _params(6)
-        )
+        target = SuperpositionTarget(np.array([1.0, cmath.exp(0.9j)]) / math.sqrt(2))
+        report = compile_target(target, _params(6))
         t0, t1 = (p.duration for p in report.schedule.pulses)
         assert t0 == pytest.approx(3.24e-5, rel=0.01)
         assert t1 == pytest.approx(2.6e-4, rel=0.01)
@@ -169,7 +161,7 @@ class TestCompileSuperposition:
     def test_schedule_length_is_n_plus_one(self, rng):
         for n in (1, 3, 7):
             c = _random_target(rng, n)
-            report = compile_superposition(c, _params(3 * n + 2))
+            report = compile_target(SuperpositionTarget(c), _params(3 * n + 2))
             assert len(report.schedule.pulses) == n + 1
 
     def test_random_targets_round_trip(self, rng):
@@ -177,7 +169,7 @@ class TestCompileSuperposition:
             n = int(rng.integers(1, 7))
             c = _random_target(rng, n)
             params = _params(n + 4)
-            report = compile_superposition(c, params)
+            report = compile_target(SuperpositionTarget(c), params)
             assert report.fidelity_vs_target >= 1 - 1e-10
             # run_schedule reproduces the predicted state exactly
             rerun = run_schedule(JointState.ground(params.fock_dim), report.schedule)
@@ -196,7 +188,7 @@ class TestCompileSuperposition:
             n = int(rng.integers(2, 7))
             c = _random_target(rng, n)
             params = _params(n + 4)
-            report = compile_superposition(c, params)
+            report = compile_target(SuperpositionTarget(c), params)
             weights = analytic_superposition_weights(report.schedule)
             simulated = np.array(
                 [report.predicted_final.amplitude(j, GROUND) for j in range(n + 1)]
@@ -205,7 +197,7 @@ class TestCompileSuperposition:
 
     def test_zero_intermediate_amplitude_skips_pulse(self):
         c = np.array([0.6, 0.0, 0.8], dtype=complex)
-        report = compile_superposition(c, _params(8))
+        report = compile_target(SuperpositionTarget(c), _params(8))
         assert report.schedule.pulses[1].duration == 0.0
         assert report.schedule.pulses[1].phase == 0.0
         assert report.fidelity_vs_target >= 1 - 1e-10
@@ -213,7 +205,7 @@ class TestCompileSuperposition:
     def test_zero_leading_amplitude(self):
         c = np.array([0.0, 0.6, 0.8], dtype=complex)
         params = _params(8)
-        report = compile_superposition(c, params)
+        report = compile_target(SuperpositionTarget(c), params)
         # carrier is a quarter period: arccos(0)
         assert report.schedule.pulses[0].duration == pytest.approx(
             (math.pi / 2) / _w(params, 0, 0), rel=1e-12
@@ -221,32 +213,33 @@ class TestCompileSuperposition:
         assert report.fidelity_vs_target >= 1 - 1e-10
 
     def test_trailing_zeros_trimmed(self):
-        report = compile_superposition([0.6, 0.8, 0.0, 0.0], _params(10))
+        report = compile_target(SuperpositionTarget([0.6, 0.8, 0.0, 0.0]), _params(10))
         assert len(report.schedule.pulses) == 2
 
     def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError):
-            compile_superposition([0.5, 0.5], _params(6))
+        with pytest.raises(ValueError, match="not normalized"):
+            SuperpositionTarget([0.5, 0.5])
 
     def test_truncation_too_small(self):
         with pytest.raises(ValueError):
-            compile_superposition(_random_target(np.random.default_rng(0), 4), _params(5))
+            target = SuperpositionTarget(_random_target(np.random.default_rng(0), 4))
+            compile_target(target, _params(5))
 
     def test_nan_amplitude_rejected(self):
         with pytest.raises(ValueError, match="not normalized"):
-            compile_superposition([math.nan, 0.6], _params(6))
+            SuperpositionTarget([math.nan, 0.6])
 
 
 class TestCompilePhaseState:
     def test_n1_durations(self):
-        report = compile_phase_state(1, 0.3, _params(6))
+        report = compile_target(PhaseStateTarget(1, 0.3), _params(6))
         t0, t1 = (p.duration for p in report.schedule.pulses)
         assert t0 == pytest.approx(3.24e-5, rel=0.01)
         assert t1 == pytest.approx(2.6e-4, rel=0.01)
 
     def test_theta_only_changes_phases(self):
-        a = compile_phase_state(1, 0.0, _params(6))
-        b = compile_phase_state(1, math.pi, _params(6))
+        a = compile_target(PhaseStateTarget(1, 0.0), _params(6))
+        b = compile_target(PhaseStateTarget(1, math.pi), _params(6))
         for pa, pb in zip(a.schedule.pulses, b.schedule.pulses):
             assert pa.duration == pytest.approx(pb.duration, rel=1e-15)
         dphi = (b.schedule.pulses[1].phase - a.schedule.pulses[1].phase) % (2 * math.pi)
@@ -254,7 +247,7 @@ class TestCompilePhaseState:
 
     def test_uniform_magnitudes(self):
         n = 10
-        report = compile_phase_state(n, 2 * math.pi / 3, _params(3 * n + 2))
+        report = compile_target(PhaseStateTarget(n, 2 * math.pi / 3), _params(3 * n + 2))
         mags = [abs(report.predicted_final.amplitude(j, GROUND)) for j in range(n + 1)]
         np.testing.assert_allclose(mags, 1 / math.sqrt(n + 1), atol=1e-10)
         assert report.fidelity_vs_target >= 1 - 1e-10
@@ -263,7 +256,7 @@ class TestCompilePhaseState:
     @pytest.mark.parametrize("eta", [0.25, 1.5])
     def test_durations_match_closed_forms(self, n, eta):
         params = _params(3 * n + 2, eta=eta)
-        report = compile_phase_state(n, 1.1, params)
+        report = compile_target(PhaseStateTarget(n, 1.1), params)
         t0 = report.schedule.pulses[0].duration
         assert t0 == pytest.approx(
             math.acos(1 / math.sqrt(n + 1)) / _w(params, 0, 0), rel=1e-12
@@ -278,27 +271,27 @@ class TestCompilePhaseState:
         # with the pi/2 carrier convention the solved sideband phases land
         # on phi_j = (j-1) pi/2 + j theta exactly
         theta, n = 0.7, 4
-        report = compile_phase_state(n, theta, _params(3 * n + 2))
+        report = compile_target(PhaseStateTarget(n, theta), _params(3 * n + 2))
         assert report.schedule.pulses[0].phase == pytest.approx(math.pi / 2, abs=1e-15)
         for j in range(1, n + 1):
             expected = ((j - 1) * math.pi / 2 + j * theta) % (2 * math.pi)
             assert report.schedule.pulses[j].phase == pytest.approx(expected, abs=1e-12)
 
     def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            compile_phase_state(0, 0.0, _params(4))
+        with pytest.raises(ValueError, match="n_max >= 1"):
+            PhaseStateTarget(0, 0.0)
 
 
 class TestCompileCoherent:
     def test_alpha_zero_empty(self):
-        report = compile_coherent(0.0, 5, _params(8))
+        report = compile_target(CoherentTarget(0.0, 5), _params(8))
         assert len(report.schedule.pulses) == 0
         assert report.truncation_overlap == 1.0
 
     def test_alpha_one_overlap_and_fidelity(self):
         n = 12
         params = _params(3 * n + 2)
-        report = compile_coherent(1.0, n, params)
+        report = compile_target(CoherentTarget(1.0, n), params)
         assert report.truncation_overlap is not None
         assert 1 - report.truncation_overlap <= 1e-9
         # reference truncated renormalized coherent vector, built directly
@@ -309,19 +302,19 @@ class TestCompileCoherent:
         assert fidelity(JointState(target), report.predicted_final) >= 1 - 1e-10
 
     def test_complex_alpha(self):
-        report = compile_coherent(0.5 + 0.5j, 8, _params(26))
+        report = compile_target(CoherentTarget(0.5 + 0.5j, 8), _params(26))
         assert report.fidelity_vs_target >= 1 - 1e-10
 
     def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            compile_coherent(1.0, -1, _params(4))
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            CoherentTarget(1.0, -1)
 
 
 class TestCompileEvenOddCoherent:
     def test_even_support(self):
         n = 8
         params = _params(3 * n + 2)
-        report = compile_even_odd_coherent(1.0, n, "even", params)
+        report = compile_target(ParityCoherentTarget(1.0, n, "even"), params)
         final = report.predicted_final
         for j in range(params.fock_dim):
             if j % 2 == 1:
@@ -333,7 +326,7 @@ class TestCompileEvenOddCoherent:
         # (|a> + |-a>)/norm keeps exactly the even Fock components
         n, alpha = 8, 1.0
         params = _params(3 * n + 2)
-        report = compile_even_odd_coherent(alpha, n, "even", params)
+        report = compile_target(ParityCoherentTarget(alpha, n, "even"), params)
         plus = np.array([alpha**j / math.sqrt(math.factorial(j)) for j in range(n + 1)])
         minus = np.array([(-alpha) ** j / math.sqrt(math.factorial(j)) for j in range(n + 1)])
         cat = plus + minus
@@ -345,45 +338,45 @@ class TestCompileEvenOddCoherent:
     def test_odd_support(self):
         n = 7
         params = _params(3 * n + 2)
-        report = compile_even_odd_coherent(0.8, n, "odd", params)
+        report = compile_target(ParityCoherentTarget(0.8, n, "odd"), params)
         final = report.predicted_final
         for j in range(0, params.fock_dim, 2):
             assert abs(final.amplitude(j, GROUND)) <= 1e-12
 
     def test_odd_small_alpha_limit_is_fock_one(self):
-        report = compile_even_odd_coherent(1e-7, 1, "odd", _params(6))
+        report = compile_target(ParityCoherentTarget(1e-7, 1, "odd"), _params(6))
         assert report.predicted_final.population(1, GROUND) == pytest.approx(1.0, abs=1e-12)
-        exact_zero = compile_even_odd_coherent(0.0, 5, "odd", _params(17))
+        exact_zero = compile_target(ParityCoherentTarget(0.0, 5, "odd"), _params(17))
         assert exact_zero.predicted_final.population(1, GROUND) == pytest.approx(1.0, abs=1e-14)
 
     def test_ill_conditioned_cascade_raises(self):
         # amplitudes below sqrt(eps) of the dominant one cannot be chained
         # through the inversion recursion; the compiler reports the breakdown
         with pytest.raises(ArithmeticError):
-            compile_even_odd_coherent(1e-7, 5, "odd", _params(17))
+            compile_target(ParityCoherentTarget(1e-7, 5, "odd"), _params(17))
 
     def test_bad_parity(self):
-        with pytest.raises(ValueError):
-            compile_even_odd_coherent(1.0, 4, "mixed", _params(14))
+        with pytest.raises(ValueError, match="parity must be 'even' or 'odd'"):
+            ParityCoherentTarget(1.0, 4, "mixed")
 
 
 class TestCompileBell:
     def test_carrier_duration(self):
-        report = compile_bell(_params(5))
+        report = compile_target(BellTarget(), _params(5))
         assert report.schedule.pulses[0].duration == pytest.approx(6.48e-5, rel=0.01)
 
     def test_fidelity(self):
-        report = compile_bell(_params(5))
+        report = compile_target(BellTarget(), _params(5))
         assert report.fidelity_vs_target >= 1 - 1e-10
 
     def test_half_transfer_red_duration(self):
         params = _params(5)
-        report = compile_bell(params)
+        report = compile_target(BellTarget(), params)
         expected = math.asin(1 / math.sqrt(2)) / _w(params, 0, 1)
         assert report.schedule.pulses[1].duration == pytest.approx(expected, rel=1e-12)
 
     def test_reduced_populations_are_half(self):
-        final = compile_bell(_params(5)).predicted_final
+        final = compile_target(BellTarget(), _params(5)).predicted_final
         pops = final.populations()
         assert pops[:, GROUND].sum() == pytest.approx(0.5, abs=1e-12)
         assert pops[:, EXCITED].sum() == pytest.approx(0.5, abs=1e-12)
@@ -392,13 +385,13 @@ class TestCompileBell:
 
     def test_truncation(self):
         with pytest.raises(ValueError):
-            compile_bell(_params(2))
+            compile_target(BellTarget(), _params(2))
 
 
 class TestCompileEntangledCarrier:
     def test_zero_carrier_is_product_state(self, rng):
         c = _random_target(rng, 2)
-        report = compile_entangled_carrier(c, 0.0, 0.4, _params(8))
+        report = compile_target(EntangledCarrierTarget(c, 0.0, 0.4), _params(8))
         assert report.predicted_final.populations()[:, EXCITED].sum() <= 1e-20
         assert report.fidelity_vs_target >= 1 - 1e-10
 
@@ -407,7 +400,7 @@ class TestCompileEntangledCarrier:
         c = np.ones(3, dtype=complex) / math.sqrt(3)
         t = (math.pi / 4) / _w(params, 0, 0)
         phi = 0.7
-        report = compile_entangled_carrier(c, t, phi, params)
+        report = compile_target(EntangledCarrierTarget(c, t, phi), params)
         final = report.predicted_final
         for j in range(3):
             angle = _w(params, j, 0) * t
@@ -425,7 +418,7 @@ class TestCompileEntangledCarrier:
 
     def test_total_probability_unity(self, rng):
         c = _random_target(rng, 3)
-        report = compile_entangled_carrier(c, 2.3e-5, 1.9, _params(10))
+        report = compile_target(EntangledCarrierTarget(c, 2.3e-5, 1.9), _params(10))
         assert report.predicted_final.populations().sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -471,7 +464,7 @@ class TestGenerateAlternating:
     def test_zero_sidebands_carrier_pi(self):
         params = _params(6)
         t_pi = (math.pi / 2) / _w(params, 0, 0)
-        report = generate_alternating(t_pi, 0.9, [(0.0, 0.0)] * 3, params)
+        report = compile_target(AlternatingTarget(t_pi, 0.9, [(0.0, 0.0)] * 3), params)
         assert report.predicted_final.population(0, EXCITED) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_red_matches_pair_coefficients(self):
@@ -480,7 +473,7 @@ class TestGenerateAlternating:
         t_c = 0.35 / _w(params, 0, 0)
         phi_c, phi_r = 0.4, 1.3
         t_r = 0.8 / _w(params, 0, 1)
-        report = generate_alternating(t_c, phi_c, [(t_r, phi_r)], params)
+        report = compile_target(AlternatingTarget(t_c, phi_c, [(t_r, phi_r)]), params)
         final = report.predicted_final
 
         d0g = math.cos(_w(params, 0, 0) * t_c)
@@ -498,7 +491,7 @@ class TestGenerateAlternating:
             (rng.uniform(0, math.pi / _w(params, 0, 1)), rng.uniform(0, 2 * math.pi))
             for _ in range(n_sb)
         ]
-        report = generate_alternating(0.3 / _w(params, 0, 0), 0.2, sidebands, params)
+        report = compile_target(AlternatingTarget(0.3 / _w(params, 0, 0), 0.2, sidebands), params)
         final = report.predicted_final
         _, trace = run_schedule(JointState.ground(params.fock_dim), report.schedule, keep_trace=True)
         # after sideband pulse i, red (odd i) has lifted the ground component
@@ -521,7 +514,8 @@ class TestGenerateAlternating:
             (rng.uniform(0, math.pi / _w(params, 0, 1)), rng.uniform(0, 2 * math.pi))
             for _ in range(6)
         ]
-        final = generate_alternating(t_pi, rng.uniform(0, 2 * math.pi), sidebands, params).predicted_final
+        target = AlternatingTarget(t_pi, rng.uniform(0, 2 * math.pi), sidebands)
+        final = compile_target(target, params).predicted_final
         for m in range(0, params.fock_dim, 2):
             assert abs(final.amplitude(m, GROUND)) <= 1e-12
         for m in range(1, params.fock_dim, 2):
@@ -537,7 +531,7 @@ class TestGenerateAlternating:
                 (rng.uniform(0, math.pi / _w(params, 0, 1)), rng.uniform(0, 2 * math.pi))
                 for _ in range(n_sb)
             ]
-            report = generate_alternating(t_c, phi_c, sidebands, params)
+            report = compile_target(AlternatingTarget(t_c, phi_c, sidebands), params)
 
             g = np.zeros(params.fock_dim, dtype=complex)
             e = np.zeros(params.fock_dim, dtype=complex)
@@ -554,7 +548,33 @@ class TestGenerateAlternating:
 
     def test_truncation_guard(self):
         with pytest.raises(ValueError):
-            generate_alternating(1e-5, 0.0, [(1e-5, 0.0)] * 4, _params(6))
+            compile_target(AlternatingTarget(1e-5, 0.0, [(1e-5, 0.0)] * 4), _params(6))
+
+
+class TestConstruction:
+    """Every field is checked when the target is built, before any params exist.
+
+    Checks that the per-variant classes above already test are not repeated.
+    """
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "variant,args,message",
+        [
+            (FockTarget, (-1,), "Fock index must be >= 0"),
+            (SuperpositionTarget, ((),), "nonempty"),
+            (CoherentTarget, (complex(math.nan, 0), 3), "alpha must be finite"),
+            (CoherentTarget, (complex(0, math.inf), 3), "alpha must be finite"),
+            (ParityCoherentTarget, (math.inf, 3, "even"), "alpha must be finite"),
+            (ParityCoherentTarget, (1.0, -1, "even"), "n_max must be >= 0"),
+            (ParityCoherentTarget, (0.5, 0, "odd"), "n_max=0 excludes every odd level"),
+            (EntangledCarrierTarget, ((0.6, 0.8), -1e-6, 0.0), "carrier duration must be >= 0"),
+            (EntangledCarrierTarget, ((0.5, 0.5), 1e-5, 0.0), "not normalized"),
+        ],
+    )
+    def test_invalid_field_raises_on_construction(self, variant, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            variant(*args)
 
 
 class TestDispatch:
@@ -575,6 +595,7 @@ class TestDispatch:
         params = _params(default_fock_dim(target))
         report = compile_target(target, params)
         assert report.fidelity_vs_target >= 1 - 1e-10
+        assert report.total_duration_s == report.schedule.total_duration
 
     def test_target_state_vector_consistency(self):
         params = _params(8)
