@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -279,8 +280,8 @@ def complex_pair(z) -> list[float]:
 
 
 def parse_int(value) -> int:
-    """A JSON integer; floats, bools and strings are refused, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """An integer field or JSON integer; floats, bools and strings are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"expected an integer, got {value!r}")
     return value
 
@@ -345,6 +346,7 @@ class FockTarget(TargetState):
     _JSON = {"n": ("n", _INT)}
 
     def __post_init__(self):
+        parse_int(self.n)
         if self.n < 0:
             raise ValueError(f"Fock index must be >= 0, got {self.n}")
 
@@ -424,8 +426,11 @@ class PhaseStateTarget(TargetState):
     _JSON = {"n_max": ("n_max", _INT), "theta_rad": ("theta", _FLOAT)}
 
     def __post_init__(self):
+        parse_int(self.n_max)
         if self.n_max < 1:
             raise ValueError(f"phase state needs n_max >= 1, got {self.n_max}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
 
     def _reach(self):
         return self.n_max, self.n_max
@@ -455,6 +460,7 @@ class CoherentTarget(TargetState):
         object.__setattr__(self, "alpha", complex(self.alpha))
         if not cmath.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
+        parse_int(self.n_max)
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
 
@@ -574,6 +580,8 @@ class EntangledCarrierTarget(SuperpositionTarget):
         super().__post_init__()
         if self.carrier_duration < 0.0:
             raise ValueError(f"carrier duration must be >= 0, got {self.carrier_duration}")
+        # a NaN or infinite duration or phase fails as it would in the pulse
+        Pulse.carrier(self.carrier_phase, self.carrier_duration)
 
     def _vector(self, params):
         return _after_carrier(self._amplitudes(), params, self.carrier_duration, self.carrier_phase)
@@ -627,6 +635,13 @@ class AlternatingTarget(TargetState):
             "sideband_pulses",
             tuple((float(t), float(p)) for t, p in self.sideband_pulses),
         )
+        self._pulses()  # every duration finite and >= 0, every phase finite
+
+    def _pulses(self) -> tuple[Pulse, ...]:
+        pulses = [Pulse.carrier(self.carrier_phase, self.carrier_duration)]
+        for i, (t, phi) in enumerate(self.sideband_pulses):
+            pulses.append(Pulse("red" if i % 2 == 0 else "blue", 1, phi, t))
+        return tuple(pulses)
 
     def _reach(self):
         return len(self.sideband_pulses), 1
@@ -641,12 +656,8 @@ class AlternatingTarget(TargetState):
                 f"fock_dim {params.fock_dim} too small for {n_sb} alternating pulses "
                 f"(need > {n_sb + 2})"
             )
-        pulses = [Pulse.carrier(self.carrier_phase, self.carrier_duration)]
-        for i, (t, phi) in enumerate(self.sideband_pulses):
-            pulses.append(Pulse("red" if i % 2 == 0 else "blue", 1, phi, t))
-
         schedule = PulseSchedule(
-            params, tuple(pulses), provenance=f"alternating(n_sideband={n_sb})"
+            params, self._pulses(), provenance=f"alternating(n_sideband={n_sb})"
         )
         return SynthesisReport(
             schedule=schedule,

@@ -1,5 +1,7 @@
+import cmath
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from ionpulse import (
     verify_report,
     verify_schedule,
 )
+from ionpulse.core import ipow
 from ionpulse.oracle import _oracle_final, _series
 
 from conftest import dense, loop_series, mpmath_rabi, random_guarded_amplitudes
@@ -207,20 +210,22 @@ class TestPropagate:
 
     @pytest.mark.parametrize("eta", [0.25, 0.9, 1.5])
     def test_matches_dense_expm(self, eta, rng):
-        # random pulses on random states; the longest duration turns the
-        # most strongly coupled pair by up to 4 pi
+        # random pulses on random states, each for a duration that turns the
+        # most strongly coupled pair by up to 2 and by up to 100 turns
         worst = 0.0
         for _ in range(30):
             dim = int(rng.integers(6, 61))
             kind = ("red", "blue", "carrier")[int(rng.integers(3))]
             k = 0 if kind == "carrier" else int(rng.integers(1, min(6, dim - 1) + 1))
             ham = build_hamiltonian(_params(dim, eta), kind, k, float(rng.uniform(0, 2 * math.pi)))
-            duration = float(rng.uniform(0, 4 * math.pi / np.max(np.abs(ham.couplings))))
             amps = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)
             amps /= np.linalg.norm(amps)
-            out = propagate(ham, JointState(amps), duration).amplitudes
-            exact = expm(-1j * dense(ham) * duration) @ amps
-            worst = max(worst, float(np.linalg.norm(out - exact)))
+            fastest = float(np.max(np.abs(ham.couplings)))
+            for turns in (2, 100):
+                duration = float(rng.uniform(0, turns * 2 * math.pi / fastest))
+                out = propagate(ham, JointState(amps), duration).amplitudes
+                exact = expm(-1j * dense(ham) * duration) @ amps
+                worst = max(worst, float(np.linalg.norm(out - exact)))
         assert worst <= 1e-12
 
     def test_zero_coupling_leaves_its_pair_unchanged(self, rng):
@@ -321,6 +326,28 @@ class TestVerifySchedule:
         ground = JointState.ground(params.fock_dim)
         assert verify_schedule(ground, schedule) >= 1 - 1e-12
         _perturb_closed_form(monkeypatch, 2)
+        assert verify_schedule(ground, schedule) < 1 - 1e-8
+
+    @pytest.mark.parametrize(
+        "name,mutant",
+        [
+            # the kernel's sideband coefficient i^(k-1) read as i^k: 1 - F = 0.32
+            ("ipow", lambda n: ipow(n + 1)),
+            # the kernel's laser phase factor exp(-i phi) read as exp(+i phi): 1 - F = 0.96
+            ("cmath", SimpleNamespace(exp=lambda z: cmath.exp(z.conjugate()))),
+        ],
+        ids=["sideband_power_of_i", "laser_phase_sign"],
+    )
+    def test_flags_a_kernel_phase_convention_it_does_not_share(self, monkeypatch, name, mutant):
+        """The oracle's phases come from the ladder series, not the kernel's.
+
+        Changing a phase convention in the pulse kernel alone must fail the
+        gate; an oracle that read the kernel's convention would pass.
+        """
+        params = _params(14)
+        schedule = compile_target(PhaseStateTarget(4, math.pi / 3), params).schedule
+        ground = JointState.ground(params.fock_dim)
+        monkeypatch.setattr(states, name, mutant)
         assert verify_schedule(ground, schedule) < 1 - 1e-8
 
     def test_phase_state_eighty_at_default_fock_dim(self, monkeypatch):

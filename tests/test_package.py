@@ -1,4 +1,9 @@
+from pathlib import Path
+
 import ionpulse
+
+# the src/ionpulse line budget: 15% below the 2,245 lines it once had
+LINE_BUDGET = 1908
 
 
 def test_public_names_are_pinned():
@@ -44,3 +49,11 @@ def test_public_names_are_pinned():
     ]
     for name in ionpulse.__all__:
         assert hasattr(ionpulse, name), name
+
+
+def test_package_stays_within_its_line_budget():
+    lines = sum(
+        len(path.read_text().splitlines())
+        for path in sorted(Path(ionpulse.__file__).parent.glob("*.py"))
+    )
+    assert lines <= LINE_BUDGET, lines

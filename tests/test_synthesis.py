@@ -570,11 +570,29 @@ class TestConstruction:
             (ParityCoherentTarget, (0.5, 0, "odd"), "n_max=0 excludes every odd level"),
             (EntangledCarrierTarget, ((0.6, 0.8), -1e-6, 0.0), "carrier duration must be >= 0"),
             (EntangledCarrierTarget, ((0.5, 0.5), 1e-5, 0.0), "not normalized"),
+            (PhaseStateTarget, (3, math.inf), "theta must be finite"),
+            (PhaseStateTarget, (3, math.nan), "theta must be finite"),
+            (FockTarget, (2.5,), "expected an integer"),
+            (FockTarget, (True,), "expected an integer"),
+            (PhaseStateTarget, (4.0, 0.3), "expected an integer"),
+            (CoherentTarget, (0.5, "3"), "expected an integer"),
+            (ParityCoherentTarget, (0.5, False, "even"), "expected an integer"),
+            (AlternatingTarget, (-1e-5, 0.0, ()), "duration must be finite"),
+            (AlternatingTarget, (math.nan, 0.0, ()), "duration must be finite"),
+            (AlternatingTarget, (1e-5, math.inf, ()), "phase must be finite"),
+            (AlternatingTarget, (1e-5, 0.0, ((1e-5, 0.1), (math.inf, 0.2))), "duration must be finite"),
+            (AlternatingTarget, (1e-5, 0.0, ((1e-5, math.nan),)), "phase must be finite"),
+            (EntangledCarrierTarget, ((0.6, 0.8), math.nan, 0.0), "duration must be finite"),
+            (EntangledCarrierTarget, ((0.6, 0.8), 1e-5, math.inf), "phase must be finite"),
         ],
     )
     def test_invalid_field_raises_on_construction(self, variant, args, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             variant(*args)
+
+    def test_integer_fields_accept_numpy_integers(self):
+        assert FockTarget(np.int64(3)) == FockTarget(3)
+        assert PhaseStateTarget(np.int32(4), 0.3) == PhaseStateTarget(4, 0.3)
 
 
 class TestDispatch:
