@@ -213,15 +213,9 @@ def _compile_weighted(
     amplitudes, params: PhysicalParams, provenance: str, levels: Sequence[int] | None = None
 ) -> SynthesisReport:
     c = _validated_target(amplitudes)
-    n_top = c.size - 1
-    if params.fock_dim <= n_top + 1:
-        raise ValueError(
-            f"fock_dim {params.fock_dim} too small for top Fock level {n_top} "
-            f"(need > {n_top + 1})"
-        )
     c_rot, rotation = _rotated(c)
     if levels is None:
-        levels = list(range(1, n_top + 1))
+        levels = list(range(1, c.size))
     pulses, amps = _invert_ladder(c_rot, params, list(levels))
     return _report(
         PulseSchedule(params, tuple(pulses), provenance=provenance),
@@ -318,13 +312,17 @@ class TargetState:
     """A target variant: a frozen dataclass that checks its fields when built.
 
     _compile(params) compiles it, _JSON maps each JSON key to (field,
-    codec), _reach() gives (top Fock level, top sideband order) of the
-    schedule, and _vector(params) the ideal state: by default the
-    motional superposition of _amplitudes(), the weights _compile
-    inverts, in |g>.  _VARIANTS maps each JSON tag to its variant.
+    codec), _top_level() gives the top Fock level its schedule populates,
+    and _vector(params) the ideal state.  By default both read
+    _amplitudes(), the weights _compile inverts: the level is their last
+    nonzero one and the state their motional superposition in |g>.
+    _VARIANTS maps each JSON tag to its variant.
     """
 
     _JSON: dict = {}
+
+    def _top_level(self) -> int:
+        return _validated_target(self._amplitudes()).size - 1
 
     def _vector(self, params: PhysicalParams) -> JointState:
         return _motional_vector(self._amplitudes(), params.fock_dim)
@@ -350,8 +348,8 @@ class FockTarget(TargetState):
         if self.n < 0:
             raise ValueError(f"Fock index must be >= 0, got {self.n}")
 
-    def _reach(self):
-        return self.n, self.n
+    def _top_level(self):
+        return self.n
 
     def _vector(self, params):
         return JointState.fock(self.n, params.fock_dim)
@@ -360,10 +358,6 @@ class FockTarget(TargetState):
         n = self.n
         if n == 0:
             return _ground_report(params, "fock(n=0, strategy=blue-then-carrier)")
-        if params.fock_dim <= n + 1:
-            raise ValueError(
-                f"fock_dim {params.fock_dim} too small for Fock target {n} (need > {n + 1})"
-            )
         # two full transfers: sin(|W| t) = 1 on both pulses
         if rabi_frequency(params, n, 0).value == 0.0:
             strategy = "carrier-then-red"
@@ -399,16 +393,11 @@ class SuperpositionTarget(TargetState):
         )
         _validated_target(self.amplitudes)
 
-    def _reach(self):
-        n = max(len(self.amplitudes) - 1, 1)
-        return n, n
-
     def _amplitudes(self):
         return _validated_target(self.amplitudes)
 
     def _compile(self, params):
-        n_top = int(np.max(np.nonzero(np.abs(self.amplitudes))[0]))
-        provenance = f"superposition(N={n_top}, sideband=red)"
+        provenance = f"superposition(N={self._top_level()}, sideband=red)"
         return _compile_weighted(self.amplitudes, params, provenance)
 
 
@@ -431,9 +420,6 @@ class PhaseStateTarget(TargetState):
             raise ValueError(f"phase state needs n_max >= 1, got {self.n_max}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
-
-    def _reach(self):
-        return self.n_max, self.n_max
 
     def _amplitudes(self):
         return np.exp(1j * self.theta * np.arange(self.n_max + 1)) / math.sqrt(self.n_max + 1)
@@ -463,10 +449,6 @@ class CoherentTarget(TargetState):
         parse_int(self.n_max)
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
-
-    def _reach(self):
-        n = max(self.n_max, 1)
-        return n, n
 
     def _amplitudes(self):
         c = _coherent_weights(self.alpha, self.n_max)
@@ -532,8 +514,8 @@ class BellTarget(TargetState):
     components carry the same argument.
     """
 
-    def _reach(self):
-        return 1, 1
+    def _top_level(self):
+        return 1
 
     def _vector(self, params):
         amps = np.zeros(2 * params.fock_dim, dtype=complex)
@@ -541,8 +523,6 @@ class BellTarget(TargetState):
         return JointState(amps)
 
     def _compile(self, params):
-        if params.fock_dim < 3:
-            raise ValueError(f"fock_dim must be >= 3 for the Bell target, got {params.fock_dim}")
         carrier = _turn(params, "carrier", 0, 0, _HALF_PI, 0.0)  # sin(W_00 t0) = 1
         amps = JointState.ground(params.fock_dim).amplitudes
         amps = apply_pulse_amplitudes(amps, params, carrier)
@@ -578,9 +558,7 @@ class EntangledCarrierTarget(SuperpositionTarget):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.carrier_duration < 0.0:
-            raise ValueError(f"carrier duration must be >= 0, got {self.carrier_duration}")
-        # a NaN or infinite duration or phase fails as it would in the pulse
+        # a negative or non-finite duration or phase fails as it would in the pulse
         Pulse.carrier(self.carrier_phase, self.carrier_duration)
 
     def _vector(self, params):
@@ -643,19 +621,14 @@ class AlternatingTarget(TargetState):
             pulses.append(Pulse("red" if i % 2 == 0 else "blue", 1, phi, t))
         return tuple(pulses)
 
-    def _reach(self):
-        return len(self.sideband_pulses), 1
+    def _top_level(self):
+        return len(self.sideband_pulses) + 1  # levels <= n_sb populated, one spare
 
     def _vector(self, params):
         raise ValueError("alternating targets are forward-generated and have no closed form")
 
     def _compile(self, params):
         n_sb = len(self.sideband_pulses)
-        if params.fock_dim <= n_sb + 2:
-            raise ValueError(
-                f"fock_dim {params.fock_dim} too small for {n_sb} alternating pulses "
-                f"(need > {n_sb + 2})"
-            )
         schedule = PulseSchedule(
             params, self._pulses(), provenance=f"alternating(n_sideband={n_sb})"
         )
@@ -687,13 +660,22 @@ _VARIANTS = {
 
 
 def default_fock_dim(target: TargetState) -> int:
-    """Truncation with guard headroom: max Fock index + 2*max order + 2."""
-    n, k = target._reach()
-    return max(n + 2 * k + 2, 4)
+    """The smallest fock_dim compile_target accepts for target: its top Fock level + 2."""
+    return target._top_level() + 2
 
 
 def compile_target(target: TargetState, params: PhysicalParams) -> SynthesisReport:
-    """Compile any TargetState variant under the given parameters."""
+    """Compile any TargetState variant under the given parameters.
+
+    fock_dim must reach past the target's top Fock level by one empty
+    guard level: at least default_fock_dim(target).
+    """
+    need = default_fock_dim(target)
+    if params.fock_dim < need:
+        raise ValueError(
+            f"fock_dim {params.fock_dim} too small for top Fock level "
+            f"{need - 2} (need >= {need})"
+        )
     return target._compile(params)
 
 

@@ -131,6 +131,16 @@ class TestSynthesize:
         assert code == 2
         assert "variant" in json.loads(err)["error"]["message"]
 
+    def test_fock_dim_below_default_exits_2(self, capsys, tmp_path):
+        # the phase state N = 3 needs fock_dim >= 5
+        target = write_target(tmp_path, {"variant": "phase_state", "n_max": 3, "theta_rad": 0.4})
+        code, out, err = run_cli(capsys, "synthesize", "--target", target, "--fock-dim", "4")
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"] == "fock_dim 4 too small for top Fock level 3 (need >= 5)"
+
     def test_csv_rejected(self, tmp_path):
         target = write_target(tmp_path, {"variant": "fock", "n": 1})
         with pytest.raises(SystemExit) as exc:

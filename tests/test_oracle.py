@@ -350,12 +350,13 @@ class TestVerifySchedule:
         monkeypatch.setattr(states, name, mutant)
         assert verify_schedule(ground, schedule) < 1 - 1e-8
 
-    def test_phase_state_eighty_at_default_fock_dim(self, monkeypatch):
-        # N = 80 at eta = 0.25 with the default truncation (D = 242); a
-        # closed-form W_{0,80} off by 1e-3 relative reads 1 - F = 3.0e-8
+    @pytest.mark.parametrize("dim", [82, 242])
+    def test_phase_state_eighty(self, monkeypatch, dim):
+        # N = 80 at eta = 0.25, at the default truncation (D = 82) and at
+        # D = 242; a closed-form W_{0,80} off by 1e-3 relative reads 1 - F = 3.0e-8
         target = PhaseStateTarget(80, 0.3)
-        params = _params(default_fock_dim(target))
-        assert params.fock_dim == 242
+        assert default_fock_dim(target) == 82
+        params = _params(dim)
         schedule = compile_target(PhaseStateTarget(80, 0.3), params).schedule
         ground = JointState.ground(params.fock_dim)
         assert verify_schedule(ground, schedule) >= 1 - 1e-9

@@ -2,8 +2,8 @@ from pathlib import Path
 
 import ionpulse
 
-# the src/ionpulse line budget: 15% below the 2,245 lines it once had
-LINE_BUDGET = 1908
+# the src/ionpulse line budget: lowered to the package's size whenever it shrinks
+LINE_BUDGET = 1878
 
 
 def test_public_names_are_pinned():

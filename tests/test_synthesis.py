@@ -568,7 +568,7 @@ class TestConstruction:
             (ParityCoherentTarget, (math.inf, 3, "even"), "alpha must be finite"),
             (ParityCoherentTarget, (1.0, -1, "even"), "n_max must be >= 0"),
             (ParityCoherentTarget, (0.5, 0, "odd"), "n_max=0 excludes every odd level"),
-            (EntangledCarrierTarget, ((0.6, 0.8), -1e-6, 0.0), "carrier duration must be >= 0"),
+            (EntangledCarrierTarget, ((0.6, 0.8), -1e-6, 0.0), "duration must be finite and >= 0"),
             (EntangledCarrierTarget, ((0.5, 0.5), 1e-5, 0.0), "not normalized"),
             (PhaseStateTarget, (3, math.inf), "theta must be finite"),
             (PhaseStateTarget, (3, math.nan), "theta must be finite"),
@@ -595,25 +595,53 @@ class TestConstruction:
         assert PhaseStateTarget(np.int32(4), 0.3) == PhaseStateTarget(4, 0.3)
 
 
+DISPATCH_TARGETS = [
+    FockTarget(2),
+    SuperpositionTarget((0.6, 0.8j)),
+    PhaseStateTarget(2, 0.5),
+    CoherentTarget(0.7, 6),
+    ParityCoherentTarget(0.9, 6, "even"),
+    BellTarget(),
+    EntangledCarrierTarget((0.6, 0.8), 1e-5, 0.3),
+    AlternatingTarget(1e-5, 0.0, ((1e-5, 0.1), (2e-5, 0.2))),
+    # top Fock level 0 or 1: the empty and the trimmed schedules
+    FockTarget(0),
+    CoherentTarget(0, 4),
+    ParityCoherentTarget(0.0, 5, "odd"),
+    SuperpositionTarget((1, 0, 0)),
+]
+
+
 class TestDispatch:
-    @pytest.mark.parametrize(
-        "target",
-        [
-            FockTarget(2),
-            SuperpositionTarget((0.6, 0.8j)),
-            PhaseStateTarget(2, 0.5),
-            CoherentTarget(0.7, 6),
-            ParityCoherentTarget(0.9, 6, "even"),
-            BellTarget(),
-            EntangledCarrierTarget((0.6, 0.8), 1e-5, 0.3),
-            AlternatingTarget(1e-5, 0.0, ((1e-5, 0.1), (2e-5, 0.2))),
-        ],
-    )
+    @pytest.mark.parametrize("target", DISPATCH_TARGETS)
     def test_compile_target_round_trip(self, target):
         params = _params(default_fock_dim(target))
         report = compile_target(target, params)
         assert report.fidelity_vs_target >= 1 - 1e-10
         assert report.total_duration_s == report.schedule.total_duration
+
+    @pytest.mark.parametrize("eta", [0.25, 0.9, 1.0, 1.2, 1.5, 3.0])
+    @pytest.mark.parametrize("target", DISPATCH_TARGETS)
+    def test_default_fock_dim_loses_nothing(self, target, eta):
+        # a truncation three times the default emits the same pulses, and
+        # its final state is the default's with zeros appended
+        dim = default_fock_dim(target)
+        small = compile_target(target, _params(dim, eta=eta))
+        large = compile_target(target, _params(3 * dim, eta=eta))
+        assert [(p.kind, p.k, p.phase.hex(), p.duration.hex()) for p in small.schedule.pulses] == [
+            (p.kind, p.k, p.phase.hex(), p.duration.hex()) for p in large.schedule.pulses
+        ]
+        padded = np.zeros(2 * 3 * dim, dtype=complex)
+        padded[: 2 * dim] = small.predicted_final.amplitudes
+        assert np.array_equal(large.predicted_final.amplitudes, padded)
+
+    # PhysicalParams itself refuses a fock_dim below 2
+    @pytest.mark.parametrize("target", [t for t in DISPATCH_TARGETS if default_fock_dim(t) > 2])
+    def test_one_below_default_fock_dim_refused(self, target):
+        dim = default_fock_dim(target) - 1
+        message = f"fock_dim {dim} too small for top Fock level {dim - 1} (need >= {dim + 1})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            compile_target(target, _params(dim))
 
     def test_target_state_vector_consistency(self):
         params = _params(8)
