@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,8 +111,10 @@ class PhysicalParams:
             raise ValueError(
                 f"omega_carrier must be positive and finite, got {self.omega_carrier}"
             )
-        if not isinstance(self.fock_dim, int) or self.fock_dim < 2:
-            raise ValueError(f"fock_dim must be an integer >= 2, got {self.fock_dim}")
+        dim = self.fock_dim
+        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 2:
+            raise ValueError(f"fock_dim must be an integer >= 2, got {dim}")
+        object.__setattr__(self, "fock_dim", int(dim))  # a numpy integer is not JSON
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,6 @@ __all__ = [
     "ParityCoherentTarget",
     "BellTarget",
     "EntangledCarrierTarget",
-    "AlternatingTarget",
     "TargetState",
     "SynthesisReport",
     "compile_target",
@@ -302,10 +301,6 @@ _COMPLEXES = (
     lambda zs: [complex_pair(z) for z in zs],
     lambda value: tuple(parse_complex(z) for z in value),
 )
-_TIMED_PHASES = (
-    lambda pairs: [{"duration_s": t, "phase_rad": p} for t, p in pairs],
-    lambda value: tuple((parse_float(p["duration_s"]), parse_float(p["phase_rad"])) for p in value),
-)
 
 
 class TargetState:
@@ -314,8 +309,8 @@ class TargetState:
     _compile(params) compiles it, _JSON maps each JSON key to (field,
     codec), _top_level() gives the top Fock level its schedule populates,
     and _vector(params) the ideal state.  By default both read
-    _amplitudes(), the weights _compile inverts: the level is their last
-    nonzero one and the state their motional superposition in |g>.
+    _amplitudes(), the target's motional weights in |g>: the level is
+    their last nonzero one and the state their superposition up to it.
     _VARIANTS maps each JSON tag to its variant.
     """
 
@@ -325,7 +320,7 @@ class TargetState:
         return _validated_target(self._amplitudes()).size - 1
 
     def _vector(self, params: PhysicalParams) -> JointState:
-        return _motional_vector(self._amplitudes(), params.fock_dim)
+        return _motional_vector(self._amplitudes()[: self._top_level() + 1], params.fock_dim)
 
 
 @dataclass(frozen=True)
@@ -348,11 +343,10 @@ class FockTarget(TargetState):
         if self.n < 0:
             raise ValueError(f"Fock index must be >= 0, got {self.n}")
 
-    def _top_level(self):
-        return self.n
-
-    def _vector(self, params):
-        return JointState.fock(self.n, params.fock_dim)
+    def _amplitudes(self):
+        c = np.zeros(self.n + 1, dtype=complex)
+        c[self.n] = 1.0
+        return c
 
     def _compile(self, params):
         n = self.n
@@ -373,7 +367,7 @@ class FockTarget(TargetState):
             )
         schedule = PulseSchedule(params, pulses, provenance=f"fock(n={n}, strategy={strategy})")
         final = run_schedule(JointState.ground(params.fock_dim), schedule)
-        return _report(schedule, final, JointState.fock(n, params.fock_dim))
+        return _report(schedule, final, self._vector(params))
 
 
 @dataclass(frozen=True)
@@ -585,62 +579,6 @@ class EntangledCarrierTarget(SuperpositionTarget):
         )
 
 
-@dataclass(frozen=True)
-class AlternatingTarget(TargetState):
-    """Forward-generated state: carrier then alternating red-1/blue-1 pulses.
-
-    sideband_pulses is a sequence of (duration, phase) pairs; the first
-    sideband pulse is red, the second blue, and so on.  After pulse i the
-    ground component occupies Fock levels <= i (odd i) or <= i-1 (even i)
-    and conversely for the excited component.  When the carrier fully
-    inverts the ion (|sin(W_00 t)| = 1, initial state |0>|e>), the
-    alternation keeps ground amplitude on odd levels and excited
-    amplitude on even levels only.
-    """
-
-    carrier_duration: float
-    carrier_phase: float
-    sideband_pulses: tuple[tuple[float, float], ...]
-    _JSON = {
-        "carrier_duration_s": ("carrier_duration", _FLOAT),
-        "carrier_phase_rad": ("carrier_phase", _FLOAT),
-        "sideband_pulses": ("sideband_pulses", _TIMED_PHASES),
-    }
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "sideband_pulses",
-            tuple((float(t), float(p)) for t, p in self.sideband_pulses),
-        )
-        self._pulses()  # every duration finite and >= 0, every phase finite
-
-    def _pulses(self) -> tuple[Pulse, ...]:
-        pulses = [Pulse.carrier(self.carrier_phase, self.carrier_duration)]
-        for i, (t, phi) in enumerate(self.sideband_pulses):
-            pulses.append(Pulse("red" if i % 2 == 0 else "blue", 1, phi, t))
-        return tuple(pulses)
-
-    def _top_level(self):
-        return len(self.sideband_pulses) + 1  # levels <= n_sb populated, one spare
-
-    def _vector(self, params):
-        raise ValueError("alternating targets are forward-generated and have no closed form")
-
-    def _compile(self, params):
-        n_sb = len(self.sideband_pulses)
-        schedule = PulseSchedule(
-            params, self._pulses(), provenance=f"alternating(n_sideband={n_sb})"
-        )
-        return SynthesisReport(
-            schedule=schedule,
-            predicted_final=run_schedule(JointState.ground(params.fock_dim), schedule),
-            fidelity_vs_target=1.0,
-            exact_phase_fidelity=1.0,
-            final_internal_state="entangled",
-        )
-
-
 # JSON tag -> (variant, the field values the tag fixes)
 _VARIANTS = {
     "fock": (FockTarget, {}),
@@ -651,7 +589,6 @@ _VARIANTS = {
     "odd_coherent": (ParityCoherentTarget, {"parity": "odd"}),
     "bell": (BellTarget, {}),
     "entangled_carrier": (EntangledCarrierTarget, {}),
-    "alternating": (AlternatingTarget, {}),
 }
 
 
@@ -680,9 +617,5 @@ def compile_target(target: TargetState, params: PhysicalParams) -> SynthesisRepo
 
 
 def target_state_vector(target: TargetState, params: PhysicalParams) -> JointState:
-    """The ideal state a target describes, independent of any schedule.
-
-    AlternatingTarget has no closed-form target (it is forward-generated)
-    and raises ValueError.
-    """
+    """The ideal state a target describes, independent of any schedule."""
     return target._vector(params)

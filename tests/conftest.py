@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
 
-from ionpulse import PhysicalParams, rabi_frequency
+from ionpulse import JointState, PhysicalParams, Pulse, PulseSchedule, rabi_frequency, run_schedule
 from ionpulse.core import _check_kind, ipow
 
 
@@ -54,6 +54,19 @@ def random_guarded_amplitudes(rng, dim: int, kind: str, k: int) -> np.ndarray:
         for m in range(dim - k, dim):
             amps[2 * m + 0] = 0.0
     return amps / np.linalg.norm(amps)
+
+
+def run_alternating(params, carrier_duration, carrier_phase, sidebands, keep_trace=False):
+    """Run a carrier, then red-1, blue-1, red-1, ... pulses, from |0>|g>.
+
+    sidebands lists each sideband pulse's (duration, phase).
+    """
+    pulses = [Pulse.carrier(carrier_phase, carrier_duration)] + [
+        Pulse("red" if i % 2 == 0 else "blue", 1, phase, duration)
+        for i, (duration, phase) in enumerate(sidebands)
+    ]
+    schedule = PulseSchedule(params, tuple(pulses))
+    return run_schedule(JointState.ground(params.fock_dim), schedule, keep_trace=keep_trace)
 
 
 def dense(ham) -> np.ndarray:

@@ -13,7 +13,6 @@ import numpy as np
 from ionpulse import (
     EXCITED,
     GROUND,
-    AlternatingTarget,
     BellTarget,
     CoherentTarget,
     FockTarget,
@@ -31,7 +30,7 @@ from ionpulse import (
 )
 from ionpulse.cli import main as cli_main
 
-from conftest import laguerre_rabi, random_guarded_amplitudes
+from conftest import laguerre_rabi, random_guarded_amplitudes, run_alternating
 
 ETA, OMEGA = 0.25, 5.0e4
 FIG_ETAS = (0.1, 0.202, 0.25, 0.35, 0.5, 0.9)
@@ -165,8 +164,7 @@ def test_08_parity_segregation():
         (float(rng.uniform(0, math.pi / w01)), float(rng.uniform(0, 2 * math.pi)))
         for _ in range(6)
     ]
-    target = AlternatingTarget(t_invert, float(rng.uniform(0, 2 * math.pi)), sidebands)
-    final = compile_target(target, params).predicted_final
+    final = run_alternating(params, t_invert, float(rng.uniform(0, 2 * math.pi)), sidebands)
     leak = 0.0
     for m in range(0, params.fock_dim, 2):
         leak = max(leak, abs(final.amplitude(m, GROUND)))

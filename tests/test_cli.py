@@ -353,6 +353,14 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    def test_vacuum_coherent_at_its_default_fock_dim(self, capsys, tmp_path):
+        # alpha = 0 compiles at D = 2, fewer levels than its n_max + 1 weights
+        doc = {"variant": "coherent", "alpha": 0, "n_max": 4}
+        target, sched = self._synth(capsys, tmp_path, doc)
+        code, out, _ = run_cli(capsys, "verify", "--schedule", sched, "--target", target)
+        assert code == 0
+        assert json.loads(out)["target_fidelity"] == 1.0
+
     def test_tolerance_flag_loosens_target_gate(self, capsys, tmp_path):
         target, sched = self._synth(capsys, tmp_path, {"variant": "fock", "n": 2})
         doc = json.loads(Path(sched).read_text())
@@ -453,18 +461,25 @@ def assert_one_json_error(code, out, err):
         {"variant": "phase_state", "n_max": 3, "theta_rad": "0.4"},
         {"variant": "coherent", "alpha": ["nan", 0], "n_max": 3},
         {"variant": "coherent", "alpha": True, "n_max": 3},
-        {
-            "variant": "alternating",
-            "carrier_duration_s": 1e-5,
-            "carrier_phase_rad": 0.0,
-            "sideband_pulses": [{"duration_s": "1e-5", "phase_rad": 0.0}],
-        },
     ],
-    ids=["n-float", "n-bool", "n_max-float", "theta-str", "alpha-nan-str", "alpha-bool", "sb-str"],
+    ids=["n-float", "n-bool", "n_max-float", "theta-str", "alpha-nan-str", "alpha-bool"],
 )
 def test_mistyped_target_field_exits_2(capsys, tmp_path, doc):
     target = write_target(tmp_path, doc)
     assert_one_json_error(*run_cli(capsys, "synthesize", "--target", target))
+
+
+def test_pulse_list_is_not_a_target(capsys, tmp_path):
+    # a forward red/blue sequence is a schedule file, run by simulate or verify
+    doc = {
+        "variant": "alternating",
+        "carrier_duration_s": 1e-5,
+        "carrier_phase_rad": 0.0,
+        "sideband_pulses": [{"duration_s": 1e-5, "phase_rad": 0.0}],
+    }
+    code, out, err = run_cli(capsys, "synthesize", "--target", write_target(tmp_path, doc))
+    assert_one_json_error(code, out, err)
+    assert "unknown target variant 'alternating'" in json.loads(err)["error"]["message"]
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,8 @@ class TestPhysicalParams:
         p = PhysicalParams(eta=0.25, omega_carrier=5e4, fock_dim=8)
         assert p.eta == 0.25
         assert p.fock_dim == 8
+        # a numpy integer is stored as an int, so params_to_dict stays JSON
+        assert type(PhysicalParams(0.25, 5e4, np.int64(8)).fock_dim) is int
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -31,6 +33,7 @@ class TestPhysicalParams:
             {"eta": math.inf, "omega_carrier": 5e4, "fock_dim": 4},
             {"eta": 0.25, "omega_carrier": 0.0, "fock_dim": 4},
             {"eta": 0.25, "omega_carrier": 5e4, "fock_dim": 1},
+            {"eta": 0.25, "omega_carrier": 5e4, "fock_dim": 8.0},
         ],
     )
     def test_invalid(self, kwargs):

@@ -2,8 +2,7 @@
 
 Each tests/golden/<tag>.json holds a target and the JSON that
 `ionpulse synthesize --target T --out S`, `ionpulse simulate --schedule S`
-and `ionpulse verify --schedule S --target T` print for it (verify runs
-without --target for "alternating", which has no ideal state).  Outputs
+and `ionpulse verify --schedule S --target T` print for it.  Outputs
 must keep the same keys, the same strings and numbers within 1e-12
 relative.
 """
@@ -35,15 +34,14 @@ def _outputs(target: dict, workdir: Path) -> dict:
     """stdout of synthesize, simulate and verify on target, parsed."""
     target_path, schedule_path = workdir / "target.json", workdir / "schedule.json"
     target_path.write_text(json.dumps(target))
-    verify = ["verify", "--schedule", str(schedule_path)]
-    if target["variant"] != "alternating":
-        verify += ["--target", str(target_path)]
     return {
         "synthesize": _stdout_json(
             ["synthesize", "--target", str(target_path), "--out", str(schedule_path)]
         ),
         "simulate": _stdout_json(["simulate", "--schedule", str(schedule_path)]),
-        "verify": _stdout_json(verify),
+        "verify": _stdout_json(
+            ["verify", "--schedule", str(schedule_path), "--target", str(target_path)]
+        ),
     }
 
 

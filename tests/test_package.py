@@ -3,14 +3,13 @@ from pathlib import Path
 import ionpulse
 
 # the src/ionpulse line budget: lowered to the package's size whenever it shrinks
-LINE_BUDGET = 1878
+LINE_BUDGET = 1814
 
 
 def test_public_names_are_pinned():
     # the package re-exports each module's __all__; a name added to or
     # dropped from one of them changes the public surface
     assert sorted(ionpulse.__all__) == [
-        "AlternatingTarget",
         "BellTarget",
         "CoherentTarget",
         "DEFAULT_ETA",

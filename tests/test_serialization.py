@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ionpulse import (
-    AlternatingTarget,
     BellTarget,
     CoherentTarget,
     EntangledCarrierTarget,
@@ -108,7 +107,6 @@ TARGETS = [
     ParityCoherentTarget(0.9, 7, "odd"),
     BellTarget(),
     EntangledCarrierTarget((1 / math.sqrt(2), 1j / math.sqrt(2)), 2e-5, 0.3),
-    AlternatingTarget(1e-5, 0.25, ((2e-5, 0.1), (3e-5, 0.2))),
 ]
 
 
@@ -128,7 +126,6 @@ class TestTargetFormat:
             "odd_coherent",
             "bell",
             "entangled_carrier",
-            "alternating",
         }
 
     def test_complex_numbers_as_pairs(self):

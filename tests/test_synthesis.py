@@ -8,7 +8,6 @@ import pytest
 from ionpulse import (
     EXCITED,
     GROUND,
-    AlternatingTarget,
     BellTarget,
     CoherentTarget,
     EntangledCarrierTarget,
@@ -18,6 +17,7 @@ from ionpulse import (
     PhaseStateTarget,
     PhysicalParams,
     SuperpositionTarget,
+    TruncationOverflowError,
     compile_target,
     default_fock_dim,
     fidelity,
@@ -26,6 +26,8 @@ from ionpulse import (
     target_state_vector,
     verify_schedule,
 )
+
+from conftest import run_alternating
 
 
 def _params(dim, eta=0.25, omega=5e4):
@@ -464,8 +466,8 @@ class TestGenerateAlternating:
     def test_zero_sidebands_carrier_pi(self):
         params = _params(6)
         t_pi = (math.pi / 2) / _w(params, 0, 0)
-        report = compile_target(AlternatingTarget(t_pi, 0.9, [(0.0, 0.0)] * 3), params)
-        assert report.predicted_final.population(0, EXCITED) == pytest.approx(1.0, abs=1e-12)
+        final = run_alternating(params, t_pi, 0.9, [(0.0, 0.0)] * 3)
+        assert final.population(0, EXCITED) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_red_matches_pair_coefficients(self):
         # partial carrier then one red pulse: d0g unchanged, d1g = d0e * C~
@@ -473,8 +475,7 @@ class TestGenerateAlternating:
         t_c = 0.35 / _w(params, 0, 0)
         phi_c, phi_r = 0.4, 1.3
         t_r = 0.8 / _w(params, 0, 1)
-        report = compile_target(AlternatingTarget(t_c, phi_c, [(t_r, phi_r)]), params)
-        final = report.predicted_final
+        final = run_alternating(params, t_c, phi_c, [(t_r, phi_r)])
 
         d0g = math.cos(_w(params, 0, 0) * t_c)
         d0e = -1j * cmath.exp(-1j * phi_c) * math.sin(_w(params, 0, 0) * t_c)
@@ -491,9 +492,9 @@ class TestGenerateAlternating:
             (rng.uniform(0, math.pi / _w(params, 0, 1)), rng.uniform(0, 2 * math.pi))
             for _ in range(n_sb)
         ]
-        report = compile_target(AlternatingTarget(0.3 / _w(params, 0, 0), 0.2, sidebands), params)
-        final = report.predicted_final
-        _, trace = run_schedule(JointState.ground(params.fock_dim), report.schedule, keep_trace=True)
+        final, trace = run_alternating(
+            params, 0.3 / _w(params, 0, 0), 0.2, sidebands, keep_trace=True
+        )
         # after sideband pulse i, red (odd i) has lifted the ground component
         # to level i and blue (even i) the excited one
         for i, state in enumerate(trace[1:], start=1):
@@ -514,8 +515,7 @@ class TestGenerateAlternating:
             (rng.uniform(0, math.pi / _w(params, 0, 1)), rng.uniform(0, 2 * math.pi))
             for _ in range(6)
         ]
-        target = AlternatingTarget(t_pi, rng.uniform(0, 2 * math.pi), sidebands)
-        final = compile_target(target, params).predicted_final
+        final = run_alternating(params, t_pi, rng.uniform(0, 2 * math.pi), sidebands)
         for m in range(0, params.fock_dim, 2):
             assert abs(final.amplitude(m, GROUND)) <= 1e-12
         for m in range(1, params.fock_dim, 2):
@@ -531,7 +531,7 @@ class TestGenerateAlternating:
                 (rng.uniform(0, math.pi / _w(params, 0, 1)), rng.uniform(0, 2 * math.pi))
                 for _ in range(n_sb)
             ]
-            report = compile_target(AlternatingTarget(t_c, phi_c, sidebands), params)
+            final = run_alternating(params, t_c, phi_c, sidebands)
 
             g = np.zeros(params.fock_dim, dtype=complex)
             e = np.zeros(params.fock_dim, dtype=complex)
@@ -541,14 +541,15 @@ class TestGenerateAlternating:
                 step = recursion_step_red1 if i % 2 == 0 else recursion_step_blue1
                 g, e = step(params, g, e, phi, t)
 
-            final = report.predicted_final
             for m in range(params.fock_dim):
                 assert final.amplitude(m, GROUND) == pytest.approx(g[m], abs=1e-10)
                 assert final.amplitude(m, EXCITED) == pytest.approx(e[m], abs=1e-10)
 
     def test_truncation_guard(self):
-        with pytest.raises(ValueError):
-            compile_target(AlternatingTarget(1e-5, 0.0, [(1e-5, 0.0)] * 4), _params(6))
+        message = "blue k=1 pulse would push |3>|g> past truncation D=4"
+        with pytest.raises(TruncationOverflowError, match=re.escape(message)) as exc:
+            run_alternating(_params(4), 1e-5, 0.0, [(1e-5, 0.0)] * 4)
+        assert exc.value.pulse_index == 4
 
 
 class TestConstruction:
@@ -577,11 +578,6 @@ class TestConstruction:
             (PhaseStateTarget, (4.0, 0.3), "expected an integer"),
             (CoherentTarget, (0.5, "3"), "expected an integer"),
             (ParityCoherentTarget, (0.5, False, "even"), "expected an integer"),
-            (AlternatingTarget, (-1e-5, 0.0, ()), "duration must be finite"),
-            (AlternatingTarget, (math.nan, 0.0, ()), "duration must be finite"),
-            (AlternatingTarget, (1e-5, math.inf, ()), "phase must be finite"),
-            (AlternatingTarget, (1e-5, 0.0, ((1e-5, 0.1), (math.inf, 0.2))), "duration must be finite"),
-            (AlternatingTarget, (1e-5, 0.0, ((1e-5, math.nan),)), "phase must be finite"),
             (EntangledCarrierTarget, ((0.6, 0.8), math.nan, 0.0), "duration must be finite"),
             (EntangledCarrierTarget, ((0.6, 0.8), 1e-5, math.inf), "phase must be finite"),
         ],
@@ -603,7 +599,6 @@ DISPATCH_TARGETS = [
     ParityCoherentTarget(0.9, 6, "even"),
     BellTarget(),
     EntangledCarrierTarget((0.6, 0.8), 1e-5, 0.3),
-    AlternatingTarget(1e-5, 0.0, ((1e-5, 0.1), (2e-5, 0.2))),
     # top Fock level 0 or 1: the empty and the trimmed schedules
     FockTarget(0),
     CoherentTarget(0, 4),
@@ -649,5 +644,10 @@ class TestDispatch:
         assert vec.population(3, GROUND) == 1.0
         bell = target_state_vector(BellTarget(), params)
         assert bell.population(0, EXCITED) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            target_state_vector(AlternatingTarget(1e-5, 0.0, ()), params)
+
+    @pytest.mark.parametrize("eta", [0.25, 0.9, 1.0, 1.2, 1.5, 3.0])
+    @pytest.mark.parametrize("target", DISPATCH_TARGETS)
+    def test_schedule_reaches_the_ideal_state(self, target, eta):
+        params = _params(default_fock_dim(target), eta=eta)
+        report = compile_target(target, params)
+        assert fidelity(target_state_vector(target, params), report.predicted_final) >= 1 - 1e-10
