@@ -63,6 +63,13 @@ _PULSE_KINDS = ("red", "blue", "carrier")
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
+def parse_int(value) -> int:
+    """An integer (numpy's too) as an int; floats, bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def ipow(n: int) -> complex:
     """i**n, exact for any integer n."""
     return _I_POW[n % 4]
@@ -111,10 +118,10 @@ class PhysicalParams:
             raise ValueError(
                 f"omega_carrier must be positive and finite, got {self.omega_carrier}"
             )
-        dim = self.fock_dim
-        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 2:
+        dim = parse_int(self.fock_dim)
+        if dim < 2:
             raise ValueError(f"fock_dim must be an integer >= 2, got {dim}")
-        object.__setattr__(self, "fock_dim", int(dim))  # a numpy integer is not JSON
+        object.__setattr__(self, "fock_dim", dim)
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,10 @@ import tempfile
 
 import numpy as np
 
-from .core import PhysicalParams
+from .core import PhysicalParams, parse_int
 from .states import JointState, Pulse, PulseSchedule
 from .synthesis import _VARIANTS, SynthesisReport, TargetState
-from .synthesis import complex_pair, parse_complex, parse_float, parse_int
+from .synthesis import complex_pair, parse_complex, parse_float
 
 __all__ = [
     "atomic_write_text",
@@ -88,7 +88,7 @@ def params_from_dict(data: dict) -> PhysicalParams:
     return PhysicalParams(
         eta=parse_float(data["eta"]),
         omega_carrier=parse_float(data["omega_carrier_rad_s"]),
-        fock_dim=parse_int(data["fock_dim"]),
+        fock_dim=data["fock_dim"],
     )
 
 
@@ -113,7 +113,7 @@ def schedule_from_dict(data: dict) -> PulseSchedule:
     pulses = tuple(
         Pulse(
             kind=str(p["kind"]),
-            k=parse_int(p["k"]),
+            k=p["k"],
             phase=parse_float(p["phase_rad"]),
             duration=parse_float(p["duration_s"]),
         )

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalParams, _check_kind, ipow, rabi_column
+from .core import PhysicalParams, _check_kind, ipow, parse_int, rabi_column
 
 __all__ = [
     "GROUND",
@@ -48,7 +48,6 @@ __all__ = [
     "PulseSchedule",
     "TruncationOverflowError",
     "apply_pulse_amplitudes",
-    "apply_pulse",
     "run_schedule",
     "fidelity",
 ]
@@ -74,8 +73,8 @@ class TruncationOverflowError(ValueError):
 class Pulse:
     """One square laser pulse: sideband kind/order, initial phase, duration.
 
-    kind is "red", "blue" or "carrier"; k = 0 iff carrier.  The phase is
-    normalized into [0, 2 pi) on construction.
+    kind is "red", "blue" or "carrier"; k, stored as an int, is 0 iff
+    carrier.  The phase is normalized into [0, 2 pi) on construction.
     """
 
     kind: str
@@ -84,6 +83,7 @@ class Pulse:
     duration: float
 
     def __post_init__(self):
+        object.__setattr__(self, "k", parse_int(self.k))
         _check_kind(self.kind, self.k)
         if not (self.duration >= 0.0 and math.isfinite(self.duration)):
             raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
@@ -236,13 +236,6 @@ def apply_pulse_amplitudes(
     out[lo] = survive * a_lo - (c.conjugate() * sin) * a_up
     out[up] = (c * sin) * a_lo + survive * a_up
     return out
-
-
-def apply_pulse(state: JointState, params: PhysicalParams, pulse: Pulse) -> JointState:
-    """Apply one pulse to a normalized state; norm is preserved to 1e-12."""
-    if state.dim != params.fock_dim:
-        raise ValueError(f"state dim {state.dim} != params fock_dim {params.fock_dim}")
-    return JointState(apply_pulse_amplitudes(state.amplitudes, params, pulse))
 
 
 def run_schedule(

@@ -21,19 +21,23 @@ Targets are pre-rotated by a global phase so c_0 is real nonnegative
 (the carrier deposit is forced real); the rotation is recorded in the
 report.  The reservoir is |0>|e> and every deposit is made by a red
 sideband, so the motional state ends in |g>.
+
+Each variant's _compile returns its schedule, the final amplitudes it
+tracked while building it and the report fields it fixes.  compile_target
+alone builds the report: it scores those amplitudes against the ideal
+state (target_state_vector) turned by the recorded rotation.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import PhysicalParams, neg_ipow, rabi_column, rabi_frequency
+from .core import PhysicalParams, neg_ipow, parse_int, rabi_frequency
 from .states import (
     EXCITED,
     GROUND,
@@ -120,21 +124,6 @@ def _turn(params: PhysicalParams, kind: str, k: int, m: int, angle: float, phase
     return Pulse(kind, k, phase + (math.pi if w < 0.0 else 0.0), angle / abs(w))
 
 
-def _after_carrier(
-    c: np.ndarray, params: PhysicalParams, duration: float, phase: float
-) -> JointState:
-    """sum_j c_j |j>|g> after one carrier pulse, level by level.
-
-    Level j splits into c_j cos(W_j0 t) |j>|g> and
-    -i e^{-i phase} c_j sin(W_j0 t) |j>|e>.
-    """
-    angle = rabi_column(params.eta, params.omega_carrier, 0, params.fock_dim)[: c.size] * duration
-    amps = np.zeros(2 * params.fock_dim, dtype=complex)
-    amps[GROUND : 2 * c.size : 2] = c * np.cos(angle)
-    amps[EXCITED : 2 * c.size : 2] = -1j * cmath.exp(-1j * phase) * c * np.sin(angle)
-    return JointState(amps)
-
-
 def _validated_target(amplitudes) -> np.ndarray:
     c = np.asarray(amplitudes, dtype=complex)
     if c.ndim != 1 or c.size == 0:
@@ -154,13 +143,6 @@ def _rotated(c: np.ndarray) -> tuple[np.ndarray, float]:
         return c, 0.0
     angle = -cmath.phase(complex(c[0]))
     return c * cmath.exp(1j * angle), angle
-
-
-def _motional_vector(c: np.ndarray, dim: int) -> JointState:
-    """sum_j c_j |j>|g> on a dim-level Fock space."""
-    amps = np.zeros(2 * dim, dtype=complex)
-    amps[GROUND : 2 * c.size : 2] = c
-    return JointState(amps)
 
 
 def _invert_ladder(
@@ -209,38 +191,20 @@ def _invert_ladder(
 
 
 def _compile_weighted(
-    amplitudes, params: PhysicalParams, provenance: str, levels: Sequence[int] | None = None
-) -> SynthesisReport:
-    c = _validated_target(amplitudes)
+    c: np.ndarray, params: PhysicalParams, provenance: str, levels: Sequence[int] | None = None
+):
+    """_compile's triple for the ladder depositing the checked weights c."""
     c_rot, rotation = _rotated(c)
     if levels is None:
-        levels = list(range(1, c.size))
+        levels = range(1, c.size)
     pulses, amps = _invert_ladder(c_rot, params, list(levels))
-    return _report(
-        PulseSchedule(params, tuple(pulses), provenance=provenance),
-        JointState(amps),
-        _motional_vector(c_rot, params.fock_dim),
-        target_rotation_rad=rotation,
-    )
+    return PulseSchedule(params, tuple(pulses), provenance), amps, {"target_rotation_rad": rotation}
 
 
-def _report(
-    schedule: PulseSchedule, final: JointState, target: JointState, **extra
-) -> SynthesisReport:
-    """Report on a schedule whose simulated final state is final."""
-    return SynthesisReport(
-        schedule=schedule,
-        predicted_final=final,
-        fidelity_vs_target=fidelity(target, final),
-        exact_phase_fidelity=fidelity(target, final, up_to_global_phase=False),
-        **extra,
-    )
-
-
-def _ground_report(params: PhysicalParams, provenance: str, **extra) -> SynthesisReport:
-    """Empty schedule for a target that is the ground state |0>|g> itself."""
-    ground = JointState.ground(params.fock_dim)
-    return _report(PulseSchedule(params, (), provenance), ground, ground, **extra)
+def _empty(params: PhysicalParams, provenance: str, **extra):
+    """_compile's triple for a target that is the ground state |0>|g> itself."""
+    ground = JointState.ground(params.fock_dim).amplitudes
+    return PulseSchedule(params, (), provenance), ground, extra
 
 
 def _coherent_weights(alpha: complex, n_max: int) -> np.ndarray:
@@ -252,14 +216,23 @@ def _coherent_weights(alpha: complex, n_max: int) -> np.ndarray:
     return c
 
 
-def _poisson_head(alpha: complex, n_max: int) -> float:
-    """sum_{j<=n_max} e^{-|a|^2} |a|^{2j} / j!  (captured coherent weight)."""
+def _poisson_head(alpha: complex, n_max: int, rem: int | None = None) -> float:
+    """sum_{j<=n_max} e^{-|a|^2} |a|^{2j} / j!, the captured coherent weight.
+
+    With rem, only the terms with j % 2 == rem, over their untruncated sum
+    e^{-|a|^2} (1 +- e^{-2|a|^2}) / 2: the captured even or odd weight.
+    """
     lam = abs(alpha) ** 2
+    if lam == 0.0:
+        return 1.0
     p = math.exp(-lam)
-    total = p
+    total = 0.0 if rem == 1 else p
     for j in range(1, n_max + 1):
         p *= lam / j
-        total += p
+        if rem is None or j % 2 == rem:
+            total += p
+    if rem is not None:
+        total /= (1.0 + math.exp(-2.0 * lam) if rem == 0 else -math.expm1(-2.0 * lam)) / 2.0
     return min(1.0, total)
 
 
@@ -270,13 +243,6 @@ def _poisson_head(alpha: complex, n_max: int) -> float:
 def complex_pair(z) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
-
-
-def parse_int(value) -> int:
-    """An integer field or JSON integer; floats, bools and strings are refused, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
 
 
 def parse_float(value) -> float:
@@ -306,21 +272,31 @@ _COMPLEXES = (
 class TargetState:
     """A target variant: a frozen dataclass that checks its fields when built.
 
-    _compile(params) compiles it, _JSON maps each JSON key to (field,
-    codec), _top_level() gives the top Fock level its schedule populates,
-    and _vector(params) the ideal state.  By default both read
-    _amplitudes(), the target's motional weights in |g>: the level is
-    their last nonzero one and the state their superposition up to it.
-    _VARIANTS maps each JSON tag to its variant.
+    _JSON maps each JSON key to (field, codec), _vector(params) gives the
+    ideal state and _top_level() the top Fock level.  By default both read
+    _weights(): _amplitudes(), the motional weights in |g>, checked,
+    normalized and trimmed after the last nonzero one, in one place.
+
+    _compile(params) returns (schedule, amplitudes, extra): the final
+    amplitudes are those its pulses gave from |0>|g> as it built them, and
+    extra holds the report fields it fixes (target_rotation_rad,
+    truncation_overlap, final_internal_state).  _VARIANTS maps each JSON
+    tag to its variant.
     """
 
     _JSON: dict = {}
 
+    def _weights(self) -> np.ndarray:
+        return _validated_target(self._amplitudes())
+
     def _top_level(self) -> int:
-        return _validated_target(self._amplitudes()).size - 1
+        return self._weights().size - 1
 
     def _vector(self, params: PhysicalParams) -> JointState:
-        return _motional_vector(self._amplitudes()[: self._top_level() + 1], params.fock_dim)
+        c = self._weights()
+        amps = np.zeros(2 * params.fock_dim, dtype=complex)
+        amps[GROUND : 2 * c.size : 2] = c
+        return JointState(amps)
 
 
 @dataclass(frozen=True)
@@ -339,7 +315,7 @@ class FockTarget(TargetState):
     _JSON = {"n": ("n", _INT)}
 
     def __post_init__(self):
-        parse_int(self.n)
+        object.__setattr__(self, "n", parse_int(self.n))
         if self.n < 0:
             raise ValueError(f"Fock index must be >= 0, got {self.n}")
 
@@ -351,7 +327,7 @@ class FockTarget(TargetState):
     def _compile(self, params):
         n = self.n
         if n == 0:
-            return _ground_report(params, "fock(n=0, strategy=blue-then-carrier)")
+            return _empty(params, "fock(n=0, strategy=blue-then-carrier)")
         # two full transfers: sin(|W| t) = 1 on both pulses
         if rabi_frequency(params, n, 0).value == 0.0:
             strategy = "carrier-then-red"
@@ -366,8 +342,7 @@ class FockTarget(TargetState):
                 _turn(params, "carrier", 0, n, _HALF_PI, 0.0),
             )
         schedule = PulseSchedule(params, pulses, provenance=f"fock(n={n}, strategy={strategy})")
-        final = run_schedule(JointState.ground(params.fock_dim), schedule)
-        return _report(schedule, final, self._vector(params))
+        return schedule, run_schedule(JointState.ground(params.fock_dim), schedule).amplitudes, {}
 
 
 @dataclass(frozen=True)
@@ -388,11 +363,11 @@ class SuperpositionTarget(TargetState):
         _validated_target(self.amplitudes)
 
     def _amplitudes(self):
-        return _validated_target(self.amplitudes)
+        return self.amplitudes
 
     def _compile(self, params):
-        provenance = f"superposition(N={self._top_level()}, sideband=red)"
-        return _compile_weighted(self.amplitudes, params, provenance)
+        c = self._weights()
+        return _compile_weighted(c, params, f"superposition(N={c.size - 1}, sideband=red)")
 
 
 @dataclass(frozen=True)
@@ -409,7 +384,7 @@ class PhaseStateTarget(TargetState):
     _JSON = {"n_max": ("n_max", _INT), "theta_rad": ("theta", _FLOAT)}
 
     def __post_init__(self):
-        parse_int(self.n_max)
+        object.__setattr__(self, "n_max", parse_int(self.n_max))
         if self.n_max < 1:
             raise ValueError(f"phase state needs n_max >= 1, got {self.n_max}")
         if not math.isfinite(self.theta):
@@ -420,7 +395,7 @@ class PhaseStateTarget(TargetState):
 
     def _compile(self, params):
         provenance = f"phase_state(N={self.n_max}, theta={self.theta:.6g})"
-        return _compile_weighted(self._amplitudes(), params, provenance)
+        return _compile_weighted(self._weights(), params, provenance)
 
 
 @dataclass(frozen=True)
@@ -440,7 +415,7 @@ class CoherentTarget(TargetState):
         object.__setattr__(self, "alpha", complex(self.alpha))
         if not cmath.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
-        parse_int(self.n_max)
+        object.__setattr__(self, "n_max", parse_int(self.n_max))
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
 
@@ -450,10 +425,11 @@ class CoherentTarget(TargetState):
 
     def _compile(self, params):
         provenance = f"coherent(alpha={self.alpha:.6g}, N={self.n_max})"
+        overlap = {"truncation_overlap": _poisson_head(self.alpha, self.n_max)}
         if self.alpha == 0:
-            return _ground_report(params, provenance, truncation_overlap=1.0)
-        report = _compile_weighted(self._amplitudes(), params, provenance=provenance)
-        return replace(report, truncation_overlap=_poisson_head(self.alpha, self.n_max))
+            return _empty(params, provenance, **overlap)
+        schedule, amps, extra = _compile_weighted(self._weights(), params, provenance)
+        return schedule, amps, extra | overlap
 
 
 @dataclass(frozen=True)
@@ -462,7 +438,7 @@ class ParityCoherentTarget(CoherentTarget):
 
     Compiled with red sidebands of that parity only, so the other parity
     never acquires amplitude.  At alpha = 0 the odd state degenerates to
-    its lowest component |1>.
+    its lowest component |1>.  truncation_overlap is that of its parity.
     """
 
     parity: str  # "even" | "odd"
@@ -477,7 +453,8 @@ class ParityCoherentTarget(CoherentTarget):
     def _amplitudes(self):
         """Normalized weights of one parity up to the last nonzero one.
 
-        At alpha = 0 only the lowest level of the parity remains.
+        At alpha = 0 only the lowest level of the parity remains.  Trimmed
+        here, so the norm _weights() takes again has no zero tail to sum.
         """
         rem = 0 if self.parity == "even" else 1
         if self.alpha == 0:
@@ -491,12 +468,14 @@ class ParityCoherentTarget(CoherentTarget):
 
     def _compile(self, params):
         provenance = f"{self.parity}_coherent(alpha={self.alpha:.6g}, N={self.n_max})"
-        if self.alpha == 0 and self.parity == "even":
-            return _ground_report(params, provenance, truncation_overlap=1.0)
         rem = 0 if self.parity == "even" else 1
-        c = self._amplitudes()
+        overlap = {"truncation_overlap": _poisson_head(self.alpha, self.n_max, rem)}
+        if self.alpha == 0 and self.parity == "even":
+            return _empty(params, provenance, **overlap)
+        c = self._weights()
         levels = [j for j in range(1, c.size) if j % 2 == rem]
-        return _compile_weighted(c, params, provenance=provenance, levels=levels)
+        schedule, amps, extra = _compile_weighted(c, params, provenance, levels)
+        return schedule, amps, extra | overlap
 
 
 @dataclass(frozen=True)
@@ -529,8 +508,7 @@ class BellTarget(TargetState):
         amps = apply_pulse_amplitudes(amps, params, red)
 
         schedule = PulseSchedule(params, (carrier, red), provenance="bell")
-        target = self._vector(params)
-        return _report(schedule, JointState(amps), target, final_internal_state="entangled")
+        return schedule, amps, {"final_internal_state": "entangled"}
 
 
 @dataclass(frozen=True)
@@ -553,30 +531,22 @@ class EntangledCarrierTarget(SuperpositionTarget):
     def __post_init__(self):
         super().__post_init__()
         # a negative or non-finite duration or phase fails as it would in the pulse
-        Pulse.carrier(self.carrier_phase, self.carrier_duration)
+        self._carrier()
+
+    def _carrier(self) -> Pulse:
+        return Pulse.carrier(self.carrier_phase, self.carrier_duration)
 
     def _vector(self, params):
-        return _after_carrier(self._amplitudes(), params, self.carrier_duration, self.carrier_phase)
+        superposition = super()._vector(params).amplitudes
+        return JointState(apply_pulse_amplitudes(superposition, params, self._carrier()))
 
     def _compile(self, params):
-        base = super()._compile(params)
-        extra = Pulse.carrier(self.carrier_phase, self.carrier_duration)
-        amps = apply_pulse_amplitudes(base.predicted_final.amplitudes, params, extra)
-        schedule = PulseSchedule(
-            params,
-            base.schedule.pulses + (extra,),
-            provenance=f"entangled_carrier(N={len(base.schedule.pulses) - 1})",
-        )
-        # closed-form target from the rotated superposition weights
-        c_rot = base.predicted_final.amplitudes[GROUND::2]
-        target = _after_carrier(c_rot, params, self.carrier_duration, self.carrier_phase % _TWO_PI)
-        return _report(
-            schedule,
-            JointState(amps),
-            target,
-            target_rotation_rad=base.target_rotation_rad,
-            final_internal_state="entangled",
-        )
+        schedule, amps, extra = super()._compile(params)
+        carrier = self._carrier()
+        provenance = f"entangled_carrier(N={len(schedule.pulses) - 1})"
+        schedule = PulseSchedule(params, schedule.pulses + (carrier,), provenance)
+        amps = apply_pulse_amplitudes(amps, params, carrier)
+        return schedule, amps, extra | {"final_internal_state": "entangled"}
 
 
 # JSON tag -> (variant, the field values the tag fixes)
@@ -613,7 +583,12 @@ def compile_target(target: TargetState, params: PhysicalParams) -> SynthesisRepo
             f"fock_dim {params.fock_dim} too small for top Fock level "
             f"{need - 2} (need >= {need})"
         )
-    return target._compile(params)
+    schedule, amps, extra = target._compile(params)
+    final = JointState(amps)
+    turn = cmath.exp(1j * extra.get("target_rotation_rad", 0.0))
+    ideal = JointState(target._vector(params).amplitudes * turn)
+    exact = fidelity(ideal, final, up_to_global_phase=False)
+    return SynthesisReport(schedule, final, fidelity(ideal, final), exact, **extra)
 
 
 def target_state_vector(target: TargetState, params: PhysicalParams) -> JointState:

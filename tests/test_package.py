@@ -3,7 +3,7 @@ from pathlib import Path
 import ionpulse
 
 # the src/ionpulse line budget: lowered to the package's size whenever it shrinks
-LINE_BUDGET = 1814
+LINE_BUDGET = 1789
 
 
 def test_public_names_are_pinned():
@@ -32,7 +32,6 @@ def test_public_names_are_pinned():
         "TargetState",
         "TruncationOverflowError",
         "__version__",
-        "apply_pulse",
         "apply_pulse_amplitudes",
         "build_hamiltonian",
         "compile_target",

@@ -13,7 +13,6 @@ from ionpulse import (
     Pulse,
     PulseSchedule,
     TruncationOverflowError,
-    apply_pulse,
     apply_pulse_amplitudes,
     build_hamiltonian,
     fidelity,
@@ -22,6 +21,8 @@ from ionpulse import (
     run_schedule,
 )
 
+from ionpulse.serialization import save_schedule
+
 from conftest import pulse_coefficient, random_guarded_amplitudes
 
 
@@ -29,6 +30,11 @@ from conftest import pulse_coefficient, random_guarded_amplitudes
 # below, stays accurate to about 1e-10 W here.
 ETAS = (0.25, 0.9, 1.5)
 MAX_DIM = 40
+
+
+def _apply(state, params, pulse):
+    """One pulse as a one-pulse schedule, which checks the state's dimension."""
+    return run_schedule(state, PulseSchedule(params, (pulse,)))
 
 
 def _quarter(params, m, k):
@@ -90,18 +96,29 @@ class TestPulse:
         with pytest.raises(ValueError):
             Pulse.carrier(0.0, -1e-6)
 
+    @pytest.mark.parametrize("k", [2.0, True, "2"])
+    def test_non_integer_order_refused(self, k):
+        with pytest.raises(ValueError, match="expected an integer"):
+            Pulse("red", k, 0.0, 1e-5)
+
+    def test_numpy_integer_order_stored_as_int(self, params, tmp_path):
+        pulse = Pulse("red", np.int64(2), 0.0, 1e-5)
+        assert type(pulse.k) is int
+        # the schedule file is JSON, which has no numpy integers
+        save_schedule(str(tmp_path / "s.json"), PulseSchedule(params, (pulse,)))
+
 
 class TestCarrier:
     def test_zero_duration_is_identity(self, params, rng):
         amps = random_guarded_amplitudes(rng, params.fock_dim, "carrier", 0)
         state = JointState(amps)
-        out = apply_pulse(state, params, Pulse.carrier(1.3, 0.0))
+        out = _apply(state, params, Pulse.carrier(1.3, 0.0))
         np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
 
     def test_quarter_period_flips_with_phase(self, params):
         # |0>|g>, phi = pi/2, W_00 t = pi/2  ->  -|0>|e>
         pulse = Pulse.carrier(math.pi / 2, _quarter(params, 0, 0))
-        out = apply_pulse(JointState.ground(params.fock_dim), params, pulse)
+        out = _apply(JointState.ground(params.fock_dim), params, pulse)
         assert out.amplitude(0, EXCITED) == pytest.approx(-1.0, abs=1e-12)
         assert abs(out.amplitude(0, GROUND)) <= 1e-12
 
@@ -110,7 +127,7 @@ class TestCarrier:
         amps = np.zeros(2 * params.fock_dim, dtype=complex)
         amps[2 * 0 + GROUND] = amps[2 * 5 + GROUND] = 1 / math.sqrt(2)
         t = 2e-5
-        out = apply_pulse(JointState(amps), params, Pulse.carrier(0.0, t))
+        out = _apply(JointState(amps), params, Pulse.carrier(0.0, t))
         w0 = rabi_frequency(params, 0, 0).value
         w5 = rabi_frequency(params, 5, 0).value
         assert w0 != w5
@@ -124,26 +141,26 @@ class TestRed:
         k = 3
         for m in range(k):
             state = JointState.fock(m, params.fock_dim)
-            out = apply_pulse(state, params, Pulse.red(k, rng.uniform(0, 2 * math.pi), 1e-4))
+            out = _apply(state, params, Pulse.red(k, rng.uniform(0, 2 * math.pi), 1e-4))
             assert out.population(m, GROUND) == pytest.approx(1.0, abs=1e-15)
 
     def test_full_transfer_phase(self, params):
         # |0>|e> --red-n full transfer--> -(-i)^(n-1) e^{i phi} |n>|g>
         n, phi = 4, 0.8
         state = JointState.fock(0, params.fock_dim, internal=EXCITED)
-        out = apply_pulse(state, params, Pulse.red(n, phi, _quarter(params, 0, n)))
+        out = _apply(state, params, Pulse.red(n, phi, _quarter(params, 0, n)))
         expected = -((-1j) ** (n - 1)) * cmath.exp(1j * phi)
         assert out.amplitude(n, GROUND) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_duration_is_identity(self, params, rng):
         amps = random_guarded_amplitudes(rng, params.fock_dim, "red", 2)
-        out = apply_pulse(JointState(amps), params, Pulse.red(2, 0.7, 0.0))
+        out = _apply(JointState(amps), params, Pulse.red(2, 0.7, 0.0))
         np.testing.assert_allclose(out.amplitudes, amps, atol=1e-15)
 
     def test_guard_violation_raises(self, params):
         state = JointState.fock(params.fock_dim - 1, params.fock_dim, internal=EXCITED)
         with pytest.raises(TruncationOverflowError):
-            apply_pulse(state, params, Pulse.red(2, 0.0, 1e-5))
+            _apply(state, params, Pulse.red(2, 0.0, 1e-5))
 
 
 class TestBlue:
@@ -151,21 +168,21 @@ class TestBlue:
         k = 3
         for m in range(k):
             state = JointState.fock(m, params.fock_dim, internal=EXCITED)
-            out = apply_pulse(state, params, Pulse.blue(k, rng.uniform(0, 2 * math.pi), 1e-4))
+            out = _apply(state, params, Pulse.blue(k, rng.uniform(0, 2 * math.pi), 1e-4))
             assert out.population(m, EXCITED) == pytest.approx(1.0, abs=1e-15)
 
     def test_full_transfer_phase(self, params):
         # |0>|g> --blue-n full transfer--> i^(n-1) e^{-i phi} |n>|e>
         n, phi = 3, 1.1
         pulse = Pulse.blue(n, phi, _quarter(params, 0, n))
-        out = apply_pulse(JointState.ground(params.fock_dim), params, pulse)
+        out = _apply(JointState.ground(params.fock_dim), params, pulse)
         expected = (1j) ** (n - 1) * cmath.exp(-1j * phi)
         assert out.amplitude(n, EXCITED) == pytest.approx(expected, abs=1e-12)
 
     def test_guard_violation_raises(self, params):
         state = JointState.fock(params.fock_dim - 1, params.fock_dim)
         with pytest.raises(TruncationOverflowError):
-            apply_pulse(state, params, Pulse.blue(1, 0.0, 1e-5))
+            _apply(state, params, Pulse.blue(1, 0.0, 1e-5))
 
 
 def _loop_reference(amps, params, pulse):
@@ -271,7 +288,7 @@ def test_block_structure_couples_only_k_apart(kind, k, params):
     for m in range(params.fock_dim - k):
         for s in (GROUND, EXCITED):
             state = JointState.fock(m, params.fock_dim, internal=s)
-            out = apply_pulse(state, params, Pulse(kind, k, 0.3, 1.3e-4))
+            out = _apply(state, params, Pulse(kind, k, 0.3, 1.3e-4))
             support = {i // 2 for i in np.nonzero(np.abs(out.amplitudes) > 1e-14)[0]}
             assert all(abs(f - m) in (0, k) for f in support)
 

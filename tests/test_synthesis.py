@@ -357,6 +357,20 @@ class TestCompileEvenOddCoherent:
         with pytest.raises(ArithmeticError):
             compile_target(ParityCoherentTarget(1e-7, 5, "odd"), _params(17))
 
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("alpha,n", [(0.0, 5), (0.1, 4), (0.5, 6), (1.5 + 0.5j, 9)])
+    def test_truncation_overlap_is_the_parity_states_captured_weight(self, alpha, n, parity):
+        # kept same-parity Poisson terms over all of them: cosh or sinh |a|^2
+        mpmath = pytest.importorskip("mpmath")
+        lam = mpmath.mpf(abs(alpha)) ** 2
+        rem = 0 if parity == "even" else 1
+        kept = mpmath.fsum(lam**j / mpmath.factorial(j) for j in range(rem, n + 1, 2))
+        whole = mpmath.cosh(lam) if parity == "even" else mpmath.sinh(lam)
+        expected = 1.0 if alpha == 0 else float(kept / whole)
+        target = ParityCoherentTarget(alpha, n, parity)
+        report = compile_target(target, _params(default_fock_dim(target)))
+        assert report.truncation_overlap == pytest.approx(expected, rel=1e-14)
+
     def test_bad_parity(self):
         with pytest.raises(ValueError, match="parity must be 'even' or 'odd'"):
             ParityCoherentTarget(1.0, 4, "mixed")
@@ -588,6 +602,7 @@ class TestConstruction:
 
     def test_integer_fields_accept_numpy_integers(self):
         assert FockTarget(np.int64(3)) == FockTarget(3)
+        assert type(FockTarget(np.int64(3)).n) is int
         assert PhaseStateTarget(np.int32(4), 0.3) == PhaseStateTarget(4, 0.3)
 
 
@@ -604,6 +619,8 @@ DISPATCH_TARGETS = [
     CoherentTarget(0, 4),
     ParityCoherentTarget(0.0, 5, "odd"),
     SuperpositionTarget((1, 0, 0)),
+    # a carrier phase past 2 pi
+    EntangledCarrierTarget((0.6, 0.8j), 2e-5, 7.0),
 ]
 
 
@@ -650,4 +667,9 @@ class TestDispatch:
     def test_schedule_reaches_the_ideal_state(self, target, eta):
         params = _params(default_fock_dim(target), eta=eta)
         report = compile_target(target, params)
-        assert fidelity(target_state_vector(target, params), report.predicted_final) >= 1 - 1e-10
+        reached = fidelity(target_state_vector(target, params), report.predicted_final)
+        assert reached >= 1 - 1e-10
+        # the report scores the same ideal state, and its final state is the schedule's
+        assert abs(report.fidelity_vs_target - reached) <= 1e-15
+        final = run_schedule(JointState.ground(params.fock_dim), report.schedule)
+        assert np.array_equal(final.amplitudes, report.predicted_final.amplitudes)
