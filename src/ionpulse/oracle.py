@@ -24,12 +24,12 @@ is precisely what makes this an independent check of the pulse operators.
 H is held as what it is, disjoint two-level pairs |n_g, g> <-> |n_e, e>
 and one coupling each, so it is Hermitian by construction and takes
 O(D) memory.  It is exponentiated by its own 2x2 blocks, with the pairs
-read from the HamiltonianMatrix (not from the pulse kind).  A block
+read from its pair list (not from the pulse kind).  A block
 B = [[0, c], [conj(c), 0]] squares to |c|^2 I, so for any coupling c
 
     exp(-i t B) = cos(|c| t) I - i sin(|c| t) B / |c|,
 
-computed for all pairs at once.  Nothing is iterated or factored, so the
+computed for a run's pairs at once.  Nothing is iterated or factored, so the
 error grows with t only as the rounding of the angle |c| t does: the
 propagation stays stable for long durations (slow high-order sidebands
 need t of order seconds).
@@ -37,8 +37,11 @@ need t of order seconds).
 A schedule sums the series of its K distinct orders in one loop of at
 most D - 1 steps over K rows at most D long, O(K D^2) in all; each
 element goes through the same floating-point operations, in the same
-order, as in a loop over its own order alone, so a coupling does not
-depend on the other orders in its schedule.  A pulse then costs O(D).
+order, as in a loop over its own order alone.  The pulses then go in
+runs of ceil(K/2), each one's pairs built, checked and exponentiated in
+one pass, so only the gather and scatter of each pulse's blocks loops
+over pulses.  A run holds at most half as many pairs as the series table
+has elements, so memory stays O(K D) however long the schedule.
 """
 
 from __future__ import annotations
@@ -75,31 +78,36 @@ class HamiltonianMatrix:
     fock_dim: int
 
     def __post_init__(self):
-        pairs, couplings = self.pairs, self.couplings
-        if not (
-            pairs.ndim == 2
-            and pairs.shape[1] == 2
-            and np.issubdtype(pairs.dtype, np.integer)
-            and couplings.shape == pairs.shape[:1]
-        ):
-            raise ValueError(
-                f"pairs need shape (P, 2) and an integer dtype, couplings shape (P,); got "
-                f"{pairs.shape} {pairs.dtype} and {couplings.shape}"
-            )
-        if pairs.size and not (0 <= pairs.min() and pairs.max() < 2 * self.fock_dim):
-            raise ValueError(f"a pair index is outside [0, {2 * self.fock_dim})")
-        if np.any(pairs[:, 0] == pairs[:, 1]):
-            raise ValueError("a pair couples a basis state to itself")
-        # as intp, since numpy 1.x bincount refuses uint64
-        if pairs.size and np.bincount(pairs.ravel().astype(np.intp, copy=False)).max() > 1:
-            raise ValueError("Hamiltonian couples a basis state to more than one other")
-        pairs.setflags(write=False)
-        couplings.setflags(write=False)
+        _check_pairs(self.pairs, self.couplings, self.fock_dim, [self.couplings.size])
+        self.pairs.setflags(write=False)
+        self.couplings.setflags(write=False)
 
     @property
     def series_terms(self) -> int:
         """Number of series summed: the length of the coupled diagonal."""
         return self.couplings.size
+
+
+def _check_pairs(pairs: np.ndarray, couplings: np.ndarray, dim: int, sizes):
+    """Raise ValueError unless pairs (P, 2) join distinct states of 2*dim, each
+    in at most one pair of its pulse; sizes counts each pulse's pairs, in order."""
+    if not (
+        pairs.shape[1:] == (2,)
+        and np.issubdtype(pairs.dtype, np.integer)
+        and couplings.shape == pairs.shape[:1]
+    ):
+        raise ValueError(
+            f"pairs need shape (P, 2) and an integer dtype, couplings shape (P,); got "
+            f"{pairs.shape} {pairs.dtype} and {couplings.shape}"
+        )
+    if pairs.size and not (0 <= pairs.min() and pairs.max() < 2 * dim):
+        raise ValueError(f"a pair index is outside [0, {2 * dim})")
+    if np.any(pairs[:, 0] == pairs[:, 1]):
+        raise ValueError("a pair couples a basis state to itself")
+    # as intp, since numpy 1.x bincount refuses uint64; pulse p counts from 2 dim p
+    offsets = np.repeat(2 * dim * np.arange(len(sizes)), sizes)
+    if pairs.size and np.bincount((pairs.T.astype(np.intp, copy=False) + offsets).ravel()).max() > 1:
+        raise ValueError("Hamiltonian couples a basis state to more than one other")
 
 
 def _check_pulse(kind: str, k: int, dim: int):
@@ -132,81 +140,71 @@ def _series(x: float, dim: int, ks: list[int]) -> np.ndarray:
     return diagonal
 
 
-def _hamiltonian(
-    params: PhysicalParams, kind: str, k: int, phase: float, row: np.ndarray
-) -> HamiltonianMatrix:
-    """The coupled pairs of one pulse, from its order's row of _series."""
-    x = params.eta * params.eta
-    pref = (
-        (params.omega_carrier / 2.0)
-        * ipow(k)
-        * (params.eta**k)
-        * cmath.exp(-x / 2.0 - 1j * phase)
-    )
-    # element m couples |g, n_g> to |e, n_e>; sigma+ = |e><g| in (g, e) order
-    n = np.arange(params.fock_dim - k)
-    n_g, n_e = {"red": (n + k, n), "blue": (n, n + k), "carrier": (n, n)}[kind]
-    pairs = np.stack((2 * n_e + 1, 2 * n_g), axis=1)
-    return HamiltonianMatrix(pairs, pref * row[: n.size], params.fock_dim)
+def _pairs(params: PhysicalParams, pulses: list[tuple[str, int, float]], ks, table):
+    """The coupled pairs of (kind, k, phase) pulses, pulse after pulse, their
+    couplings from table (the _series rows of orders ks) and each pulse's count."""
+    dim, eta, w = params.fock_dim, params.eta, params.omega_carrier / 2.0
+    sizes = dim - np.array([k for _, k, _ in pulses], dtype=np.intp)
+    m = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    pref = [w * ipow(k) * eta**k * cmath.exp(-eta * eta / 2.0 - 1j * phi) for _, k, phi in pulses]
+    couplings = np.repeat(pref, sizes) * table[np.repeat(np.searchsorted(ks, dim - sizes), sizes), m]
+    # element m couples |g, m + k_g> to |e, m + k_e>; sigma+ = |e><g| in (g, e) order
+    k_e = np.repeat([k * (kind == "blue") for kind, k, _ in pulses], sizes)
+    k_g = np.repeat([k * (kind == "red") for kind, k, _ in pulses], sizes)
+    # stored column by column, so that each pulse gathers through contiguous indices
+    return np.stack((2 * (m + k_e) + 1, 2 * (m + k_g))).T, couplings, sizes
 
 
-def build_hamiltonian(
-    params: PhysicalParams,
-    kind: str,
-    k: int,
-    phase: float,
-) -> HamiltonianMatrix:
-    """Assemble the coupled pairs for one laser tuning.
-
-    Only the diagonal the pulse couples is summed, each element to its
-    last term j = m (see the module docstring).
-    """
+def build_hamiltonian(params: PhysicalParams, kind: str, k: int, phase: float) -> HamiltonianMatrix:
+    """Assemble the coupled pairs for one laser tuning, as a run of one pulse:
+    each element of the diagonal it couples is summed to its last term j = m."""
     _check_pulse(kind, k, params.fock_dim)
-    row = _series(params.eta * params.eta, params.fock_dim, [k])[0]
-    return _hamiltonian(params, kind, k, phase, row)
+    table = _series(params.eta * params.eta, params.fock_dim, [k])
+    pairs, couplings, _ = _pairs(params, [(kind, k, phase)], [k], table)
+    return HamiltonianMatrix(pairs, couplings, params.fock_dim)
 
 
-def _propagate_amplitudes(ham: HamiltonianMatrix, amps: np.ndarray, duration: float) -> np.ndarray:
-    """exp(-i H t) amps, every 2x2 block by the closed form of the module docstring."""
-    c = ham.couplings
-    size = np.abs(c)
-    angle = size * duration
+def _evolve(amps: np.ndarray, pairs: np.ndarray, couplings: np.ndarray, durations, sizes):
+    """exp(-i H t) amps in place, pulse after pulse of a run (sizes: each one's
+    pair count), from cos(|c| t) and -i sin(|c| t) c / |c| (zero where c is)."""
+    mag = np.abs(couplings)
+    angle = mag * np.repeat(durations, sizes)
     cos = np.cos(angle)
-    # -i sin(|c| t) c / |c|, zero where c is
-    off = (np.sin(angle) / np.where(size == 0.0, 1.0, size)) * (-1j * c)
-    i, j = ham.pairs.T
-    a_i, a_j = amps[i], amps[j]
-    out = amps.copy()
-    out[i] = cos * a_i + off * a_j
-    out[j] = cos * a_j - off.conj() * a_i
-    return out
+    off = -1j * couplings
+    off *= np.divide(np.sin(angle, out=angle), mag, out=angle, where=mag != 0.0)
+    ends = np.cumsum(sizes).tolist()
+    for a, b in zip([0, *ends], ends):
+        i, j = pairs[a:b].T
+        a_i, a_j = amps[i], amps[j]
+        amps[i] = cos[a:b] * a_i + off[a:b] * a_j
+        amps[j] = cos[a:b] * a_j - off[a:b].conj() * a_i
 
 
 def propagate(ham: HamiltonianMatrix, state: JointState, duration: float) -> JointState:
     """exp(-i H t) |state>, block by block in closed form; norm preserved to 1e-11."""
     if ham.fock_dim != state.dim:
-        raise ValueError(
-            f"Hamiltonian fock_dim {ham.fock_dim} does not match state dim {state.dim}"
-        )
+        raise ValueError(f"Hamiltonian fock_dim {ham.fock_dim} does not match state dim {state.dim}")
     if duration < 0.0:
         raise ValueError(f"duration must be >= 0, got {duration}")
-    return JointState(_propagate_amplitudes(ham, state.amplitudes, duration))
+    amps = state.amplitudes.copy()
+    _evolve(amps, ham.pairs, ham.couplings, [duration], [ham.couplings.size])
+    return JointState(amps)
 
 
 def _oracle_final(initial: JointState, schedule: PulseSchedule) -> JointState:
-    """The schedule's final state by Hamiltonian exponentiation, pulse by pulse.
-
-    Every pulse is checked before the one series loop of all its orders.
-    """
-    params, pulses = schedule.params, schedule.pulses
+    """The schedule's final state by Hamiltonian exponentiation, in runs of
+    pulses; every pulse is checked before the one series loop of all its orders."""
+    params, pulses, dim = schedule.params, schedule.pulses, schedule.params.fock_dim
     for pulse in pulses:
-        _check_pulse(pulse.kind, pulse.k, params.fock_dim)
+        _check_pulse(pulse.kind, pulse.k, dim)
     ks = sorted({pulse.k for pulse in pulses})
-    rows = dict(zip(ks, _series(params.eta * params.eta, params.fock_dim, ks)))
-    amps = initial.amplitudes
-    for pulse in pulses:
-        ham = _hamiltonian(params, pulse.kind, pulse.k, pulse.phase, rows[pulse.k])
-        amps = _propagate_amplitudes(ham, amps, pulse.duration)
+    table = _series(params.eta * params.eta, dim, ks)
+    amps = initial.amplitudes.copy()
+    step = (len(ks) + 1) // 2 or 1  # pulses a run: see the module docstring
+    for run in (pulses[i : i + step] for i in range(0, len(pulses), step)):
+        pairs, couplings, sizes = _pairs(params, [(p.kind, p.k, p.phase) for p in run], ks, table)
+        _check_pairs(pairs, couplings, dim, sizes)
+        _evolve(amps, pairs, couplings, [p.duration for p in run], sizes)
     return JointState(amps)
 
 

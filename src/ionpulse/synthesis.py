@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PhysicalParams, neg_ipow, parse_int, rabi_frequency
+from .core import _RESCALE, PhysicalParams, neg_ipow, parse_int, rabi_frequency
 from .states import (
     EXCITED,
     GROUND,
@@ -208,11 +208,13 @@ def _empty(params: PhysicalParams, provenance: str, **extra):
 
 
 def _coherent_weights(alpha: complex, n_max: int) -> np.ndarray:
-    """Unnormalized alpha^j / sqrt(j!) for j = 0..n_max."""
+    """Unnormalized alpha^j / sqrt(j!) for j = 0..n_max, up to one power-of-two factor."""
     c = np.empty(n_max + 1, dtype=complex)
     c[0] = 1.0
     for j in range(1, n_max + 1):
         c[j] = c[j - 1] * alpha / math.sqrt(j)
+        if abs(c[j]) > _RESCALE:  # all divided, exactly, so that their norm stays finite
+            c[: j + 1] /= _RESCALE
     return c
 
 

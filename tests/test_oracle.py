@@ -27,6 +27,7 @@ from ionpulse import (
     verify_report,
     verify_schedule,
 )
+from ionpulse import oracle
 from ionpulse.core import ipow
 from ionpulse.oracle import _oracle_final, _series
 
@@ -140,6 +141,33 @@ class TestBuildHamiltonian:
         assert fid >= 1 - 1e-12
         assert peak < 4 * 2**20
 
+    def test_a_long_schedule_verifies_in_a_few_mib(self):
+        # 400 pulses of one order go in runs of one pulse: the oracle holds
+        # O(K D) at a time, not the 1.2 million pairs of all 400 pulses
+        params = _params(2897)
+        w = rabi_frequency(params, 0, 1).value
+        schedule = PulseSchedule(params, tuple(
+            Pulse(("blue", "red")[i % 2], 1, 0.1 * i, 0.3 / w) for i in range(400)
+        ))
+        tracemalloc.start()
+        try:
+            fid = verify_schedule(JointState.ground(params.fock_dim), schedule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fid >= 1 - 1e-12
+        assert peak < 4 * 2**20
+
+
+def _long_schedule(params, rng):
+    # 30 pulses of five orders: ten runs of three; from |0>|g> they reach no
+    # level past 4 * 30, so the kernel's truncation guard passes at D = 128
+    orders = [("carrier", 0), ("red", 1), ("blue", 2), ("red", 3), ("blue", 4)]
+    return PulseSchedule(params, tuple(
+        Pulse(*orders[int(i)], float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0, 1e-3)))
+        for i in rng.integers(len(orders), size=30)
+    ))
+
 
 class TestSeries:
     @pytest.mark.parametrize("dim", [17, 62, 122])
@@ -156,23 +184,65 @@ class TestSeries:
                 assert np.array_equal(row[: dim - k], loop_series(x, dim, k)), k
                 assert not row[dim - k :].any(), k
 
+    @pytest.mark.parametrize("start", ["ground", "seeded"])
+    @pytest.mark.parametrize("case", ["mixed", "long", "phase5", "phase20", "phase80"])
     @pytest.mark.parametrize("eta", [0.25, 0.9, 1.5])
-    def test_schedule_matches_per_pulse_propagation(self, eta, rng):
-        # repeated carriers, red and blue at one order and random phases,
-        # from a state on every pair: one series loop for the schedule gives
-        # the amplitudes of one Hamiltonian per pulse, bit for bit
-        params = _params(40, eta)
-        orders = [("carrier", 0), ("red", 3), ("blue", 3), ("carrier", 0), ("red", 1),
-                  ("blue", 12), ("red", 12), ("carrier", 0), ("blue", 39)]
-        schedule = PulseSchedule(params, tuple(
-            Pulse(kind, k, float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0, 1e-3)))
-            for kind, k in orders
-        ))
-        amps = rng.normal(size=80) + 1j * rng.normal(size=80)
-        state = initial = JointState(amps / np.linalg.norm(amps))
+    def test_schedule_matches_per_pulse_propagation(self, eta, case, start, rng):
+        # one series loop and runs of pulses for the schedule give the
+        # amplitudes of one Hamiltonian per pulse, bit for bit: repeated
+        # carriers, red and blue at one order and random phases ("mixed"),
+        # a schedule of many runs ("long") and compiled phase states
+        if case.startswith("phase"):
+            target = PhaseStateTarget(int(case[5:]), 0.3)
+            params = _params(default_fock_dim(target), eta)
+            schedule = compile_target(target, params).schedule
+        elif case == "long":
+            params = _params(128, eta)
+            schedule = _long_schedule(params, rng)
+        else:
+            params = _params(40, eta)
+            orders = [("carrier", 0), ("red", 3), ("blue", 3), ("carrier", 0), ("red", 1),
+                      ("blue", 12), ("red", 12), ("carrier", 0), ("blue", 39)]
+            schedule = PulseSchedule(params, tuple(
+                Pulse(kind, k, float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0, 1e-3)))
+                for kind, k in orders
+            ))
+        state = initial = JointState.ground(params.fock_dim)
+        if start == "seeded":
+            amps = rng.normal(size=2 * params.fock_dim) + 1j * rng.normal(size=2 * params.fock_dim)
+            state = initial = JointState(amps / np.linalg.norm(amps))
         for p in schedule.pulses:
             state = propagate(build_hamiltonian(params, p.kind, p.k, p.phase), state, p.duration)
         assert np.array_equal(_oracle_final(initial, schedule).amplitudes, state.amplitudes)
+
+    @pytest.mark.parametrize(
+        "where,value,match",
+        [
+            pytest.param((1, 1), lambda p: p[1, 0], "itself", id="self_pair"),
+            pytest.param((1, 1), lambda p: 256, "outside", id="index_past_2D"),
+            pytest.param((2, 1), lambda p: p[1, 1], "more than one other", id="state_in_two_pairs"),
+        ],
+    )
+    def test_checks_every_pulse_of_every_run(self, monkeypatch, rng, where, value, match):
+        # _pairs goes wrong on the middle pulse of the schedule's
+        # sixth run; the shared HamiltonianMatrix checks must catch it
+        params = _params(128)
+        schedule = _long_schedule(params, rng)
+        build, calls = oracle._pairs, []
+
+        def wrong(*args):
+            pairs, couplings, sizes = build(*args)
+            calls.append(len(args[1]))
+            if len(calls) == 6:
+                pairs = pairs.copy()
+                pulse = pairs[sizes[0] :]  # the run's middle pulse first
+                pulse[where] = value(pulse)
+            return pairs, couplings, sizes
+
+        monkeypatch.setattr(oracle, "_pairs", wrong)
+        with pytest.raises(ValueError, match=match):
+            verify_schedule(JointState.ground(params.fock_dim), schedule)
+        assert calls == [3] * 6
 
     def test_rejects_an_order_past_the_truncation_mid_schedule(self):
         # the kernel passes red k = D from |0>|g> (no pair, nothing in the

@@ -16,6 +16,7 @@ from ionpulse import (
     ParityCoherentTarget,
     PhaseStateTarget,
     PhysicalParams,
+    RabiUnderflowError,
     SuperpositionTarget,
     TruncationOverflowError,
     compile_target,
@@ -310,6 +311,25 @@ class TestCompileCoherent:
     def test_invalid_n(self):
         with pytest.raises(ValueError, match="n_max must be >= 0"):
             CoherentTarget(1.0, -1)
+
+    @pytest.mark.parametrize(
+        "target",
+        [CoherentTarget(26.7, 900), ParityCoherentTarget(30, 1200, "odd")],
+        ids=["coherent", "odd_coherent"],
+    )
+    def test_weights_past_the_double_range_stay_normalized(self, target):
+        # alpha^j / sqrt(j!) peaks near e^{|alpha|^2 / 2}, and the sum of
+        # squares passes the largest double from |alpha| = 26.7 on
+        weights = target._weights()
+        assert np.all(np.isfinite(weights))
+        assert abs(np.linalg.norm(weights) - 1) <= 1e-12
+
+    def test_unreachable_level_names_the_underflowing_coupling(self):
+        # the weights reach level 900, but at eta = 0.25 W_{0,k} underflows
+        # from k = 203 on; the error names that, not unnormalized weights
+        target = CoherentTarget(26.7, 900)
+        with pytest.raises(RabiUnderflowError, match=r"m=0, k=203 underflows"):
+            compile_target(target, _params(default_fock_dim(target)))
 
 
 class TestCompileEvenOddCoherent:
