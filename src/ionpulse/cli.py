@@ -167,6 +167,8 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.trace and args.format == "csv":
+        raise ValueError("--trace needs --format json: the CSV table holds only the final state")
     schedule = load_schedule(args.schedule)
     if args.initial == "ground":
         initial = JointState.ground(schedule.params.fock_dim)

@@ -3,29 +3,31 @@
 compile_target(target, params) returns a PulseSchedule together with the
 forward-simulated final state and its fidelity against the target
 (SynthesisReport).  The inversion strategy is shared: a carrier pulse
-splits the ground-state amplitude, leaving a reservoir in one internal
-level, and a sequence of ascending sideband pulses peels amplitude off
-the reservoir and deposits it at the requested Fock levels.  Durations
-follow the recursion
+splits the ground-state amplitude, leaving a reservoir in |0>|e>, and a
+sequence of ascending red sideband pulses peels amplitude off the
+reservoir and deposits it at the requested Fock levels, so the motional
+state ends in |g>.  What the reservoir holds before the level-j deposit
+is the norm of the amplitudes not yet deposited, |c_{>=j}|, so every
+turn angle follows from the target's tail norms a_j = |c_{>j}| alone:
 
-    t_0:        cos(W_00 t_0) = |c_0|        (carrier)
-    t_j:        sin(W_0j t_j) = |c_j| / r_{j-1},   r_j = r_{j-1} cos(W_0j t_j)
-    t_N:        sin(W_0N t_N) = 1            (reservoir fully deposited)
+    theta_0 = atan2(a_0, c_0)        carrier, cos(W_00 t_0) = c_0
+    theta_j = atan2(|c_j|, a_j)      red j, sin(W_0j t_j) = |c_j| / |c_{>=j}|
 
-and every laser phase is solved numerically from the actual residual
-amplitude so that each deposited component lands with the target's
-argument.  Solved phases make the compiler immune to sign-convention
-drift in the coefficient algebra; quoting fixed phases does not.
+with t_j = theta_j / W_0j.  The top level takes theta = pi/2 (the
+reservoir is fully deposited) and a zero amplitude theta = 0.  Targets
+are turned by a global phase so that c_0 is real nonnegative (the
+carrier deposit is real); the turn is recorded in the report.  Every
+laser phase is solved from the reservoir's phase, which one kernel
+application of the carrier gives and the red turns only scale, so that
+each deposit lands with the target's argument.  Solved phases make the
+compiler immune to sign-convention drift in the coefficient algebra;
+quoting fixed phases does not.
 
-Targets are pre-rotated by a global phase so c_0 is real nonnegative
-(the carrier deposit is forced real); the rotation is recorded in the
-report.  The reservoir is |0>|e> and every deposit is made by a red
-sideband, so the motional state ends in |g>.
-
-Each variant's _compile returns its schedule, the final amplitudes it
-tracked while building it and the report fields it fixes.  compile_target
-alone builds the report: it scores those amplitudes against the ideal
-state (target_state_vector) turned by the recorded rotation.
+Each variant's _compile(params) is a pure function from the target to
+(schedule, extra): extra holds the report fields it fixes.
+compile_target alone runs the schedule from |0>|g> and builds the
+report: it scores the final state against the ideal state
+(target_state_vector) turned by the recorded rotation.
 """
 
 from __future__ import annotations
@@ -33,11 +35,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import _RESCALE, PhysicalParams, neg_ipow, parse_int, rabi_frequency
+from .core import _LOG_RESCALE, _RESCALE, PhysicalParams, neg_ipow, parse_int, rabi_frequency
 from .states import (
     EXCITED,
     GROUND,
@@ -99,15 +100,6 @@ class SynthesisReport:
 # Shared machinery
 
 
-def _solved_phase(desired: complex, probe: complex) -> float:
-    """Laser phase placing a deposit of known modulus at arg(desired).
-
-    probe is the deposit amplitude evaluated at phase 0; the deposit
-    scales as e^{i*phase}.
-    """
-    return (cmath.phase(desired) - cmath.phase(probe)) % _TWO_PI
-
-
 def _turn(params: PhysicalParams, kind: str, k: int, m: int, angle: float, phase: float) -> Pulse:
     """Pulse turning pair m of a (kind, k) tuning by angle at laser phase phase.
 
@@ -124,6 +116,25 @@ def _turn(params: PhysicalParams, kind: str, k: int, m: int, angle: float, phase
     return Pulse(kind, k, phase + (math.pi if w < 0.0 else 0.0), angle / abs(w))
 
 
+def _reservoir(params: PhysicalParams, carrier: Pulse) -> complex:
+    """The |0>|e> amplitude carrier leaves from |0>|g>: what the red deposits draw on."""
+    amps = apply_pulse_amplitudes(JointState.ground(params.fock_dim).amplitudes, params, carrier)
+    return complex(amps[2 * 0 + EXCITED])
+
+
+def _deposit(
+    params: PhysicalParams, reservoir: complex, j: int, theta: float, desired: complex
+) -> Pulse:
+    """Red-j pulse turning the reservoir by theta into |j>|g> at arg(desired).
+
+    The deposit is the C~ amplitude, which at laser phase 0 is probe and
+    scales as e^{i phase}; the phase is solved from it, not quoted.
+    """
+    probe = reservoir * (-neg_ipow(j - 1)) * math.sin(theta)
+    phase = (cmath.phase(desired) - cmath.phase(probe)) % _TWO_PI
+    return _turn(params, "red", j, 0, theta, phase)
+
+
 def _validated_target(amplitudes) -> np.ndarray:
     c = np.asarray(amplitudes, dtype=complex)
     if c.ndim != 1 or c.size == 0:
@@ -132,79 +143,37 @@ def _validated_target(amplitudes) -> np.ndarray:
     if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError(f"target amplitudes not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
     c = c / norm
-    # trailing exact zeros make the final full-transfer pulse ill-posed
+    # trimmed after the last nonzero amplitude, where the ladder ends
     last = int(np.max(np.nonzero(np.abs(c))[0]))
     return c[: last + 1]
 
 
-def _rotated(c: np.ndarray) -> tuple[np.ndarray, float]:
-    """Rotate the target so c[0] is real nonnegative; return (c', angle)."""
-    if abs(c[0]) == 0.0:
-        return c, 0.0
-    angle = -cmath.phase(complex(c[0]))
-    return c * cmath.exp(1j * angle), angle
+def _ladder(c: np.ndarray, params: PhysicalParams, provenance: str, step: int = 1):
+    """_compile's pair for the carrier and red ladder depositing the checked weights c.
 
-
-def _invert_ladder(
-    c: np.ndarray, params: PhysicalParams, levels: Sequence[int]
-) -> tuple[list[Pulse], np.ndarray]:
-    """Carrier + ascending red sideband pulses depositing the amplitudes c in |g>.
-
-    c must already be rotated (c[0] real >= 0).  levels lists the sideband
-    orders to emit, ascending, ending at the index of the last nonzero
-    amplitude; every nonzero c_j with j >= 1 must appear in levels.
+    The target is first turned by a global phase so that c_0 is real and
+    nonnegative (the carrier deposit is real); the turn is reported.  Red
+    pulses go to every step-th level up to the top one, and every nonzero
+    c_j with j >= 1 must sit on one of them.
     """
-    nonzero = {int(j) for j in np.nonzero(np.abs(c))[0] if j >= 1}
-    if list(levels) != sorted(set(levels)) or not nonzero <= set(levels):
-        raise ValueError(f"deposit levels {levels} cannot realize the target support")
-    if levels and levels[-1] != c.size - 1:
-        raise ValueError("last deposit level must be the last nonzero amplitude")
-
-    amps = JointState.ground(params.fock_dim).amplitudes
-    # reservoir in |0>|e>, deposits land in |j>|g> via the C~ amplitude
-    carrier = _turn(params, "carrier", 0, 0, math.acos(min(1.0, float(c[0].real))), _HALF_PI)
-    pulses = [carrier]
-    amps = apply_pulse_amplitudes(amps, params, carrier)
-
-    for pos, j in enumerate(levels):
-        res = complex(amps[2 * 0 + EXCITED])
-        last = pos == len(levels) - 1
-        if last:
-            sin_theta, theta = 1.0, _HALF_PI
-        elif abs(c[j]) == 0.0:
-            pulses.append(Pulse("red", j, 0.0, 0.0))
-            continue
-        else:
-            ratio = abs(c[j]) / abs(res)
-            if ratio > 1.0 + 1e-12:
-                raise ArithmeticError(
-                    f"amplitude inversion broke down at level {j}: "
-                    f"required sin = {ratio} > 1 (numerical corruption)"
-                )
-            sin_theta = min(1.0, ratio)
-            theta = math.asin(sin_theta)
-        probe = res * (-neg_ipow(j - 1)) * sin_theta  # C~ at phase 0
-        pulse = _turn(params, "red", j, 0, theta, _solved_phase(complex(c[j]), probe))
-        pulses.append(pulse)
-        amps = apply_pulse_amplitudes(amps, params, pulse)
-    return pulses, amps
-
-
-def _compile_weighted(
-    c: np.ndarray, params: PhysicalParams, provenance: str, levels: Sequence[int] | None = None
-):
-    """_compile's triple for the ladder depositing the checked weights c."""
-    c_rot, rotation = _rotated(c)
-    if levels is None:
-        levels = range(1, c.size)
-    pulses, amps = _invert_ladder(c_rot, params, list(levels))
-    return PulseSchedule(params, tuple(pulses), provenance), amps, {"target_rotation_rad": rotation}
+    rotation = 0.0 if c[0] == 0 else -cmath.phase(complex(c[0]))
+    c = c * cmath.exp(1j * rotation)
+    mags = np.abs(c)
+    # tails[j] = |c_{>j}|, accumulated from the top so that no square underflows
+    tails = np.append(np.hypot.accumulate(mags[::-1])[::-1][1:], 0.0)
+    carrier = _turn(params, "carrier", 0, 0, math.atan2(tails[0], c[0].real), _HALF_PI)
+    # each red turn scales the reservoir by cos(theta_j) >= 0, so its phase stays put
+    reservoir = _reservoir(params, carrier)
+    pulses = [carrier] + [
+        _deposit(params, reservoir, j, math.atan2(mags[j], tails[j]), complex(c[j]))
+        for j in range(c.size - 1, 0, -step)[::-1]
+    ]
+    return PulseSchedule(params, tuple(pulses), provenance), {"target_rotation_rad": rotation}
 
 
 def _empty(params: PhysicalParams, provenance: str, **extra):
-    """_compile's triple for a target that is the ground state |0>|g> itself."""
-    ground = JointState.ground(params.fock_dim).amplitudes
-    return PulseSchedule(params, (), provenance), ground, extra
+    """_compile's pair for a target that is the ground state |0>|g> itself."""
+    return PulseSchedule(params, (), provenance), extra
 
 
 def _coherent_weights(alpha: complex, n_max: int) -> np.ndarray:
@@ -227,12 +196,17 @@ def _poisson_head(alpha: complex, n_max: int, rem: int | None = None) -> float:
     lam = abs(alpha) ** 2
     if lam == 0.0:
         return 1.0
-    p = math.exp(-lam)
+    # the terms |a|^{2j} / j!, all divided by 2^500 (exactly) whenever one
+    # passes it; e^{-|a|^2} and the divisions are undone in log space at the end
+    p, scale = 1.0, 0.0
     total = 0.0 if rem == 1 else p
     for j in range(1, n_max + 1):
         p *= lam / j
         if rem is None or j % 2 == rem:
             total += p
+        if p > _RESCALE:
+            p, total, scale = p / _RESCALE, total / _RESCALE, scale + _LOG_RESCALE
+    total = math.exp(math.log(total) + scale - lam)
     if rem is not None:
         total /= (1.0 + math.exp(-2.0 * lam) if rem == 0 else -math.expm1(-2.0 * lam)) / 2.0
     return min(1.0, total)
@@ -279,9 +253,9 @@ class TargetState:
     _weights(): _amplitudes(), the motional weights in |g>, checked,
     normalized and trimmed after the last nonzero one, in one place.
 
-    _compile(params) returns (schedule, amplitudes, extra): the final
-    amplitudes are those its pulses gave from |0>|g> as it built them, and
-    extra holds the report fields it fixes (target_rotation_rad,
+    _compile(params) returns (schedule, extra) from the target alone: the
+    schedule takes |0>|g> to the ideal state turned by target_rotation_rad,
+    and extra holds the report fields it fixes (target_rotation_rad,
     truncation_overlap, final_internal_state).  _VARIANTS maps each JSON
     tag to its variant.
     """
@@ -343,8 +317,7 @@ class FockTarget(TargetState):
                 _turn(params, "blue", n, 0, _HALF_PI, 0.0),
                 _turn(params, "carrier", 0, n, _HALF_PI, 0.0),
             )
-        schedule = PulseSchedule(params, pulses, provenance=f"fock(n={n}, strategy={strategy})")
-        return schedule, run_schedule(JointState.ground(params.fock_dim), schedule).amplitudes, {}
+        return PulseSchedule(params, pulses, provenance=f"fock(n={n}, strategy={strategy})"), {}
 
 
 @dataclass(frozen=True)
@@ -369,7 +342,7 @@ class SuperpositionTarget(TargetState):
 
     def _compile(self, params):
         c = self._weights()
-        return _compile_weighted(c, params, f"superposition(N={c.size - 1}, sideband=red)")
+        return _ladder(c, params, f"superposition(N={c.size - 1}, sideband=red)")
 
 
 @dataclass(frozen=True)
@@ -397,7 +370,7 @@ class PhaseStateTarget(TargetState):
 
     def _compile(self, params):
         provenance = f"phase_state(N={self.n_max}, theta={self.theta:.6g})"
-        return _compile_weighted(self._weights(), params, provenance)
+        return _ladder(self._weights(), params, provenance)
 
 
 @dataclass(frozen=True)
@@ -430,8 +403,8 @@ class CoherentTarget(TargetState):
         overlap = {"truncation_overlap": _poisson_head(self.alpha, self.n_max)}
         if self.alpha == 0:
             return _empty(params, provenance, **overlap)
-        schedule, amps, extra = _compile_weighted(self._weights(), params, provenance)
-        return schedule, amps, extra | overlap
+        schedule, extra = _ladder(self._weights(), params, provenance)
+        return schedule, extra | overlap
 
 
 @dataclass(frozen=True)
@@ -474,10 +447,8 @@ class ParityCoherentTarget(CoherentTarget):
         overlap = {"truncation_overlap": _poisson_head(self.alpha, self.n_max, rem)}
         if self.alpha == 0 and self.parity == "even":
             return _empty(params, provenance, **overlap)
-        c = self._weights()
-        levels = [j for j in range(1, c.size) if j % 2 == rem]
-        schedule, amps, extra = _compile_weighted(c, params, provenance, levels)
-        return schedule, amps, extra | overlap
+        schedule, extra = _ladder(self._weights(), params, provenance, step=2)
+        return schedule, extra | overlap
 
 
 @dataclass(frozen=True)
@@ -499,18 +470,11 @@ class BellTarget(TargetState):
 
     def _compile(self, params):
         carrier = _turn(params, "carrier", 0, 0, _HALF_PI, 0.0)  # sin(W_00 t0) = 1
-        amps = JointState.ground(params.fock_dim).amplitudes
-        amps = apply_pulse_amplitudes(amps, params, carrier)
-
-        res = complex(amps[2 * 0 + EXCITED])
+        res = _reservoir(params, carrier)
         theta = math.asin(1.0 / math.sqrt(2.0))
-        probe = res * (-neg_ipow(0)) * math.sin(theta)  # C~ deposit at phase 0
-        phi = _solved_phase(res * math.cos(theta), probe)
-        red = _turn(params, "red", 1, 0, theta, phi)
-        amps = apply_pulse_amplitudes(amps, params, red)
-
+        red = _deposit(params, res, 1, theta, res * math.cos(theta))
         schedule = PulseSchedule(params, (carrier, red), provenance="bell")
-        return schedule, amps, {"final_internal_state": "entangled"}
+        return schedule, {"final_internal_state": "entangled"}
 
 
 @dataclass(frozen=True)
@@ -543,12 +507,10 @@ class EntangledCarrierTarget(SuperpositionTarget):
         return JointState(apply_pulse_amplitudes(superposition, params, self._carrier()))
 
     def _compile(self, params):
-        schedule, amps, extra = super()._compile(params)
-        carrier = self._carrier()
+        schedule, extra = super()._compile(params)
         provenance = f"entangled_carrier(N={len(schedule.pulses) - 1})"
-        schedule = PulseSchedule(params, schedule.pulses + (carrier,), provenance)
-        amps = apply_pulse_amplitudes(amps, params, carrier)
-        return schedule, amps, extra | {"final_internal_state": "entangled"}
+        schedule = PulseSchedule(params, schedule.pulses + (self._carrier(),), provenance)
+        return schedule, extra | {"final_internal_state": "entangled"}
 
 
 # JSON tag -> (variant, the field values the tag fixes)
@@ -585,8 +547,8 @@ def compile_target(target: TargetState, params: PhysicalParams) -> SynthesisRepo
             f"fock_dim {params.fock_dim} too small for top Fock level "
             f"{need - 2} (need >= {need})"
         )
-    schedule, amps, extra = target._compile(params)
-    final = JointState(amps)
+    schedule, extra = target._compile(params)
+    final = run_schedule(JointState.ground(params.fock_dim), schedule)
     turn = cmath.exp(1j * extra.get("target_rotation_rad", 0.0))
     ideal = JointState(target._vector(params).amplitudes * turn)
     exact = fidelity(ideal, final, up_to_global_phase=False)
@@ -594,5 +556,13 @@ def compile_target(target: TargetState, params: PhysicalParams) -> SynthesisRepo
 
 
 def target_state_vector(target: TargetState, params: PhysicalParams) -> JointState:
-    """The ideal state a target describes, independent of any schedule."""
+    """The ideal state a target describes, independent of any schedule.
+
+    fock_dim must hold the target's top Fock level.
+    """
+    top = target._top_level()
+    if params.fock_dim <= top:
+        raise ValueError(
+            f"fock_dim {params.fock_dim} cannot hold top Fock level {top} (need >= {top + 1})"
+        )
     return target._vector(params)

@@ -205,6 +205,15 @@ class TestSimulate:
         assert code == 0
         assert len(json.loads(out)["trace"]) == 2
 
+    def test_trace_in_csv_exits_2(self, capsys, tmp_path):
+        # the CSV table holds only the final state, so the trace would be dropped
+        path = self._fock_schedule(tmp_path)
+        code, out, err = run_cli(
+            capsys, "simulate", "--schedule", path, "--trace", "--format", "csv"
+        )
+        assert_one_json_error(code, out, err)
+        assert "--trace" in json.loads(err)["error"]["message"]
+
     def test_csv_populations(self, capsys, tmp_path):
         path = self._fock_schedule(tmp_path)
         code, out, _ = run_cli(capsys, "simulate", "--schedule", path, "--format", "csv")
@@ -319,6 +328,17 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--schedule", str(path))
         assert code == 2
         assert json.loads(err)["error"]["type"] == "TruncationOverflowError"
+
+    def test_target_past_the_schedules_fock_dim_names_its_top_level(self, capsys, tmp_path):
+        # a schedule at fock_dim 4 cannot hold the 7 levels of a phase state of N = 6
+        _, sched = self._synth(capsys, tmp_path, {"variant": "fock", "n": 2})
+        doc = {"variant": "phase_state", "n_max": 6, "theta_rad": 0.0}
+        target = write_target(tmp_path, doc, name="big.json")
+        code, out, err = run_cli(capsys, "verify", "--schedule", sched, "--target", target)
+        assert_one_json_error(code, out, err)
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert "fock_dim 4 cannot hold top Fock level 6" in error["message"]
 
     def test_fock_dim_past_a_dense_matrix_budget_passes(self, capsys, tmp_path):
         # a dense (2D, 2D) H at fock_dim 2897 would take 512.2 MiB
