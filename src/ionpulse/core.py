@@ -59,7 +59,7 @@ _LOG_RESCALE = 500 * math.log(2.0)
 
 _PULSE_KINDS = ("red", "blue", "carrier")
 
-# Exact integer powers of i and -i (complex ** drifts for large exponents).
+# Exact integer powers of i (complex ** drifts for large exponents).
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
@@ -73,11 +73,6 @@ def parse_int(value) -> int:
 def ipow(n: int) -> complex:
     """i**n, exact for any integer n."""
     return _I_POW[n % 4]
-
-
-def neg_ipow(n: int) -> complex:
-    """(-i)**n, exact for any integer n."""
-    return _I_POW[-n % 4]
 
 
 class RabiUnderflowError(ArithmeticError):

@@ -47,20 +47,18 @@ has elements, so memory stays O(K D) however long the schedule.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import PhysicalParams, _check_kind, ipow
 from .states import JointState, PulseSchedule, fidelity, run_schedule
-from .synthesis import SynthesisReport
 
 __all__ = [
     "HamiltonianMatrix",
     "build_hamiltonian",
     "propagate",
     "verify_schedule",
-    "verify_report",
 ]
 
 
@@ -215,10 +213,3 @@ def verify_schedule(initial: JointState, schedule: PulseSchedule) -> float:
     path rebuilds each pulse's Hamiltonian and exponentiates it.
     """
     return fidelity(run_schedule(initial, schedule), _oracle_final(initial, schedule))
-
-
-def verify_report(report: SynthesisReport, initial: JointState | None = None) -> SynthesisReport:
-    """Return a copy of the report with oracle_fidelity filled in."""
-    if initial is None:
-        initial = JointState.ground(report.schedule.params.fock_dim)
-    return replace(report, oracle_fidelity=verify_schedule(initial, report.schedule))

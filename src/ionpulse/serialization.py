@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
+import stat
 
 import numpy as np
 
@@ -47,12 +47,22 @@ __all__ = [
 
 
 def atomic_write_text(path: str, text: str):
-    """Whole-file atomic write: temp file in the same directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Whole-file atomic write: temp file in the same directory, then rename.
+
+    A new file gets the mode open() would give it, 0666 less the umask; a
+    replaced file keeps its own.
+    """
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -201,7 +211,6 @@ def report_to_dict(report: SynthesisReport) -> dict:
         "populations": _populations(report.predicted_final),
         "fidelity_vs_target": report.fidelity_vs_target,
         "exact_phase_fidelity": report.exact_phase_fidelity,
-        "oracle_fidelity": report.oracle_fidelity,
         "total_duration_s": report.total_duration_s,
         "target_rotation_rad": report.target_rotation_rad,
         "final_internal_state": report.final_internal_state,

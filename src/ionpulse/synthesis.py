@@ -23,10 +23,11 @@ each deposit lands with the target's argument.  Solved phases make the
 compiler immune to sign-convention drift in the coefficient algebra;
 quoting fixed phases does not.
 
-Each variant's _compile(params) is a pure function from the target to
-(schedule, extra): extra holds the report fields it fixes.
-compile_target alone runs the schedule from |0>|g> and builds the
-report: it scores the final state against the ideal state
+compile_target takes one pass over the target: it builds the weights
+once and hands them to the variant's _compile(params, c), a pure function
+to (schedule, extra), where extra holds the report fields it fixes.  It
+alone runs the schedule from |0>|g> and builds the report: it scores the
+final state against the ideal state from the same weights
 (target_state_vector) turned by the recorded rotation.
 """
 
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _LOG_RESCALE, _RESCALE, PhysicalParams, neg_ipow, parse_int, rabi_frequency
+from .core import _LOG_RESCALE, _RESCALE, PhysicalParams, ipow, parse_int, rabi_frequency
 from .states import (
     EXCITED,
     GROUND,
@@ -73,16 +74,16 @@ class SynthesisReport:
     """Compiled schedule plus forward-simulation diagnostics.
 
     fidelity_vs_target discards the global phase; exact_phase_fidelity
-    does not.  oracle_fidelity stays None until filled by the
-    Hamiltonian-propagation verifier.  target_rotation_rad is the global
-    phase by which the user's target was rotated before inversion.
+    does not.  target_rotation_rad is the global phase by which the
+    user's target was rotated before inversion; truncation_overlap, for
+    coherent targets, the weight the kept levels capture.  The oracle
+    checks the schedule on its own: verify_schedule.
     """
 
     schedule: PulseSchedule
     predicted_final: JointState
     fidelity_vs_target: float
     exact_phase_fidelity: float
-    oracle_fidelity: float | None = None
     target_rotation_rad: float = 0.0
     final_internal_state: str = "g"
     truncation_overlap: float | None = None
@@ -130,7 +131,7 @@ def _deposit(
     The deposit is the C~ amplitude, which at laser phase 0 is probe and
     scales as e^{i phase}; the phase is solved from it, not quoted.
     """
-    probe = reservoir * (-neg_ipow(j - 1)) * math.sin(theta)
+    probe = reservoir * (-ipow(1 - j)) * math.sin(theta)
     phase = (cmath.phase(desired) - cmath.phase(probe)) % _TWO_PI
     return _turn(params, "red", j, 0, theta, phase)
 
@@ -154,9 +155,12 @@ def _ladder(c: np.ndarray, params: PhysicalParams, provenance: str, step: int = 
     The target is first turned by a global phase so that c_0 is real and
     nonnegative (the carrier deposit is real); the turn is reported.  Red
     pulses go to every step-th level up to the top one, and every nonzero
-    c_j with j >= 1 must sit on one of them.
+    c_j with j >= 1 must sit on one of them.  A one-level target is
+    |0>|g> up to the turn: no pulses.
     """
     rotation = 0.0 if c[0] == 0 else -cmath.phase(complex(c[0]))
+    if c.size == 1:  # no pulses; a real c_0's turn is reported as 0.0, not -0.0
+        return PulseSchedule(params, (), provenance), {"target_rotation_rad": rotation or 0.0}
     c = c * cmath.exp(1j * rotation)
     mags = np.abs(c)
     # tails[j] = |c_{>j}|, accumulated from the top so that no square underflows
@@ -171,45 +175,35 @@ def _ladder(c: np.ndarray, params: PhysicalParams, provenance: str, step: int = 
     return PulseSchedule(params, tuple(pulses), provenance), {"target_rotation_rad": rotation}
 
 
-def _empty(params: PhysicalParams, provenance: str, **extra):
-    """_compile's pair for a target that is the ground state |0>|g> itself."""
-    return PulseSchedule(params, (), provenance), extra
+def _coherent_weights(alpha: complex, n_max: int, rem: int | None = None):
+    """Normalized alpha^j / sqrt(j!) for j = 0..n_max, and the weight they capture.
 
-
-def _coherent_weights(alpha: complex, n_max: int) -> np.ndarray:
-    """Unnormalized alpha^j / sqrt(j!) for j = 0..n_max, up to one power-of-two factor."""
+    The captured weight is sum_{j<=n_max} e^{-|a|^2} |a|^{2j} / j!.  With
+    rem, only the levels with j % 2 == rem are kept, and the weight is over
+    their untruncated sum e^{-|a|^2} (1 +- e^{-2|a|^2}) / 2.  At alpha = 0
+    only the lowest kept level remains (|1> for the odd state).
+    """
+    if alpha == 0:
+        c = np.zeros((rem or 0) + 1, dtype=complex)
+        c[-1] = 1.0
+        return c, 1.0
     c = np.empty(n_max + 1, dtype=complex)
     c[0] = 1.0
+    scale = 0.0  # ln of what the weights were divided by
     for j in range(1, n_max + 1):
         c[j] = c[j - 1] * alpha / math.sqrt(j)
         if abs(c[j]) > _RESCALE:  # all divided, exactly, so that their norm stays finite
             c[: j + 1] /= _RESCALE
-    return c
-
-
-def _poisson_head(alpha: complex, n_max: int, rem: int | None = None) -> float:
-    """sum_{j<=n_max} e^{-|a|^2} |a|^{2j} / j!, the captured coherent weight.
-
-    With rem, only the terms with j % 2 == rem, over their untruncated sum
-    e^{-|a|^2} (1 +- e^{-2|a|^2}) / 2: the captured even or odd weight.
-    """
-    lam = abs(alpha) ** 2
-    if lam == 0.0:
-        return 1.0
-    # the terms |a|^{2j} / j!, all divided by 2^500 (exactly) whenever one
-    # passes it; e^{-|a|^2} and the divisions are undone in log space at the end
-    p, scale = 1.0, 0.0
-    total = 0.0 if rem == 1 else p
-    for j in range(1, n_max + 1):
-        p *= lam / j
-        if rem is None or j % 2 == rem:
-            total += p
-        if p > _RESCALE:
-            p, total, scale = p / _RESCALE, total / _RESCALE, scale + _LOG_RESCALE
-    total = math.exp(math.log(total) + scale - lam)
+            scale += _LOG_RESCALE
     if rem is not None:
-        total /= (1.0 + math.exp(-2.0 * lam) if rem == 0 else -math.expm1(-2.0 * lam)) / 2.0
-    return min(1.0, total)
+        c[1 - rem :: 2] = 0.0
+    # the kept |a|^{2j} / j!, summed; e^{-|a|^2} and the divisions are undone in log space
+    kept = c.real @ c.real + c.imag @ c.imag
+    lam = abs(alpha) ** 2
+    captured = math.exp(math.log(kept) + 2.0 * scale - lam)
+    if rem is not None:
+        captured /= (1.0 + math.exp(-2.0 * lam) if rem == 0 else -math.expm1(-2.0 * lam)) / 2.0
+    return c / math.sqrt(kept), min(1.0, captured)
 
 
 # ---------------------------------------------------------------------------
@@ -248,28 +242,26 @@ _COMPLEXES = (
 class TargetState:
     """A target variant: a frozen dataclass that checks its fields when built.
 
-    _JSON maps each JSON key to (field, codec), _vector(params) gives the
-    ideal state and _top_level() the top Fock level.  By default both read
-    _weights(): _amplitudes(), the motional weights in |g>, checked,
+    _JSON maps each JSON key to (field, codec).  _weights() returns
+    (c, fixed): c holds one weight per Fock level up to the top one, and
+    fixed the report fields the weights alone fix (truncation_overlap).  By
+    default c is _amplitudes(), the motional weights in |g>, checked,
     normalized and trimmed after the last nonzero one, in one place.
 
-    _compile(params) returns (schedule, extra) from the target alone: the
-    schedule takes |0>|g> to the ideal state turned by target_rotation_rad,
-    and extra holds the report fields it fixes (target_rotation_rad,
-    truncation_overlap, final_internal_state).  _VARIANTS maps each JSON
-    tag to its variant.
+    compile_target and target_state_vector build c once and pass it on:
+    _vector(params, c) gives the ideal state, and _compile(params, c)
+    returns (schedule, extra) from the target alone.  The schedule takes
+    |0>|g> to the ideal state turned by target_rotation_rad, and extra
+    holds the report fields it fixes (target_rotation_rad,
+    final_internal_state).  _VARIANTS maps each JSON tag to its variant.
     """
 
     _JSON: dict = {}
 
-    def _weights(self) -> np.ndarray:
-        return _validated_target(self._amplitudes())
+    def _weights(self) -> tuple[np.ndarray, dict]:
+        return _validated_target(self._amplitudes()), {}
 
-    def _top_level(self) -> int:
-        return self._weights().size - 1
-
-    def _vector(self, params: PhysicalParams) -> JointState:
-        c = self._weights()
+    def _vector(self, params: PhysicalParams, c: np.ndarray) -> JointState:
         amps = np.zeros(2 * params.fock_dim, dtype=complex)
         amps[GROUND : 2 * c.size : 2] = c
         return JointState(amps)
@@ -300,10 +292,10 @@ class FockTarget(TargetState):
         c[self.n] = 1.0
         return c
 
-    def _compile(self, params):
+    def _compile(self, params, c):
         n = self.n
         if n == 0:
-            return _empty(params, "fock(n=0, strategy=blue-then-carrier)")
+            return _ladder(c, params, "fock(n=0, strategy=blue-then-carrier)")
         # two full transfers: sin(|W| t) = 1 on both pulses
         if rabi_frequency(params, n, 0).value == 0.0:
             strategy = "carrier-then-red"
@@ -340,8 +332,7 @@ class SuperpositionTarget(TargetState):
     def _amplitudes(self):
         return self.amplitudes
 
-    def _compile(self, params):
-        c = self._weights()
+    def _compile(self, params, c):
         return _ladder(c, params, f"superposition(N={c.size - 1}, sideband=red)")
 
 
@@ -368,9 +359,9 @@ class PhaseStateTarget(TargetState):
     def _amplitudes(self):
         return np.exp(1j * self.theta * np.arange(self.n_max + 1)) / math.sqrt(self.n_max + 1)
 
-    def _compile(self, params):
+    def _compile(self, params, c):
         provenance = f"phase_state(N={self.n_max}, theta={self.theta:.6g})"
-        return _ladder(self._weights(), params, provenance)
+        return _ladder(c, params, provenance)
 
 
 @dataclass(frozen=True)
@@ -385,6 +376,7 @@ class CoherentTarget(TargetState):
     alpha: complex
     n_max: int
     _JSON = {"alpha": ("alpha", _COMPLEX), "n_max": ("n_max", _INT)}
+    _rem = None  # the parity of the kept levels; None keeps them all
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
@@ -394,17 +386,12 @@ class CoherentTarget(TargetState):
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
 
-    def _amplitudes(self):
-        c = _coherent_weights(self.alpha, self.n_max)
-        return c / np.linalg.norm(c)
+    def _weights(self):
+        c, overlap = _coherent_weights(self.alpha, self.n_max, self._rem)
+        return _validated_target(c), {"truncation_overlap": overlap}
 
-    def _compile(self, params):
-        provenance = f"coherent(alpha={self.alpha:.6g}, N={self.n_max})"
-        overlap = {"truncation_overlap": _poisson_head(self.alpha, self.n_max)}
-        if self.alpha == 0:
-            return _empty(params, provenance, **overlap)
-        schedule, extra = _ladder(self._weights(), params, provenance)
-        return schedule, extra | overlap
+    def _compile(self, params, c):
+        return _ladder(c, params, f"coherent(alpha={self.alpha:.6g}, N={self.n_max})")
 
 
 @dataclass(frozen=True)
@@ -425,30 +412,13 @@ class ParityCoherentTarget(CoherentTarget):
         if self.parity == "odd" and self.n_max == 0:
             raise ValueError(f"truncation n_max={self.n_max} excludes every {self.parity} level")
 
-    def _amplitudes(self):
-        """Normalized weights of one parity up to the last nonzero one.
+    @property
+    def _rem(self):
+        return 0 if self.parity == "even" else 1
 
-        At alpha = 0 only the lowest level of the parity remains.  Trimmed
-        here, so the norm _weights() takes again has no zero tail to sum.
-        """
-        rem = 0 if self.parity == "even" else 1
-        if self.alpha == 0:
-            c = np.zeros(rem + 1, dtype=complex)
-            c[rem] = 1.0
-            return c
-        c = _coherent_weights(self.alpha, self.n_max)
-        c[np.arange(self.n_max + 1) % 2 != rem] = 0.0
-        c /= np.linalg.norm(c)
-        return c[: int(np.max(np.nonzero(np.abs(c))[0])) + 1]
-
-    def _compile(self, params):
+    def _compile(self, params, c):
         provenance = f"{self.parity}_coherent(alpha={self.alpha:.6g}, N={self.n_max})"
-        rem = 0 if self.parity == "even" else 1
-        overlap = {"truncation_overlap": _poisson_head(self.alpha, self.n_max, rem)}
-        if self.alpha == 0 and self.parity == "even":
-            return _empty(params, provenance, **overlap)
-        schedule, extra = _ladder(self._weights(), params, provenance, step=2)
-        return schedule, extra | overlap
+        return _ladder(c, params, provenance, step=2)
 
 
 @dataclass(frozen=True)
@@ -460,15 +430,16 @@ class BellTarget(TargetState):
     components carry the same argument.
     """
 
-    def _top_level(self):
-        return 1
+    def _weights(self):
+        # c_0 sits in |e>, c_1 in |g>; renormalizing would move them by an ulp
+        return np.full(2, 1.0 / math.sqrt(2.0), dtype=complex), {}
 
-    def _vector(self, params):
+    def _vector(self, params, c):
         amps = np.zeros(2 * params.fock_dim, dtype=complex)
-        amps[2 * 0 + EXCITED] = amps[2 * 1 + GROUND] = 1.0 / math.sqrt(2.0)
+        amps[2 * 0 + EXCITED], amps[2 * 1 + GROUND] = c
         return JointState(amps)
 
-    def _compile(self, params):
+    def _compile(self, params, c):
         carrier = _turn(params, "carrier", 0, 0, _HALF_PI, 0.0)  # sin(W_00 t0) = 1
         res = _reservoir(params, carrier)
         theta = math.asin(1.0 / math.sqrt(2.0))
@@ -502,13 +473,13 @@ class EntangledCarrierTarget(SuperpositionTarget):
     def _carrier(self) -> Pulse:
         return Pulse.carrier(self.carrier_phase, self.carrier_duration)
 
-    def _vector(self, params):
-        superposition = super()._vector(params).amplitudes
+    def _vector(self, params, c):
+        superposition = super()._vector(params, c).amplitudes
         return JointState(apply_pulse_amplitudes(superposition, params, self._carrier()))
 
-    def _compile(self, params):
-        schedule, extra = super()._compile(params)
-        provenance = f"entangled_carrier(N={len(schedule.pulses) - 1})"
+    def _compile(self, params, c):
+        schedule, extra = super()._compile(params, c)
+        provenance = f"entangled_carrier(N={c.size - 1})"
         schedule = PulseSchedule(params, schedule.pulses + (self._carrier(),), provenance)
         return schedule, extra | {"final_internal_state": "entangled"}
 
@@ -532,7 +503,7 @@ _VARIANTS = {
 
 def default_fock_dim(target: TargetState) -> int:
     """The smallest fock_dim compile_target accepts for target: its top Fock level + 2."""
-    return target._top_level() + 2
+    return target._weights()[0].size + 1
 
 
 def compile_target(target: TargetState, params: PhysicalParams) -> SynthesisReport:
@@ -541,18 +512,19 @@ def compile_target(target: TargetState, params: PhysicalParams) -> SynthesisRepo
     fock_dim must reach past the target's top Fock level by one empty
     guard level: at least default_fock_dim(target).
     """
-    need = default_fock_dim(target)
+    c, fixed = target._weights()
+    need = c.size + 1
     if params.fock_dim < need:
         raise ValueError(
             f"fock_dim {params.fock_dim} too small for top Fock level "
             f"{need - 2} (need >= {need})"
         )
-    schedule, extra = target._compile(params)
+    schedule, extra = target._compile(params, c)
     final = run_schedule(JointState.ground(params.fock_dim), schedule)
     turn = cmath.exp(1j * extra.get("target_rotation_rad", 0.0))
-    ideal = JointState(target._vector(params).amplitudes * turn)
+    ideal = JointState(target._vector(params, c).amplitudes * turn)
     exact = fidelity(ideal, final, up_to_global_phase=False)
-    return SynthesisReport(schedule, final, fidelity(ideal, final), exact, **extra)
+    return SynthesisReport(schedule, final, fidelity(ideal, final), exact, **fixed, **extra)
 
 
 def target_state_vector(target: TargetState, params: PhysicalParams) -> JointState:
@@ -560,9 +532,9 @@ def target_state_vector(target: TargetState, params: PhysicalParams) -> JointSta
 
     fock_dim must hold the target's top Fock level.
     """
-    top = target._top_level()
-    if params.fock_dim <= top:
+    c, _ = target._weights()
+    if params.fock_dim < c.size:
         raise ValueError(
-            f"fock_dim {params.fock_dim} cannot hold top Fock level {top} (need >= {top + 1})"
+            f"fock_dim {params.fock_dim} cannot hold top Fock level {c.size - 1} (need >= {c.size})"
         )
-    return target._vector(params)
+    return target._vector(params, c)

@@ -24,7 +24,6 @@ from ionpulse import (
     propagate,
     rabi_frequency,
     states,
-    verify_report,
     verify_schedule,
 )
 from ionpulse import oracle
@@ -432,12 +431,3 @@ class TestVerifySchedule:
         assert verify_schedule(ground, schedule) >= 1 - 1e-9
         _perturb_closed_form(monkeypatch, 80)
         assert verify_schedule(ground, schedule) < 1 - 1e-8
-
-    def test_verify_report_fills_oracle_fidelity(self):
-        params = _params(10)
-        report = compile_target(FockTarget(3), params)
-        assert report.oracle_fidelity is None
-        filled = verify_report(report)
-        assert filled.oracle_fidelity is not None
-        assert filled.oracle_fidelity >= 1 - 1e-8
-        assert filled.schedule is report.schedule

@@ -4,7 +4,7 @@ from pathlib import Path
 import ionpulse
 
 # the src/ionpulse line budget: lowered to the package's size whenever it shrinks
-LINE_BUDGET = 1761
+LINE_BUDGET = 1728
 
 
 def test_public_names_are_pinned():
@@ -43,7 +43,6 @@ def test_public_names_are_pinned():
         "rabi_frequency",
         "run_schedule",
         "target_state_vector",
-        "verify_report",
         "verify_schedule",
     ]
     for name in ionpulse.__all__:

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -178,7 +180,7 @@ class TestReportFormat:
         report = compile_target(BellTarget(), PhysicalParams(0.25, 5e4, 5))
         doc = report_to_dict(report)
         assert doc["fidelity_vs_target"] >= 1 - 1e-10
-        assert doc["oracle_fidelity"] is None
+        assert "oracle_fidelity" not in doc  # verify runs the oracle, not synthesize
         assert len(doc["pulses"]) == 2
         assert doc["total_duration_s"] == pytest.approx(
             sum(p["duration_s"] for p in doc["pulses"])
@@ -193,3 +195,21 @@ def test_atomic_write(tmp_path):
     atomic_write_text(str(path), "replaced")
     assert path.read_text() == "replaced"
     assert list(tmp_path.iterdir()) == [path]  # no temp litter
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+def test_atomic_write_modes(tmp_path, umask):
+    # a new file gets what open() would give it, 0666 less the umask; a
+    # replaced file keeps its own mode, whatever the umask
+    path = tmp_path / "out.txt"
+    previous = os.umask(umask)
+    try:
+        atomic_write_text(str(path), "new")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+        path.chmod(0o640)
+        atomic_write_text(str(path), "replaced")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert path.read_text() == "replaced"
+    assert list(tmp_path.iterdir()) == [path]

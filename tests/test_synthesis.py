@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import re
 
@@ -27,7 +28,10 @@ from ionpulse import (
     target_state_vector,
     verify_schedule,
 )
-from ionpulse.synthesis import _poisson_head
+from ionpulse import synthesis
+from ionpulse.cli import main
+from ionpulse.serialization import report_to_dict
+from ionpulse.synthesis import _coherent_weights
 
 from conftest import run_alternating
 
@@ -343,7 +347,7 @@ class TestCompileCoherent:
     def test_weights_past_the_double_range_stay_normalized(self, target):
         # alpha^j / sqrt(j!) peaks near e^{|alpha|^2 / 2}, and the sum of
         # squares passes the largest double from |alpha| = 26.7 on
-        weights = target._weights()
+        weights, _ = target._weights()
         assert np.all(np.isfinite(weights))
         assert abs(np.linalg.norm(weights) - 1) <= 1e-12
 
@@ -355,7 +359,7 @@ class TestCompileCoherent:
             lam = mpmath.mpf(abs(alpha)) ** 2
             kept = mpmath.fsum(lam**j / mpmath.factorial(j) for j in range(n + 1))
             expected = float(kept * mpmath.exp(-lam))
-        overlap = _poisson_head(alpha, n)
+        _, overlap = _coherent_weights(alpha, n)
         assert overlap == pytest.approx(expected, rel=_overlap_tolerance(alpha))
 
     def test_unreachable_level_names_the_underflowing_coupling(self):
@@ -416,7 +420,7 @@ class TestCompileEvenOddCoherent:
             kept = mpmath.fsum(lam**j / mpmath.factorial(j) for j in range(rem, n + 1, 2))
             whole = mpmath.cosh(lam) if parity == "even" else mpmath.sinh(lam)
             expected = 1.0 if alpha == 0 else float(kept / whole)
-        overlap = _poisson_head(alpha, n, rem)
+        _, overlap = _coherent_weights(alpha, n, rem)
         assert overlap == pytest.approx(expected, rel=_overlap_tolerance(alpha))
 
     def test_bad_parity(self):
@@ -763,3 +767,65 @@ class TestDispatch:
         assert abs(report.fidelity_vs_target - reached) <= 1e-15
         final = run_schedule(JointState.ground(params.fock_dim), report.schedule)
         assert np.array_equal(final.amplitudes, report.predicted_final.amplitudes)
+
+
+# one Fock level each, |0>|g> up to a global phase, and the turn the report prints
+ONE_LEVEL_TARGETS = [
+    (SuperpositionTarget((1,)), "0.0"),
+    (SuperpositionTarget((1j,)), "-1.5707963267948966"),
+    (CoherentTarget(0, 5), "0.0"),
+    (CoherentTarget(0.5, 0), "0.0"),
+    (ParityCoherentTarget(0, 4, "even"), "0.0"),
+    (FockTarget(0), "0.0"),
+]
+
+
+class TestOneLevelTargets:
+    @pytest.mark.parametrize("target,turn", ONE_LEVEL_TARGETS, ids=repr)
+    def test_compile_to_an_empty_schedule(self, target, turn):
+        report = compile_target(target, _params(default_fock_dim(target)))
+        assert report.schedule.pulses == ()
+        assert report.fidelity_vs_target == 1.0
+        assert report.exact_phase_fidelity == pytest.approx(1.0, abs=1e-15)
+        assert json.dumps(report_to_dict(report)["target_rotation_rad"]) == turn
+
+    def test_entangled_carrier_keeps_only_its_carrier(self):
+        target = EntangledCarrierTarget((1,), 2e-5, 0.4)
+        report = compile_target(target, _params(default_fock_dim(target)))
+        assert report.schedule.pulses == (target._carrier(),)
+        assert report.schedule.provenance == "entangled_carrier(N=0)"
+        assert report.fidelity_vs_target >= 1 - 1e-15
+
+
+class TestOnePassOverTheTarget:
+    """The weights are built once per compile_target and target_state_vector."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = synthesis._coherent_weights
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(synthesis, "_coherent_weights", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "target", [CoherentTarget(2.5, 60), ParityCoherentTarget(2.5, 60, "odd")], ids=repr
+    )
+    def test_compile_and_ideal_state_build_the_weights_once(self, target, builds):
+        params = _params(default_fock_dim(target))
+        builds.clear()
+        compile_target(target, params)
+        assert len(builds) == 1
+        target_state_vector(target, params)
+        assert len(builds) == 2
+
+    def test_cli_synthesize_builds_them_at_most_twice(self, builds, tmp_path, capsys):
+        # once for the default fock_dim, once for the compile
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps({"variant": "coherent", "alpha": [2.5, 0.0], "n_max": 60}))
+        assert main(["synthesize", "--target", str(path)]) == 0
+        assert len(builds) <= 2
