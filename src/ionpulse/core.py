@@ -92,6 +92,13 @@ class RabiUnderflowError(ArithmeticError):
         self.log_magnitude = log_magnitude
 
 
+def _check_rates(eta: float, omega: float):
+    if not (eta > 0.0 and math.isfinite(eta)):
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+    if not (omega > 0.0 and math.isfinite(omega)):
+        raise ValueError(f"omega_carrier must be positive and finite, got {omega}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Trap and laser constants for one compiled schedule.
@@ -107,12 +114,7 @@ class PhysicalParams:
     fock_dim: int
 
     def __post_init__(self):
-        if not (self.eta > 0.0 and math.isfinite(self.eta)):
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        if not (self.omega_carrier > 0.0 and math.isfinite(self.omega_carrier)):
-            raise ValueError(
-                f"omega_carrier must be positive and finite, got {self.omega_carrier}"
-            )
+        _check_rates(self.eta, self.omega_carrier)
         dim = parse_int(self.fock_dim)
         if dim < 2:
             raise ValueError(f"fock_dim must be an integer >= 2, got {dim}")
@@ -128,8 +130,9 @@ class RabiValue:
     value: float  # rad/s
 
 
-# Bounded: a phase-state schedule at N reads N + 1 columns.
-@functools.lru_cache(maxsize=1024)
+# Bounded: a phase-state schedule at N reads N + 1 columns.  The inputs are
+# checked on a miss only; typed, so that k = 1.0 misses k = 1's entry.
+@functools.lru_cache(maxsize=1024, typed=True)
 def _column(eta: float, omega: float, k: int, size: int) -> tuple[np.ndarray, dict]:
     """W_{0..size-1,k}, NaN where |W| underflows, and {m: ln|W_{m,k}|} of those m.
 
@@ -137,8 +140,9 @@ def _column(eta: float, omega: float, k: int, size: int) -> tuple[np.ndarray, di
     docstring; whenever |g| passes _RESCALE both carried terms are divided
     by it (exactly: a power of two) and its log joins the prefactor.
     """
-    if k < 0:
-        raise ValueError(f"sideband order must be >= 0, got k={k}")
+    _check_rates(eta, omega)
+    if parse_int(k) < 0 or parse_int(size) < 0:
+        raise ValueError(f"sideband order and column size must be >= 0, got k={k}, size={size}")
     x = eta * eta
     n = np.arange(max(size - 1, 0), dtype=float)
     a = np.sqrt((n + 1.0) / (n + 1.0 + k)) / (n + 1.0)

@@ -13,22 +13,20 @@ turn angle follows from the target's tail norms a_j = |c_{>j}| alone:
     theta_0 = atan2(a_0, c_0)        carrier, cos(W_00 t_0) = c_0
     theta_j = atan2(|c_j|, a_j)      red j, sin(W_0j t_j) = |c_j| / |c_{>=j}|
 
-with t_j = theta_j / W_0j.  The top level takes theta = pi/2 (the
-reservoir is fully deposited) and a zero amplitude theta = 0.  Targets
-are turned by a global phase so that c_0 is real nonnegative (the
-carrier deposit is real); the turn is recorded in the report.  Every
-laser phase is solved from the reservoir's phase, which one kernel
-application of the carrier gives and the red turns only scale, so that
-each deposit lands with the target's argument.  Solved phases make the
-compiler immune to sign-convention drift in the coefficient algebra;
-quoting fixed phases does not.
+with t_j = theta_j / W_0j.  Only the levels j >= 1 with c_j != 0 get a
+red pulse, and the top one takes theta = pi/2 (the reservoir is fully
+deposited).  Every laser phase is solved from the reservoir's phase,
+which one kernel application of the carrier gives and the red turns only
+scale, so that each deposit lands with the target's argument.  Solved
+phases make the compiler immune to sign-convention drift in the
+coefficient algebra; quoting fixed phases does not.
 
 compile_target takes one pass over the target: it builds the weights
-once and hands them to the variant's _compile(params, c), a pure function
-to (schedule, extra), where extra holds the report fields it fixes.  It
-alone runs the schedule from |0>|g> and builds the report: it scores the
-final state against the ideal state from the same weights
-(target_state_vector) turned by the recorded rotation.
+once, turns them by 0.0 - arg(c_0) (0.0 when c_0 = 0) so that c_0 is
+real and nonnegative, as the carrier deposits it, and hands them to the
+variant's _compile(params, c).  That pure function returns only the
+PulseSchedule, which lands the turned ideal state phase included;
+compile_target alone runs it and fills every report field.
 """
 
 from __future__ import annotations
@@ -71,22 +69,22 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class SynthesisReport:
-    """Compiled schedule plus forward-simulation diagnostics.
+    """Compiled schedule plus forward-simulation diagnostics, all from compile_target.
 
     fidelity_vs_target discards the global phase; exact_phase_fidelity
-    does not.  target_rotation_rad is the global phase by which the
-    user's target was rotated before inversion; truncation_overlap, for
-    coherent targets, the weight the kept levels capture.  The oracle
-    checks the schedule on its own: verify_schedule.
+    does not: it scores the target turned by target_rotation_rad, which
+    every schedule lands.  truncation_overlap, for coherent targets, is the
+    weight the kept levels capture.  The oracle checks the schedule on its
+    own: verify_schedule.
     """
 
     schedule: PulseSchedule
     predicted_final: JointState
     fidelity_vs_target: float
     exact_phase_fidelity: float
-    target_rotation_rad: float = 0.0
-    final_internal_state: str = "g"
-    truncation_overlap: float | None = None
+    target_rotation_rad: float
+    final_internal_state: str
+    truncation_overlap: float | None
 
     def __post_init__(self):
         if not 0.0 <= self.fidelity_vs_target <= 1.0:
@@ -149,19 +147,15 @@ def _validated_target(amplitudes) -> np.ndarray:
     return c[: last + 1]
 
 
-def _ladder(c: np.ndarray, params: PhysicalParams, provenance: str, step: int = 1):
-    """_compile's pair for the carrier and red ladder depositing the checked weights c.
+def _ladder(c: np.ndarray, params: PhysicalParams, provenance: str) -> PulseSchedule:
+    """The carrier and red ladder depositing the checked, turned weights c.
 
-    The target is first turned by a global phase so that c_0 is real and
-    nonnegative (the carrier deposit is real); the turn is reported.  Red
-    pulses go to every step-th level up to the top one, and every nonzero
-    c_j with j >= 1 must sit on one of them.  A one-level target is
-    |0>|g> up to the turn: no pulses.
+    c_0 is real and nonnegative, so the carrier leaves it in |0>|g>; one
+    red pulse goes to each level j >= 1 with c_j != 0, unless its turn is
+    too small for a nonzero duration.  A one-level target is |0>|g>: no pulses.
     """
-    rotation = 0.0 if c[0] == 0 else -cmath.phase(complex(c[0]))
-    if c.size == 1:  # no pulses; a real c_0's turn is reported as 0.0, not -0.0
-        return PulseSchedule(params, (), provenance), {"target_rotation_rad": rotation or 0.0}
-    c = c * cmath.exp(1j * rotation)
+    if c.size == 1:
+        return PulseSchedule(params, (), provenance)
     mags = np.abs(c)
     # tails[j] = |c_{>j}|, accumulated from the top so that no square underflows
     tails = np.append(np.hypot.accumulate(mags[::-1])[::-1][1:], 0.0)
@@ -170,9 +164,9 @@ def _ladder(c: np.ndarray, params: PhysicalParams, provenance: str, step: int = 
     reservoir = _reservoir(params, carrier)
     pulses = [carrier] + [
         _deposit(params, reservoir, j, math.atan2(mags[j], tails[j]), complex(c[j]))
-        for j in range(c.size - 1, 0, -step)[::-1]
+        for j in (np.flatnonzero(mags[1:]) + 1).tolist()
     ]
-    return PulseSchedule(params, tuple(pulses), provenance), {"target_rotation_rad": rotation}
+    return PulseSchedule(params, tuple(p for p in pulses if p.duration > 0.0), provenance)
 
 
 def _coherent_weights(alpha: complex, n_max: int, rem: int | None = None):
@@ -197,8 +191,13 @@ def _coherent_weights(alpha: complex, n_max: int, rem: int | None = None):
             scale += _LOG_RESCALE
     if rem is not None:
         c[1 - rem :: 2] = 0.0
+    # only the odd levels of an alpha below 2^-500: multiplied, exactly, until no square underflows
+    while np.max(np.abs(c)) < 1.0 / _RESCALE:
+        c, scale = c * _RESCALE, scale - _LOG_RESCALE
     # the kept |a|^{2j} / j!, summed; e^{-|a|^2} and the divisions are undone in log space
     kept = c.real @ c.real + c.imag @ c.imag
+    if scale < 0.0:  # |a|^2 < 2^-1000: the kept levels capture all of the weight
+        return c / math.sqrt(kept), 1.0
     lam = abs(alpha) ** 2
     captured = math.exp(math.log(kept) + 2.0 * scale - lam)
     if rem is not None:
@@ -243,23 +242,24 @@ class TargetState:
     """A target variant: a frozen dataclass that checks its fields when built.
 
     _JSON maps each JSON key to (field, codec).  _weights() returns
-    (c, fixed): c holds one weight per Fock level up to the top one, and
-    fixed the report fields the weights alone fix (truncation_overlap).  By
+    (c, truncation_overlap): c holds one weight per Fock level up to the
+    top one, and truncation_overlap is None but for coherent targets.  By
     default c is _amplitudes(), the motional weights in |g>, checked,
     normalized and trimmed after the last nonzero one, in one place.
 
     compile_target and target_state_vector build c once and pass it on:
-    _vector(params, c) gives the ideal state, and _compile(params, c)
-    returns (schedule, extra) from the target alone.  The schedule takes
-    |0>|g> to the ideal state turned by target_rotation_rad, and extra
-    holds the report fields it fixes (target_rotation_rad,
-    final_internal_state).  _VARIANTS maps each JSON tag to its variant.
+    _vector(params, c) gives the ideal state, and _compile(params, c),
+    given c turned so that c_0 is real and nonnegative, returns the
+    PulseSchedule taking |0>|g> to _vector(params, c), phase included.
+    _FINAL_INTERNAL_STATE is the internal state it ends in.  _VARIANTS
+    maps each JSON tag to its variant.
     """
 
     _JSON: dict = {}
+    _FINAL_INTERNAL_STATE = "g"
 
-    def _weights(self) -> tuple[np.ndarray, dict]:
-        return _validated_target(self._amplitudes()), {}
+    def _weights(self) -> tuple[np.ndarray, float | None]:
+        return _validated_target(self._amplitudes()), None
 
     def _vector(self, params: PhysicalParams, c: np.ndarray) -> JointState:
         amps = np.zeros(2 * params.fock_dim, dtype=complex)
@@ -275,8 +275,9 @@ class FockTarget(TargetState):
     Where W_{n,0} = 0 (a Laguerre zero, e.g. eta = 1, n = 1) the carrier
     cannot turn pair n, so a carrier transfer into |e> followed by a red-n
     full transfer is emitted instead; the provenance names the choice.
-    Multi-quantum sidebands make any n reachable with exactly two pulses;
-    n = 0 compiles to an empty schedule.
+    Multi-quantum sidebands make any n reachable with exactly two pulses,
+    and the carrier's phase lands |n>|g> at +1; n = 0 compiles to an empty
+    schedule.
     """
 
     n: int
@@ -294,22 +295,15 @@ class FockTarget(TargetState):
 
     def _compile(self, params, c):
         n = self.n
-        if n == 0:
-            return _ladder(c, params, "fock(n=0, strategy=blue-then-carrier)")
-        # two full transfers: sin(|W| t) = 1 on both pulses
-        if rabi_frequency(params, n, 0).value == 0.0:
-            strategy = "carrier-then-red"
-            pulses = (
-                _turn(params, "carrier", 0, 0, _HALF_PI, 0.0),
-                _turn(params, "red", n, 0, _HALF_PI, 0.0),
-            )
-        else:
-            strategy = "blue-then-carrier"
-            pulses = (
-                _turn(params, "blue", n, 0, _HALF_PI, 0.0),
-                _turn(params, "carrier", 0, n, _HALF_PI, 0.0),
-            )
-        return PulseSchedule(params, pulses, provenance=f"fock(n={n}, strategy={strategy})"), {}
+        if n == 0 or rabi_frequency(params, n, 0).value == 0.0:
+            strategy = "blue-then-carrier" if n == 0 else "carrier-then-red"
+            return _ladder(c, params, f"fock(n={n}, strategy={strategy})")
+        # two full transfers, sin(|W| t) = 1; at laser phases 0 they end at -i^n
+        pulses = (
+            _turn(params, "blue", n, 0, _HALF_PI, 0.0),
+            _turn(params, "carrier", 0, n, _HALF_PI, (2 - n) % 4 * _HALF_PI),
+        )
+        return PulseSchedule(params, pulses, f"fock(n={n}, strategy=blue-then-carrier)")
 
 
 @dataclass(frozen=True)
@@ -388,19 +382,21 @@ class CoherentTarget(TargetState):
 
     def _weights(self):
         c, overlap = _coherent_weights(self.alpha, self.n_max, self._rem)
-        return _validated_target(c), {"truncation_overlap": overlap}
+        return _validated_target(c), overlap
 
     def _compile(self, params, c):
-        return _ladder(c, params, f"coherent(alpha={self.alpha:.6g}, N={self.n_max})")
+        kind = "coherent" if self._rem is None else f"{self.parity}_coherent"
+        return _ladder(c, params, f"{kind}(alpha={self.alpha:.6g}, N={self.n_max})")
 
 
 @dataclass(frozen=True)
 class ParityCoherentTarget(CoherentTarget):
     """Even or odd coherent state (only even/odd Fock levels), truncated.
 
-    Compiled with red sidebands of that parity only, so the other parity
-    never acquires amplitude.  At alpha = 0 the odd state degenerates to
-    its lowest component |1>.  truncation_overlap is that of its parity.
+    Compiled with red sidebands on its nonzero levels only, so the other
+    parity never acquires amplitude.  At alpha = 0, or where |alpha|^2
+    underflows, the odd state degenerates to its lowest component |1>.
+    truncation_overlap is that of its parity.
     """
 
     parity: str  # "even" | "odd"
@@ -416,23 +412,22 @@ class ParityCoherentTarget(CoherentTarget):
     def _rem(self):
         return 0 if self.parity == "even" else 1
 
-    def _compile(self, params, c):
-        provenance = f"{self.parity}_coherent(alpha={self.alpha:.6g}, N={self.n_max})"
-        return _ladder(c, params, provenance, step=2)
-
 
 @dataclass(frozen=True)
 class BellTarget(TargetState):
     """Maximally entangled (|0>|e> + |1>|g>)/sqrt(2).
 
-    Compiled to a full carrier transfer into |0>|e> followed by a red-1
-    half transfer (sin = 1/sqrt(2)); the red phase is solved so both
-    components carry the same argument.
+    Compiled to a full carrier transfer into |0>|e>, at the laser phase
+    that leaves it +1 there, followed by a red-1 half transfer
+    (sin = 1/sqrt(2)) whose phase is solved so that both components land
+    at +1/sqrt(2).
     """
+
+    _FINAL_INTERNAL_STATE = "entangled"
 
     def _weights(self):
         # c_0 sits in |e>, c_1 in |g>; renormalizing would move them by an ulp
-        return np.full(2, 1.0 / math.sqrt(2.0), dtype=complex), {}
+        return np.full(2, 1.0 / math.sqrt(2.0), dtype=complex), None
 
     def _vector(self, params, c):
         amps = np.zeros(2 * params.fock_dim, dtype=complex)
@@ -440,12 +435,11 @@ class BellTarget(TargetState):
         return JointState(amps)
 
     def _compile(self, params, c):
-        carrier = _turn(params, "carrier", 0, 0, _HALF_PI, 0.0)  # sin(W_00 t0) = 1
-        res = _reservoir(params, carrier)
+        # sin(W_00 t0) = 1, and -i e^{-3i pi/2} = +1
+        carrier = _turn(params, "carrier", 0, 0, _HALF_PI, 3.0 * _HALF_PI)
         theta = math.asin(1.0 / math.sqrt(2.0))
-        red = _deposit(params, res, 1, theta, res * math.cos(theta))
-        schedule = PulseSchedule(params, (carrier, red), provenance="bell")
-        return schedule, {"final_internal_state": "entangled"}
+        red = _deposit(params, _reservoir(params, carrier), 1, theta, complex(c[1]))
+        return PulseSchedule(params, (carrier, red), provenance="bell")
 
 
 @dataclass(frozen=True)
@@ -459,6 +453,7 @@ class EntangledCarrierTarget(SuperpositionTarget):
 
     carrier_duration: float
     carrier_phase: float
+    _FINAL_INTERNAL_STATE = "entangled"
     _JSON = {
         "amplitudes": ("amplitudes", _COMPLEXES),
         "carrier_duration_s": ("carrier_duration", _FLOAT),
@@ -478,10 +473,8 @@ class EntangledCarrierTarget(SuperpositionTarget):
         return JointState(apply_pulse_amplitudes(superposition, params, self._carrier()))
 
     def _compile(self, params, c):
-        schedule, extra = super()._compile(params, c)
-        provenance = f"entangled_carrier(N={c.size - 1})"
-        schedule = PulseSchedule(params, schedule.pulses + (self._carrier(),), provenance)
-        return schedule, extra | {"final_internal_state": "entangled"}
+        pulses = super()._compile(params, c).pulses + (self._carrier(),)
+        return PulseSchedule(params, pulses, f"entangled_carrier(N={c.size - 1})")
 
 
 # JSON tag -> (variant, the field values the tag fixes)
@@ -512,19 +505,21 @@ def compile_target(target: TargetState, params: PhysicalParams) -> SynthesisRepo
     fock_dim must reach past the target's top Fock level by one empty
     guard level: at least default_fock_dim(target).
     """
-    c, fixed = target._weights()
+    c, overlap = target._weights()
     need = c.size + 1
     if params.fock_dim < need:
         raise ValueError(
             f"fock_dim {params.fock_dim} too small for top Fock level "
             f"{need - 2} (need >= {need})"
         )
-    schedule, extra = target._compile(params, c)
+    rotation = 0.0 if c[0] == 0 else 0.0 - cmath.phase(complex(c[0]))  # never -0.0
+    turn = cmath.exp(1j * rotation)
+    schedule = target._compile(params, c * turn)
     final = run_schedule(JointState.ground(params.fock_dim), schedule)
-    turn = cmath.exp(1j * extra.get("target_rotation_rad", 0.0))
     ideal = JointState(target._vector(params, c).amplitudes * turn)
     exact = fidelity(ideal, final, up_to_global_phase=False)
-    return SynthesisReport(schedule, final, fidelity(ideal, final), exact, **fixed, **extra)
+    fields = (rotation, target._FINAL_INTERNAL_STATE, overlap)
+    return SynthesisReport(schedule, final, fidelity(ideal, final), exact, *fields)
 
 
 def target_state_vector(target: TargetState, params: PhysicalParams) -> JointState:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from ionpulse import (
     rabi_column,
     rabi_frequency,
 )
+
+from ionpulse import core
 
 from conftest import laguerre_rabi, mpmath_rabi, pulse_coefficient
 
@@ -186,6 +189,38 @@ class TestRabiColumn:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             rabi_column(0.25, 5e4, -1, 8)
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((math.nan, 5e4, 1, 8), "eta must be positive and finite, got nan"),
+            ((math.inf, 5e4, 1, 8), "eta must be positive and finite, got inf"),
+            ((0.0, 5e4, 1, 8), "eta must be positive and finite, got 0.0"),
+            ((-0.25, 5e4, 1, 8), "eta must be positive and finite, got -0.25"),
+            ((0.25, math.nan, 1, 8), "omega_carrier must be positive and finite, got nan"),
+            ((0.25, 0.0, 1, 8), "omega_carrier must be positive and finite, got 0.0"),
+            ((0.25, -5e4, 1, 8), "omega_carrier must be positive and finite, got -50000.0"),
+            ((0.25, 5e4, 1.5, 8), "expected an integer, got 1.5"),
+            ((0.25, 5e4, 1, -2), "column size must be >= 0"),
+        ],
+    )
+    def test_invalid_inputs_rejected(self, args, message):
+        # they once gave NaN columns, a bare math domain error or values
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rabi_column(*args)
+
+    def test_a_float_order_misses_the_cached_integer_order(self):
+        rabi_column(0.25, 5e4, 1, 8)
+        with pytest.raises(ValueError, match="expected an integer, got 1.0"):
+            rabi_column(0.25, 5e4, 1.0, 8)
+
+    def test_inputs_checked_on_a_miss_only(self, monkeypatch):
+        checks = []
+        monkeypatch.setattr(core, "_check_rates", lambda *args: checks.append(args))
+        core._column.cache_clear()
+        for _ in range(3):
+            rabi_column(0.3, 4e4, 2, 5)
+        assert checks == [(0.3, 4e4)]
 
 
 class TestPulseCoefficient:

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ionpulse import (
     EXCITED,
@@ -30,7 +31,7 @@ from ionpulse import (
 )
 from ionpulse import synthesis
 from ionpulse.cli import main
-from ionpulse.serialization import report_to_dict
+from ionpulse.serialization import report_to_dict, target_from_dict
 from ionpulse.synthesis import _coherent_weights
 
 from conftest import run_alternating
@@ -87,21 +88,23 @@ class TestCompileFock:
         assert fidelity(JointState.fock(n, params.fock_dim), rerun) >= 1 - 1e-10
 
     def test_blue_then_carrier_final_phase(self):
-        # with both laser phases zero the final amplitude is -i^n
+        # the carrier's phase turns the -i^n of laser phases zero into +1
         n, params = 3, _params(8)
         report = compile_target(FockTarget(n), params)
         assert report.schedule.provenance == "fock(n=3, strategy=blue-then-carrier)"
         amp = report.predicted_final.amplitude(n, GROUND)
-        assert amp == pytest.approx(-(1j**n), abs=1e-12)
+        assert amp == pytest.approx(1.0, abs=1e-12)
+        assert report.exact_phase_fidelity >= 1 - 1e-12
 
     def test_carrier_then_red_final_phase(self):
-        # emitted where W_{n,0} = 0 (L_1(1) = 0); with both laser phases
-        # zero the final amplitude is -(-i)^n
+        # emitted where W_{n,0} = 0 (L_1(1) = 0); the ladder solves the red
+        # phase, so the final amplitude is +1 too
         n, params = 1, _params(5, eta=1.0)
         report = compile_target(FockTarget(n), params)
         assert [p.kind for p in report.schedule.pulses] == ["carrier", "red"]
         amp = report.predicted_final.amplitude(n, GROUND)
-        assert amp == pytest.approx(-((-1j) ** n), abs=1e-12)
+        assert amp == pytest.approx(1.0, abs=1e-12)
+        assert report.exact_phase_fidelity >= 1 - 1e-12
 
     def test_sideband_duration_scales_inversely_with_coupling(self):
         params = _params(16)
@@ -135,7 +138,8 @@ class TestCarrierSignChange:
         rerun = run_schedule(JointState.ground(params.fock_dim), report.schedule)
         assert fidelity(JointState.fock(n, params.fock_dim), rerun) >= 1 - 1e-9
         # the same final phase as below the zero (see test_blue_then_carrier_final_phase)
-        assert rerun.amplitude(n, GROUND) == pytest.approx(-(1j**n), abs=1e-9)
+        assert rerun.amplitude(n, GROUND) == pytest.approx(1.0, abs=1e-9)
+        assert report.exact_phase_fidelity >= 1 - 1e-12
 
     @pytest.mark.parametrize("eta,n", [(1.2, 1), (math.sqrt(2.0), 2)])
     def test_oracle_agrees_past_laguerre_zero(self, eta, n):
@@ -206,9 +210,21 @@ class TestCompileSuperposition:
     def test_zero_intermediate_amplitude_skips_pulse(self):
         c = np.array([0.6, 0.0, 0.8], dtype=complex)
         report = compile_target(SuperpositionTarget(c), _params(8))
-        assert report.schedule.pulses[1].duration == 0.0
-        assert report.schedule.pulses[1].phase == 0.0
+        assert [(p.kind, p.k) for p in report.schedule.pulses] == [("carrier", 0), ("red", 2)]
+        assert all(p.duration > 0.0 for p in report.schedule.pulses)
         assert report.fidelity_vs_target >= 1 - 1e-10
+
+    @pytest.mark.parametrize(
+        "amplitudes,kept",
+        [((0.6, 5e-324, 0.8), [("carrier", 0), ("red", 2)]), ((1.0, 1e-320), [("red", 1)])],
+    )
+    def test_turn_below_the_smallest_duration_emits_no_pulse(self, amplitudes, kept):
+        # a subnormal amplitude's turn over |W| rounds to a duration of 0
+        target = SuperpositionTarget(amplitudes)
+        report = compile_target(target, _params(default_fock_dim(target), eta=1.0))
+        assert [(p.kind, p.k) for p in report.schedule.pulses] == kept
+        assert all(p.duration > 0.0 for p in report.schedule.pulses)
+        assert report.exact_phase_fidelity >= 1 - 1e-12
 
     def test_zero_leading_amplitude(self):
         c = np.array([0.0, 0.6, 0.8], dtype=complex)
@@ -402,6 +418,17 @@ class TestCompileEvenOddCoherent:
         final = report.predicted_final
         for j in range(0, params.fock_dim, 2):
             assert abs(final.amplitude(j, GROUND)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [1e-160, 1e-162, 1e-170, 1e-200j])
+    def test_odd_weight_below_the_double_range_is_fock_one(self, alpha):
+        # |alpha|^2 is subnormal or zero: the kept weights are scaled up by
+        # exact powers of two, and the overlap takes its limit
+        target = ParityCoherentTarget(alpha, 3, "odd")
+        assert default_fock_dim(target) == 3
+        report = compile_target(target, _params(3))
+        assert report.truncation_overlap == 1.0
+        assert report.predicted_final.population(1, GROUND) == pytest.approx(1.0, abs=1e-15)
+        assert report.exact_phase_fidelity >= 1 - 1e-12
 
     def test_odd_small_alpha_limit_is_fock_one(self):
         report = compile_target(ParityCoherentTarget(1e-7, 1, "odd"), _params(6))
@@ -829,3 +856,46 @@ class TestOnePassOverTheTarget:
         path.write_text(json.dumps({"variant": "coherent", "alpha": [2.5, 0.0], "n_max": 60}))
         assert main(["synthesize", "--target", str(path)]) == 0
         assert len(builds) <= 2
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def json_targets(draw):
+    """A target document of any JSON tag, with its top Fock level in 0..60."""
+    tag = draw(st.sampled_from(sorted(synthesis._VARIANTS)))
+    top = draw(st.integers(0, 60))
+    doc = {"variant": tag}
+    if tag == "fock":
+        doc["n"] = top
+    elif tag in ("superposition", "entangled_carrier"):
+        pairs = np.array(draw(st.lists(st.tuples(_UNIT, _UNIT), min_size=top + 1, max_size=top + 1)))
+        norm = np.linalg.norm(pairs)
+        assume(norm >= 1e-150)  # so that the normalized draw is a unit vector to rounding
+        doc["amplitudes"] = (pairs / norm).tolist()
+        if tag == "entangled_carrier":
+            doc["carrier_duration_s"] = draw(st.floats(1e-7, 1e-3))
+            doc["carrier_phase_rad"] = draw(st.floats(-10.0, 10.0))
+    elif tag == "phase_state":
+        doc["n_max"], doc["theta_rad"] = max(top, 1), draw(st.floats(-10.0, 10.0))
+    elif tag != "bell":
+        doc["alpha"] = [draw(st.floats(-8.0, 8.0)), draw(st.floats(-8.0, 8.0))]
+        doc["n_max"] = max(top, 1) if tag == "odd_coherent" else top
+    return doc
+
+
+class TestWideRange:
+    """Every tag over eta in [1e-3, 30]: the target, phase included, or a typed error."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=json_targets(), eta=st.floats(math.log(1e-3), math.log(30.0)).map(math.exp))
+    def test_compiles_exactly_or_raises_underflow(self, doc, eta):
+        target = target_from_dict(doc)
+        try:
+            report = compile_target(target, _params(default_fock_dim(target), eta=eta))
+        except RabiUnderflowError:
+            return
+        assert report.fidelity_vs_target >= 1 - 1e-9
+        assert report.exact_phase_fidelity >= 1 - 1e-9
+        assert all(p.duration > 0.0 for p in report.schedule.pulses)
