@@ -101,11 +101,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        atomic_write_text(out, text if text.endswith("\n") else text + "\n")
+def _emit(doc, out: str | None):
+    """Write doc to out, or to stdout when out is None.
+
+    A dict is written as indented JSON, a list of rows (header first) as CSV.
+    """
+    if isinstance(doc, dict):
+        text = json.dumps(doc, indent=2) + "\n"
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        buf = io.StringIO()
+        csv.writer(buf).writerows(doc)
+        text = buf.getvalue()
+    if out:
+        atomic_write_text(out, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _fail(kind: str, message: str, **extra) -> int:
@@ -116,34 +126,18 @@ def _fail(kind: str, message: str, **extra) -> int:
 
 def cmd_rabi(args) -> int:
     etas = [args.eta] if args.eta is not None else list(RABI_ETA_SET)
-    rows = []
     size = max(args.m_max, -1) + 1
     orders = range(max(args.k_max, -1) + 1)
+    omega, rows = args.omega_rad_s, []
     for eta in etas:
-        columns = [rabi_column(eta, args.omega_rad_s, k, size).tolist() for k in orders]
-        for m in range(size):
-            for k in orders:
-                value = columns[k][m]
-                rows.append(
-                    {
-                        "eta": eta,
-                        "m": m,
-                        "k": k,
-                        "rabi_rad_s": value,
-                        "rabi_over_omega": value / args.omega_rad_s,
-                    }
-                )
-    if args.format != "json":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["eta", "m", "k", "rabi_rad_s", "rabi_over_omega"])
-        for r in rows:
-            writer.writerow(
-                [repr(r["eta"]), r["m"], r["k"], repr(r["rabi_rad_s"]), repr(r["rabi_over_omega"])]
-            )
-        _emit(buf.getvalue(), args.out)
+        columns = [rabi_column(eta, omega, k, size).tolist() for k in orders]
+        for m, ws in enumerate(zip(*columns)):
+            rows += [(eta, m, k, w, w / omega) for k, w in enumerate(ws)]
+    header = ("eta", "m", "k", "rabi_rad_s", "rabi_over_omega")
+    if args.format == "json":
+        _emit({"rows": [dict(zip(header, row)) for row in rows]}, args.out)
     else:
-        _emit(json.dumps({"rows": rows}, indent=2), args.out)
+        _emit([header, *rows], args.out)
     return 0
 
 
@@ -156,12 +150,12 @@ def cmd_synthesize(args) -> int:
         fock_dim=fock_dim,
     )
     report = compile_target(target, params)
-    report_doc = report_to_dict(report)
+    doc = report_to_dict(report)
     if args.out:
         save_schedule(args.out, report.schedule)
     if args.report:
-        atomic_write_text(args.report, json.dumps(report_doc, indent=2) + "\n")
-    sys.stdout.write(json.dumps(report_doc, indent=2) + "\n")
+        _emit(doc, args.report)
+    _emit(doc, None)
     tolerance = args.tolerance if args.tolerance is not None else DEFAULT_SYNTH_TOLERANCE
     return 0 if report.fidelity_vs_target >= 1.0 - tolerance else 1
 
@@ -180,19 +174,16 @@ def cmd_simulate(args) -> int:
         final, trace = run_schedule(initial, schedule), None
 
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["m", "state", "re", "im", "population"])
+        doc = [("m", "state", "re", "im", "population")]
         for m in range(final.dim):
             for s, label in ((0, "g"), (1, "e")):
                 a = final.amplitude(m, s)
-                writer.writerow([m, label, repr(a.real), repr(a.imag), repr(final.population(m, s))])
-        _emit(buf.getvalue(), args.out)
-        return 0
-    doc = {"final": state_to_dict(final), "populations": _populations(final)}
-    if trace is not None:
-        doc["trace"] = [state_to_dict(s) for s in trace]
-    _emit(json.dumps(doc, indent=2), args.out)
+                doc.append((m, label, a.real, a.imag, final.population(m, s)))
+    else:
+        doc = {"final": state_to_dict(final), "populations": _populations(final)}
+        if trace is not None:
+            doc["trace"] = [state_to_dict(s) for s in trace]
+    _emit(doc, args.out)
     return 0
 
 
@@ -213,7 +204,7 @@ def cmd_verify(args) -> int:
         doc["target_fidelity"] = target_fid
         passed = passed and target_fid >= 1.0 - tolerance
     doc["pass"] = passed
-    _emit(json.dumps(doc, indent=2), args.out)
+    _emit(doc, args.out)
     return 0 if passed else 1
 
 

@@ -187,9 +187,10 @@ def rabi_frequency(params: PhysicalParams, m: int, k: int) -> RabiValue:
     k -- sideband order (0 for the carrier).
 
     Reads the column that the pulse kernel uses for params.  Raises
-    ValueError for negative indices and RabiUnderflowError when this
-    magnitude drops below the representable double range.
+    ValueError for negative or non-integer indices and RabiUnderflowError
+    when this magnitude drops below the representable double range.
     """
+    m, k = parse_int(m), parse_int(k)
     if m < 0 or k < 0:
         raise ValueError(f"Fock index and sideband order must be >= 0, got m={m}, k={k}")
     values, lost = _column(params.eta, params.omega_carrier, k, max(m + 1, params.fock_dim - k))

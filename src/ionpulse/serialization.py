@@ -9,8 +9,9 @@ names are stable):
      "provenance": s}
 
 Target schema is a tagged union on "variant", with one tag and one set
-of keys per target variant (synthesis._VARIANTS).  The loaders refuse
-non-finite numbers (NaN, Infinity, 1e999).  All file writes are atomic
+of keys per target variant (synthesis._VARIANTS).  Targets are input
+only: they are read, never written.  The loaders refuse non-finite
+numbers (NaN, Infinity, 1e999).  All file writes are atomic
 (write-temp-then-rename).
 """
 
@@ -36,7 +37,6 @@ __all__ = [
     "schedule_from_dict",
     "save_schedule",
     "load_schedule",
-    "target_to_dict",
     "target_from_dict",
     "load_target",
     "state_to_dict",
@@ -144,17 +144,6 @@ def load_schedule(path: str) -> PulseSchedule:
 # Targets
 
 
-def target_to_dict(target: TargetState) -> dict:
-    """The target's fields under the tag of the _VARIANTS row it matches."""
-    for tag, (variant, fixed) in _VARIANTS.items():
-        if type(target) is variant and all(getattr(target, f) == v for f, v in fixed.items()):
-            doc = {"variant": tag}
-            for key, (name, (encode, _)) in variant._JSON.items():
-                doc[key] = encode(getattr(target, name))
-            return doc
-    raise TypeError(f"unknown target {type(target).__name__}")
-
-
 def target_from_dict(data: dict) -> TargetState:
     if not isinstance(data, dict):
         raise ValueError(f"a target is a JSON object, got {type(data).__name__}")
@@ -162,7 +151,7 @@ def target_from_dict(data: dict) -> TargetState:
     if tag not in _VARIANTS:
         raise ValueError(f"unknown target variant {tag!r}")
     variant, fixed = _VARIANTS[tag]
-    fields = {name: decode(data[key]) for key, (name, (_, decode)) in variant._JSON.items()}
+    fields = {name: parse(data[key]) for key, (name, parse) in variant._JSON.items()}
     return variant(**fields, **fixed)
 
 

@@ -124,9 +124,6 @@ class PulseSchedule:
     def total_duration(self) -> float:
         return float(sum(p.duration for p in self.pulses))
 
-    def __len__(self) -> int:
-        return len(self.pulses)
-
 
 class JointState:
     """Normalized complex amplitude vector over |m> x {|g>, |e>}.

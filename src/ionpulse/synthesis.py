@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _LOG_RESCALE, _RESCALE, PhysicalParams, ipow, parse_int, rabi_frequency
+from .core import _LOG_RESCALE, _RESCALE, PhysicalParams, ipow, parse_int, rabi_column
 from .states import (
     EXCITED,
     GROUND,
@@ -105,9 +105,10 @@ def _turn(params: PhysicalParams, kind: str, k: int, m: int, angle: float, phase
     W_{m,k} can be negative past a Laguerre zero.  A pulse of duration
     angle / |W| at phase + pi then gives the same 2x2 block as a positive
     coupling would: the sign of sin(W t) folds into e^{-i phase}.  A
-    coupling of exactly zero cannot turn the pair.
+    coupling of exactly zero cannot turn the pair.  W is read from the
+    column the pulse kernel multiplies by the duration.
     """
-    w = rabi_frequency(params, m, k).value
+    w = float(rabi_column(params.eta, params.omega_carrier, k, params.fock_dim - k)[m])
     if w == 0.0:
         raise ValueError(
             f"W_{{{m},{k}}} = 0 at eta = {params.eta}: a {kind} pulse cannot turn pair {m}"
@@ -152,7 +153,8 @@ def _ladder(c: np.ndarray, params: PhysicalParams, provenance: str) -> PulseSche
 
     c_0 is real and nonnegative, so the carrier leaves it in |0>|g>; one
     red pulse goes to each level j >= 1 with c_j != 0, unless its turn is
-    too small for a nonzero duration.  A one-level target is |0>|g>: no pulses.
+    too small for a nonzero duration.  A one-level target is |0>|g>, and so
+    is one whose carrier turn is too small: no pulses.
     """
     if c.size == 1:
         return PulseSchedule(params, (), provenance)
@@ -160,6 +162,8 @@ def _ladder(c: np.ndarray, params: PhysicalParams, provenance: str) -> PulseSche
     # tails[j] = |c_{>j}|, accumulated from the top so that no square underflows
     tails = np.append(np.hypot.accumulate(mags[::-1])[::-1][1:], 0.0)
     carrier = _turn(params, "carrier", 0, 0, math.atan2(tails[0], c[0].real), _HALF_PI)
+    if carrier.duration == 0.0:  # an empty reservoir: every deposit would be wasted
+        return PulseSchedule(params, (), provenance)
     # each red turn scales the reservoir by cos(theta_j) >= 0, so its phase stays put
     reservoir = _reservoir(params, carrier)
     pulses = [carrier] + [
@@ -199,9 +203,11 @@ def _coherent_weights(alpha: complex, n_max: int, rem: int | None = None):
     if scale < 0.0:  # |a|^2 < 2^-1000: the kept levels capture all of the weight
         return c / math.sqrt(kept), 1.0
     lam = abs(alpha) ** 2
-    captured = math.exp(math.log(kept) + 2.0 * scale - lam)
+    whole = 1.0  # the share of the untruncated state that the kept parity holds
     if rem is not None:
-        captured /= (1.0 + math.exp(-2.0 * lam) if rem == 0 else -math.expm1(-2.0 * lam)) / 2.0
+        whole = (1.0 + math.exp(-2.0 * lam) if rem == 0 else -math.expm1(-2.0 * lam)) / 2.0
+    # divided before the log, so a ratio near 1 keeps its digits at small alpha
+    captured = math.exp(math.log(kept / whole) + 2.0 * scale - lam)
     return c / math.sqrt(kept), min(1.0, captured)
 
 
@@ -228,20 +234,14 @@ def parse_complex(value) -> complex:
     return complex(parse_float(value))
 
 
-# JSON codecs (encode, decode) of target fields
-_INT = (int, parse_int)
-_FLOAT = (float, parse_float)
-_COMPLEX = (complex_pair, parse_complex)
-_COMPLEXES = (
-    lambda zs: [complex_pair(z) for z in zs],
-    lambda value: tuple(parse_complex(z) for z in value),
-)
+def _parse_complexes(value) -> tuple[complex, ...]:
+    return tuple(parse_complex(z) for z in value)
 
 
 class TargetState:
     """A target variant: a frozen dataclass that checks its fields when built.
 
-    _JSON maps each JSON key to (field, codec).  _weights() returns
+    _JSON maps each JSON key to (field, parser).  _weights() returns
     (c, truncation_overlap): c holds one weight per Fock level up to the
     top one, and truncation_overlap is None but for coherent targets.  By
     default c is _amplitudes(), the motional weights in |g>, checked,
@@ -281,7 +281,7 @@ class FockTarget(TargetState):
     """
 
     n: int
-    _JSON = {"n": ("n", _INT)}
+    _JSON = {"n": ("n", parse_int)}
 
     def __post_init__(self):
         object.__setattr__(self, "n", parse_int(self.n))
@@ -295,7 +295,7 @@ class FockTarget(TargetState):
 
     def _compile(self, params, c):
         n = self.n
-        if n == 0 or rabi_frequency(params, n, 0).value == 0.0:
+        if n == 0 or rabi_column(params.eta, params.omega_carrier, 0, params.fock_dim)[n] == 0.0:
             strategy = "blue-then-carrier" if n == 0 else "carrier-then-red"
             return _ladder(c, params, f"fock(n={n}, strategy={strategy})")
         # two full transfers, sin(|W| t) = 1; at laser phases 0 they end at -i^n
@@ -315,7 +315,7 @@ class SuperpositionTarget(TargetState):
     """
 
     amplitudes: tuple[complex, ...]
-    _JSON = {"amplitudes": ("amplitudes", _COMPLEXES)}
+    _JSON = {"amplitudes": ("amplitudes", _parse_complexes)}
 
     def __post_init__(self):
         object.__setattr__(
@@ -341,7 +341,7 @@ class PhaseStateTarget(TargetState):
 
     n_max: int
     theta: float
-    _JSON = {"n_max": ("n_max", _INT), "theta_rad": ("theta", _FLOAT)}
+    _JSON = {"n_max": ("n_max", parse_int), "theta_rad": ("theta", parse_float)}
 
     def __post_init__(self):
         object.__setattr__(self, "n_max", parse_int(self.n_max))
@@ -369,7 +369,7 @@ class CoherentTarget(TargetState):
 
     alpha: complex
     n_max: int
-    _JSON = {"alpha": ("alpha", _COMPLEX), "n_max": ("n_max", _INT)}
+    _JSON = {"alpha": ("alpha", parse_complex), "n_max": ("n_max", parse_int)}
     _rem = None  # the parity of the kept levels; None keeps them all
 
     def __post_init__(self):
@@ -455,9 +455,9 @@ class EntangledCarrierTarget(SuperpositionTarget):
     carrier_phase: float
     _FINAL_INTERNAL_STATE = "entangled"
     _JSON = {
-        "amplitudes": ("amplitudes", _COMPLEXES),
-        "carrier_duration_s": ("carrier_duration", _FLOAT),
-        "carrier_phase_rad": ("carrier_phase", _FLOAT),
+        "amplitudes": ("amplitudes", _parse_complexes),
+        "carrier_duration_s": ("carrier_duration", parse_float),
+        "carrier_phase_rad": ("carrier_phase", parse_float),
     }
 
     def __post_init__(self):

@@ -9,7 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from ionpulse import FockTarget, PhysicalParams, cli, compile_target, oracle, run_schedule
+from ionpulse import (
+    DEFAULT_OMEGA_RAD_S,
+    FockTarget,
+    JointState,
+    PhaseStateTarget,
+    PhysicalParams,
+    cli,
+    compile_target,
+    oracle,
+    rabi_column,
+    run_schedule,
+)
 from ionpulse.cli import main
 from ionpulse.serialization import atomic_write_text, save_schedule
 
@@ -65,6 +76,16 @@ class TestRabi:
         assert out == ""
         assert out_path.read_text().startswith("eta,m,k")
 
+    def test_every_cell_reads_back_as_the_library_value(self, capsys):
+        code, out, _ = run_cli(capsys, "rabi")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == len(cli.RABI_ETA_SET) * 11  # m = 0, k = 0..10
+        for eta, m, k, w, ratio in rows:
+            want = float(rabi_column(float(eta), DEFAULT_OMEGA_RAD_S, int(k), 1)[int(m)])
+            assert float(eta) in cli.RABI_ETA_SET
+            assert (float(w), float(ratio)) == (want, want / DEFAULT_OMEGA_RAD_S)
+
     def test_k0_column_monotone_decreasing_in_eta(self, capsys):
         # the carrier coupling (W/2) e^{-eta^2/2} shrinks as eta grows
         code, out, _ = run_cli(capsys, "rabi", "--m-max", "0", "--k-max", "0")
@@ -110,6 +131,15 @@ class TestSynthesize:
         )
         assert code == 0
         assert json.loads(report_path.read_text())["fidelity_vs_target"] >= 1 - 1e-9
+
+    def test_report_file_is_the_stdout(self, capsys, tmp_path):
+        target = write_target(tmp_path, {"variant": "phase_state", "n_max": 3, "theta_rad": 0.7})
+        report_path = tmp_path / "report.json"
+        code, out, _ = run_cli(
+            capsys, "synthesize", "--target", target, "--report", str(report_path)
+        )
+        assert code == 0
+        assert report_path.read_bytes() == out.encode()
 
     def test_malformed_target_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -220,6 +250,23 @@ class TestSimulate:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert {r["state"] for r in rows} == {"g", "e"}
+
+    def test_csv_cells_read_back_as_the_final_state(self, capsys, tmp_path):
+        params = PhysicalParams(eta=0.25, omega_carrier=5e4, fock_dim=6)
+        schedule = compile_target(PhaseStateTarget(4, 0.3), params).schedule
+        path = tmp_path / "sched.json"
+        save_schedule(str(path), schedule)
+        code, out, _ = run_cli(capsys, "simulate", "--schedule", str(path), "--format", "csv")
+        assert code == 0
+        final = run_schedule(JointState.ground(6), schedule)
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["m", "state", "re", "im", "population"]
+        assert len(rows) == 1 + 2 * 6
+        for m, label, re, im, population in rows[1:]:
+            s = "ge".index(label)
+            a = final.amplitude(int(m), s)
+            assert (float(re), float(im)) == (a.real, a.imag)
+            assert float(population) == final.population(int(m), s)
 
     def test_initial_state_file(self, capsys, tmp_path):
         doc = {

@@ -118,6 +118,11 @@ class TestRabiFrequency:
         with pytest.raises(ValueError):
             rabi_frequency(params, 0, -2)
 
+    @pytest.mark.parametrize("m,k", [(1.5, 0), (True, 0), (0, 1.0), (0, "1")])
+    def test_non_integer_indices_rejected(self, params, m, k):
+        with pytest.raises(ValueError, match="expected an integer"):
+            rabi_frequency(params, m, k)
+
     def test_underflow_carries_log_magnitude(self):
         p = PhysicalParams(eta=0.1, omega_carrier=5e4, fock_dim=4)
         with pytest.raises(RabiUnderflowError) as excinfo:

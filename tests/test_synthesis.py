@@ -216,10 +216,11 @@ class TestCompileSuperposition:
 
     @pytest.mark.parametrize(
         "amplitudes,kept",
-        [((0.6, 5e-324, 0.8), [("carrier", 0), ("red", 2)]), ((1.0, 1e-320), [("red", 1)])],
+        [((0.6, 5e-324, 0.8), [("carrier", 0), ("red", 2)]), ((1.0, 1e-320), [])],
     )
     def test_turn_below_the_smallest_duration_emits_no_pulse(self, amplitudes, kept):
-        # a subnormal amplitude's turn over |W| rounds to a duration of 0
+        # a subnormal amplitude's turn over |W| rounds to a duration of 0; a
+        # dropped carrier leaves an empty reservoir, so no deposit follows it
         target = SuperpositionTarget(amplitudes)
         report = compile_target(target, _params(default_fock_dim(target), eta=1.0))
         assert [(p.kind, p.k) for p in report.schedule.pulses] == kept
@@ -318,13 +319,21 @@ class TestCompilePhaseState:
             PhaseStateTarget(0, 0.0)
 
 
+# alphas whose overlaps are 1 to far below a double's precision; the odd
+# overlap once lost 1e-14 to 4e-14 of it in its logarithm
+SMALL_ALPHAS = [2.0**-499, 1e-100, 1e-50]
+
 # (alpha, n_max) for the truncation overlaps; e^{-|alpha|^2} is subnormal
 # from |alpha| = 26.6 and zero from 27.3 on
 OVERLAP_CASES = [(0.0, 5), (0.1, 4), (0.5, 6), (1.5 + 0.5j, 9), (20, 300), (27.2, 2000), (30, 2000)]
+OVERLAP_CASES += [(alpha, 3) for alpha in SMALL_ALPHAS]
 
 
 def _overlap_tolerance(alpha) -> float:
-    """e^{-|alpha|^2} enters through its exponent, rounded to a few eps |alpha|^2."""
+    """e^{-|alpha|^2} enters through its exponent, rounded to a few eps |alpha|^2.
+
+    Passed with abs=0.0: pytest.approx's default abs of 1e-12 would swamp it.
+    """
     return 1e-14 + 4e-16 * abs(alpha) ** 2
 
 
@@ -376,7 +385,7 @@ class TestCompileCoherent:
             kept = mpmath.fsum(lam**j / mpmath.factorial(j) for j in range(n + 1))
             expected = float(kept * mpmath.exp(-lam))
         _, overlap = _coherent_weights(alpha, n)
-        assert overlap == pytest.approx(expected, rel=_overlap_tolerance(alpha))
+        assert overlap == pytest.approx(expected, rel=_overlap_tolerance(alpha), abs=0.0)
 
     def test_unreachable_level_names_the_underflowing_coupling(self):
         # the weights reach level 900, but at eta = 0.25 W_{0,k} underflows
@@ -448,7 +457,11 @@ class TestCompileEvenOddCoherent:
             whole = mpmath.cosh(lam) if parity == "even" else mpmath.sinh(lam)
             expected = 1.0 if alpha == 0 else float(kept / whole)
         _, overlap = _coherent_weights(alpha, n, rem)
-        assert overlap == pytest.approx(expected, rel=_overlap_tolerance(alpha))
+        assert overlap == pytest.approx(expected, rel=_overlap_tolerance(alpha), abs=0.0)
+
+    @pytest.mark.parametrize("alpha", SMALL_ALPHAS)
+    def test_small_alpha_odd_overlap_is_one(self, alpha):
+        assert _coherent_weights(alpha, 3, 1)[1] == 1.0
 
     def test_bad_parity(self):
         with pytest.raises(ValueError, match="parity must be 'even' or 'odd'"):
