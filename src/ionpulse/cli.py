@@ -18,23 +18,10 @@ import json
 import math
 import sys
 
-from .core import (
-    DEFAULT_ETA,
-    DEFAULT_OMEGA_RAD_S,
-    PhysicalParams,
-    rabi_column,
-)
+from .core import DEFAULT_ETA, DEFAULT_OMEGA_RAD_S, PhysicalParams, rabi_column
 from .oracle import _oracle_final
-from .serialization import (
-    _populations,
-    atomic_write_text,
-    load_schedule,
-    load_state,
-    load_target,
-    report_to_dict,
-    save_schedule,
-    state_to_dict,
-)
+from .serialization import _populations, atomic_write_text, load_schedule, load_state, load_target
+from .serialization import report_to_dict, save_schedule, state_to_dict
 from .states import JointState, fidelity, run_schedule
 from .synthesis import compile_target, default_fock_dim, target_state_vector
 
@@ -174,11 +161,10 @@ def cmd_simulate(args) -> int:
         final, trace = run_schedule(initial, schedule), None
 
     if args.format == "csv":
-        doc = [("m", "state", "re", "im", "population")]
-        for m in range(final.dim):
-            for s, label in ((0, "g"), (1, "e")):
-                a = final.amplitude(m, s)
-                doc.append((m, label, a.real, a.imag, final.population(m, s)))
+        pairs = state_to_dict(final)["amplitudes"]
+        doc = [("m", "state", "re", "im", "population")] + [
+            (p["m"], p["state"], *z, p["population"]) for p, z in zip(_populations(final), pairs)
+        ]
     else:
         doc = {"final": state_to_dict(final), "populations": _populations(final)}
         if trace is not None:
@@ -209,20 +195,10 @@ def cmd_verify(args) -> int:
 
 
 _COMMANDS = {
-    "rabi": cmd_rabi,
-    "synthesize": cmd_synthesize,
-    "simulate": cmd_simulate,
-    "verify": cmd_verify,
+    "rabi": cmd_rabi, "synthesize": cmd_synthesize, "simulate": cmd_simulate, "verify": cmd_verify
 }
 
-_INPUT_ERRORS = (
-    ValueError,
-    ArithmeticError,
-    KeyError,
-    TypeError,
-    OSError,
-    MemoryError,
-)
+_INPUT_ERRORS = (ValueError, ArithmeticError, KeyError, TypeError, OSError, MemoryError)
 
 
 def main(argv=None) -> int:

@@ -65,6 +65,8 @@ _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
 def parse_int(value) -> int:
     """An integer (numpy's too) as an int; floats, bools and strings are refused."""
+    if type(value) is int:  # the common case, ahead of the slow ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)

@@ -27,7 +27,7 @@ import numpy as np
 from .core import PhysicalParams, parse_int
 from .states import JointState, Pulse, PulseSchedule
 from .synthesis import _VARIANTS, SynthesisReport, TargetState
-from .synthesis import complex_pair, parse_complex, parse_float
+from .synthesis import parse_complex, parse_float
 
 __all__ = [
     "atomic_write_text",
@@ -164,10 +164,8 @@ def load_target(path: str) -> TargetState:
 
 
 def state_to_dict(state: JointState) -> dict:
-    return {
-        "fock_dim": state.dim,
-        "amplitudes": [complex_pair(a) for a in state.amplitudes],
-    }
+    pairs = state.amplitudes.view(float).reshape(-1, 2)  # [re, im] rows
+    return {"fock_dim": state.dim, "amplitudes": pairs.tolist()}
 
 
 def state_from_dict(data: dict) -> JointState:
@@ -184,10 +182,10 @@ def load_state(path: str) -> JointState:
 
 
 def _populations(state: JointState) -> list[dict]:
+    # the scalar abs: numpy's complex abs differs from it in the last bit
     return [
-        {"m": m, "state": label, "population": state.population(m, s)}
-        for m in range(state.dim)
-        for s, label in ((0, "g"), (1, "e"))
+        {"m": i // 2, "state": "ge"[i % 2], "population": abs(z) ** 2}
+        for i, z in enumerate(state.amplitudes.tolist())
     ]
 
 

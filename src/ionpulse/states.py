@@ -28,6 +28,16 @@ m >= D - k past the truncation boundary.  Such states must carry zero
 amplitude before the pulse is applied ("support guard"); this keeps every
 operator exactly unitary on the guarded subspace instead of silently
 clipping probability.
+
+Support bound: top_g and top_e, the highest levels that can hold
+amplitude in |g> and |e>, come from the initial state's nonzero entries
+and move with each pulse's kind and k.  A pulse has amplitude only in
+its pairs m < n: n = min(max(top_e, top_g - k) + 1, D - k) for red k,
+g and e swapped for blue k, n = max(top_g, top_e) + 1 for the carrier.
+Only those rotate, and the guard cells are scanned only once the bound
+reaches them, so a pulse costs O(populated pairs), not O(D).  The other
+pairs hold exact zeros, which keep their sign, where a rotation could
+have left -0.0; nonzero amplitudes are bit-identical to rotating all.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalParams, _check_kind, ipow, parse_int, rabi_column
+from .core import PhysicalParams, RabiUnderflowError, _check_kind, ipow, parse_int, rabi_column
 
 __all__ = [
     "GROUND",
@@ -184,10 +194,8 @@ class JointState:
         return f"JointState(dim={self.dim})"
 
 
-def _check_guard(amps: np.ndarray, kind: str, k: int, dim: int, pulse_index=None):
-    """Raise if a (kind, k) pulse would push amplitude past the truncation."""
-    if kind == "carrier":
-        return
+def _check_guard(amps: np.ndarray, kind: str, k: int, dim: int, pulse_index: int):
+    """Raise if a red or blue k pulse would push amplitude past the truncation."""
     s = EXCITED if kind == "red" else GROUND
     first = max(dim - k, 0)
     bad = np.flatnonzero(np.abs(amps[2 * first + s :: 2]) > GUARD_TOL)
@@ -201,43 +209,71 @@ def _check_guard(amps: np.ndarray, kind: str, k: int, dim: int, pulse_index=None
         )
 
 
+def _run(amps: np.ndarray, params: PhysicalParams, pulses, trace: list | None) -> np.ndarray:
+    """The pulses applied in turn to a copy of amps, each to its pairs m < n
+    of the support bound; a trace list gets the state after each pulse.
+
+    Lower pair members sit at flat indices 2*(m + k if red else m) + GROUND,
+    upper ones at 2*(m + k if blue else m) + EXCITED: two stride-2 slices.
+    Pulses go in runs of K, the number of distinct orders, with one sine and
+    one cosine pass per run.  Errors carry their pulse's index in pulses.
+    """
+    dim, amps = params.fock_dim, np.array(amps, dtype=complex)
+    top = [int(max(amps[s::2].nonzero()[0][-1:], default=-1)) for s in (GROUND, EXCITED)]
+    step = len({p.k for p in pulses}) or 1
+    for start in range(0, len(pulses), step):
+        run, plan, columns = pulses[start : start + step], [], []
+        for p in run:  # the bound moves with kind and k alone
+            size, err = max(dim - p.k, 0), None
+            try:
+                column = rabi_column(params.eta, params.omega_carrier, p.k, size)
+            except RabiUnderflowError as exc:  # raised when its pulse comes up
+                column, err = np.zeros(size), exc
+            shift = (p.k * (p.kind == "red"), p.k * (p.kind == "blue"))  # of (lower, upper)
+            n = max(min(max(top[0] - shift[0], top[1] - shift[1]) + 1, size), 0)
+            plan.append((n, shift, top[EXCITED if p.kind == "red" else GROUND] >= dim - p.k, err))
+            columns.append(column[:n])
+            top = [max(t, n - 1 + d) for t, d in zip(top, shift)] if n else top
+        sizes = [n for n, *_ in plan]
+        angle = np.concatenate(columns) * np.repeat([p.duration for p in run], sizes)
+        sin, cos, end = np.sin(angle), np.cos(angle), 0
+        c = [(ipow(p.k - 1) if p.k else -1j) * cmath.exp(-1j * p.phase) for p in run]
+        c = np.repeat(c, sizes)
+        fwd, back = c * sin, c.conj() * sin
+        for i, (p, (n, shift, scan, err)) in enumerate(zip(run, plan), start):
+            if scan:  # else the bound proves the guard cells empty
+                _check_guard(amps, p.kind, p.k, dim, i)
+            if err:
+                raise err
+            lo = slice(2 * shift[0] + GROUND, 2 * (shift[0] + n), 2)
+            up = slice(2 * shift[1] + EXCITED, 2 * (shift[1] + n), 2)
+            s, end = slice(end, end + n), end + n
+            a_lo, a_up = amps[lo], amps[up]  # views: both right-hand sides are built first
+            amps[lo], amps[up] = cos[s] * a_lo - back[s] * a_up, fwd[s] * a_lo + cos[s] * a_up
+            if trace is not None:
+                trace.append(JointState(amps))
+    return amps
+
+
 def apply_pulse_amplitudes(
-    amps: np.ndarray,
-    params: PhysicalParams,
-    pulse: Pulse,
-    pulse_index: int | None = None,
+    amps: np.ndarray, params: PhysicalParams, pulse: Pulse, pulse_index: int | None = None
 ) -> np.ndarray:
-    """Raw linear pulse action on an amplitude vector.
+    """Raw linear pulse action on an amplitude vector, as a new array.
 
     Does not require or enforce normalization (the action is linear), but
-    does enforce the truncation support guard.  Returns a new array.
-    All D - k pairs rotate at once: the lower members sit at flat indices
-    2*(m + k if red else m) + GROUND and the upper ones at
-    2*(m + k if blue else m) + EXCITED, two stride-2 slices of the vector.
+    does enforce the truncation support guard.
     """
-    dim = params.fock_dim
-    amps = np.asarray(amps, dtype=complex)
+    dim, amps = params.fock_dim, np.asarray(amps, dtype=complex)
     if amps.shape != (2 * dim,):
         raise ValueError(f"amplitude vector must have shape ({2 * dim},), got {amps.shape}")
-    kind, k = pulse.kind, pulse.k
-    _check_guard(amps, kind, k, dim, pulse_index)
-    pairs = max(dim - k, 0)
-    angle = rabi_column(params.eta, params.omega_carrier, k, pairs) * pulse.duration
-    c = (-1j if kind == "carrier" else ipow(k - 1)) * cmath.exp(-1j * pulse.phase)
-    sin, survive = np.sin(angle), np.cos(angle)
-    lo = 2 * k + GROUND if kind == "red" else GROUND
-    up = 2 * k + EXCITED if kind == "blue" else EXCITED
-    lo, up = slice(lo, lo + 2 * pairs, 2), slice(up, up + 2 * pairs, 2)
-    a_lo, a_up = amps[lo], amps[up]
-    out = amps.copy()
-    out[lo] = survive * a_lo - (c.conjugate() * sin) * a_up
-    out[up] = (c * sin) * a_lo + survive * a_up
-    return out
+    try:
+        return _run(amps, params, (pulse,), None)
+    except TruncationOverflowError as err:
+        err.pulse_index = pulse_index
+        raise
 
 
-def run_schedule(
-    initial: JointState, schedule: PulseSchedule, keep_trace: bool = False
-):
+def run_schedule(initial: JointState, schedule: PulseSchedule, keep_trace: bool = False):
     """Left-to-right application of a schedule.
 
     Returns the final JointState, or (final, trace) with the state after
@@ -248,16 +284,9 @@ def run_schedule(
         raise ValueError(
             f"initial dim {initial.dim} != schedule fock_dim {schedule.params.fock_dim}"
         )
-    amps = initial.amplitudes
-    trace: list[JointState] = []
-    for i, pulse in enumerate(schedule.pulses):
-        amps = apply_pulse_amplitudes(amps, schedule.params, pulse, pulse_index=i)
-        if keep_trace:
-            trace.append(JointState(amps))
-    final = JointState(amps)
-    if keep_trace:
-        return final, trace
-    return final
+    trace = [] if keep_trace else None
+    final = JointState(_run(initial.amplitudes, schedule.params, schedule.pulses, trace))
+    return (final, trace) if keep_trace else final
 
 
 def fidelity(a: JointState, b: JointState, up_to_global_phase: bool = True) -> float:

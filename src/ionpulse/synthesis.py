@@ -215,11 +215,6 @@ def _coherent_weights(alpha: complex, n_max: int, rem: int | None = None):
 # Target variants
 
 
-def complex_pair(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def parse_float(value) -> float:
     """A JSON number as a float; bools and strings are refused, not coerced."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -12,14 +12,19 @@ from ionpulse import (
     PhysicalParams,
     Pulse,
     PulseSchedule,
+    RabiUnderflowError,
+    SuperpositionTarget,
     TruncationOverflowError,
     apply_pulse_amplitudes,
     build_hamiltonian,
+    compile_target,
     fidelity,
     propagate,
+    rabi_column,
     rabi_frequency,
     run_schedule,
 )
+from ionpulse.core import ipow
 
 from ionpulse.serialization import save_schedule
 
@@ -327,6 +332,142 @@ class TestRunSchedule:
         schedule = PulseSchedule(params, (Pulse.carrier(0.0, 1e-5),))
         with pytest.raises(ValueError):
             run_schedule(JointState.ground(params.fock_dim + 1), schedule)
+
+
+def _dense_reference(amps, params, pulses):
+    """Every pulse rotates all of its D - k pairs, one 2x2 block each, by the
+    kernel's expression, and scans its guard cells; the state after each pulse."""
+    amps, dim, states = np.array(amps, dtype=complex), params.fock_dim, []
+    for i, p in enumerate(pulses):
+        pairs, s = max(dim - p.k, 0), EXCITED if p.kind == "red" else GROUND
+        bad = np.flatnonzero(np.abs(amps[2 * pairs + s :: 2]) > 1e-12)
+        if p.kind != "carrier" and bad.size:
+            raise TruncationOverflowError(
+                f"{p.kind} k={p.k} pulse would push |{pairs + bad[0]}>|{'ge'[s]}> past truncation "
+                f"D={dim}; increase fock_dim",
+                pulse_index=i,
+            )
+        angle = rabi_column(params.eta, params.omega_carrier, p.k, pairs) * p.duration
+        sin, cos = np.sin(angle), np.cos(angle)
+        c = (-1j if p.kind == "carrier" else ipow(p.k - 1)) * cmath.exp(-1j * p.phase)
+        lo = 2 * (np.arange(pairs) + p.k * (p.kind == "red")) + GROUND
+        up = 2 * (np.arange(pairs) + p.k * (p.kind == "blue")) + EXCITED
+        a_lo, a_up = amps[lo], amps[up]
+        amps[lo] = cos * a_lo - (c.conjugate() * sin) * a_up
+        amps[up] = (c * sin) * a_lo + cos * a_up
+        states.append(amps.copy())
+    return states
+
+
+def _start(name, dim, rng):
+    """|0>|g>; a random state on the levels below dim / 3 in g and e; or a
+    random state on every level, below the guard tolerance on the top three."""
+    if name == "ground":
+        return JointState.ground(dim).amplitudes
+    amps = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)
+    if name == "mid_ladder":
+        amps[2 * (dim // 3) :] = 0.0
+    else:
+        amps[2 * (dim - 3) :] *= 1e-14
+    return amps / np.linalg.norm(amps)
+
+
+def _mixed_schedule(params, rng, size):
+    """Red, blue and carrier pulses of orders 0-3, so that orders repeat."""
+    kinds = ("carrier", "red", "blue")
+    pulses = []
+    for kind in rng.choice(kinds, size=size):
+        k = 0 if kind == "carrier" else int(rng.integers(1, 4))
+        pulses.append(Pulse(str(kind), k, rng.uniform(0, 2 * math.pi), rng.uniform(0, 3e-4)))
+    return PulseSchedule(params, tuple(pulses))
+
+
+class TestSupportBoundedKernel:
+    """The kernel rotates only the pairs the support bound lets hold amplitude;
+    a dense reference that rotates every pair must agree with it exactly."""
+
+    @pytest.mark.parametrize("start", ["ground", "mid_ladder", "full_support"])
+    @pytest.mark.parametrize("eta", [0.25, 0.9, 1.5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dense_reference_with_trace(self, start, eta, seed):
+        rng = np.random.default_rng(seed)
+        params = PhysicalParams(eta=eta, omega_carrier=5e4, fock_dim=int(rng.integers(8, 40)))
+        schedule = _mixed_schedule(params, rng, int(rng.integers(1, 25)))
+        amps = _start(start, params.fock_dim, rng)
+        try:
+            want = _dense_reference(amps, params, schedule.pulses)
+        except TruncationOverflowError as err:
+            with pytest.raises(TruncationOverflowError) as got:
+                run_schedule(JointState(amps), schedule, keep_trace=True)
+            assert (str(got.value), got.value.pulse_index) == (str(err), err.pulse_index)
+            return
+        final, trace = run_schedule(JointState(amps), schedule, keep_trace=True)
+        assert len(trace) == len(want)
+        for state, expected in zip(trace + [final], want + want[-1:]):
+            np.testing.assert_array_equal(state.amplitudes, expected)
+
+    @pytest.mark.parametrize("eta", [0.25, 0.9, 1.5, 3.0])
+    @pytest.mark.parametrize("n_max,dim", [(5, 7), (20, 62), (60, 182)])
+    def test_ladder_matches_dense_reference(self, eta, n_max, dim):
+        params = PhysicalParams(eta=eta, omega_carrier=5e4, fock_dim=dim)
+        rng = np.random.default_rng(n_max)
+        c = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
+        schedule = compile_target(SuperpositionTarget(c / np.linalg.norm(c)), params).schedule
+        for start in ("ground", "mid_ladder"):
+            amps = _start(start, dim, rng)
+            want = _dense_reference(amps, params, schedule.pulses)[-1]
+            np.testing.assert_array_equal(run_schedule(JointState(amps), schedule).amplitudes, want)
+
+    def test_overflow_carries_the_pulse_index_and_message(self):
+        params = PhysicalParams(eta=0.25, omega_carrier=5e4, fock_dim=6)
+        quarter = (math.pi / 2) / rabi_frequency(params, 0, 3).value
+        # blue 3 lifts |0>|g> to |3>|e>; the red 3 after it would push that to |6>|g>
+        pulses = (Pulse.carrier(0.0, 0.0), Pulse.blue(3, 0.0, quarter), Pulse.red(1, 0.2, 1e-5),
+                  Pulse.red(3, 0.0, 1e-5), Pulse.carrier(0.1, 1e-5))
+        ground = JointState.ground(params.fock_dim)
+        with pytest.raises(TruncationOverflowError) as want:
+            _dense_reference(ground.amplitudes, params, pulses)
+        with pytest.raises(TruncationOverflowError) as got:
+            run_schedule(ground, PulseSchedule(params, pulses))
+        assert got.value.pulse_index == want.value.pulse_index == 3
+        assert str(got.value) == str(want.value)
+
+    def test_underflow_is_raised_where_its_pulse_comes_up(self):
+        # W_{m,120} underflows at eta = 1e-3; pulses of three orders go in one run
+        params = PhysicalParams(eta=1e-3, omega_carrier=5e4, fock_dim=125)
+        with pytest.raises(RabiUnderflowError):
+            rabi_column(params.eta, params.omega_carrier, 120, 5)
+        top = JointState.fock(params.fock_dim - 1, params.fock_dim, internal=EXCITED)
+        guarded = PulseSchedule(params, (Pulse.carrier(0.0, 1e-5), Pulse.red(1, 0.0, 1e-5),
+                                         Pulse.red(120, 0.0, 1e-5)))
+        with pytest.raises(TruncationOverflowError) as got:
+            run_schedule(top, guarded)
+        assert got.value.pulse_index == 1
+        with pytest.raises(RabiUnderflowError):
+            run_schedule(JointState.ground(params.fock_dim), guarded)
+
+    @pytest.mark.parametrize("start", ["ground", "mid_ladder", "full_support"])
+    def test_one_pulse_call_matches_a_one_pulse_schedule(self, start):
+        rng = np.random.default_rng(7)
+        params = PhysicalParams(eta=0.9, omega_carrier=5e4, fock_dim=30)
+        amps = _start(start, params.fock_dim, rng)
+        for pulse in _mixed_schedule(params, rng, 12).pulses:
+            try:
+                want = _apply(JointState(amps), params, pulse).amplitudes
+            except TruncationOverflowError as err:
+                with pytest.raises(TruncationOverflowError) as got:
+                    apply_pulse_amplitudes(amps, params, pulse, pulse_index=5)
+                assert (str(got.value), got.value.pulse_index) == (str(err), 5)
+                continue
+            np.testing.assert_array_equal(apply_pulse_amplitudes(amps, params, pulse), want)
+
+    def test_empty_pairs_keep_positive_zeros(self):
+        # pairs past the support bound are not rotated, so their zeros stay +0.0;
+        # rotating them would leave -0.0 in some of them here
+        params = PhysicalParams(eta=0.25, omega_carrier=5e4, fock_dim=10)
+        schedule = PulseSchedule(params, (Pulse.carrier(2.0, 1e-4), Pulse.red(1, 4.0, 7e-5)))
+        out = run_schedule(JointState.ground(params.fock_dim), schedule).amplitudes.view(float)
+        assert not np.signbit(out[out == 0.0]).any()
 
 
 class TestFidelity:

@@ -233,7 +233,7 @@ class TestCompileSuperposition:
         report = compile_target(SuperpositionTarget(c), params)
         # carrier is a quarter period: arccos(0)
         assert report.schedule.pulses[0].duration == pytest.approx(
-            (math.pi / 2) / _w(params, 0, 0), rel=1e-12
+            (math.pi / 2) / _w(params, 0, 0), rel=1e-12, abs=0.0
         )
         assert report.fidelity_vs_target >= 1 - 1e-10
 
@@ -266,7 +266,7 @@ class TestCompilePhaseState:
         a = compile_target(PhaseStateTarget(1, 0.0), _params(6))
         b = compile_target(PhaseStateTarget(1, math.pi), _params(6))
         for pa, pb in zip(a.schedule.pulses, b.schedule.pulses):
-            assert pa.duration == pytest.approx(pb.duration, rel=1e-15)
+            assert pa.duration == pytest.approx(pb.duration, rel=1e-15, abs=0.0)
         dphi = (b.schedule.pulses[1].phase - a.schedule.pulses[1].phase) % (2 * math.pi)
         assert dphi == pytest.approx(math.pi, abs=1e-12)
 
@@ -302,7 +302,8 @@ class TestCompilePhaseState:
         params = _params(3 * n + 2, eta=eta)
         report = compile_target(target, params)
         for j, (pulse, angle) in enumerate(zip(report.schedule.pulses, angles, strict=True)):
-            assert pulse.duration == pytest.approx(float(angle) / _w(params, 0, j), rel=1e-12), j
+            want = float(angle) / _w(params, 0, j)
+            assert pulse.duration == pytest.approx(want, rel=1e-12, abs=0.0), j
 
     def test_solved_phases_match_closed_form(self):
         # with the pi/2 carrier convention the solved sideband phases land
@@ -514,7 +515,7 @@ class TestCompileBell:
         params = _params(5)
         report = compile_target(BellTarget(), params)
         expected = math.asin(1 / math.sqrt(2)) / _w(params, 0, 1)
-        assert report.schedule.pulses[1].duration == pytest.approx(expected, rel=1e-12)
+        assert report.schedule.pulses[1].duration == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_reduced_populations_are_half(self):
         final = compile_target(BellTarget(), _params(5)).predicted_final
