@@ -34,14 +34,11 @@ error grows with t only as the rounding of the angle |c| t does: the
 propagation stays stable for long durations (slow high-order sidebands
 need t of order seconds).
 
-A schedule sums the series of its K distinct orders in one loop of at
-most D - 1 steps over K rows at most D long, O(K D^2) in all; each
-element goes through the same floating-point operations, in the same
-order, as in a loop over its own order alone.  The pulses then go in
-runs of ceil(K/2), each one's pairs built, checked and exponentiated in
-one pass, so only the gather and scatter of each pulse's blocks loops
-over pulses.  A run holds at most half as many pairs as the series table
-has elements, so memory stays O(K D) however long the schedule.
+Only the pairs that can hold amplitude are built: pulse p's pairs
+m < n_p, where n_p follows from the top levels of |g> and |e> that the
+initial state and the earlier pulses' pairs reach.  One loop of
+max n_p - 1 steps sums the series of all K orders, each element as in a
+loop of its own, and pulses go in runs of ceil(K/2): O(K max n_p) memory.
 """
 
 from __future__ import annotations
@@ -114,22 +111,22 @@ def _check_pulse(kind: str, k: int, dim: int):
         raise ValueError(f"sideband order k={k} needs k < fock_dim={dim}")
 
 
-def _series(x: float, dim: int, ks: list[int]) -> np.ndarray:
+def _series(x: float, dim: int, ks: list[int], width: int) -> np.ndarray:
     """Coupled-diagonal series of each order in ks, one row per order.
 
-    Row r holds elements m < dim - ks[r], each summed to its last term
-    j = m in one loop for all orders (see the module docstring), and zeros
-    past them up to dim - min(ks).  Each k must be below dim.
+    Row r holds elements m < min(width, dim - ks[r]), each summed to its
+    last term j = m in one loop for all orders (see the module docstring),
+    and zeros past them up to width.  Each k must be below dim.
     """
-    m = np.arange(dim - min(ks, default=dim), dtype=float)
-    term = np.zeros((len(ks), m.size))
+    m = np.arange(width, dtype=float)
+    term = np.zeros((len(ks), width))
     for row, k in zip(term, ks):
         # j = 0 term: [a^k]_{m,m+k} / k! = sqrt((m+k)!/m!) / k!
         i = np.arange(1.0, k + 1)
         row[: dim - k] = np.prod(np.sqrt(m[: dim - k, None] + i) / i, axis=1)
     diagonal = term.copy()
     # (j + 1)(j + k + 1) for every step and order, exact in floats below 2^53
-    steps = np.arange(m.size - 1.0)[:, None, None]
+    steps = np.arange(width - 1.0)[:, None, None]
     denominators = (steps + 1) * (steps + np.array(ks, dtype=float)[:, None] + 1)
     for j, denominator in enumerate(denominators):
         # the (m - j) factor zeroes every term of element m past j = m
@@ -138,28 +135,28 @@ def _series(x: float, dim: int, ks: list[int]) -> np.ndarray:
     return diagonal
 
 
-def _pairs(params: PhysicalParams, pulses: list[tuple[str, int, float]], ks, table):
-    """The coupled pairs of (kind, k, phase) pulses, pulse after pulse, their
-    couplings from table (the _series rows of orders ks) and each pulse's count."""
+def _pairs(params: PhysicalParams, pulses: list[tuple[str, int, float]], sizes, ks, table):
+    """The pairs m < n of (kind, k, phase) pulses, n from sizes, pulse after
+    pulse, and their couplings from table (the _series rows of orders ks)."""
     dim, eta, w = params.fock_dim, params.eta, params.omega_carrier / 2.0
-    sizes = dim - np.array([k for _, k, _ in pulses], dtype=np.intp)
-    m = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    m = np.arange(sum(sizes)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     pref = [w * ipow(k) * eta**k * cmath.exp(-eta * eta / 2.0 - 1j * phi) for _, k, phi in pulses]
-    couplings = np.repeat(pref, sizes) * table[np.repeat(np.searchsorted(ks, dim - sizes), sizes), m]
+    rows = np.searchsorted(ks, [k for _, k, _ in pulses])
+    couplings = np.repeat(pref, sizes) * table[np.repeat(rows, sizes), m]
     # element m couples |g, m + k_g> to |e, m + k_e>; sigma+ = |e><g| in (g, e) order
     k_e = np.repeat([k * (kind == "blue") for kind, k, _ in pulses], sizes)
     k_g = np.repeat([k * (kind == "red") for kind, k, _ in pulses], sizes)
     # stored column by column, so that each pulse gathers through contiguous indices
-    return np.stack((2 * (m + k_e) + 1, 2 * (m + k_g))).T, couplings, sizes
+    return np.stack((2 * (m + k_e) + 1, 2 * (m + k_g))).T, couplings
 
 
 def build_hamiltonian(params: PhysicalParams, kind: str, k: int, phase: float) -> HamiltonianMatrix:
-    """Assemble the coupled pairs for one laser tuning, as a run of one pulse:
-    each element of the diagonal it couples is summed to its last term j = m."""
-    _check_pulse(kind, k, params.fock_dim)
-    table = _series(params.eta * params.eta, params.fock_dim, [k])
-    pairs, couplings, _ = _pairs(params, [(kind, k, phase)], [k], table)
-    return HamiltonianMatrix(pairs, couplings, params.fock_dim)
+    """Assemble the coupled pairs for one laser tuning, as a run of one pulse
+    on all its pairs: each element is summed to its last term j = m."""
+    dim = params.fock_dim
+    _check_pulse(kind, k, dim)
+    table = _series(params.eta * params.eta, dim, [k], dim - k)
+    return HamiltonianMatrix(*_pairs(params, [(kind, k, phase)], [dim - k], [k], table), dim)
 
 
 def _evolve(amps: np.ndarray, pairs: np.ndarray, couplings: np.ndarray, durations, sizes):
@@ -191,25 +188,30 @@ def propagate(ham: HamiltonianMatrix, state: JointState, duration: float) -> Joi
 
 def _oracle_final(initial: JointState, schedule: PulseSchedule) -> JointState:
     """The schedule's final state by Hamiltonian exponentiation, in runs of
-    pulses; every pulse is checked before the one series loop of all its orders."""
+    pulses, each on its pairs that can hold amplitude; every pulse is
+    checked before the one series loop of all its orders."""
     params, pulses, dim = schedule.params, schedule.pulses, schedule.params.fock_dim
-    for pulse in pulses:
-        _check_pulse(pulse.kind, pulse.k, dim)
+    # the top levels that can hold amplitude; pair m joins |g, m + k_g> and |e, m + k_e>
+    top_g, top_e = (int(np.flatnonzero(initial.amplitudes[s::2]).max(initial=-1)) for s in (0, 1))
+    sizes = []
+    for p in pulses:
+        _check_pulse(p.kind, p.k, dim)
+        k_g, k_e = p.k * (p.kind == "red"), p.k * (p.kind == "blue")
+        sizes.append(n := max(min(max(top_g - k_g, top_e - k_e) + 1, dim - p.k), 0))
+        top_g, top_e = (max(top_g, n - 1 + k_g), max(top_e, n - 1 + k_e)) if n else (top_g, top_e)
     ks = sorted({pulse.k for pulse in pulses})
-    table = _series(params.eta * params.eta, dim, ks)
+    table = _series(params.eta * params.eta, dim, ks, max(sizes, default=0))
     amps = initial.amplitudes.copy()
     step = (len(ks) + 1) // 2 or 1  # pulses a run: see the module docstring
-    for run in (pulses[i : i + step] for i in range(0, len(pulses), step)):
-        pairs, couplings, sizes = _pairs(params, [(p.kind, p.k, p.phase) for p in run], ks, table)
-        _check_pairs(pairs, couplings, dim, sizes)
-        _evolve(amps, pairs, couplings, [p.duration for p in run], sizes)
+    for i in range(0, len(pulses), step):
+        run, counts = pulses[i : i + step], sizes[i : i + step]
+        pairs, couplings = _pairs(params, [(p.kind, p.k, p.phase) for p in run], counts, ks, table)
+        _check_pairs(pairs, couplings, dim, counts)
+        _evolve(amps, pairs, couplings, [p.duration for p in run], counts)
     return JointState(amps)
 
 
 def verify_schedule(initial: JointState, schedule: PulseSchedule) -> float:
-    """Fidelity (global phase discarded) of closed-form vs oracle evolution.
-
-    The closed-form path runs the 2x2-block pulse operators; the oracle
-    path rebuilds each pulse's Hamiltonian and exponentiates it.
-    """
+    """Fidelity (global phase discarded) of the closed-form pulse operators'
+    final state against the oracle's, each pulse's Hamiltonian exponentiated."""
     return fidelity(run_schedule(initial, schedule), _oracle_final(initial, schedule))

@@ -182,11 +182,8 @@ def load_state(path: str) -> JointState:
 
 
 def _populations(state: JointState) -> list[dict]:
-    # the scalar abs: numpy's complex abs differs from it in the last bit
-    return [
-        {"m": i // 2, "state": "ge"[i % 2], "population": abs(z) ** 2}
-        for i, z in enumerate(state.amplitudes.tolist())
-    ]
+    pops = state.populations().ravel().tolist()
+    return [{"m": i // 2, "state": "ge"[i % 2], "population": p} for i, p in enumerate(pops)]
 
 
 def report_to_dict(report: SynthesisReport) -> dict:

@@ -184,11 +184,11 @@ class JointState:
         return complex(self._amps[2 * m + s])
 
     def population(self, m: int, s: int) -> float:
-        return float(abs(self._amps[2 * m + s]) ** 2)
+        return abs(self.amplitude(m, s)) ** 2
 
     def populations(self) -> np.ndarray:
-        """(dim, 2) array of |amplitude|^2, columns (g, e)."""
-        return np.abs(self._amps.reshape(self.dim, 2)) ** 2
+        """(dim, 2) array of abs(z) ** 2, columns (g, e), by the scalar abs (not np.abs)."""
+        return np.array([abs(z) ** 2 for z in self._amps.tolist()]).reshape(self.dim, 2)
 
     def __repr__(self) -> str:
         return f"JointState(dim={self.dim})"

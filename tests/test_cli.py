@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ionpulse import (
@@ -22,7 +23,7 @@ from ionpulse import (
     run_schedule,
 )
 from ionpulse.cli import main
-from ionpulse.serialization import atomic_write_text, save_schedule
+from ionpulse.serialization import atomic_write_text, save_schedule, state_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +208,32 @@ class TestSimulate:
         assert code == 0
         result = json.loads(out)
         assert result["final"]["amplitudes"][0] == [1.0, 0.0]
+
+    def test_populations_agree_bit_for_bit(self, capsys, tmp_path):
+        # np.abs of a complex array can differ from the scalar abs in the last
+        # bit (353 of these 1,000 amplitudes): populations(), population(m, s)
+        # and the CLI's JSON and CSV rows must all read the scalar abs(z) ** 2
+        rng = np.random.default_rng(1000)
+        amps = rng.normal(size=1000) + 1j * rng.normal(size=1000)
+        state = JointState(amps / np.linalg.norm(amps))
+        initial, empty = tmp_path / "state.json", tmp_path / "empty.json"
+        initial.write_text(json.dumps(state_to_dict(state)))
+        params = {"eta": 0.25, "omega_carrier_rad_s": 5e4, "fock_dim": 500}
+        empty.write_text(json.dumps({"params": params, "pulses": []}))
+        argv = ("simulate", "--schedule", str(empty), "--initial", str(initial))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        populations = json.loads(out)["populations"]
+        rows = [(p["m"], "ge".index(p["state"]), p["population"]) for p in populations]
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        table = list(csv.reader(io.StringIO(out)))[1:]
+        csv_rows = [(int(m), "ge".index(s), float(p)) for m, s, _, _, p in table]
+        scalar = [abs(z) ** 2 for z in state.amplitudes.tolist()]
+        assert [p for _, _, p in rows] == scalar
+        assert csv_rows == rows
+        assert state.populations().ravel().tolist() == scalar
+        assert [state.population(m, s) for m, s, _ in rows] == scalar
 
     def test_fock_population(self, capsys, tmp_path):
         path = self._fock_schedule(tmp_path, n=2)

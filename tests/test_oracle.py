@@ -158,6 +158,16 @@ class TestBuildHamiltonian:
         assert peak < 4 * 2**20
 
 
+def _start(rng, dim, partial):
+    """A random state on every level, or only on |m>|g>, m <= dim/2, and |3>|e>."""
+    amps = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)
+    if partial:
+        amps[2 * (dim // 2) + 2 :: 2] = 0.0
+        amps[1::2] = 0.0
+        amps[2 * 3 + EXCITED] = 1.0
+    return JointState(amps / np.linalg.norm(amps))
+
+
 def _long_schedule(params, rng):
     # 30 pulses of five orders: ten runs of three; from |0>|g> they reach no
     # level past 4 * 30, so the kernel's truncation guard passes at D = 128
@@ -177,20 +187,25 @@ class TestSeries:
         ks = sorted({0, 1, 2, 3, 7, dim // 3, dim // 2, dim - 2, dim - 1})
         x = eta * eta
         for orders in (ks, ks[1:], ks[-1:]):
-            rows = _series(x, dim, orders)
-            assert rows.shape == (len(orders), dim - orders[0])
-            for row, k in zip(rows, orders):
-                assert np.array_equal(row[: dim - k], loop_series(x, dim, k)), k
-                assert not row[dim - k :].any(), k
+            # the whole diagonal, and the narrower tables of a support bound:
+            # each element is the per-order loop's, bit for bit
+            for width in sorted({dim - orders[0], dim // 2, 1, 0}):
+                rows = _series(x, dim, orders, width)
+                assert rows.shape == (len(orders), width)
+                for row, k in zip(rows, orders):
+                    assert np.array_equal(row[: dim - k], loop_series(x, dim, k)[:width]), (k, width)
+                    assert not row[dim - k :].any(), (k, width)
 
-    @pytest.mark.parametrize("start", ["ground", "seeded"])
+    @pytest.mark.parametrize("start", ["ground", "partial", "seeded"])
     @pytest.mark.parametrize("case", ["mixed", "long", "phase5", "phase20", "phase80"])
     @pytest.mark.parametrize("eta", [0.25, 0.9, 1.5])
     def test_schedule_matches_per_pulse_propagation(self, eta, case, start, rng):
-        # one series loop and runs of pulses for the schedule give the
-        # amplitudes of one Hamiltonian per pulse, bit for bit: repeated
-        # carriers, red and blue at one order and random phases ("mixed"),
-        # a schedule of many runs ("long") and compiled phase states
+        # one series loop and runs of pulses on the pairs that can hold
+        # amplitude give the amplitudes of one Hamiltonian per pulse on all
+        # its pairs, bit for bit: repeated carriers, red and blue at one order
+        # and random phases ("mixed"), a schedule of many runs ("long") and
+        # compiled phase states, from |0>|g>, from a state populated up to
+        # level D/2 in |g> and at |3>|e> ("partial") and from every level
         if case.startswith("phase"):
             target = PhaseStateTarget(int(case[5:]), 0.3)
             params = _params(default_fock_dim(target), eta)
@@ -207,12 +222,58 @@ class TestSeries:
                 for kind, k in orders
             ))
         state = initial = JointState.ground(params.fock_dim)
-        if start == "seeded":
-            amps = rng.normal(size=2 * params.fock_dim) + 1j * rng.normal(size=2 * params.fock_dim)
-            state = initial = JointState(amps / np.linalg.norm(amps))
+        if start != "ground":
+            state = initial = _start(rng, params.fock_dim, start == "partial")
         for p in schedule.pulses:
             state = propagate(build_hamiltonian(params, p.kind, p.k, p.phase), state, p.duration)
         assert np.array_equal(_oracle_final(initial, schedule).amplitudes, state.amplitudes)
+
+    @pytest.mark.parametrize(
+        "dim,orders,sizes",
+        [
+            # red 3 from |0>|g> has no pair that can hold amplitude
+            (10, [("red", 3), ("carrier", 0), ("red", 3), ("blue", 2)], [0, 1, 1, 4]),
+            # red 9 reaches |9>|g>, the guard cell of blue 1, whose bound then
+            # stops at D - 1 pairs, and the carrier and red 2 at D - k
+            (10, [("carrier", 0), ("red", 9), ("blue", 1), ("carrier", 0), ("red", 2)],
+             [1, 1, 9, 10, 8]),
+        ],
+        ids=["empty_pulse", "guard_cells"],
+    )
+    def test_pairs_stop_at_the_support_bound(self, monkeypatch, rng, dim, orders, sizes):
+        params = _params(dim, 0.9)
+        schedule = PulseSchedule(params, tuple(
+            Pulse(kind, k, float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0, 1e-3)))
+            for kind, k in orders
+        ))
+        state = initial = JointState.ground(dim)
+        for p in schedule.pulses:
+            state = propagate(build_hamiltonian(params, p.kind, p.k, p.phase), state, p.duration)
+        build, built = oracle._pairs, []
+
+        def spy(params, pulses, n, ks, table):
+            built.extend(n)
+            return build(params, pulses, n, ks, table)
+
+        monkeypatch.setattr(oracle, "_pairs", spy)
+        assert np.array_equal(_oracle_final(initial, schedule).amplitudes, state.amplitudes)
+        assert built == sizes
+
+    def test_series_table_spans_only_the_support_bound(self, monkeypatch):
+        # from |0>|g> every pulse of the N = 80 ladder has one pair that can
+        # hold amplitude, so D = 242 sums the series of its 81 orders at m = 0
+        params = _params(242)
+        schedule = compile_target(PhaseStateTarget(80, 0.3), params).schedule
+        series, shapes = oracle._series, []
+
+        def spy(*args):
+            table = series(*args)
+            shapes.append(table.shape)
+            return table
+
+        monkeypatch.setattr(oracle, "_series", spy)
+        assert verify_schedule(JointState.ground(242), schedule) >= 1 - 1e-9
+        assert shapes == [(81, 1)]
 
     @pytest.mark.parametrize(
         "where,value,match",
@@ -229,14 +290,14 @@ class TestSeries:
         schedule = _long_schedule(params, rng)
         build, calls = oracle._pairs, []
 
-        def wrong(*args):
-            pairs, couplings, sizes = build(*args)
-            calls.append(len(args[1]))
+        def wrong(params, pulses, sizes, ks, table):
+            pairs, couplings = build(params, pulses, sizes, ks, table)
+            calls.append(len(pulses))
             if len(calls) == 6:
                 pairs = pairs.copy()
                 pulse = pairs[sizes[0] :]  # the run's middle pulse first
                 pulse[where] = value(pulse)
-            return pairs, couplings, sizes
+            return pairs, couplings
 
         monkeypatch.setattr(oracle, "_pairs", wrong)
         with pytest.raises(ValueError, match=match):
@@ -418,6 +479,24 @@ class TestVerifySchedule:
         ground = JointState.ground(params.fock_dim)
         monkeypatch.setattr(states, name, mutant)
         assert verify_schedule(ground, schedule) < 1 - 1e-8
+
+    def test_flags_a_kernel_that_rotates_one_pair_short_of_its_bound(self, monkeypatch, rng):
+        """The oracle bounds each pulse's pairs in its own code.
+
+        A kernel whose bound n = max(min(top + 1, D - k), 0) leaves out the
+        top pair fails the gate from a partly populated start; an oracle that
+        read the kernel's bound would pass.
+        """
+        params = _params(14)
+        schedule = compile_target(PhaseStateTarget(4, math.pi / 3), params).schedule
+        initial = _start(rng, params.fock_dim, partial=True)
+        assert verify_schedule(initial, schedule) >= 1 - 1e-12
+
+        def one_short(a, b):  # only the kernel's integer bound, not fidelity's clamp
+            return min(a, b) - 1 if isinstance(a, int) else min(a, b)
+
+        monkeypatch.setattr(states, "min", one_short, raising=False)
+        assert verify_schedule(initial, schedule) < 1 - 1e-8
 
     @pytest.mark.parametrize("dim", [82, 242])
     def test_phase_state_eighty(self, monkeypatch, dim):

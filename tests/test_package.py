@@ -4,7 +4,7 @@ from pathlib import Path
 import ionpulse
 
 # the src/ionpulse line budget: lowered to the package's size whenever it shrinks
-LINE_BUDGET = 1705
+LINE_BUDGET = 1704
 
 
 def test_public_names_are_pinned():
