@@ -131,11 +131,8 @@ def cmd_rabi(args) -> int:
 def cmd_synthesize(args) -> int:
     target = load_target(args.target)
     fock_dim = args.fock_dim if args.fock_dim is not None else default_fock_dim(target)
-    params = PhysicalParams(
-        eta=args.eta if args.eta is not None else DEFAULT_ETA,
-        omega_carrier=args.omega_rad_s,
-        fock_dim=fock_dim,
-    )
+    eta = args.eta if args.eta is not None else DEFAULT_ETA
+    params = PhysicalParams(eta=eta, omega_carrier=args.omega_rad_s, fock_dim=fock_dim)
     report = compile_target(target, params)
     doc = report_to_dict(report)
     if args.out:
@@ -151,10 +148,8 @@ def cmd_simulate(args) -> int:
     if args.trace and args.format == "csv":
         raise ValueError("--trace needs --format json: the CSV table holds only the final state")
     schedule = load_schedule(args.schedule)
-    if args.initial == "ground":
-        initial = JointState.ground(schedule.params.fock_dim)
-    else:
-        initial = load_state(args.initial)
+    ground = args.initial == "ground"
+    initial = JointState.ground(schedule.params.fock_dim) if ground else load_state(args.initial)
     if args.trace:
         final, trace = run_schedule(initial, schedule, keep_trace=True)
     else:
@@ -184,9 +179,7 @@ def cmd_verify(args) -> int:
 
     doc = {"oracle_fidelity": oracle_fid, "tolerance": tolerance}
     if args.target is not None:
-        target = load_target(args.target)
-        target_vec = target_state_vector(target, schedule.params)
-        target_fid = fidelity(target_vec, final)
+        target_fid = fidelity(target_state_vector(load_target(args.target), schedule.params), final)
         doc["target_fidelity"] = target_fid
         passed = passed and target_fid >= 1.0 - tolerance
     doc["pass"] = passed

@@ -34,11 +34,11 @@ error grows with t only as the rounding of the angle |c| t does: the
 propagation stays stable for long durations (slow high-order sidebands
 need t of order seconds).
 
-Only the pairs that can hold amplitude are built: pulse p's pairs
-m < n_p, where n_p follows from the top levels of |g> and |e> that the
-initial state and the earlier pulses' pairs reach.  One loop of
-max n_p - 1 steps sums the series of all K orders, each element as in a
-loop of its own, and pulses go in runs of ceil(K/2): O(K max n_p) memory.
+Only the pairs that can hold amplitude are built: pulse p's pairs m < n_p,
+n_p from the top levels of |g> and |e> that the initial state and earlier
+pulses reach.  One running product and one loop of max n_p - 1 steps sum
+the series of all K orders, each element as in a loop of its own; pulses go
+in runs of ceil(K/2), each a gather, a product and a scatter: O(K max n_p).
 """
 
 from __future__ import annotations
@@ -118,12 +118,19 @@ def _series(x: float, dim: int, ks: list[int], width: int) -> np.ndarray:
     last term j = m in one loop for all orders (see the module docstring),
     and zeros past them up to width.  Each k must be below dim.
     """
-    m = np.arange(width, dtype=float)
-    term = np.zeros((len(ks), width))
-    for row, k in zip(term, ks):
-        # j = 0 term: [a^k]_{m,m+k} / k! = sqrt((m+k)!/m!) / k!
-        i = np.arange(1.0, k + 1)
-        row[: dim - k] = np.prod(np.sqrt(m[: dim - k, None] + i) / i, axis=1)
+    m, orders, lo = np.arange(width, dtype=float), np.array(ks, dtype=int), 1
+    # j = 0 term: [a^k]_{m,m+k} / k! = sqrt((m+k)!/m!) / k!: one running product over i of
+    # sqrt(m + i) / i, in blocks of at most max(K, 64) width entries on the m orders hold
+    term, block, cap = np.ones((len(ks), width)), np.ones((1, width)), max(len(ks), 64) * width
+    while lo <= max(ks, default=0) and width:
+        first = np.searchsorted(orders, lo)  # orders from first on need the columns from lo on
+        rows = min(width, dim - ks[first])
+        i = np.arange(lo, min(lo + cap // rows, ks[-1] + 1), dtype=float)[:, None]
+        block = np.cumprod(np.vstack((block[-1:, :rows], np.sqrt(m[:rows] + i) / i)), axis=0)
+        held = slice(first, np.searchsorted(orders, lo + i.size))
+        term[held, :rows] = block[orders[held] - lo + 1]
+        lo += i.size
+    term[m >= dim - orders[:, None]] = 0.0
     diagonal = term.copy()
     # (j + 1)(j + k + 1) for every step and order, exact in floats below 2^53
     steps = np.arange(width - 1.0)[:, None, None]
@@ -146,8 +153,7 @@ def _pairs(params: PhysicalParams, pulses: list[tuple[str, int, float]], sizes, 
     # element m couples |g, m + k_g> to |e, m + k_e>; sigma+ = |e><g| in (g, e) order
     k_e = np.repeat([k * (kind == "blue") for kind, k, _ in pulses], sizes)
     k_g = np.repeat([k * (kind == "red") for kind, k, _ in pulses], sizes)
-    # stored column by column, so that each pulse gathers through contiguous indices
-    return np.stack((2 * (m + k_e) + 1, 2 * (m + k_g))).T, couplings
+    return np.stack((2 * (m + k_e) + 1, 2 * (m + k_g)), axis=1), couplings
 
 
 def build_hamiltonian(params: PhysicalParams, kind: str, k: int, phase: float) -> HamiltonianMatrix:
@@ -161,18 +167,25 @@ def build_hamiltonian(params: PhysicalParams, kind: str, k: int, phase: float) -
 
 def _evolve(amps: np.ndarray, pairs: np.ndarray, couplings: np.ndarray, durations, sizes):
     """exp(-i H t) amps in place, pulse after pulse of a run (sizes: each one's
-    pair count), from cos(|c| t) and -i sin(|c| t) c / |c| (zero where c is)."""
+    pair count): pair (i, j) takes (a_i, a_j) to (cos a_i + off a_j,
+    cos a_j - conj(off) a_i), with cos = cos(|c| t) and off = -i sin(|c| t) c / |c|
+    (zero where c is).  A pulse takes its pairs' four terms in one product."""
     mag = np.abs(couplings)
     angle = mag * np.repeat(durations, sizes)
     cos = np.cos(angle)
     off = -1j * couplings
     off *= np.divide(np.sin(angle, out=angle), mag, out=angle, where=mag != 0.0)
+    coeffs = np.empty((off.size, 4), dtype=complex)  # times (a_i, a_j, a_i, a_j)
+    coeffs[:, 0], coeffs[:, 1], coeffs[:, 2], coeffs[:, 3] = cos, off, off.conj(), cos
+    coeffs, scatter = coeffs.ravel(), pairs.ravel()
+    gather = np.concatenate((pairs, pairs), axis=1).ravel()
     ends = np.cumsum(sizes).tolist()
     for a, b in zip([0, *ends], ends):
-        i, j = pairs[a:b].T
-        a_i, a_j = amps[i], amps[j]
-        amps[i] = cos[a:b] * a_i + off[a:b] * a_j
-        amps[j] = cos[a:b] * a_j - off[a:b].conj() * a_i
+        terms = coeffs[4 * a : 4 * b] * amps[gather[4 * a : 4 * b]]
+        # a_j's sum is redone as a difference: a negated coefficient could sign a zero
+        new = terms[0::2] + terms[1::2]
+        np.subtract(terms[3::4], terms[2::4], new[1::2])
+        amps[scatter[2 * a : 2 * b]] = new
 
 
 def propagate(ham: HamiltonianMatrix, state: JointState, duration: float) -> JointState:

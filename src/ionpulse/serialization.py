@@ -171,9 +171,7 @@ def state_to_dict(state: JointState) -> dict:
 def state_from_dict(data: dict) -> JointState:
     amps = np.array([parse_complex(a) for a in data["amplitudes"]], dtype=complex)
     if "fock_dim" in data and parse_int(data["fock_dim"]) * 2 != amps.size:
-        raise ValueError(
-            f"fock_dim {data['fock_dim']} inconsistent with {amps.size} amplitudes"
-        )
+        raise ValueError(f"fock_dim {data['fock_dim']} inconsistent with {amps.size} amplitudes")
     return JointState(amps)
 
 

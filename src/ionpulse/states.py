@@ -196,14 +196,12 @@ class JointState:
 
 def _check_guard(amps: np.ndarray, kind: str, k: int, dim: int, pulse_index: int):
     """Raise if a red or blue k pulse would push amplitude past the truncation."""
-    s = EXCITED if kind == "red" else GROUND
-    first = max(dim - k, 0)
+    s, first = EXCITED if kind == "red" else GROUND, max(dim - k, 0)
     bad = np.flatnonzero(np.abs(amps[2 * first + s :: 2]) > GUARD_TOL)
     if bad.size:
         m = first + int(bad[0])
-        label = "e" if s == EXCITED else "g"
         raise TruncationOverflowError(
-            f"{kind} k={k} pulse would push |{m}>|{label}> past truncation D={dim}; "
+            f"{kind} k={k} pulse would push |{m}>|{'ge'[s]}> past truncation D={dim}; "
             "increase fock_dim",
             pulse_index=pulse_index,
         )
@@ -239,7 +237,8 @@ def _run(amps: np.ndarray, params: PhysicalParams, pulses, trace: list | None) -
         sin, cos, end = np.sin(angle), np.cos(angle), 0
         c = [(ipow(p.k - 1) if p.k else -1j) * cmath.exp(-1j * p.phase) for p in run]
         c = np.repeat(c, sizes)
-        fwd, back = c * sin, c.conj() * sin
+        # a complex cosine keeps every product below on one dtype, so none takes a cast
+        cos, fwd, back = cos.astype(complex), c * sin, c.conj() * sin
         for i, (p, (n, shift, scan, err)) in enumerate(zip(run, plan), start):
             if scan:  # else the bound proves the guard cells empty
                 _check_guard(amps, p.kind, p.k, dim, i)

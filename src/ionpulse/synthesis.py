@@ -313,9 +313,7 @@ class SuperpositionTarget(TargetState):
     _JSON = {"amplitudes": ("amplitudes", _parse_complexes)}
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "amplitudes", tuple(complex(a) for a in self.amplitudes)
-        )
+        object.__setattr__(self, "amplitudes", tuple(complex(a) for a in self.amplitudes))
         _validated_target(self.amplitudes)
 
     def _amplitudes(self):
@@ -349,8 +347,7 @@ class PhaseStateTarget(TargetState):
         return np.exp(1j * self.theta * np.arange(self.n_max + 1)) / math.sqrt(self.n_max + 1)
 
     def _compile(self, params, c):
-        provenance = f"phase_state(N={self.n_max}, theta={self.theta:.6g})"
-        return _ladder(c, params, provenance)
+        return _ladder(c, params, f"phase_state(N={self.n_max}, theta={self.theta:.6g})")
 
 
 @dataclass(frozen=True)

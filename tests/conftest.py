@@ -56,6 +56,15 @@ def random_guarded_amplitudes(rng, dim: int, kind: str, k: int) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
+def signed_zero_amplitudes(rng, size: int) -> np.ndarray:
+    """A raw vector whose real and imaginary parts are each +0.0, -0.0, +1.0
+    or -1.0: a pair update meets every mix of zero, real and imaginary
+    members, where the sign of a zero result depends on how it is computed."""
+    amps = np.empty(size, dtype=complex)
+    amps.real, amps.imag = rng.choice([0.0, -0.0, 1.0, -1.0], size=(2, size))
+    return amps
+
+
 def run_alternating(params, carrier_duration, carrier_phase, sidebands, keep_trace=False):
     """Run a carrier, then red-1, blue-1, red-1, ... pulses, from |0>|g>.
 

@@ -30,7 +30,13 @@ from ionpulse import oracle
 from ionpulse.core import ipow
 from ionpulse.oracle import _oracle_final, _series
 
-from conftest import dense, loop_series, mpmath_rabi, random_guarded_amplitudes
+from conftest import (
+    dense,
+    loop_series,
+    mpmath_rabi,
+    random_guarded_amplitudes,
+    signed_zero_amplitudes,
+)
 
 
 def _params(dim, eta=0.25):
@@ -178,6 +184,24 @@ def _long_schedule(params, rng):
     ))
 
 
+def _pair_reference(amps, params, pulses):
+    """Each pulse on every pair of its build_hamiltonian, pair (i, j) updated
+    by one expression per member: the oracle's arithmetic, written out."""
+    amps = np.array(amps, dtype=complex)
+    for p in pulses:
+        ham = build_hamiltonian(params, p.kind, p.k, p.phase)
+        mag = np.abs(ham.couplings)
+        angle = mag * p.duration
+        cos = np.cos(angle)
+        ratio = np.divide(np.sin(angle), mag, out=np.sin(angle), where=mag != 0.0)
+        off = -1j * ham.couplings * ratio
+        i, j = ham.pairs.T
+        a_i, a_j = amps[i], amps[j]
+        amps[i] = cos * a_i + off * a_j
+        amps[j] = cos * a_j - off.conj() * a_i
+    return amps
+
+
 class TestSeries:
     @pytest.mark.parametrize("dim", [17, 62, 122])
     @pytest.mark.parametrize("eta", [0.25, 0.9, 1.5, 3.0])
@@ -195,6 +219,19 @@ class TestSeries:
                 for row, k in zip(rows, orders):
                     assert np.array_equal(row[: dim - k], loop_series(x, dim, k)[:width]), (k, width)
                     assert not row[dim - k :].any(), (k, width)
+
+    def test_head_of_a_high_order_takes_a_few_mib(self):
+        # the j = 0 terms are one running product over i <= max k; at
+        # D = 2897 that product over every element would take 192 MiB, but
+        # order 2896 holds only m = 0
+        tracemalloc.start()
+        try:
+            rows = _series(0.0625, 2897, [0, 2896], 2897)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(rows[1, :1], loop_series(0.0625, 2897, 2896))
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("start", ["ground", "partial", "seeded"])
     @pytest.mark.parametrize("case", ["mixed", "long", "phase5", "phase20", "phase80"])
@@ -226,7 +263,26 @@ class TestSeries:
             state = initial = _start(rng, params.fock_dim, start == "partial")
         for p in schedule.pulses:
             state = propagate(build_hamiltonian(params, p.kind, p.k, p.phase), state, p.duration)
-        assert np.array_equal(_oracle_final(initial, schedule).amplitudes, state.amplitudes)
+        final = _oracle_final(initial, schedule).amplitudes
+        assert np.array_equal(final, state.amplitudes)
+        # and the pair update, pinned by a reference that shares none of its code
+        want = _pair_reference(initial.amplitudes, params, schedule.pulses)
+        np.testing.assert_array_equal(final, want)
+
+    @pytest.mark.parametrize("phase", [0.0, math.pi / 2, 1.0])
+    @pytest.mark.parametrize("kind,k", [("carrier", 0), ("red", 1), ("red", 3), ("blue", 2)])
+    def test_pair_update_keeps_the_sign_of_zero(self, kind, k, phase):
+        # from a state on every level, whose parts are +-0.0 or one value,
+        # the pulse turns all of its pairs, as the reference does; each
+        # amplitude matches it bit for bit, -0.0 included
+        params = _params(120, 0.9)
+        amps = signed_zero_amplitudes(np.random.default_rng(k), 240)
+        amps[-2:] = 1.0  # the top level holds amplitude: every pair can
+        initial = JointState(amps / np.linalg.norm(amps))
+        schedule = PulseSchedule(params, (Pulse(kind, k, phase, 1e-4),))
+        got = _oracle_final(initial, schedule).amplitudes
+        want = _pair_reference(initial.amplitudes, params, schedule.pulses)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize(
         "dim,orders,sizes",

@@ -28,7 +28,11 @@ from ionpulse.core import ipow
 
 from ionpulse.serialization import save_schedule
 
-from conftest import pulse_coefficient, random_guarded_amplitudes
+from conftest import (
+    pulse_coefficient,
+    random_guarded_amplitudes,
+    signed_zero_amplitudes,
+)
 
 
 # Property tests sweep these: the oracle's ladder series, the reference
@@ -461,6 +465,23 @@ class TestSupportBoundedKernel:
                 continue
             np.testing.assert_array_equal(apply_pulse_amplitudes(amps, params, pulse), want)
 
+    @pytest.mark.parametrize("phase", [0.0, math.pi / 2, 1.0])
+    @pytest.mark.parametrize("kind,k", [("carrier", 0), ("red", 1), ("red", 3), ("blue", 2)])
+    def test_signed_zeros_match_dense_reference_bit_for_bit(self, kind, k, phase):
+        # a raw vector whose parts are +-0.0 or +-1, empty in the pulse's
+        # guard cells and nonzero at the top, so that the bound covers every
+        # pair; each amplitude matches the reference bit for bit, -0.0 included
+        params = PhysicalParams(eta=0.9, omega_carrier=5e4, fock_dim=120)
+        amps = signed_zero_amplitudes(np.random.default_rng(k), 240)
+        guard = EXCITED if kind == "red" else GROUND
+        if kind != "carrier":
+            amps[2 * (params.fock_dim - k) + guard :: 2] = 0.0
+        amps[-2 + (1 - guard)] = 1.0
+        pulse = Pulse(kind, k, phase, 1e-4)
+        got = apply_pulse_amplitudes(amps, params, pulse)
+        want = _dense_reference(amps, params, [pulse])[0]
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_empty_pairs_keep_positive_zeros(self):
         # pairs past the support bound are not rotated, so their zeros stay +0.0;
         # rotating them would leave -0.0 in some of them here
@@ -468,6 +489,59 @@ class TestSupportBoundedKernel:
         schedule = PulseSchedule(params, (Pulse.carrier(2.0, 1e-4), Pulse.red(1, 4.0, 7e-5)))
         out = run_schedule(JointState.ground(params.fock_dim), schedule).amplitudes.view(float)
         assert not np.signbit(out[out == 0.0]).any()
+
+
+def _awkward(rng, size):
+    """Complex values whose parts are random, +-0.0, +-1.0 or subnormal."""
+    parts = rng.normal(size=(2, size))
+    odd = rng.random((2, size)) < 0.4
+    parts[odd] = rng.choice([0.0, -0.0, 1.0, -1.0, 5e-324, -2.5e-310], size=odd.sum())
+    z = np.empty(size, dtype=complex)
+    z.real, z.imag = parts
+    return z
+
+
+def test_complex_products_round_alike_in_every_layout():
+    # the kernel multiplies by a real cosine cast to complex; the oracle
+    # multiplies a run's interleaved coefficients, that cosine among them, by
+    # gathered amplitudes one pulse's slice at a time, and adds and subtracts
+    # strided views of the products.  The expressions they are pinned to
+    # multiply whole vectors by a real or a complex factor, so bit-identity
+    # needs numpy to round each product alike in every layout and at every
+    # offset, zeros of either sign and subnormals included.
+    rng = np.random.default_rng(21)
+    n = 5000
+    x, y = _awkward(rng, 2 * n).reshape(2, n), _awkward(rng, 2 * n).reshape(2, n)
+    cos = _awkward(rng, n).real
+
+    def bits(z):
+        return np.ascontiguousarray(z).view(np.uint64)
+
+    want = bits(x[0] * y[0])
+    np.testing.assert_array_equal(bits(np.repeat(x[0], 2)[::2] * np.repeat(y[0], 2)[::2]), want)
+    np.testing.assert_array_equal(bits((x[0][::-1] * y[0][::-1])[::-1]), want)
+    # slices of one interleaved product, at every offset and of 1-7 pairs
+    coeffs = np.stack((cos, x[0], x[1], cos), axis=-1).ravel()
+    amps = np.stack((y[0], y[1], y[0], y[1]), axis=-1).ravel()
+    ends = np.cumsum(rng.integers(1, 8, size=n))
+    ends = [0, *ends[ends < n].tolist(), n]
+    terms = np.concatenate(
+        [coeffs[4 * a : 4 * b] * amps[4 * a : 4 * b] for a, b in zip(ends, ends[1:])]
+    )
+    for column, product in enumerate((cos * y[0], x[0] * y[1], x[1] * y[0], cos * y[1])):
+        np.testing.assert_array_equal(bits(terms[column::4]), bits(product))
+    # sums and differences of strided views, as of contiguous vectors
+    new = terms[0::2] + terms[1::2]
+    np.subtract(terms[0::4], terms[1::4], new[0::2])
+    np.testing.assert_array_equal(bits(new[0::2]), bits(cos * y[0] - x[0] * y[1]))
+    np.testing.assert_array_equal(bits(new[1::2]), bits(x[1] * y[0] + cos * y[1]))
+    # negating a factor negates the product, but where a part of the product
+    # is an exact zero its sign may differ: so the kernel and the oracle keep
+    # each difference a subtraction and never negate a coefficient
+    flipped, negated = ((-x[0]) * y[0]).view(float), (-(x[0] * y[0])).view(float)
+    np.testing.assert_array_equal(flipped, negated)  # as numbers: -0.0 == 0.0
+    nonzero = negated != 0.0
+    np.testing.assert_array_equal(bits(flipped[nonzero]), bits(negated[nonzero]))
 
 
 class TestFidelity:
