@@ -122,14 +122,14 @@ def schedule_from_dict(data: dict) -> PulseSchedule:
     params = params_from_dict(data["params"])
     pulses = tuple(
         Pulse(
-            kind=str(p["kind"]),
+            kind=p["kind"],
             k=p["k"],
             phase=parse_float(p["phase_rad"]),
             duration=parse_float(p["duration_s"]),
         )
         for p in data["pulses"]
     )
-    return PulseSchedule(params, pulses, provenance=str(data.get("provenance", "")))
+    return PulseSchedule(params, pulses, provenance=data.get("provenance", ""))
 
 
 def save_schedule(path: str, schedule: PulseSchedule):
@@ -193,7 +193,7 @@ def report_to_dict(report: SynthesisReport) -> dict:
         "populations": _populations(report.predicted_final),
         "fidelity_vs_target": report.fidelity_vs_target,
         "exact_phase_fidelity": report.exact_phase_fidelity,
-        "total_duration_s": report.total_duration_s,
+        "total_duration_s": report.schedule.total_duration,
         "target_rotation_rad": report.target_rotation_rad,
         "final_internal_state": report.final_internal_state,
         "truncation_overlap": report.truncation_overlap,

@@ -101,26 +101,14 @@ class Pulse:
             raise ValueError(f"phase must be finite, got {self.phase}")
         object.__setattr__(self, "phase", self.phase % TWO_PI)
 
-    @classmethod
-    def carrier(cls, phase: float, duration: float) -> "Pulse":
-        return cls("carrier", 0, phase, duration)
-
-    @classmethod
-    def red(cls, k: int, phase: float, duration: float) -> "Pulse":
-        return cls("red", k, phase, duration)
-
-    @classmethod
-    def blue(cls, k: int, phase: float, duration: float) -> "Pulse":
-        return cls("blue", k, phase, duration)
-
 
 @dataclass(frozen=True)
 class PulseSchedule:
     """Ordered pulse list plus the physical parameters it was compiled for.
 
-    provenance is a free-text label of the producing routine.  Schedules
-    may be empty (a target already equal to the initial state compiles to
-    no pulses).
+    provenance is a free-text label of the producing routine, a str.
+    Schedules may be empty (a target already equal to the initial state
+    compiles to no pulses).
     """
 
     params: PhysicalParams
@@ -129,6 +117,8 @@ class PulseSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "pulses", tuple(self.pulses))
+        if not isinstance(self.provenance, str):
+            raise ValueError(f"provenance must be a string, got {self.provenance!r}")
 
     @property
     def total_duration(self) -> float:

@@ -44,7 +44,6 @@ from .states import (
     JointState,
     Pulse,
     PulseSchedule,
-    apply_pulse_amplitudes,
     fidelity,
     run_schedule,
 )
@@ -90,10 +89,6 @@ class SynthesisReport:
         if not 0.0 <= self.fidelity_vs_target <= 1.0:
             raise ValueError(f"fidelity {self.fidelity_vs_target} outside [0, 1]")
 
-    @property
-    def total_duration_s(self) -> float:
-        return self.schedule.total_duration
-
 
 # ---------------------------------------------------------------------------
 # Shared machinery
@@ -118,8 +113,8 @@ def _turn(params: PhysicalParams, kind: str, k: int, m: int, angle: float, phase
 
 def _reservoir(params: PhysicalParams, carrier: Pulse) -> complex:
     """The |0>|e> amplitude carrier leaves from |0>|g>: what the red deposits draw on."""
-    amps = apply_pulse_amplitudes(JointState.ground(params.fock_dim).amplitudes, params, carrier)
-    return complex(amps[2 * 0 + EXCITED])
+    final = run_schedule(JointState.ground(params.fock_dim), PulseSchedule(params, (carrier,)))
+    return final.amplitude(0, EXCITED)
 
 
 def _deposit(
@@ -238,9 +233,9 @@ class TargetState:
 
     _JSON maps each JSON key to (field, parser).  _weights() returns
     (c, truncation_overlap): c holds one weight per Fock level up to the
-    top one, and truncation_overlap is None but for coherent targets.  By
-    default c is _amplitudes(), the motional weights in |g>, checked,
-    normalized and trimmed after the last nonzero one, in one place.
+    top one, and truncation_overlap is None but for coherent targets.  The
+    targets in |g> check, normalize and trim c after its last nonzero
+    weight in one place, _validated_target.
 
     compile_target and target_state_vector build c once and pass it on:
     _vector(params, c) gives the ideal state, and _compile(params, c),
@@ -252,9 +247,6 @@ class TargetState:
 
     _JSON: dict = {}
     _FINAL_INTERNAL_STATE = "g"
-
-    def _weights(self) -> tuple[np.ndarray, float | None]:
-        return _validated_target(self._amplitudes()), None
 
     def _vector(self, params: PhysicalParams, c: np.ndarray) -> JointState:
         amps = np.zeros(2 * params.fock_dim, dtype=complex)
@@ -283,10 +275,10 @@ class FockTarget(TargetState):
         if self.n < 0:
             raise ValueError(f"Fock index must be >= 0, got {self.n}")
 
-    def _amplitudes(self):
+    def _weights(self):
         c = np.zeros(self.n + 1, dtype=complex)
         c[self.n] = 1.0
-        return c
+        return _validated_target(c), None
 
     def _compile(self, params, c):
         n = self.n
@@ -316,8 +308,8 @@ class SuperpositionTarget(TargetState):
         object.__setattr__(self, "amplitudes", tuple(complex(a) for a in self.amplitudes))
         _validated_target(self.amplitudes)
 
-    def _amplitudes(self):
-        return self.amplitudes
+    def _weights(self):
+        return _validated_target(self.amplitudes), None
 
     def _compile(self, params, c):
         return _ladder(c, params, f"superposition(N={c.size - 1}, sideband=red)")
@@ -343,8 +335,9 @@ class PhaseStateTarget(TargetState):
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
 
-    def _amplitudes(self):
-        return np.exp(1j * self.theta * np.arange(self.n_max + 1)) / math.sqrt(self.n_max + 1)
+    def _weights(self):
+        c = np.exp(1j * self.theta * np.arange(self.n_max + 1)) / math.sqrt(self.n_max + 1)
+        return _validated_target(c), None
 
     def _compile(self, params, c):
         return _ladder(c, params, f"phase_state(N={self.n_max}, theta={self.theta:.6g})")
@@ -458,11 +451,10 @@ class EntangledCarrierTarget(SuperpositionTarget):
         self._carrier()
 
     def _carrier(self) -> Pulse:
-        return Pulse.carrier(self.carrier_phase, self.carrier_duration)
+        return Pulse("carrier", 0, self.carrier_phase, self.carrier_duration)
 
     def _vector(self, params, c):
-        superposition = super()._vector(params, c).amplitudes
-        return JointState(apply_pulse_amplitudes(superposition, params, self._carrier()))
+        return run_schedule(super()._vector(params, c), PulseSchedule(params, (self._carrier(),)))
 
     def _compile(self, params, c):
         pulses = super()._compile(params, c).pulses + (self._carrier(),)

@@ -70,7 +70,7 @@ def run_alternating(params, carrier_duration, carrier_phase, sidebands, keep_tra
 
     sidebands lists each sideband pulse's (duration, phase).
     """
-    pulses = [Pulse.carrier(carrier_phase, carrier_duration)] + [
+    pulses = [Pulse("carrier", 0, carrier_phase, carrier_duration)] + [
         Pulse("red" if i % 2 == 0 else "blue", 1, phase, duration)
         for i, (duration, phase) in enumerate(sidebands)
     ]

@@ -578,15 +578,21 @@ def test_pulse_list_is_not_a_target(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("fock_dim", 8.9), ("k", 2.5), ("eta", "0.25"), ("duration_s", True)],
+    [
+        ("fock_dim", 8.9), ("k", 2.5), ("eta", "0.25"), ("duration_s", True),
+        # refused, not turned by str() into a label such as "None"
+        ("kind", None), ("kind", 1), ("kind", ["red"]),
+        ("provenance", None), ("provenance", 7), ("provenance", ["bell"]),
+    ],
 )
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_mistyped_schedule_field_exits_2(capsys, tmp_path, command, field, value):
     params = {"eta": 0.25, "omega_carrier_rad_s": 5e4, "fock_dim": 8}
     pulse = {"kind": "red", "k": 2, "phase_rad": 0.0, "duration_s": 1e-4}
-    (params if field in params else pulse)[field] = value
+    doc = {"params": params, "pulses": [pulse], "provenance": ""}
+    (params if field in params else doc if field in doc else pulse)[field] = value
     path = tmp_path / "sched.json"
-    path.write_text(json.dumps({"params": params, "pulses": [pulse], "provenance": ""}))
+    path.write_text(json.dumps(doc))
     assert_one_json_error(*run_cli(capsys, command, "--schedule", str(path)))
 
 

@@ -170,7 +170,7 @@ class TestRabiColumn:
         assert excinfo.value.m == 0
         with pytest.raises(RabiUnderflowError):
             apply_pulse_amplitudes(
-                JointState.ground(params.fock_dim).amplitudes, params, Pulse.red(k, 0.0, 1e-5)
+                JointState.ground(params.fock_dim).amplitudes, params, Pulse("red", k, 0.0, 1e-5)
             )
 
     def test_one_value_per_coupling(self, params):

@@ -43,9 +43,9 @@ def schedule(params):
     return PulseSchedule(
         params,
         (
-            Pulse.carrier(0.5, 3.241317509388881e-05),
-            Pulse.red(1, 0.7, 0.00025930540075111056),
-            Pulse.blue(3, 1.9, 1.5e-4),
+            Pulse("carrier", 0, 0.5, 3.241317509388881e-05),
+            Pulse("red", 1, 0.7, 0.00025930540075111056),
+            Pulse("blue", 3, 1.9, 1.5e-4),
         ),
         provenance="test",
     )

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from ionpulse import (
     EXCITED,
@@ -90,7 +90,7 @@ class TestJointState:
 
 class TestPulse:
     def test_phase_normalized(self):
-        p = Pulse.red(1, 2 * math.pi + 0.5, 1e-5)
+        p = Pulse("red", 1, 2 * math.pi + 0.5, 1e-5)
         assert p.phase == pytest.approx(0.5)
 
     def test_kind_k_pairing(self):
@@ -103,7 +103,7 @@ class TestPulse:
 
     def test_negative_duration(self):
         with pytest.raises(ValueError):
-            Pulse.carrier(0.0, -1e-6)
+            Pulse("carrier", 0, 0.0, -1e-6)
 
     @pytest.mark.parametrize("k", [2.0, True, "2"])
     def test_non_integer_order_refused(self, k):
@@ -121,12 +121,12 @@ class TestCarrier:
     def test_zero_duration_is_identity(self, params, rng):
         amps = random_guarded_amplitudes(rng, params.fock_dim, "carrier", 0)
         state = JointState(amps)
-        out = _apply(state, params, Pulse.carrier(1.3, 0.0))
+        out = _apply(state, params, Pulse("carrier", 0, 1.3, 0.0))
         np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
 
     def test_quarter_period_flips_with_phase(self, params):
         # |0>|g>, phi = pi/2, W_00 t = pi/2  ->  -|0>|e>
-        pulse = Pulse.carrier(math.pi / 2, _quarter(params, 0, 0))
+        pulse = Pulse("carrier", 0, math.pi / 2, _quarter(params, 0, 0))
         out = _apply(JointState.ground(params.fock_dim), params, pulse)
         assert out.amplitude(0, EXCITED) == pytest.approx(-1.0, abs=1e-12)
         assert abs(out.amplitude(0, GROUND)) <= 1e-12
@@ -136,7 +136,7 @@ class TestCarrier:
         amps = np.zeros(2 * params.fock_dim, dtype=complex)
         amps[2 * 0 + GROUND] = amps[2 * 5 + GROUND] = 1 / math.sqrt(2)
         t = 2e-5
-        out = _apply(JointState(amps), params, Pulse.carrier(0.0, t))
+        out = _apply(JointState(amps), params, Pulse("carrier", 0, 0.0, t))
         w0 = rabi_frequency(params, 0, 0).value
         w5 = rabi_frequency(params, 5, 0).value
         assert w0 != w5
@@ -150,26 +150,26 @@ class TestRed:
         k = 3
         for m in range(k):
             state = JointState.fock(m, params.fock_dim)
-            out = _apply(state, params, Pulse.red(k, rng.uniform(0, 2 * math.pi), 1e-4))
+            out = _apply(state, params, Pulse("red", k, rng.uniform(0, 2 * math.pi), 1e-4))
             assert out.population(m, GROUND) == pytest.approx(1.0, abs=1e-15)
 
     def test_full_transfer_phase(self, params):
         # |0>|e> --red-n full transfer--> -(-i)^(n-1) e^{i phi} |n>|g>
         n, phi = 4, 0.8
         state = JointState.fock(0, params.fock_dim, internal=EXCITED)
-        out = _apply(state, params, Pulse.red(n, phi, _quarter(params, 0, n)))
+        out = _apply(state, params, Pulse("red", n, phi, _quarter(params, 0, n)))
         expected = -((-1j) ** (n - 1)) * cmath.exp(1j * phi)
         assert out.amplitude(n, GROUND) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_duration_is_identity(self, params, rng):
         amps = random_guarded_amplitudes(rng, params.fock_dim, "red", 2)
-        out = _apply(JointState(amps), params, Pulse.red(2, 0.7, 0.0))
+        out = _apply(JointState(amps), params, Pulse("red", 2, 0.7, 0.0))
         np.testing.assert_allclose(out.amplitudes, amps, atol=1e-15)
 
     def test_guard_violation_raises(self, params):
         state = JointState.fock(params.fock_dim - 1, params.fock_dim, internal=EXCITED)
         with pytest.raises(TruncationOverflowError):
-            _apply(state, params, Pulse.red(2, 0.0, 1e-5))
+            _apply(state, params, Pulse("red", 2, 0.0, 1e-5))
 
 
 class TestBlue:
@@ -177,13 +177,13 @@ class TestBlue:
         k = 3
         for m in range(k):
             state = JointState.fock(m, params.fock_dim, internal=EXCITED)
-            out = _apply(state, params, Pulse.blue(k, rng.uniform(0, 2 * math.pi), 1e-4))
+            out = _apply(state, params, Pulse("blue", k, rng.uniform(0, 2 * math.pi), 1e-4))
             assert out.population(m, EXCITED) == pytest.approx(1.0, abs=1e-15)
 
     def test_full_transfer_phase(self, params):
         # |0>|g> --blue-n full transfer--> i^(n-1) e^{-i phi} |n>|e>
         n, phi = 3, 1.1
-        pulse = Pulse.blue(n, phi, _quarter(params, 0, n))
+        pulse = Pulse("blue", n, phi, _quarter(params, 0, n))
         out = _apply(JointState.ground(params.fock_dim), params, pulse)
         expected = (1j) ** (n - 1) * cmath.exp(-1j * phi)
         assert out.amplitude(n, EXCITED) == pytest.approx(expected, abs=1e-12)
@@ -191,7 +191,7 @@ class TestBlue:
     def test_guard_violation_raises(self, params):
         state = JointState.fock(params.fock_dim - 1, params.fock_dim)
         with pytest.raises(TruncationOverflowError):
-            _apply(state, params, Pulse.blue(1, 0.0, 1e-5))
+            _apply(state, params, Pulse("blue", 1, 0.0, 1e-5))
 
 
 def _loop_reference(amps, params, pulse):
@@ -306,14 +306,14 @@ class TestRunSchedule:
     def test_zero_durations_keep_initial(self, params):
         schedule = PulseSchedule(
             params,
-            (Pulse.carrier(0.3, 0.0), Pulse.red(1, 0.1, 0.0), Pulse.blue(2, 0.9, 0.0)),
+            (Pulse("carrier", 0, 0.3, 0.0), Pulse("red", 1, 0.1, 0.0), Pulse("blue", 2, 0.9, 0.0)),
         )
         out = run_schedule(JointState.ground(params.fock_dim), schedule)
         assert out.population(0, GROUND) == pytest.approx(1.0, abs=1e-15)
 
     def test_trace_lengths(self, params):
         schedule = PulseSchedule(
-            params, (Pulse.carrier(0.0, 1e-5), Pulse.red(1, 0.0, 1e-5))
+            params, (Pulse("carrier", 0, 0.0, 1e-5), Pulse("red", 1, 0.0, 1e-5))
         )
         final, trace = run_schedule(JointState.ground(params.fock_dim), schedule, keep_trace=True)
         assert len(trace) == 2
@@ -324,8 +324,8 @@ class TestRunSchedule:
         schedule = PulseSchedule(
             params,
             (
-                Pulse.blue(2, 0.0, (math.pi / 2) / rabi_frequency(params, 0, 2).value),
-                Pulse.red(1, 0.0, 1e-4),  # would raise |2>|e> to |3>|g>
+                Pulse("blue", 2, 0.0, (math.pi / 2) / rabi_frequency(params, 0, 2).value),
+                Pulse("red", 1, 0.0, 1e-4),  # would raise |2>|e> to |3>|g>
             ),
         )
         with pytest.raises(TruncationOverflowError) as excinfo:
@@ -333,7 +333,7 @@ class TestRunSchedule:
         assert excinfo.value.pulse_index == 1
 
     def test_dim_mismatch(self, params):
-        schedule = PulseSchedule(params, (Pulse.carrier(0.0, 1e-5),))
+        schedule = PulseSchedule(params, (Pulse("carrier", 0, 0.0, 1e-5),))
         with pytest.raises(ValueError):
             run_schedule(JointState.ground(params.fock_dim + 1), schedule)
 
@@ -376,14 +376,35 @@ def _start(name, dim, rng):
     return amps / np.linalg.norm(amps)
 
 
-def _mixed_schedule(params, rng, size):
-    """Red, blue and carrier pulses of orders 0-3, so that orders repeat."""
+def _mixed_schedule(params, rng, size, max_k=3):
+    """Red, blue and carrier pulses of orders 0-max_k; at 3 orders repeat."""
     kinds = ("carrier", "red", "blue")
     pulses = []
     for kind in rng.choice(kinds, size=size):
-        k = 0 if kind == "carrier" else int(rng.integers(1, 4))
+        k = 0 if kind == "carrier" else int(rng.integers(1, max_k + 1))
         pulses.append(Pulse(str(kind), k, rng.uniform(0, 2 * math.pi), rng.uniform(0, 3e-4)))
     return PulseSchedule(params, tuple(pulses))
+
+
+def _matches_dense_reference(amps, schedule) -> str:
+    """Assert that every state of run_schedule's trace equals the dense
+    reference's, or that both raise the same error type, message and
+    pulse index; return what was compared."""
+    try:
+        want = _dense_reference(amps, schedule.params, schedule.pulses)
+    except (TruncationOverflowError, RabiUnderflowError) as err:
+        with pytest.raises(type(err)) as got:
+            run_schedule(JointState(amps), schedule, keep_trace=True)
+        index = getattr(got.value, "pulse_index", None)
+        assert (type(got.value), str(got.value), index) == (
+            type(err), str(err), getattr(err, "pulse_index", None)
+        )
+        return type(err).__name__
+    final, trace = run_schedule(JointState(amps), schedule, keep_trace=True)
+    assert len(trace) == len(want)
+    for state, expected in zip(trace + [final], want + want[-1:]):
+        np.testing.assert_array_equal(state.amplitudes, expected)
+    return "states"
 
 
 class TestSupportBoundedKernel:
@@ -397,18 +418,23 @@ class TestSupportBoundedKernel:
         rng = np.random.default_rng(seed)
         params = PhysicalParams(eta=eta, omega_carrier=5e4, fock_dim=int(rng.integers(8, 40)))
         schedule = _mixed_schedule(params, rng, int(rng.integers(1, 25)))
-        amps = _start(start, params.fock_dim, rng)
-        try:
-            want = _dense_reference(amps, params, schedule.pulses)
-        except TruncationOverflowError as err:
-            with pytest.raises(TruncationOverflowError) as got:
-                run_schedule(JointState(amps), schedule, keep_trace=True)
-            assert (str(got.value), got.value.pulse_index) == (str(err), err.pulse_index)
-            return
-        final, trace = run_schedule(JointState(amps), schedule, keep_trace=True)
-        assert len(trace) == len(want)
-        for state, expected in zip(trace + [final], want + want[-1:]):
-            np.testing.assert_array_equal(state.amplitudes, expected)
+        _matches_dense_reference(_start(start, params.fock_dim, rng), schedule)
+
+    # eta log-uniform over four decades and orders up to D - 1: huge angles on
+    # empty pairs, truncation overflows and, at small eta, coupling underflows
+    @settings(max_examples=400, deadline=None)
+    @given(
+        log_eta=st.floats(math.log(1e-3), math.log(30.0)),
+        dim=st.integers(6, 160),
+        start=st.sampled_from(["ground", "mid_ladder", "full_support"]),
+        size=st.integers(1, 24),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_dense_reference_over_a_wide_range(self, log_eta, dim, start, size, seed):
+        rng = np.random.default_rng(seed)
+        params = PhysicalParams(eta=min(math.exp(log_eta), 30.0), omega_carrier=5e4, fock_dim=dim)
+        schedule = _mixed_schedule(params, rng, size, max_k=dim - 1)
+        event(_matches_dense_reference(_start(start, dim, rng), schedule))
 
     @pytest.mark.parametrize("eta", [0.25, 0.9, 1.5, 3.0])
     @pytest.mark.parametrize("n_max,dim", [(5, 7), (20, 62), (60, 182)])
@@ -426,8 +452,9 @@ class TestSupportBoundedKernel:
         params = PhysicalParams(eta=0.25, omega_carrier=5e4, fock_dim=6)
         quarter = (math.pi / 2) / rabi_frequency(params, 0, 3).value
         # blue 3 lifts |0>|g> to |3>|e>; the red 3 after it would push that to |6>|g>
-        pulses = (Pulse.carrier(0.0, 0.0), Pulse.blue(3, 0.0, quarter), Pulse.red(1, 0.2, 1e-5),
-                  Pulse.red(3, 0.0, 1e-5), Pulse.carrier(0.1, 1e-5))
+        pulses = (Pulse("carrier", 0, 0.0, 0.0), Pulse("blue", 3, 0.0, quarter),
+                  Pulse("red", 1, 0.2, 1e-5), Pulse("red", 3, 0.0, 1e-5),
+                  Pulse("carrier", 0, 0.1, 1e-5))
         ground = JointState.ground(params.fock_dim)
         with pytest.raises(TruncationOverflowError) as want:
             _dense_reference(ground.amplitudes, params, pulses)
@@ -442,8 +469,8 @@ class TestSupportBoundedKernel:
         with pytest.raises(RabiUnderflowError):
             rabi_column(params.eta, params.omega_carrier, 120, 5)
         top = JointState.fock(params.fock_dim - 1, params.fock_dim, internal=EXCITED)
-        guarded = PulseSchedule(params, (Pulse.carrier(0.0, 1e-5), Pulse.red(1, 0.0, 1e-5),
-                                         Pulse.red(120, 0.0, 1e-5)))
+        guarded = PulseSchedule(params, (Pulse("carrier", 0, 0.0, 1e-5), Pulse("red", 1, 0.0, 1e-5),
+                                         Pulse("red", 120, 0.0, 1e-5)))
         with pytest.raises(TruncationOverflowError) as got:
             run_schedule(top, guarded)
         assert got.value.pulse_index == 1
@@ -486,7 +513,8 @@ class TestSupportBoundedKernel:
         # pairs past the support bound are not rotated, so their zeros stay +0.0;
         # rotating them would leave -0.0 in some of them here
         params = PhysicalParams(eta=0.25, omega_carrier=5e4, fock_dim=10)
-        schedule = PulseSchedule(params, (Pulse.carrier(2.0, 1e-4), Pulse.red(1, 4.0, 7e-5)))
+        pulses = (Pulse("carrier", 0, 2.0, 1e-4), Pulse("red", 1, 4.0, 7e-5))
+        schedule = PulseSchedule(params, pulses)
         out = run_schedule(JointState.ground(params.fock_dim), schedule).amplitudes.view(float)
         assert not np.signbit(out[out == 0.0]).any()
 
