@@ -28,9 +28,6 @@ from .synthesis import compile_target, default_fock_dim, target_state_vector
 # Lamb-Dicke parameters shown in the standard coupling-strength table.
 RABI_ETA_SET = (0.202, 0.25, 0.35, 0.5, 0.9)
 
-DEFAULT_SYNTH_TOLERANCE = 1e-9
-DEFAULT_VERIFY_TOLERANCE = 1e-8
-
 
 # flags that more than one subcommand reads
 _SHARED = {
@@ -85,6 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         for flag in flags:
             p.add_argument(flag, **_SHARED[flag])
+    p_syn.set_defaults(eta=DEFAULT_ETA, tolerance=1e-9)
+    p_ver.set_defaults(tolerance=1e-8)
     return parser
 
 
@@ -131,8 +130,7 @@ def cmd_rabi(args) -> int:
 def cmd_synthesize(args) -> int:
     target = load_target(args.target)
     fock_dim = args.fock_dim if args.fock_dim is not None else default_fock_dim(target)
-    eta = args.eta if args.eta is not None else DEFAULT_ETA
-    params = PhysicalParams(eta=eta, omega_carrier=args.omega_rad_s, fock_dim=fock_dim)
+    params = PhysicalParams(eta=args.eta, omega_carrier=args.omega_rad_s, fock_dim=fock_dim)
     report = compile_target(target, params)
     doc = report_to_dict(report)
     if args.out:
@@ -140,8 +138,7 @@ def cmd_synthesize(args) -> int:
     if args.report:
         _emit(doc, args.report)
     _emit(doc, None)
-    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_SYNTH_TOLERANCE
-    return 0 if report.fidelity_vs_target >= 1.0 - tolerance else 1
+    return 0 if report.fidelity_vs_target >= 1.0 - args.tolerance else 1
 
 
 def cmd_simulate(args) -> int:
@@ -150,10 +147,8 @@ def cmd_simulate(args) -> int:
     schedule = load_schedule(args.schedule)
     ground = args.initial == "ground"
     initial = JointState.ground(schedule.params.fock_dim) if ground else load_state(args.initial)
-    if args.trace:
-        final, trace = run_schedule(initial, schedule, keep_trace=True)
-    else:
-        final, trace = run_schedule(initial, schedule), None
+    result = run_schedule(initial, schedule, keep_trace=args.trace)
+    final, trace = result if args.trace else (result, None)
 
     if args.format == "csv":
         pairs = state_to_dict(final)["amplitudes"]
@@ -171,17 +166,16 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     schedule = load_schedule(args.schedule)
     initial = JointState.ground(schedule.params.fock_dim)
-    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_VERIFY_TOLERANCE
 
     final = run_schedule(initial, schedule)
     oracle_fid = fidelity(final, _oracle_final(initial, schedule))
-    passed = oracle_fid >= 1.0 - tolerance
+    passed = oracle_fid >= 1.0 - args.tolerance
 
-    doc = {"oracle_fidelity": oracle_fid, "tolerance": tolerance}
+    doc = {"oracle_fidelity": oracle_fid, "tolerance": args.tolerance}
     if args.target is not None:
         target_fid = fidelity(target_state_vector(load_target(args.target), schedule.params), final)
         doc["target_fidelity"] = target_fid
-        passed = passed and target_fid >= 1.0 - tolerance
+        passed = passed and target_fid >= 1.0 - args.tolerance
     doc["pass"] = passed
     _emit(doc, args.out)
     return 0 if passed else 1

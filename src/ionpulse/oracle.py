@@ -37,8 +37,8 @@ need t of order seconds).
 Only the pairs that can hold amplitude are built: pulse p's pairs m < n_p,
 n_p from the top levels of |g> and |e> that the initial state and earlier
 pulses reach.  One running product and one loop of max n_p - 1 steps sum
-the series of all K orders, each element as in a loop of its own; pulses go
-in runs of ceil(K/2), each a gather, a product and a scatter: O(K max n_p).
+the series of all K orders, each element as in a loop of its own; runs of K
+pulses, as in the pulse kernel, take a gather, product and scatter: O(K max n_p).
 """
 
 from __future__ import annotations
@@ -215,7 +215,7 @@ def _oracle_final(initial: JointState, schedule: PulseSchedule) -> JointState:
     ks = sorted({pulse.k for pulse in pulses})
     table = _series(params.eta * params.eta, dim, ks, max(sizes, default=0))
     amps = initial.amplitudes.copy()
-    step = (len(ks) + 1) // 2 or 1  # pulses a run: see the module docstring
+    step = len(ks) or 1  # pulses a run: see the module docstring
     for i in range(0, len(pulses), step):
         run, counts = pulses[i : i + step], sizes[i : i + step]
         pairs, couplings = _pairs(params, [(p.kind, p.k, p.phase) for p in run], counts, ks, table)

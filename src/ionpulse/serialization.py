@@ -82,6 +82,12 @@ def _load_json(path: str):
         return json.load(fh, parse_float=_finite, parse_constant=_finite)
 
 
+def _json(value, what: str, kind: str):
+    if not isinstance(value, dict if kind == "object" else list):
+        raise ValueError(f"{what} is a JSON {kind}, got {type(value).__name__}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Physical parameters and schedules
 
@@ -96,7 +102,7 @@ def params_to_dict(params: PhysicalParams) -> dict:
 
 def params_from_dict(data: dict) -> PhysicalParams:
     return PhysicalParams(
-        eta=parse_float(data["eta"]),
+        eta=parse_float(_json(data, "params", "object")["eta"]),
         omega_carrier=parse_float(data["omega_carrier_rad_s"]),
         fock_dim=data["fock_dim"],
     )
@@ -119,15 +125,15 @@ def schedule_to_dict(schedule: PulseSchedule) -> dict:
 
 
 def schedule_from_dict(data: dict) -> PulseSchedule:
-    params = params_from_dict(data["params"])
+    params = params_from_dict(_json(data, "a schedule", "object")["params"])
     pulses = tuple(
         Pulse(
-            kind=p["kind"],
+            kind=_json(p, "a pulse", "object")["kind"],
             k=p["k"],
             phase=parse_float(p["phase_rad"]),
             duration=parse_float(p["duration_s"]),
         )
-        for p in data["pulses"]
+        for p in _json(data["pulses"], "pulses", "array")
     )
     return PulseSchedule(params, pulses, provenance=data.get("provenance", ""))
 
@@ -145,9 +151,7 @@ def load_schedule(path: str) -> PulseSchedule:
 
 
 def target_from_dict(data: dict) -> TargetState:
-    if not isinstance(data, dict):
-        raise ValueError(f"a target is a JSON object, got {type(data).__name__}")
-    tag = data.get("variant")
+    tag = _json(data, "a target", "object").get("variant")
     if tag not in _VARIANTS:
         raise ValueError(f"unknown target variant {tag!r}")
     variant, fixed = _VARIANTS[tag]
@@ -169,7 +173,8 @@ def state_to_dict(state: JointState) -> dict:
 
 
 def state_from_dict(data: dict) -> JointState:
-    amps = np.array([parse_complex(a) for a in data["amplitudes"]], dtype=complex)
+    amplitudes = _json(_json(data, "a state", "object")["amplitudes"], "amplitudes", "array")
+    amps = np.array([parse_complex(a) for a in amplitudes], dtype=complex)
     if "fock_dim" in data and parse_int(data["fock_dim"]) * 2 != amps.size:
         raise ValueError(f"fock_dim {data['fock_dim']} inconsistent with {amps.size} amplitudes")
     return JointState(amps)

@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import json
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ionpulse import (
     DEFAULT_OMEGA_RAD_S,
@@ -148,13 +150,6 @@ class TestSynthesize:
         code, out, err = run_cli(capsys, "synthesize", "--target", str(bad))
         assert code == 2
         assert json.loads(err)["error"]["type"] == "JSONDecodeError"
-
-    @pytest.mark.parametrize("doc", [[1, 2], "fock", 3])
-    def test_non_object_target_exits_2(self, capsys, tmp_path, doc):
-        target = write_target(tmp_path, doc)
-        code, _, err = run_cli(capsys, "synthesize", "--target", target)
-        assert code == 2
-        assert "JSON object" in json.loads(err)["error"]["message"]
 
     def test_unknown_variant_exits_2(self, capsys, tmp_path):
         target = write_target(tmp_path, {"variant": "squeezed"})
@@ -545,6 +540,46 @@ def assert_one_json_error(code, out, err):
     assert set(json.loads(lines[0])) == {"error"}
 
 
+_PARAMS = {"eta": 0.25, "omega_carrier_rad_s": 5e4, "fock_dim": 4}
+_PULSE = {"kind": "red", "k": 1, "phase_rad": 0.0, "duration_s": 1e-5}
+
+
+# each document and record is a JSON object and "pulses" a JSON array; a
+# string or an object as "pulses" once loaded as an empty schedule that passed
+@pytest.mark.parametrize(
+    "file,doc,expected",
+    [
+        ("target", [1, 2], "JSON object"),
+        ("target", "fock", "JSON object"),
+        ("target", 3, "JSON object"),
+        ("schedule", [1, 2], "JSON object"),
+        ("schedule", "x", "JSON object"),
+        ("schedule", 3, "JSON object"),
+        ("schedule", {"params": [], "pulses": []}, "JSON object"),
+        ("schedule", {"params": _PARAMS, "pulses": ""}, "JSON array"),
+        ("schedule", {"params": _PARAMS, "pulses": {}}, "JSON array"),
+        ("schedule", {"params": _PARAMS, "pulses": 3}, "JSON array"),
+        ("schedule", {"params": _PARAMS, "pulses": [_PULSE, 1]}, "JSON object"),
+        ("state", [1, 2], "JSON object"),
+        ("state", "x", "JSON object"),
+        ("state", 3, "JSON object"),
+        ("state", {"fock_dim": 4, "amplitudes": ""}, "JSON array"),
+    ],
+)
+def test_document_of_the_wrong_json_type_exits_2(capsys, tmp_path, file, doc, expected):
+    empty = write_target(tmp_path, {"params": _PARAMS, "pulses": []}, "empty.json")
+    path = write_target(tmp_path, doc)
+    runs = {
+        "target": [("synthesize", "--target", path)],
+        "schedule": [(command, "--schedule", path) for command in ("simulate", "verify")],
+        "state": [("simulate", "--schedule", empty, "--initial", path)],
+    }[file]
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert_one_json_error(code, out, err)
+        assert expected in json.loads(err)["error"]["message"]
+
+
 # a JSON value of the wrong type is refused, not rounded or parsed into one
 @pytest.mark.parametrize(
     "doc",
@@ -616,6 +651,73 @@ def test_mistyped_state_field_exits_2(capsys, tmp_path, state):
     state_path.write_text(json.dumps(state))
     argv = ("simulate", "--schedule", str(sched), "--initial", str(state_path))
     assert_one_json_error(*run_cli(capsys, *argv))
+
+_JSON_TYPE = {type(None): "null", bool: "bool", int: "number", float: "number", str: "string",
+              list: "array", dict: "object"}
+_REQUIRED = {
+    "schedule": {"params", "pulses", "eta", "omega_carrier_rad_s", "fock_dim",
+                 "kind", "k", "phase_rad", "duration_s"},
+    "state": {"amplitudes"},
+}
+_DELETE = object()
+
+
+def _breakages(key, value, required):
+    """Values of another JSON type than value's, a number for a string, 2.5
+    for an integer, and deletion if key is required.  Hypothesis favours early
+    choices, so the empty values, which a loader may read as nothing, lead."""
+    others = ("", {}, [], None, True, "x", [1, 2], {"a": 1})
+    out = [v for v in others if _JSON_TYPE[type(v)] != _JSON_TYPE[type(value)]]
+    out += [3] if isinstance(value, str) else [2.5] if type(value) is int else []
+    return out + [_DELETE] * (key in required)
+
+
+@st.composite
+def _documents(draw):
+    """A valid schedule and a start it runs from at D = 12: levels 0 and 1,
+    which three pulses of k <= 2 move no further than level 7."""
+    orders = st.sampled_from([("carrier", 0), ("red", 1), ("red", 2), ("blue", 1), ("blue", 2)])
+    pulses = [
+        {"kind": kind, "k": k, "phase_rad": draw(st.floats(0.0, 6.0)),
+         "duration_s": draw(st.floats(0.0, 1e-4))}
+        for kind, k in draw(st.lists(orders, max_size=3))
+    ]
+    params = {"eta": draw(st.floats(0.1, 2.0)), "omega_carrier_rad_s": 5e4, "fock_dim": 12}
+    parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)))
+    parts[0] += 2.0  # a norm of at least 1
+    amps = np.zeros((12, 2, 2))  # (level, g/e, re/im)
+    amps[:2] = (parts / np.linalg.norm(parts)).reshape(2, 2, 2)
+    state = {"fock_dim": 12, "amplitudes": amps.reshape(24, 2).tolist()}
+    # "pulses" first, for the same reason: it is the list that once loaded empty
+    return {"schedule": {"pulses": pulses, "params": params, "provenance": "test"}, "state": state}
+
+
+# a node of a valid document given a value of another JSON type, or a
+# required key deleted: the command exits 2 with one JSON error and no output
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(docs=_documents(), data=st.data())
+def test_malformed_document_exits_2(capsys, tmp_path, docs, data):
+    paths = {name: write_target(tmp_path, doc, f"{name}.json") for name, doc in docs.items()}
+    runs = [("simulate", "--schedule", paths["schedule"], "--initial", paths["state"]),
+            ("verify", "--schedule", paths["schedule"])]
+    for argv in runs:
+        assert run_cli(capsys, *argv)[0] == 0
+    name = data.draw(st.sampled_from(["schedule", "state"]))
+    broken = node = copy.deepcopy(docs[name])
+    while True:  # down from the root, stopping at each level with odds 1/2
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        if not isinstance(node[key], (dict, list)) or not node[key] or data.draw(st.booleans()):
+            break
+        node = node[key]
+    breakage = data.draw(st.sampled_from(_breakages(key, node[key], _REQUIRED[name])))
+    if breakage is _DELETE:
+        del node[key]
+    else:
+        node[key] = breakage
+    write_target(tmp_path, broken, f"{name}.json")
+    for argv in runs[: 2 if name == "schedule" else 1]:
+        assert_one_json_error(*run_cli(capsys, *argv))
+
 
 def test_module_entry_point_smoke(tmp_path):
     result = subprocess.run(

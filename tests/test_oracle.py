@@ -175,7 +175,7 @@ def _start(rng, dim, partial):
 
 
 def _long_schedule(params, rng):
-    # 30 pulses of five orders: ten runs of three; from |0>|g> they reach no
+    # 30 pulses of five orders: six runs of five; from |0>|g> they reach no
     # level past 4 * 30, so the kernel's truncation guard passes at D = 128
     orders = [("carrier", 0), ("red", 1), ("blue", 2), ("red", 3), ("blue", 4)]
     return PulseSchedule(params, tuple(
@@ -317,19 +317,26 @@ class TestSeries:
 
     def test_series_table_spans_only_the_support_bound(self, monkeypatch):
         # from |0>|g> every pulse of the N = 80 ladder has one pair that can
-        # hold amplitude, so D = 242 sums the series of its 81 orders at m = 0
+        # hold amplitude, so D = 242 sums the series of its 81 orders at m = 0,
+        # and its 81 pulses of 81 orders go in one run
         params = _params(242)
         schedule = compile_target(PhaseStateTarget(80, 0.3), params).schedule
-        series, shapes = oracle._series, []
+        series, pairs, shapes, runs = oracle._series, oracle._pairs, [], []
 
         def spy(*args):
             table = series(*args)
             shapes.append(table.shape)
             return table
 
+        def run_spy(params, pulses, *args):
+            runs.append(len(pulses))
+            return pairs(params, pulses, *args)
+
         monkeypatch.setattr(oracle, "_series", spy)
+        monkeypatch.setattr(oracle, "_pairs", run_spy)
         assert verify_schedule(JointState.ground(242), schedule) >= 1 - 1e-9
         assert shapes == [(81, 1)]
+        assert runs == [81]
 
     @pytest.mark.parametrize(
         "where,value,match",
@@ -340,8 +347,8 @@ class TestSeries:
         ],
     )
     def test_checks_every_pulse_of_every_run(self, monkeypatch, rng, where, value, match):
-        # _pairs goes wrong on the middle pulse of the schedule's
-        # sixth run; the shared HamiltonianMatrix checks must catch it
+        # _pairs goes wrong past the first pulse of the schedule's sixth
+        # run; the shared HamiltonianMatrix checks must catch it
         params = _params(128)
         schedule = _long_schedule(params, rng)
         build, calls = oracle._pairs, []
@@ -351,14 +358,14 @@ class TestSeries:
             calls.append(len(pulses))
             if len(calls) == 6:
                 pairs = pairs.copy()
-                pulse = pairs[sizes[0] :]  # the run's middle pulse first
+                pulse = pairs[sizes[0] :]  # the run's second pulse first
                 pulse[where] = value(pulse)
             return pairs, couplings
 
         monkeypatch.setattr(oracle, "_pairs", wrong)
         with pytest.raises(ValueError, match=match):
             verify_schedule(JointState.ground(params.fock_dim), schedule)
-        assert calls == [3] * 6
+        assert calls == [5] * 6
 
     def test_rejects_an_order_past_the_truncation_mid_schedule(self):
         # the kernel passes red k = D from |0>|g> (no pair, nothing in the
