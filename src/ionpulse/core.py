@@ -72,6 +72,15 @@ def parse_int(value) -> int:
     return int(value)
 
 
+def parse_float(value) -> float:
+    """A real number (numpy's too) as a float; bools and strings are refused, not coerced."""
+    if type(value) is float:  # the common case, ahead of the slow ABC check
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def ipow(n: int) -> complex:
     """i**n, exact for any integer n."""
     return _I_POW[n % 4]
@@ -116,6 +125,8 @@ class PhysicalParams:
     fock_dim: int
 
     def __post_init__(self):
+        object.__setattr__(self, "eta", parse_float(self.eta))
+        object.__setattr__(self, "omega_carrier", parse_float(self.omega_carrier))
         _check_rates(self.eta, self.omega_carrier)
         dim = parse_int(self.fock_dim)
         if dim < 2:

@@ -11,8 +11,8 @@ names are stable):
 Target schema is a tagged union on "variant", with one tag and one set
 of keys per target variant (synthesis._VARIANTS).  Targets are input
 only: they are read, never written.  The loaders refuse non-finite
-numbers (NaN, Infinity, 1e999).  All file writes are atomic
-(write-temp-then-rename).
+numbers (NaN, Infinity, 1e999) and name the record a key is missing
+from.  All file writes are atomic (write-temp-then-rename).
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import numpy as np
 
 from .core import PhysicalParams, parse_int
 from .states import JointState, Pulse, PulseSchedule
-from .synthesis import _VARIANTS, SynthesisReport, TargetState
-from .synthesis import parse_complex, parse_float
+from .synthesis import _VARIANTS, SynthesisReport, TargetState, parse_complex
 
 __all__ = [
     "atomic_write_text",
@@ -101,11 +100,11 @@ def params_to_dict(params: PhysicalParams) -> dict:
 
 
 def params_from_dict(data: dict) -> PhysicalParams:
-    return PhysicalParams(
-        eta=parse_float(_json(data, "params", "object")["eta"]),
-        omega_carrier=parse_float(data["omega_carrier_rad_s"]),
-        fock_dim=data["fock_dim"],
-    )
+    data = _json(data, "params", "object")
+    try:
+        return PhysicalParams(data["eta"], data["omega_carrier_rad_s"], data["fock_dim"])
+    except KeyError as exc:
+        raise ValueError(f"params has no {exc}") from None
 
 
 def schedule_to_dict(schedule: PulseSchedule) -> dict:
@@ -125,16 +124,16 @@ def schedule_to_dict(schedule: PulseSchedule) -> dict:
 
 
 def schedule_from_dict(data: dict) -> PulseSchedule:
-    params = params_from_dict(_json(data, "a schedule", "object")["params"])
-    pulses = tuple(
-        Pulse(
-            kind=_json(p, "a pulse", "object")["kind"],
-            k=p["k"],
-            phase=parse_float(p["phase_rad"]),
-            duration=parse_float(p["duration_s"]),
-        )
-        for p in _json(data["pulses"], "pulses", "array")
-    )
+    pulses = None  # a list once the schedule's own keys are read
+    try:
+        params = params_from_dict(_json(data, "a schedule", "object")["params"])
+        records, pulses = _json(data["pulses"], "pulses", "array"), []
+        for p in records:
+            p = _json(p, "a pulse", "object")
+            pulses.append(Pulse(p["kind"], p["k"], p["phase_rad"], p["duration_s"]))
+    except KeyError as exc:  # raised by the schedule, or by the pulse after the last appended
+        record = "a schedule" if pulses is None else f"pulse {len(pulses)}"
+        raise ValueError(f"{record} has no {exc}") from None
     return PulseSchedule(params, pulses, provenance=data.get("provenance", ""))
 
 
@@ -155,7 +154,10 @@ def target_from_dict(data: dict) -> TargetState:
     if tag not in _VARIANTS:
         raise ValueError(f"unknown target variant {tag!r}")
     variant, fixed = _VARIANTS[tag]
-    fields = {name: parse(data[key]) for key, (name, parse) in variant._JSON.items()}
+    try:
+        fields = {name: parse(data[key]) for key, (name, parse) in variant._JSON.items()}
+    except KeyError as exc:
+        raise ValueError(f"a target has no {exc}") from None
     return variant(**fields, **fixed)
 
 
@@ -173,7 +175,10 @@ def state_to_dict(state: JointState) -> dict:
 
 
 def state_from_dict(data: dict) -> JointState:
-    amplitudes = _json(_json(data, "a state", "object")["amplitudes"], "amplitudes", "array")
+    try:
+        amplitudes = _json(_json(data, "a state", "object")["amplitudes"], "amplitudes", "array")
+    except KeyError as exc:
+        raise ValueError(f"a state has no {exc}") from None
     amps = np.array([parse_complex(a) for a in amplitudes], dtype=complex)
     if "fock_dim" in data and parse_int(data["fock_dim"]) * 2 != amps.size:
         raise ValueError(f"fock_dim {data['fock_dim']} inconsistent with {amps.size} amplitudes")

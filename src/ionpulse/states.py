@@ -48,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalParams, RabiUnderflowError, _check_kind, ipow, parse_int, rabi_column
+from .core import PhysicalParams, RabiUnderflowError, _check_kind, ipow, parse_float, parse_int
+from .core import rabi_column
 
 __all__ = [
     "GROUND",
@@ -84,7 +85,7 @@ class Pulse:
     """One square laser pulse: sideband kind/order, initial phase, duration.
 
     kind is "red", "blue" or "carrier"; k, stored as an int, is 0 iff
-    carrier.  The phase is normalized into [0, 2 pi) on construction.
+    carrier.  phase and duration are stored as floats, the phase in [0, 2 pi).
     """
 
     kind: str
@@ -95,11 +96,13 @@ class Pulse:
     def __post_init__(self):
         object.__setattr__(self, "k", parse_int(self.k))
         _check_kind(self.kind, self.k)
-        if not (self.duration >= 0.0 and math.isfinite(self.duration)):
-            raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
-        if not math.isfinite(self.phase):
-            raise ValueError(f"phase must be finite, got {self.phase}")
-        object.__setattr__(self, "phase", self.phase % TWO_PI)
+        duration, phase = parse_float(self.duration), parse_float(self.phase)
+        if not (duration >= 0.0 and math.isfinite(duration)):
+            raise ValueError(f"duration must be finite and >= 0, got {duration}")
+        if not math.isfinite(phase):
+            raise ValueError(f"phase must be finite, got {phase}")
+        object.__setattr__(self, "duration", duration)
+        object.__setattr__(self, "phase", phase % TWO_PI)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _LOG_RESCALE, _RESCALE, PhysicalParams, ipow, parse_int, rabi_column
+from .core import _LOG_RESCALE, _RESCALE, PhysicalParams, ipow, parse_float, parse_int, rabi_column
 from .states import (
     EXCITED,
     GROUND,
@@ -55,7 +55,6 @@ __all__ = [
     "CoherentTarget",
     "ParityCoherentTarget",
     "BellTarget",
-    "EntangledCarrierTarget",
     "TargetState",
     "SynthesisReport",
     "compile_target",
@@ -210,22 +209,11 @@ def _coherent_weights(alpha: complex, n_max: int, rem: int | None = None):
 # Target variants
 
 
-def parse_float(value) -> float:
-    """A JSON number as a float; bools and strings are refused, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 def parse_complex(value) -> complex:
     """A JSON number or [re, im] pair of numbers as a complex."""
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(parse_float(value[0]), parse_float(value[1]))
     return complex(parse_float(value))
-
-
-def _parse_complexes(value) -> tuple[complex, ...]:
-    return tuple(parse_complex(z) for z in value)
 
 
 class TargetState:
@@ -241,6 +229,9 @@ class TargetState:
     _vector(params, c) gives the ideal state, and _compile(params, c),
     given c turned so that c_0 is real and nonnegative, returns the
     PulseSchedule taking |0>|g> to _vector(params, c), phase included.
+    Every variant builds its ideal state from its own fields, and _vector
+    never runs the pulse kernel, so a kernel error cannot move the state
+    the kernel's output is scored against.
     _FINAL_INTERNAL_STATE is the internal state it ends in.  _VARIANTS
     maps each JSON tag to its variant.
     """
@@ -302,7 +293,7 @@ class SuperpositionTarget(TargetState):
     """
 
     amplitudes: tuple[complex, ...]
-    _JSON = {"amplitudes": ("amplitudes", _parse_complexes)}
+    _JSON = {"amplitudes": ("amplitudes", lambda value: tuple(map(parse_complex, value)))}
 
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", tuple(complex(a) for a in self.amplitudes))
@@ -427,40 +418,6 @@ class BellTarget(TargetState):
         return PulseSchedule(params, (carrier, red), provenance="bell")
 
 
-@dataclass(frozen=True)
-class EntangledCarrierTarget(SuperpositionTarget):
-    """Fock superposition followed by one entangling carrier pulse.
-
-    The appended carrier splits each level j into d_j^g = c_j cos(W_j0 t)
-    and d_j^e = -i c_j e^{-i phi} sin(W_j0 t); because W_j0 depends on j,
-    every level acquires its own mixing angle and the result is entangled.
-    """
-
-    carrier_duration: float
-    carrier_phase: float
-    _FINAL_INTERNAL_STATE = "entangled"
-    _JSON = {
-        "amplitudes": ("amplitudes", _parse_complexes),
-        "carrier_duration_s": ("carrier_duration", parse_float),
-        "carrier_phase_rad": ("carrier_phase", parse_float),
-    }
-
-    def __post_init__(self):
-        super().__post_init__()
-        # a negative or non-finite duration or phase fails as it would in the pulse
-        self._carrier()
-
-    def _carrier(self) -> Pulse:
-        return Pulse("carrier", 0, self.carrier_phase, self.carrier_duration)
-
-    def _vector(self, params, c):
-        return run_schedule(super()._vector(params, c), PulseSchedule(params, (self._carrier(),)))
-
-    def _compile(self, params, c):
-        pulses = super()._compile(params, c).pulses + (self._carrier(),)
-        return PulseSchedule(params, pulses, f"entangled_carrier(N={c.size - 1})")
-
-
 # JSON tag -> (variant, the field values the tag fixes)
 _VARIANTS = {
     "fock": (FockTarget, {}),
@@ -470,7 +427,6 @@ _VARIANTS = {
     "even_coherent": (ParityCoherentTarget, {"parity": "even"}),
     "odd_coherent": (ParityCoherentTarget, {"parity": "odd"}),
     "bell": (BellTarget, {}),
-    "entangled_carrier": (EntangledCarrierTarget, {}),
 }
 
 

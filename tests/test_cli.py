@@ -545,7 +545,8 @@ _PULSE = {"kind": "red", "k": 1, "phase_rad": 0.0, "duration_s": 1e-5}
 
 
 # each document and record is a JSON object and "pulses" a JSON array; a
-# string or an object as "pulses" once loaded as an empty schedule that passed
+# string or an object as "pulses" once loaded as an empty schedule that passed.
+# A missing key is named with its record, not raised as a bare KeyError.
 @pytest.mark.parametrize(
     "file,doc,expected",
     [
@@ -564,6 +565,15 @@ _PULSE = {"kind": "red", "k": 1, "phase_rad": 0.0, "duration_s": 1e-5}
         ("state", "x", "JSON object"),
         ("state", 3, "JSON object"),
         ("state", {"fock_dim": 4, "amplitudes": ""}, "JSON array"),
+        ("target", {"variant": "fock"}, "a target has no 'n'"),
+        ("schedule", {"pulses": []}, "a schedule has no 'params'"),
+        ("schedule", {"params": {"eta": 0.25, "fock_dim": 4}, "pulses": []},
+         "params has no 'omega_carrier_rad_s'"),
+        ("schedule", {"params": _PARAMS, "pulses": [_PULSE, {"kind": "red", "k": 1}]},
+         "pulse 1 has no 'phase_rad'"),
+        ("schedule", {"params": _PARAMS, "pulses": [{"kind": "red", "k": 1, "phase_rad": 0.0}]},
+         "pulse 0 has no 'duration_s'"),
+        ("state", {"fock_dim": 4}, "a state has no 'amplitudes'"),
     ],
 )
 def test_document_of_the_wrong_json_type_exits_2(capsys, tmp_path, file, doc, expected):
@@ -577,7 +587,9 @@ def test_document_of_the_wrong_json_type_exits_2(capsys, tmp_path, file, doc, ex
     for argv in runs:
         code, out, err = run_cli(capsys, *argv)
         assert_one_json_error(code, out, err)
-        assert expected in json.loads(err)["error"]["message"]
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert expected in error["message"]
 
 
 # a JSON value of the wrong type is refused, not rounded or parsed into one
@@ -693,7 +705,8 @@ def _documents(draw):
 
 
 # a node of a valid document given a value of another JSON type, or a
-# required key deleted: the command exits 2 with one JSON error and no output
+# required key deleted: the command exits 2 with one JSON error and no output,
+# and a deleted key is named in a ValueError
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(docs=_documents(), data=st.data())
 def test_malformed_document_exits_2(capsys, tmp_path, docs, data):
@@ -716,7 +729,12 @@ def test_malformed_document_exits_2(capsys, tmp_path, docs, data):
         node[key] = breakage
     write_target(tmp_path, broken, f"{name}.json")
     for argv in runs[: 2 if name == "schedule" else 1]:
-        assert_one_json_error(*run_cli(capsys, *argv))
+        code, out, err = run_cli(capsys, *argv)
+        assert_one_json_error(code, out, err)
+        if breakage is _DELETE:
+            error = json.loads(err)["error"]
+            assert error["type"] == "ValueError", error
+            assert f"has no {key!r}" in error["message"], error
 
 
 def test_module_entry_point_smoke(tmp_path):

@@ -5,7 +5,7 @@ from pathlib import Path
 import ionpulse
 
 # the src/ionpulse line budget: lowered to the package's size whenever it shrinks
-LINE_BUDGET = 1685
+LINE_BUDGET = 1660
 
 # the per-pulse reference API: only the tests and the traced benchmark call it
 PER_PULSE_REFERENCE = {
@@ -27,7 +27,6 @@ def test_public_names_are_pinned():
         "DEFAULT_ETA",
         "DEFAULT_OMEGA_RAD_S",
         "EXCITED",
-        "EntangledCarrierTarget",
         "FockTarget",
         "GROUND",
         "HamiltonianMatrix",

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import stat
 
@@ -9,7 +8,6 @@ import pytest
 from ionpulse import (
     BellTarget,
     CoherentTarget,
-    EntangledCarrierTarget,
     FockTarget,
     JointState,
     ParityCoherentTarget,
@@ -100,8 +98,6 @@ class TestScheduleFormat:
         assert params_from_dict(params_to_dict(params)).eta == params.eta
 
 
-R = 1 / math.sqrt(2)
-
 # one document per tag, with README's keys, and the target it reads as
 TARGET_DOCS = [
     ({"variant": "fock", "n": 3}, FockTarget(3)),
@@ -120,15 +116,6 @@ TARGET_DOCS = [
         ParityCoherentTarget(0.9, 7, "odd"),
     ),
     ({"variant": "bell"}, BellTarget()),
-    (
-        {
-            "variant": "entangled_carrier",
-            "amplitudes": [[R, 0.0], [0.0, R]],
-            "carrier_duration_s": 2e-5,
-            "carrier_phase_rad": 0.3,
-        },
-        EntangledCarrierTarget((R, 1j * R), 2e-5, 0.3),
-    ),
 ]
 
 
@@ -151,7 +138,6 @@ class TestTargetFormat:
             "even_coherent",
             "odd_coherent",
             "bell",
-            "entangled_carrier",
         }
 
     def test_complex_numbers_as_pairs(self):

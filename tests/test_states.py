@@ -26,7 +26,7 @@ from ionpulse import (
 )
 from ionpulse.core import ipow
 
-from ionpulse.serialization import save_schedule
+from ionpulse.serialization import load_schedule, save_schedule
 
 from conftest import (
     pulse_coefficient,
@@ -105,6 +105,14 @@ class TestPulse:
         with pytest.raises(ValueError):
             Pulse("carrier", 0, 0.0, -1e-6)
 
+    @pytest.mark.parametrize(
+        "phase,duration,message",
+        [(0.0, math.nan, "duration must be finite"), (math.inf, 1e-5, "phase must be finite")],
+    )
+    def test_non_finite_field_refused(self, phase, duration, message):
+        with pytest.raises(ValueError, match=message):
+            Pulse("carrier", 0, phase, duration)
+
     @pytest.mark.parametrize("k", [2.0, True, "2"])
     def test_non_integer_order_refused(self, k):
         with pytest.raises(ValueError, match="expected an integer"):
@@ -115,6 +123,32 @@ class TestPulse:
         assert type(pulse.k) is int
         # the schedule file is JSON, which has no numpy integers
         save_schedule(str(tmp_path / "s.json"), PulseSchedule(params, (pulse,)))
+
+    @pytest.mark.parametrize("real", [np.float32, np.float64, int], ids=lambda t: t.__name__)
+    def test_real_fields_stored_as_float(self, real, tmp_path):
+        params = PhysicalParams(real(1), real(50000), 4)
+        schedule = PulseSchedule(params, (Pulse("red", 1, real(2), real(1)),))
+        pulse = schedule.pulses[0]
+        for value in (params.eta, params.omega_carrier, pulse.phase, pulse.duration):
+            assert type(value) is float
+        # JSON has no numpy floats, and a bool would be written as true
+        save_schedule(str(tmp_path / "s.json"), schedule)
+        assert load_schedule(str(tmp_path / "s.json")) == schedule
+
+    @pytest.mark.parametrize("value", [True, "1e-5"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: PhysicalParams(v, 5e4, 4),
+            lambda v: PhysicalParams(0.25, v, 4),
+            lambda v: Pulse("red", 1, v, 1e-5),
+            lambda v: Pulse("red", 1, 0.0, v),
+        ],
+        ids=["eta", "omega_carrier", "phase", "duration"],
+    )
+    def test_non_number_real_field_refused(self, build, value):
+        with pytest.raises(ValueError, match="expected a number"):
+            build(value)
 
 
 class TestCarrier:

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +13,13 @@ from ionpulse import (
     GROUND,
     BellTarget,
     CoherentTarget,
-    EntangledCarrierTarget,
     FockTarget,
     JointState,
     ParityCoherentTarget,
     PhaseStateTarget,
     PhysicalParams,
+    Pulse,
+    PulseSchedule,
     RabiUnderflowError,
     SuperpositionTarget,
     TruncationOverflowError,
@@ -29,12 +31,14 @@ from ionpulse import (
     target_state_vector,
     verify_schedule,
 )
-from ionpulse import synthesis
+from ionpulse import states, synthesis
 from ionpulse.cli import main
 from ionpulse.serialization import report_to_dict, target_from_dict
 from ionpulse.synthesis import _coherent_weights
 
-from conftest import run_alternating
+from conftest import mpmath_rabi, run_alternating
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _params(dim, eta=0.25, omega=5e4):
@@ -530,38 +534,38 @@ class TestCompileBell:
             compile_target(BellTarget(), _params(2))
 
 
-class TestCompileEntangledCarrier:
-    def test_zero_carrier_is_product_state(self, rng):
-        c = _random_target(rng, 2)
-        report = compile_target(EntangledCarrierTarget(c, 0.0, 0.4), _params(8))
-        assert report.predicted_final.populations()[:, EXCITED].sum() <= 1e-20
-        assert report.fidelity_vs_target >= 1 - 1e-10
+class TestEntanglingCarrierSchedule:
+    """A carrier pulse appended to a compiled superposition is a schedule.
 
-    def test_component_formulas(self):
-        params = _params(8)
-        c = np.ones(3, dtype=complex) / math.sqrt(3)
-        t = (math.pi / 4) / _w(params, 0, 0)
-        phi = 0.7
-        report = compile_target(EntangledCarrierTarget(c, t, phi), params)
-        final = report.predicted_final
-        for j in range(3):
-            angle = _w(params, j, 0) * t
-            dg = final.amplitude(j, GROUND)
-            de = final.amplitude(j, EXCITED)
-            cj = c[j]
-            assert dg == pytest.approx(cj * math.cos(angle), abs=1e-10)
-            assert de == pytest.approx(
-                -1j * cj * cmath.exp(-1j * phi) * math.sin(angle), abs=1e-10
-            )
-            # per-level mixing ratio follows cot of the level's angle
-            assert abs(dg) / abs(de) == pytest.approx(
-                math.cos(angle) / math.sin(angle), rel=1e-10
-            )
+    It splits each level j into d_j^g = c_j cos(W_j0 t) and
+    d_j^e = -i c_j e^{-i phi} sin(W_j0 t); W_j0 depends on j, so every level
+    gets its own mixing angle and the state is entangled.  The reference
+    takes W_j0 from mpmath, not from the kernel that runs the schedule.
+    """
 
-    def test_total_probability_unity(self, rng):
-        c = _random_target(rng, 3)
-        report = compile_target(EntangledCarrierTarget(c, 2.3e-5, 1.9), _params(10))
-        assert report.predicted_final.populations().sum() == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("n", [0, 1, 4, 10])
+    @pytest.mark.parametrize("eta", [0.25, 0.9, 1.5])
+    def test_matches_mpmath_and_the_oracle(self, rng, eta, n):
+        target = SuperpositionTarget(tuple(_random_target(rng, n)))
+        params = _params(default_fock_dim(target), eta=eta)
+        report = compile_target(target, params)
+        # the ladder lands the target turned so that c_0 is real and nonnegative
+        c = np.array(target.amplitudes) * cmath.exp(1j * report.target_rotation_rad)
+        t, phi = rng.uniform(1e-5, 6e-5), rng.uniform(0.0, 2 * math.pi)
+        pulses = report.schedule.pulses + (Pulse("carrier", 0, phi, t),)
+        schedule = PulseSchedule(params, pulses)
+        final = run_schedule(JointState.ground(params.fock_dim), schedule)
+        mpmath = pytest.importorskip("mpmath")
+        for j in range(n + 1):
+            with mpmath.workdps(30):
+                angle = mpmath_rabi(eta, params.omega_carrier, j, 0) * mpmath.mpf(t)
+                cos, sin = float(mpmath.cos(angle)), float(mpmath.sin(angle))
+            d_e = -1j * c[j] * cmath.exp(-1j * phi) * sin
+            assert abs(final.amplitude(j, GROUND) - c[j] * cos) <= 1e-12, j
+            assert abs(final.amplitude(j, EXCITED) - d_e) <= 1e-12, j
+        assert np.all(final.amplitudes[2 * (n + 1) :] == 0.0)
+        # the carrier reads W_{m,0} on every populated m, which no ladder from ground does
+        assert verify_schedule(JointState.ground(params.fock_dim), schedule) >= 1 - 1e-12
 
 
 def recursion_step_red1(params, g, e, phase, duration):
@@ -709,8 +713,6 @@ class TestConstruction:
             (ParityCoherentTarget, (math.inf, 3, "even"), "alpha must be finite"),
             (ParityCoherentTarget, (1.0, -1, "even"), "n_max must be >= 0"),
             (ParityCoherentTarget, (0.5, 0, "odd"), "n_max=0 excludes every odd level"),
-            (EntangledCarrierTarget, ((0.6, 0.8), -1e-6, 0.0), "duration must be finite and >= 0"),
-            (EntangledCarrierTarget, ((0.5, 0.5), 1e-5, 0.0), "not normalized"),
             (PhaseStateTarget, (3, math.inf), "theta must be finite"),
             (PhaseStateTarget, (3, math.nan), "theta must be finite"),
             (FockTarget, (2.5,), "expected an integer"),
@@ -718,8 +720,6 @@ class TestConstruction:
             (PhaseStateTarget, (4.0, 0.3), "expected an integer"),
             (CoherentTarget, (0.5, "3"), "expected an integer"),
             (ParityCoherentTarget, (0.5, False, "even"), "expected an integer"),
-            (EntangledCarrierTarget, ((0.6, 0.8), math.nan, 0.0), "duration must be finite"),
-            (EntangledCarrierTarget, ((0.6, 0.8), 1e-5, math.inf), "phase must be finite"),
         ],
     )
     def test_invalid_field_raises_on_construction(self, variant, args, message):
@@ -739,14 +739,11 @@ DISPATCH_TARGETS = [
     CoherentTarget(0.7, 6),
     ParityCoherentTarget(0.9, 6, "even"),
     BellTarget(),
-    EntangledCarrierTarget((0.6, 0.8), 1e-5, 0.3),
     # top Fock level 0 or 1: the empty and the trimmed schedules
     FockTarget(0),
     CoherentTarget(0, 4),
     ParityCoherentTarget(0.0, 5, "odd"),
     SuperpositionTarget((1, 0, 0)),
-    # a carrier phase past 2 pi
-    EntangledCarrierTarget((0.6, 0.8j), 2e-5, 7.0),
 ]
 
 
@@ -787,6 +784,18 @@ class TestDispatch:
         assert vec.population(3, GROUND) == 1.0
         bell = target_state_vector(BellTarget(), params)
         assert bell.population(0, EXCITED) == pytest.approx(0.5)
+
+    # each variant builds its ideal state from its own fields, so a kernel
+    # error cannot move the state that the kernel's output is scored against
+    @pytest.mark.parametrize("tag", sorted(synthesis._VARIANTS))
+    def test_target_state_vector_never_runs_the_kernel(self, tag, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the pulse kernel ran")
+
+        monkeypatch.setattr(states, "_run", refuse)
+        target = target_from_dict(json.loads((GOLDEN / f"{tag}.json").read_text())["target"])
+        dim = default_fock_dim(target)
+        assert target_state_vector(target, _params(dim)).dim == dim
 
     # the ideal state needs no guard level; PhysicalParams refuses a fock_dim below 2
     @pytest.mark.parametrize("target", [t for t in DISPATCH_TARGETS if default_fock_dim(t) > 3])
@@ -829,13 +838,6 @@ class TestOneLevelTargets:
         assert report.fidelity_vs_target == 1.0
         assert report.exact_phase_fidelity == pytest.approx(1.0, abs=1e-15)
         assert json.dumps(report_to_dict(report)["target_rotation_rad"]) == turn
-
-    def test_entangled_carrier_keeps_only_its_carrier(self):
-        target = EntangledCarrierTarget((1,), 2e-5, 0.4)
-        report = compile_target(target, _params(default_fock_dim(target)))
-        assert report.schedule.pulses == (target._carrier(),)
-        assert report.schedule.provenance == "entangled_carrier(N=0)"
-        assert report.fidelity_vs_target >= 1 - 1e-15
 
 
 class TestOnePassOverTheTarget:
@@ -883,14 +885,11 @@ def json_targets(draw):
     doc = {"variant": tag}
     if tag == "fock":
         doc["n"] = top
-    elif tag in ("superposition", "entangled_carrier"):
+    elif tag == "superposition":
         pairs = np.array(draw(st.lists(st.tuples(_UNIT, _UNIT), min_size=top + 1, max_size=top + 1)))
         norm = np.linalg.norm(pairs)
         assume(norm >= 1e-150)  # so that the normalized draw is a unit vector to rounding
         doc["amplitudes"] = (pairs / norm).tolist()
-        if tag == "entangled_carrier":
-            doc["carrier_duration_s"] = draw(st.floats(1e-7, 1e-3))
-            doc["carrier_phase_rad"] = draw(st.floats(-10.0, 10.0))
     elif tag == "phase_state":
         doc["n_max"], doc["theta_rad"] = max(top, 1), draw(st.floats(-10.0, 10.0))
     elif tag != "bell":
