@@ -41,14 +41,6 @@ _SHARED = {
 }
 
 
-def _check_positive(args):
-    """Reject a --tolerance, --eta or --omega-rad-s that is not finite and positive."""
-    for name in ("tolerance", "eta", "omega_rad_s"):
-        value = getattr(args, name, None)
-        if value is not None and not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ionpulse",
@@ -102,12 +94,6 @@ def _emit(doc, out: str | None):
         atomic_write_text(out, text)
     else:
         sys.stdout.write(text)
-
-
-def _fail(kind: str, message: str, **extra) -> int:
-    payload = {"error": {"type": kind, "message": message, **extra}}
-    sys.stderr.write(json.dumps(payload) + "\n")
-    return 2
 
 
 def cmd_rabi(args) -> int:
@@ -192,13 +178,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_positive(args)
+        for name in ("tolerance", "eta", "omega_rad_s"):  # each finite and positive, if given
+            value = getattr(args, name, None)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         return _COMMANDS[args.command](args)
     except _INPUT_ERRORS as exc:
-        extra = {}
+        error = {"type": type(exc).__name__, "message": str(exc)}
         if getattr(exc, "pulse_index", None) is not None:
-            extra["pulse_index"] = exc.pulse_index
-        return _fail(type(exc).__name__, str(exc), **extra)
+            error["pulse_index"] = exc.pulse_index
+        sys.stderr.write(json.dumps({"error": error}) + "\n")
+        return 2
 
 
 def entry():

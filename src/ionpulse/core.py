@@ -11,9 +11,9 @@ where eta is the Lamb-Dicke parameter, W the carrier Rabi frequency and
 L_m^k an associated Laguerre polynomial.  All angular frequencies are in
 rad/s, durations in seconds.
 
-rabi_column builds a whole column W_{0..size-1,k} at once from the
-normalized Laguerre three-term recurrence (the matrix-element form of
-Cahill & Glauber, Phys. Rev. 177, 1857 (1969)):
+_column builds a column W_{0..size-1,k} from the normalized Laguerre
+three-term recurrence (the matrix-element form of Cahill & Glauber,
+Phys. Rev. 177, 1857 (1969)):
 
     g_0 = 1,
     g_{n+1} = sqrt((n+1)/(n+1+k)) ((2n+1+k-x) g_n - sqrt(n(n+k)) g_{n-1}) / (n+1),
@@ -22,8 +22,8 @@ Cahill & Glauber, Phys. Rev. 177, 1857 (1969)):
 with the prefactor taken in log space.  Unlike the alternating power
 series in x, the recurrence does not cancel catastrophically: against
 mpmath at 60 digits, |W_{m,k} - exact| <= 7e-14 W for eta in {0.25, 0.9, 1.5, 3},
-m <= 400 and k in {0, 1, 3, 10, 30}.  Columns are memoized, so the pulse
-kernel, the compilers and the CLI all read one value per W_{m,k}.
+m <= 400 and k in {0, 1, 3, 10, 30}.  Entry m does not depend on the
+column's size, so the kernel, the compilers and the CLI read one W_{m,k}.
 """
 
 from __future__ import annotations
@@ -90,10 +90,10 @@ class RabiUnderflowError(ArithmeticError):
     """Coupling magnitude below the representable double range.
 
     Carries ``log_magnitude``, the natural log of the unrepresentable
-    |W_{m,k}| in rad/s.
+    |W_{m,k}| in rad/s, and ``pulse_index`` where a schedule's pulse needed it.
     """
 
-    def __init__(self, m: int, k: int, log_magnitude: float):
+    def __init__(self, m: int, k: int, log_magnitude: float, pulse_index: int | None = None):
         super().__init__(
             f"Rabi frequency for m={m}, k={k} underflows double precision "
             f"(ln|W| = {log_magnitude:.2f})"
@@ -101,6 +101,7 @@ class RabiUnderflowError(ArithmeticError):
         self.m = m
         self.k = k
         self.log_magnitude = log_magnitude
+        self.pulse_index = pulse_index
 
 
 def _check_rates(eta: float, omega: float):
@@ -143,15 +144,17 @@ class RabiValue:
     value: float  # rad/s
 
 
-# Bounded: a phase-state schedule at N reads N + 1 columns.  The inputs are
-# checked on a miss only; typed, so that k = 1.0 misses k = 1's entry.
 @functools.lru_cache(maxsize=1024, typed=True)
 def _column(eta: float, omega: float, k: int, size: int) -> tuple[np.ndarray, dict]:
     """W_{0..size-1,k}, NaN where |W| underflows, and {m: ln|W_{m,k}|} of those m.
 
     g_n = sqrt(n! k!/(n+k)!) L_n^k(x) runs the recurrence of the module
     docstring; whenever |g| passes _RESCALE both carried terms are divided
-    by it (exactly: a power of two) and its log joins the prefactor.
+    by it (exactly: a power of two) and its log joins the prefactor.  The
+    cache holds at most 1024 columns, 8 size bytes each: 8 KB if all are
+    the one-entry columns of ladders from |0>|g>, 0.8 GB if all have 10^5
+    entries.  Inputs are checked on a miss only; typed, so that k = 1.0
+    misses k = 1's entry.
     """
     _check_rates(eta, omega)
     if parse_int(k) < 0 or parse_int(size) < 0:
@@ -178,11 +181,19 @@ def _column(eta: float, omega: float, k: int, size: int) -> tuple[np.ndarray, di
     return values, {int(m): float(log_mag[m]) for m in lost}
 
 
+def _coupling(eta: float, omega: float, m: int, k: int, size: int) -> float:
+    """W_{m,k} from the column (k, size > m); RabiUnderflowError only if this entry underflows."""
+    values, lost = _column(eta, omega, k, size)
+    if m in lost:
+        raise RabiUnderflowError(m, k, lost[m])
+    return float(values[m])
+
+
 def rabi_column(eta: float, omega: float, k: int, size: int) -> np.ndarray:
     """W_{m,k} in rad/s for m = 0..size-1, as one read-only array.
 
     Memoized per (eta, omega, k, size) in a bounded cache; entry m does not
-    depend on size, so every consumer of a coupling sees one value.
+    depend on size, so it equals the pulse kernel's W_{m,k} at any width.
     Raises RabiUnderflowError for the first m whose magnitude drops below
     the representable double range.
     """
@@ -199,17 +210,15 @@ def rabi_frequency(params: PhysicalParams, m: int, k: int) -> RabiValue:
     m -- Fock index of the lower motional level of the pair (>= 0).
     k -- sideband order (0 for the carrier).
 
-    Reads the column that the pulse kernel uses for params.  Raises
-    ValueError for negative or non-integer indices and RabiUnderflowError
-    when this magnitude drops below the representable double range.
+    Reads the column of order k as long as params' pairs of that order, at
+    least m + 1.  Raises ValueError for negative or non-integer indices and
+    RabiUnderflowError when this magnitude drops below the double range.
     """
     m, k = parse_int(m), parse_int(k)
     if m < 0 or k < 0:
         raise ValueError(f"Fock index and sideband order must be >= 0, got m={m}, k={k}")
-    values, lost = _column(params.eta, params.omega_carrier, k, max(m + 1, params.fock_dim - k))
-    if m in lost:
-        raise RabiUnderflowError(m, k, lost[m])
-    return RabiValue(m, k, float(values[m]))
+    w = _coupling(params.eta, params.omega_carrier, m, k, max(m + 1, params.fock_dim - k))
+    return RabiValue(m, k, w)
 
 
 def _check_kind(kind: str, k: int):

@@ -34,10 +34,12 @@ amplitude in |g> and |e>, come from the initial state's nonzero entries
 and move with each pulse's kind and k.  A pulse has amplitude only in
 its pairs m < n: n = min(max(top_e, top_g - k) + 1, D - k) for red k,
 g and e swapped for blue k, n = max(top_g, top_e) + 1 for the carrier.
-Only those rotate, and the guard cells are scanned only once the bound
-reaches them, so a pulse costs O(populated pairs), not O(D).  The other
-pairs hold exact zeros, which keep their sign, where a rotation could
-have left -0.0; nonzero amplitudes are bit-identical to rotating all.
+Only those rotate, coupled from one column per order as long as the
+largest n, and the guard cells are scanned only once the bound reaches
+them, so a pulse costs O(populated pairs), not O(D).  The other pairs
+hold exact zeros, which keep their sign, where a rotation could have left
+-0.0; nonzero amplitudes are bit-identical to rotating all, and an
+underflowing W_{m,k} raises only where its pair holds amplitude.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalParams, RabiUnderflowError, _check_kind, ipow, parse_float, parse_int
-from .core import rabi_column
+from .core import PhysicalParams, RabiUnderflowError, _check_kind, _column, ipow
+from .core import parse_float, parse_int
 
 __all__ = [
     "GROUND",
@@ -211,36 +213,37 @@ def _run(amps: np.ndarray, params: PhysicalParams, pulses, trace: list | None) -
     """
     dim, amps = params.fock_dim, np.array(amps, dtype=complex)
     top = [int(max(amps[s::2].nonzero()[0][-1:], default=-1)) for s in (GROUND, EXCITED)]
-    step = len({p.k for p in pulses}) or 1
+    plan, sizes = [], []
+    for p in pulses:  # the bound moves with kind and k alone
+        shift = (p.k * (p.kind == "red"), p.k * (p.kind == "blue"))  # of (lower, upper)
+        n = max(min(max(top[0] - shift[0], top[1] - shift[1]) + 1, dim - p.k), 0)
+        plan.append((n, shift, top[EXCITED if p.kind == "red" else GROUND] >= dim - p.k))
+        sizes.append(n)
+        top = [max(t, n - 1 + d) for t, d in zip(top, shift)] if n else top
+    width, eta, omega = max(sizes, default=0), params.eta, params.omega_carrier
+    columns = {p.k: _column(eta, omega, p.k, width) for p in pulses}
+    lost, step = any(marks for _, marks in columns.values()), len(columns) or 1
     for start in range(0, len(pulses), step):
-        run, plan, columns = pulses[start : start + step], [], []
-        for p in run:  # the bound moves with kind and k alone
-            size, err = max(dim - p.k, 0), None
-            try:
-                column = rabi_column(params.eta, params.omega_carrier, p.k, size)
-            except RabiUnderflowError as exc:  # raised when its pulse comes up
-                column, err = np.zeros(size), exc
-            shift = (p.k * (p.kind == "red"), p.k * (p.kind == "blue"))  # of (lower, upper)
-            n = max(min(max(top[0] - shift[0], top[1] - shift[1]) + 1, size), 0)
-            plan.append((n, shift, top[EXCITED if p.kind == "red" else GROUND] >= dim - p.k, err))
-            columns.append(column[:n])
-            top = [max(t, n - 1 + d) for t, d in zip(top, shift)] if n else top
-        sizes = [n for n, *_ in plan]
-        angle = np.concatenate(columns) * np.repeat([p.duration for p in run], sizes)
+        run, counts = pulses[start : start + step], sizes[start : start + step]
+        w = np.concatenate([columns[p.k][0][:n] for p, n in zip(run, counts)])
+        if lost:  # an underflow, marked NaN, turns a pair of zeros by no angle
+            nan, w = np.isnan(w), np.nan_to_num(w, nan=0.0)
+        angle = w * np.repeat([p.duration for p in run], counts)
         sin, cos, end = np.sin(angle), np.cos(angle), 0
         c = [(ipow(p.k - 1) if p.k else -1j) * cmath.exp(-1j * p.phase) for p in run]
-        c = np.repeat(c, sizes)
+        c = np.repeat(c, counts)
         # a complex cosine keeps every product below on one dtype, so none takes a cast
         cos, fwd, back = cos.astype(complex), c * sin, c.conj() * sin
-        for i, (p, (n, shift, scan, err)) in enumerate(zip(run, plan), start):
+        for i, (p, (n, shift, scan)) in enumerate(zip(run, plan[start : start + step]), start):
             if scan:  # else the bound proves the guard cells empty
                 _check_guard(amps, p.kind, p.k, dim, i)
-            if err:
-                raise err
             lo = slice(2 * shift[0] + GROUND, 2 * (shift[0] + n), 2)
             up = slice(2 * shift[1] + EXCITED, 2 * (shift[1] + n), 2)
             s, end = slice(end, end + n), end + n
             a_lo, a_up = amps[lo], amps[up]  # views: both right-hand sides are built first
+            # an underflowing coupling raises where its pair holds amplitude
+            if lost and (held := nan[s] & ((a_lo != 0) | (a_up != 0))).any():
+                raise RabiUnderflowError(m := int(held.argmax()), p.k, columns[p.k][1][m], i)
             amps[lo], amps[up] = cos[s] * a_lo - back[s] * a_up, fwd[s] * a_lo + cos[s] * a_up
             if trace is not None:
                 trace.append(JointState(amps))
@@ -260,7 +263,7 @@ def apply_pulse_amplitudes(
         raise ValueError(f"amplitude vector must have shape ({2 * dim},), got {amps.shape}")
     try:
         return _run(amps, params, (pulse,), None)
-    except TruncationOverflowError as err:
+    except (TruncationOverflowError, RabiUnderflowError) as err:
         err.pulse_index = pulse_index
         raise
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _LOG_RESCALE, _RESCALE, PhysicalParams, ipow, parse_float, parse_int, rabi_column
+from .core import _LOG_RESCALE, _RESCALE, PhysicalParams, _coupling, ipow, parse_float, parse_int
 from .states import (
     EXCITED,
     GROUND,
@@ -98,15 +98,11 @@ def _turn(params: PhysicalParams, kind: str, k: int, m: int, angle: float, phase
 
     W_{m,k} can be negative past a Laguerre zero.  A pulse of duration
     angle / |W| at phase + pi then gives the same 2x2 block as a positive
-    coupling would: the sign of sin(W t) folds into e^{-i phase}.  A
-    coupling of exactly zero cannot turn the pair.  W is read from the
-    column the pulse kernel multiplies by the duration.
+    coupling would: the sign of sin(W t) folds into e^{-i phase}.  W is
+    read alone, so only its own underflow raises.  No caller asks for a
+    zero coupling: W_{0,k} > 0, and FockTarget checks W_{n,0}.
     """
-    w = float(rabi_column(params.eta, params.omega_carrier, k, params.fock_dim - k)[m])
-    if w == 0.0:
-        raise ValueError(
-            f"W_{{{m},{k}}} = 0 at eta = {params.eta}: a {kind} pulse cannot turn pair {m}"
-        )
+    w = _coupling(params.eta, params.omega_carrier, m, k, m + 1)
     return Pulse(kind, k, phase + (math.pi if w < 0.0 else 0.0), angle / abs(w))
 
 
@@ -273,7 +269,7 @@ class FockTarget(TargetState):
 
     def _compile(self, params, c):
         n = self.n
-        if n == 0 or rabi_column(params.eta, params.omega_carrier, 0, params.fock_dim)[n] == 0.0:
+        if n == 0 or _coupling(params.eta, params.omega_carrier, n, 0, n + 1) == 0.0:
             strategy = "blue-then-carrier" if n == 0 else "carrier-then-red"
             return _ladder(c, params, f"fock(n={n}, strategy={strategy})")
         # two full transfers, sin(|W| t) = 1; at laser phases 0 they end at -i^n

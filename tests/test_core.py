@@ -6,13 +6,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ionpulse import (
+    EXCITED,
     JointState,
     PhysicalParams,
     Pulse,
+    PulseSchedule,
     RabiUnderflowError,
     apply_pulse_amplitudes,
     rabi_column,
     rabi_frequency,
+    run_schedule,
+    verify_schedule,
 )
 
 from ionpulse import core
@@ -168,19 +172,53 @@ class TestRabiColumn:
         with pytest.raises(RabiUnderflowError) as excinfo:
             rabi_column(eta, omega, k, 50)
         assert excinfo.value.m == 0
-        with pytest.raises(RabiUnderflowError):
-            apply_pulse_amplitudes(
-                JointState.ground(params.fock_dim).amplitudes, params, Pulse("red", k, 0.0, 1e-5)
-            )
+        # from ground the pulse has no pair that can hold amplitude: the identity
+        pulse, ground = Pulse("red", k, 0.0, 1e-5), JointState.ground(params.fock_dim)
+        turned = apply_pulse_amplitudes(ground.amplitudes, params, pulse)
+        assert turned.view(np.uint64).tolist() == ground.amplitudes.view(np.uint64).tolist()
+        assert verify_schedule(ground, PulseSchedule(params, (pulse,))) == 1.0
+        # from |m>|e>, pair m holds amplitude, and its underflow is raised
+        for m in expected:
+            start = JointState.fock(m, params.fock_dim, internal=EXCITED)
+            with pytest.raises(RabiUnderflowError) as excinfo:
+                run_schedule(start, PulseSchedule(params, (Pulse("carrier", 0, 0.0, 1e-5), pulse)))
+            assert (excinfo.value.m, excinfo.value.k, excinfo.value.pulse_index) == (m, k, 1)
+            with pytest.raises(RabiUnderflowError) as excinfo:
+                apply_pulse_amplitudes(start.amplitudes, params, pulse, pulse_index=4)
+            assert (excinfo.value.m, excinfo.value.k, excinfo.value.pulse_index) == (m, k, 4)
+        # from |m>|e> just past them, the underflowing pairs below hold zeros and
+        # are turned by no angle: only pair m moves
+        m = expected[-1] + 1
+        assert m not in expected
+        start = JointState.fock(m, params.fock_dim, internal=EXCITED)
+        final = run_schedule(start, PulseSchedule(params, (pulse,)))
+        assert np.count_nonzero(final.amplitudes) == 2
+        w_t = rabi_frequency(params, m, k).value * pulse.duration
+        assert final.population(m, EXCITED) == pytest.approx(math.cos(w_t) ** 2, rel=1e-12)
 
     def test_one_value_per_coupling(self, params):
-        # a column's entries do not depend on its length, and rabi_frequency
-        # reads the column the pulse kernel uses
-        for eta in (0.25, 1.5):
-            for k in (0, 1, 5, 30):
-                full = rabi_column(eta, 5e4, k, 400)
-                for size in (0, 1, 2, 7, 16, 123):
-                    np.testing.assert_array_equal(rabi_column(eta, 5e4, k, size), full[:size])
+        # each column is the start of its order's longer columns, bit for bit,
+        # with the NaN marks and logs of underflow; at W = 1 rad/s the lowest m
+        # of k = 200 underflow at eta = 0.25
+        for eta in (0.25, 0.9, 1.5, 3.0):
+            for k in (0, 1, 3, 5, 10, 30, 100, 150, 200):
+                column, lost = core._column(eta, 1.0, k, 4000)
+                for size in [*range(41), 100, 123, 2316, 3924, 4000]:
+                    head, head_lost = core._column(eta, 1.0, k, size)
+                    assert head.view(np.uint64).tolist() == column[:size].view(np.uint64).tolist()
+                    assert head_lost == {m: v for m, v in lost.items() if m < size}
+            # ln |g_m| = ln |W_{m,k}| less the prefactor, at W = 1 rad/s and k = 200
+            pref = math.log(0.5) + 200 * math.log(eta) - eta**2 / 2 - math.lgamma(201) / 2
+            with np.errstate(divide="ignore"):
+                log_g = np.log(np.abs(column)) - pref
+            if eta <= 1.5:  # the recurrence of k = 200 passes 2^500 (from m = 2315 at eta = 0.25)
+                assert np.nanmax(log_g) > 500 * math.log(2.0)
+                for m in (2314, 2315, 2566, 2567, 3922, 3923, 3999):  # each eta's first rescale
+                    exact = float(mpmath_rabi(eta, 1.0, m, 200))
+                    assert column[m] == pytest.approx(exact, rel=1e-11, abs=0.0)
+            if eta == 0.25:
+                assert lost and np.isnan(column[0])
+        # rabi_frequency reads the column as long as its params' pairs of order k
         for k in (0, 1, 5):
             kernel = rabi_column(params.eta, params.omega_carrier, k, params.fock_dim - k)
             scalars = [rabi_frequency(params, m, k).value for m in range(params.fock_dim + 3)]

@@ -24,7 +24,7 @@ from ionpulse import (
     rabi_frequency,
     run_schedule,
 )
-from ionpulse.core import ipow
+from ionpulse.core import _column, ipow
 
 from ionpulse.serialization import load_schedule, save_schedule
 
@@ -374,7 +374,9 @@ class TestRunSchedule:
 
 def _dense_reference(amps, params, pulses):
     """Every pulse rotates all of its D - k pairs, one 2x2 block each, by the
-    kernel's expression, and scans its guard cells; the state after each pulse."""
+    kernel's expression, and scans its guard cells; the state after each pulse.
+    An underflowing coupling raises where its pair holds amplitude and turns
+    a pair of zeros by no angle."""
     amps, dim, states = np.array(amps, dtype=complex), params.fock_dim, []
     for i, p in enumerate(pulses):
         pairs, s = max(dim - p.k, 0), EXCITED if p.kind == "red" else GROUND
@@ -385,11 +387,15 @@ def _dense_reference(amps, params, pulses):
                 f"D={dim}; increase fock_dim",
                 pulse_index=i,
             )
-        angle = rabi_column(params.eta, params.omega_carrier, p.k, pairs) * p.duration
-        sin, cos = np.sin(angle), np.cos(angle)
-        c = (-1j if p.kind == "carrier" else ipow(p.k - 1)) * cmath.exp(-1j * p.phase)
         lo = 2 * (np.arange(pairs) + p.k * (p.kind == "red")) + GROUND
         up = 2 * (np.arange(pairs) + p.k * (p.kind == "blue")) + EXCITED
+        column, lost = _column(params.eta, params.omega_carrier, p.k, pairs)
+        for m, log_mag in lost.items():
+            if amps[lo[m]] or amps[up[m]]:
+                raise RabiUnderflowError(m, p.k, log_mag, pulse_index=i)
+        angle = np.where(np.isnan(column), 0.0, column) * p.duration
+        sin, cos = np.sin(angle), np.cos(angle)
+        c = (-1j if p.kind == "carrier" else ipow(p.k - 1)) * cmath.exp(-1j * p.phase)
         a_lo, a_up = amps[lo], amps[up]
         amps[lo] = cos * a_lo - (c.conjugate() * sin) * a_up
         amps[up] = (c * sin) * a_lo + cos * a_up

@@ -31,7 +31,7 @@ from ionpulse import (
     target_state_vector,
     verify_schedule,
 )
-from ionpulse import states, synthesis
+from ionpulse import core, states, synthesis
 from ionpulse.cli import main
 from ionpulse.serialization import report_to_dict, target_from_dict
 from ionpulse.synthesis import _coherent_weights
@@ -912,3 +912,31 @@ class TestWideRange:
         assert report.fidelity_vs_target >= 1 - 1e-9
         assert report.exact_phase_fidelity >= 1 - 1e-9
         assert all(p.duration > 0.0 for p in report.schedule.pulses)
+
+
+class TestCouplingColumnsFollowTheSupport:
+    """The compilers and the kernel build coupling columns only as long as the
+    support bound lets a pulse reach, whatever the truncation."""
+
+    def _sizes(self, monkeypatch):
+        """Every size asked of the cached column builder, by core and the kernel."""
+        sizes, build = [], core._column
+
+        def spy(eta, omega, k, size):
+            sizes.append(size)
+            return build(eta, omega, k, size)
+
+        monkeypatch.setattr(core, "_column", spy)
+        monkeypatch.setattr(states, "_column", spy)
+        return sizes
+
+    @pytest.mark.parametrize("target,longest", [(PhaseStateTarget(5, 0.3), 1), (FockTarget(3), 4)])
+    def test_no_column_longer_than_the_support(self, monkeypatch, target, longest):
+        # a ladder from |0>|g> rotates pair m = 0 of each pulse; the Fock n = 3
+        # carrier turns pair 3, so no column needs more than n + 1 entries
+        sizes = self._sizes(monkeypatch)
+        params = _params(10**5)
+        report = compile_target(target, params)
+        assert report.fidelity_vs_target >= 1 - 1e-12
+        assert verify_schedule(JointState.ground(params.fock_dim), report.schedule) >= 1 - 1e-12
+        assert sizes and max(sizes) == longest
