@@ -37,8 +37,7 @@ need t of order seconds).
 Only the pairs that can hold amplitude are built: pulse p's pairs m < n_p,
 n_p from the top levels of |g> and |e> that the initial state and earlier
 pulses reach.  One running product and one loop of max n_p - 1 steps sum
-the series of all K orders, each element as in a loop of its own; runs of K
-pulses, as in the pulse kernel, take a gather, product and scatter: O(K max n_p).
+the series of all K orders in O(K max n_p), each element as in a loop of its own.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PhysicalParams, _check_kind, ipow
-from .states import JointState, PulseSchedule, fidelity, run_schedule
+from .states import RUN_PAIRS, JointState, PulseSchedule, fidelity, run_schedule
 
 __all__ = [
     "HamiltonianMatrix",
@@ -97,11 +96,12 @@ def _check_pairs(pairs: np.ndarray, couplings: np.ndarray, dim: int, sizes):
         )
     if pairs.size and not (0 <= pairs.min() and pairs.max() < 2 * dim):
         raise ValueError(f"a pair index is outside [0, {2 * dim})")
-    if np.any(pairs[:, 0] == pairs[:, 1]):
+    if (pairs[:, 0] == pairs[:, 1]).any():
         raise ValueError("a pair couples a basis state to itself")
-    # as intp, since numpy 1.x bincount refuses uint64; pulse p counts from 2 dim p
+    # pulse p's keys from 2 dim p, as intp (uint64 + int is float); stable sort: two ascending runs
     offsets = np.repeat(2 * dim * np.arange(len(sizes)), sizes)
-    if pairs.size and np.bincount((pairs.T.astype(np.intp, copy=False) + offsets).ravel()).max() > 1:
+    keys = np.sort(pairs.T.astype(np.intp, copy=False) + offsets, axis=None, kind="stable")
+    if (keys[1:] == keys[:-1]).any():
         raise ValueError("Hamiltonian couples a basis state to more than one other")
 
 
@@ -212,10 +212,10 @@ def _oracle_final(initial: JointState, schedule: PulseSchedule) -> JointState:
         k_g, k_e = p.k * (p.kind == "red"), p.k * (p.kind == "blue")
         sizes.append(n := max(min(max(top_g - k_g, top_e - k_e) + 1, dim - p.k), 0))
         top_g, top_e = (max(top_g, n - 1 + k_g), max(top_e, n - 1 + k_e)) if n else (top_g, top_e)
-    ks = sorted({pulse.k for pulse in pulses})
-    table = _series(params.eta * params.eta, dim, ks, max(sizes, default=0))
+    ks, width = sorted({pulse.k for pulse in pulses}), max(sizes, default=0)
+    table = _series(params.eta * params.eta, dim, ks, width)
     amps = initial.amplitudes.copy()
-    step = len(ks) or 1  # pulses a run: see the module docstring
+    step = max(RUN_PAIRS // max(width, 1), 1)
     for i in range(0, len(pulses), step):
         run, counts = pulses[i : i + step], sizes[i : i + step]
         pairs, couplings = _pairs(params, [(p.kind, p.k, p.phase) for p in run], counts, ks, table)

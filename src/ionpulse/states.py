@@ -70,6 +70,7 @@ EXCITED = 1
 
 NORM_TOL = 1e-12
 GUARD_TOL = 1e-12
+RUN_PAIRS = 2**14  # a run of pulses holds at most this many pairs, or one wider pulse
 
 TWO_PI = 2.0 * math.pi
 
@@ -208,8 +209,7 @@ def _run(amps: np.ndarray, params: PhysicalParams, pulses, trace: list | None) -
 
     Lower pair members sit at flat indices 2*(m + k if red else m) + GROUND,
     upper ones at 2*(m + k if blue else m) + EXCITED: two stride-2 slices.
-    Pulses go in runs of K, the number of distinct orders, with one sine and
-    one cosine pass per run.  Errors carry their pulse's index in pulses.
+    One sine and one cosine pass a run; errors carry their pulse's index.
     """
     dim, amps = params.fock_dim, np.array(amps, dtype=complex)
     top = [int(max(amps[s::2].nonzero()[0][-1:], default=-1)) for s in (GROUND, EXCITED)]
@@ -222,7 +222,7 @@ def _run(amps: np.ndarray, params: PhysicalParams, pulses, trace: list | None) -
         top = [max(t, n - 1 + d) for t, d in zip(top, shift)] if n else top
     width, eta, omega = max(sizes, default=0), params.eta, params.omega_carrier
     columns = {p.k: _column(eta, omega, p.k, width) for p in pulses}
-    lost, step = any(marks for _, marks in columns.values()), len(columns) or 1
+    lost, step = any(marks for _, marks in columns.values()), max(RUN_PAIRS // max(width, 1), 1)
     for start in range(0, len(pulses), step):
         run, counts = pulses[start : start + step], sizes[start : start + step]
         w = np.concatenate([columns[p.k][0][:n] for p, n in zip(run, counts)])

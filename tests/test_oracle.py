@@ -21,8 +21,10 @@ from ionpulse import (
     build_hamiltonian,
     compile_target,
     default_fock_dim,
+    fidelity,
     propagate,
     rabi_frequency,
+    run_schedule,
     states,
     verify_schedule,
 )
@@ -41,6 +43,15 @@ from conftest import (
 
 def _params(dim, eta=0.25):
     return PhysicalParams(eta=eta, omega_carrier=5e4, fock_dim=dim)
+
+
+def _peak(call):
+    """call() and the tracemalloc peak in bytes while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _perturb_closed_form(monkeypatch, order):
@@ -137,31 +148,76 @@ class TestBuildHamiltonian:
         params = _params(2897)
         w = rabi_frequency(params, 0, 1).value
         schedule = PulseSchedule(params, (Pulse("red", 1, 0.0, 1.0 / w),))
-        tracemalloc.start()
-        try:
-            fid = verify_schedule(JointState.fock(1, params.fock_dim), schedule)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        fid, peak = _peak(lambda: verify_schedule(JointState.fock(1, params.fock_dim), schedule))
         assert fid >= 1 - 1e-12
         assert peak < 4 * 2**20
 
     def test_a_long_schedule_verifies_in_a_few_mib(self):
-        # 400 pulses of one order go in runs of one pulse: the oracle holds
-        # O(K D) at a time, not the 1.2 million pairs of all 400 pulses
+        # from |0>|g> pulse i of the 400 has i + 1 pairs, 80,200 in all; both
+        # loops hold a run of at most RUN_PAIRS of them at a time
         params = _params(2897)
-        w = rabi_frequency(params, 0, 1).value
-        schedule = PulseSchedule(params, tuple(
-            Pulse(("blue", "red")[i % 2], 1, 0.1 * i, 0.3 / w) for i in range(400)
-        ))
-        tracemalloc.start()
-        try:
-            fid = verify_schedule(JointState.ground(params.fock_dim), schedule)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        fid, peak = _peak(lambda: verify_schedule(JointState.ground(params.fock_dim), _climb(params)))
         assert fid >= 1 - 1e-12
         assert peak < 4 * 2**20
+
+
+def _climb(params):
+    """400 alternating blue-1 and red-1 pulses: from |0>|g> each climbs one level."""
+    w = rabi_frequency(params, 0, 1).value
+    return PulseSchedule(params, tuple(
+        Pulse(("blue", "red")[i % 2], 1, 0.1 * i, 0.3 / w) for i in range(400)
+    ))
+
+
+class TestRunBudget:
+    """Both pulse loops go in runs of at most states.RUN_PAIRS pairs, or of one
+    wider pulse, as many pulses a run as the schedule's widest pulse allows."""
+
+    def test_runs_hold_as_many_pulses_as_the_budget_allows(self, monkeypatch):
+        # pulse i of the climb has i + 1 pairs, so RUN_PAIRS // 400 pulses go in
+        # a run; each loop takes one sine pass a run
+        params = _params(2897)
+        kernel, runs, build = [], [], oracle._pairs
+
+        def sin(angle):
+            kernel.append(angle.size)
+            return np.sin(angle)
+
+        def spy(params, pulses, sizes, ks, table):
+            runs.append(sum(sizes))
+            return build(params, pulses, sizes, ks, table)
+
+        monkeypatch.setattr(states, "np", SimpleNamespace(**{**vars(np), "sin": sin}))
+        monkeypatch.setattr(oracle, "_pairs", spy)
+        assert verify_schedule(JointState.ground(params.fock_dim), _climb(params)) >= 1 - 1e-12
+        step = states.RUN_PAIRS // 400
+        assert kernel == runs == [sum(range(i + 1, i + step + 1)) for i in range(0, 400, step)]
+        assert len(runs) == 10 and max(runs) <= states.RUN_PAIRS
+
+    def test_a_full_support_ladder_runs_in_a_few_mib(self, rng):
+        # every level below the top 81 holds amplitude, so each pulse of the
+        # N = 80 ladder has up to D pairs; a run of 81 of them held 14.4 MiB
+        # in the kernel and 26.6 MiB in the oracle
+        params = _params(2000)
+        schedule = compile_target(PhaseStateTarget(80, 0.3), params).schedule
+        amps = rng.normal(size=4000) + 1j * rng.normal(size=4000)
+        amps[2 * (2000 - 81) :] = 0.0
+        initial = JointState(amps / np.linalg.norm(amps))
+        run_schedule(initial, schedule)  # caches the coupling columns it reads
+        _, kernel_peak = _peak(lambda: run_schedule(initial, schedule))
+        _, oracle_peak = _peak(lambda: _oracle_final(initial, schedule))
+        assert kernel_peak < 4 * 2**20
+        assert oracle_peak < 8 * 2**20
+
+    def test_a_ladder_checks_its_pairs_in_a_few_mib(self):
+        # one pair a pulse from |0>|g>: checking that no pulse of the run puts
+        # a state in two pairs takes O(pairs), not O(pulses D) (125 MiB here)
+        params = _params(10**5)
+        schedule = compile_target(PhaseStateTarget(80, 0.3), params).schedule
+        ground = JointState.ground(params.fock_dim)
+        final, peak = _peak(lambda: _oracle_final(ground, schedule))
+        assert fidelity(final, run_schedule(ground, schedule)) >= 1 - 1e-9
+        assert peak < 16 * 2**20
 
 
 def _start(rng, dim, partial):
@@ -175,8 +231,9 @@ def _start(rng, dim, partial):
 
 
 def _long_schedule(params, rng):
-    # 30 pulses of five orders: six runs of five; from |0>|g> they reach no
-    # level past 4 * 30, so the kernel's truncation guard passes at D = 128
+    # 30 pulses of five orders, at most 36 pairs each from |0>|g> at the rng
+    # fixture's seed; they reach no level past 4 * 30, so the kernel's
+    # truncation guard passes at D = 128
     orders = [("carrier", 0), ("red", 1), ("blue", 2), ("red", 3), ("blue", 4)]
     return PulseSchedule(params, tuple(
         Pulse(*orders[int(i)], float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0, 1e-3)))
@@ -224,25 +281,21 @@ class TestSeries:
         # the j = 0 terms are one running product over i <= max k; at
         # D = 2897 that product over every element would take 192 MiB, but
         # order 2896 holds only m = 0
-        tracemalloc.start()
-        try:
-            rows = _series(0.0625, 2897, [0, 2896], 2897)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rows, peak = _peak(lambda: _series(0.0625, 2897, [0, 2896], 2897))
         assert np.array_equal(rows[1, :1], loop_series(0.0625, 2897, 2896))
         assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("start", ["ground", "partial", "seeded"])
     @pytest.mark.parametrize("case", ["mixed", "long", "phase5", "phase20", "phase80"])
     @pytest.mark.parametrize("eta", [0.25, 0.9, 1.5])
-    def test_schedule_matches_per_pulse_propagation(self, eta, case, start, rng):
+    def test_schedule_matches_per_pulse_propagation(self, monkeypatch, eta, case, start, rng):
         # one series loop and runs of pulses on the pairs that can hold
         # amplitude give the amplitudes of one Hamiltonian per pulse on all
         # its pairs, bit for bit: repeated carriers, red and blue at one order
-        # and random phases ("mixed"), a schedule of many runs ("long") and
-        # compiled phase states, from |0>|g>, from a state populated up to
-        # level D/2 in |g> and at |3>|e> ("partial") and from every level
+        # and random phases ("mixed"), a schedule of many runs at a budget of
+        # 180 pairs ("long") and compiled phase states, from |0>|g>, from a
+        # state populated up to level D/2 in |g> and at |3>|e> ("partial")
+        # and from every level
         if case.startswith("phase"):
             target = PhaseStateTarget(int(case[5:]), 0.3)
             params = _params(default_fock_dim(target), eta)
@@ -250,6 +303,7 @@ class TestSeries:
         elif case == "long":
             params = _params(128, eta)
             schedule = _long_schedule(params, rng)
+            monkeypatch.setattr(oracle, "RUN_PAIRS", 180)
         else:
             params = _params(40, eta)
             orders = [("carrier", 0), ("red", 3), ("blue", 3), ("carrier", 0), ("red", 1),
@@ -318,7 +372,7 @@ class TestSeries:
     def test_series_table_spans_only_the_support_bound(self, monkeypatch):
         # from |0>|g> every pulse of the N = 80 ladder has one pair that can
         # hold amplitude, so D = 242 sums the series of its 81 orders at m = 0,
-        # and its 81 pulses of 81 orders go in one run
+        # and its 81 pulses of one pair each go in one run
         params = _params(242)
         schedule = compile_target(PhaseStateTarget(80, 0.3), params).schedule
         series, pairs, shapes, runs = oracle._series, oracle._pairs, [], []
@@ -347,10 +401,13 @@ class TestSeries:
         ],
     )
     def test_checks_every_pulse_of_every_run(self, monkeypatch, rng, where, value, match):
-        # _pairs goes wrong past the first pulse of the schedule's sixth
-        # run; the shared HamiltonianMatrix checks must catch it
+        # at a budget of 5 * 36 pairs the schedule goes in six runs of five;
+        # _pairs goes wrong past the first pulse of the sixth run, and the
+        # shared HamiltonianMatrix checks must catch it
         params = _params(128)
         schedule = _long_schedule(params, rng)
+        monkeypatch.setattr(states, "RUN_PAIRS", 5 * 36)
+        monkeypatch.setattr(oracle, "RUN_PAIRS", 5 * 36)
         build, calls = oracle._pairs, []
 
         def wrong(params, pulses, sizes, ks, table):

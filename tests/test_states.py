@@ -466,15 +466,26 @@ class TestSupportBoundedKernel:
     @given(
         log_eta=st.floats(math.log(1e-3), math.log(30.0)),
         dim=st.integers(6, 160),
-        start=st.sampled_from(["ground", "mid_ladder", "full_support"]),
+        start=st.sampled_from(["ground", "mid_ladder", "full_support", "underflow"]),
         size=st.integers(1, 24),
         seed=st.integers(0, 2**31),
     )
     def test_matches_dense_reference_over_a_wide_range(self, log_eta, dim, start, size, seed):
         rng = np.random.default_rng(seed)
-        params = PhysicalParams(eta=min(math.exp(log_eta), 30.0), omega_carrier=5e4, fock_dim=dim)
+        eta = min(math.exp(log_eta), 30.0)
+        if start == "underflow":  # where every W_{m,k} of the top 20 orders underflows
+            eta, dim = min(eta, 1e-2), max(dim, 140)
+        params = PhysicalParams(eta=eta, omega_carrier=5e4, fock_dim=dim)
         schedule = _mixed_schedule(params, rng, size, max_k=dim - 1)
-        event(_matches_dense_reference(_start(start, dim, rng), schedule))
+        amps = _start(start, dim, rng)
+        if start == "underflow":
+            # a red pulse of one of those orders goes first, on all amplitude in
+            # |m>|e> of a pair m whose coupling underflows: the kernel raises there
+            k = dim - 1 - int(rng.integers(20))
+            m = int(rng.choice(sorted(_column(eta, params.omega_carrier, k, dim - k)[1])))
+            schedule = PulseSchedule(params, (Pulse("red", k, 0.3, 1e-4), *schedule.pulses))
+            amps = JointState.fock(m, dim, EXCITED).amplitudes
+        event(_matches_dense_reference(amps, schedule))
 
     @pytest.mark.parametrize("eta", [0.25, 0.9, 1.5, 3.0])
     @pytest.mark.parametrize("n_max,dim", [(5, 7), (20, 62), (60, 182)])

@@ -31,7 +31,7 @@ from ionpulse import (
     target_state_vector,
     verify_schedule,
 )
-from ionpulse import core, states, synthesis
+from ionpulse import core, oracle, states, synthesis
 from ionpulse.cli import main
 from ionpulse.serialization import report_to_dict, target_from_dict
 from ionpulse.synthesis import _coherent_weights
@@ -915,8 +915,9 @@ class TestWideRange:
 
 
 class TestCouplingColumnsFollowTheSupport:
-    """The compilers and the kernel build coupling columns only as long as the
-    support bound lets a pulse reach, whatever the truncation."""
+    """The compilers and the kernel build coupling columns, and the oracle its
+    pairs, only as far as the support bound lets a pulse reach, whatever the
+    truncation."""
 
     def _sizes(self, monkeypatch):
         """Every size asked of the cached column builder, by core and the kernel."""
@@ -940,3 +941,19 @@ class TestCouplingColumnsFollowTheSupport:
         assert report.fidelity_vs_target >= 1 - 1e-12
         assert verify_schedule(JointState.ground(params.fock_dim), report.schedule) >= 1 - 1e-12
         assert sizes and max(sizes) == longest
+
+    def test_oracle_pairs_follow_the_blue_bound(self, monkeypatch):
+        # Fock n = 3 is a blue-3 pulse from |0>|g>, whose one pair that can
+        # hold amplitude is m = 0, and a carrier on the four levels 0-3
+        params = _params(10)
+        schedule = compile_target(FockTarget(3), params).schedule
+        assert [(p.kind, p.k) for p in schedule.pulses] == [("blue", 3), ("carrier", 0)]
+        build, built = oracle._pairs, []
+
+        def spy(params, pulses, sizes, ks, table):
+            built.extend(sizes)
+            return build(params, pulses, sizes, ks, table)
+
+        monkeypatch.setattr(oracle, "_pairs", spy)
+        assert verify_schedule(JointState.ground(params.fock_dim), schedule) >= 1 - 1e-12
+        assert built == [1, 4]
