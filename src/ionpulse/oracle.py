@@ -105,12 +105,6 @@ def _check_pairs(pairs: np.ndarray, couplings: np.ndarray, dim: int, sizes):
         raise ValueError("Hamiltonian couples a basis state to more than one other")
 
 
-def _check_pulse(kind: str, k: int, dim: int):
-    _check_kind(kind, k)
-    if not k < dim:
-        raise ValueError(f"sideband order k={k} needs k < fock_dim={dim}")
-
-
 def _series(x: float, dim: int, ks: list[int], width: int) -> np.ndarray:
     """Coupled-diagonal series of each order in ks, one row per order.
 
@@ -160,7 +154,9 @@ def build_hamiltonian(params: PhysicalParams, kind: str, k: int, phase: float) -
     """Assemble the coupled pairs for one laser tuning, as a run of one pulse
     on all its pairs: each element is summed to its last term j = m."""
     dim = params.fock_dim
-    _check_pulse(kind, k, dim)
+    _check_kind(kind, k)
+    if not k < dim:
+        raise ValueError(f"sideband order k={k} needs k < fock_dim={dim}")
     table = _series(params.eta * params.eta, dim, [k], dim - k)
     return HamiltonianMatrix(*_pairs(params, [(kind, k, phase)], [dim - k], [k], table), dim)
 
@@ -201,14 +197,13 @@ def propagate(ham: HamiltonianMatrix, state: JointState, duration: float) -> Joi
 
 def _oracle_final(initial: JointState, schedule: PulseSchedule) -> JointState:
     """The schedule's final state by Hamiltonian exponentiation, in runs of
-    pulses, each on its pairs that can hold amplitude; every pulse is
-    checked before the one series loop of all its orders."""
+    pulses, each on its pairs that can hold amplitude; the schedule holds
+    only orders below fock_dim, so the one series loop sums every order."""
     params, pulses, dim = schedule.params, schedule.pulses, schedule.params.fock_dim
     # the top levels that can hold amplitude; pair m joins |g, m + k_g> and |e, m + k_e>
     top_g, top_e = (int(np.flatnonzero(initial.amplitudes[s::2]).max(initial=-1)) for s in (0, 1))
     sizes = []
     for p in pulses:
-        _check_pulse(p.kind, p.k, dim)
         k_g, k_e = p.k * (p.kind == "red"), p.k * (p.kind == "blue")
         sizes.append(n := max(min(max(top_g - k_g, top_e - k_e) + 1, dim - p.k), 0))
         top_g, top_e = (max(top_g, n - 1 + k_g), max(top_e, n - 1 + k_e)) if n else (top_g, top_e)

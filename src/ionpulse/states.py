@@ -21,7 +21,9 @@ laser phase phi
 and its back-transition partner C~ = -conj(C).  The cosine is signed:
 past a quarter Rabi period the survival amplitude goes negative, which
 the compact sqrt(1 - |C|^2) notation hides but the Schrodinger dynamics
-(and the matrix-exponential oracle) require.
+(and the matrix-exponential oracle) require.  _coefficient(k, phi), the
+factor of sin(W t) in C, is the one place that holds this convention:
+the kernel applies it and the compilers solve every laser phase from it.
 
 A sideband pulse of order k would push |m>|e> (red) or |m>|g> (blue) with
 m >= D - k past the truncation boundary.  Such states must carry zero
@@ -114,7 +116,7 @@ class PulseSchedule:
 
     provenance is a free-text label of the producing routine, a str.
     Schedules may be empty (a target already equal to the initial state
-    compiles to no pulses).
+    compiles to no pulses).  Every pulse's order k is below params.fock_dim.
     """
 
     params: PhysicalParams
@@ -125,6 +127,10 @@ class PulseSchedule:
         object.__setattr__(self, "pulses", tuple(self.pulses))
         if not isinstance(self.provenance, str):
             raise ValueError(f"provenance must be a string, got {self.provenance!r}")
+        dim = self.params.fock_dim
+        for i, pulse in enumerate(self.pulses):
+            if pulse.k >= dim:
+                raise ValueError(f"pulse {i}: sideband order k={pulse.k} needs k < fock_dim={dim}")
 
     @property
     def total_duration(self) -> float:
@@ -203,6 +209,11 @@ def _check_guard(amps: np.ndarray, kind: str, k: int, dim: int, pulse_index: int
         )
 
 
+def _coefficient(k: int, phase: float) -> complex:
+    """C / sin(W t) of an order-k pulse at laser phase phase (k = 0: the carrier)."""
+    return (ipow(k - 1) if k else -1j) * cmath.exp(-1j * phase)
+
+
 def _run(amps: np.ndarray, params: PhysicalParams, pulses, trace: list | None) -> np.ndarray:
     """The pulses applied in turn to a copy of amps, each to its pairs m < n
     of the support bound; a trace list gets the state after each pulse.
@@ -230,8 +241,7 @@ def _run(amps: np.ndarray, params: PhysicalParams, pulses, trace: list | None) -
             nan, w = np.isnan(w), np.nan_to_num(w, nan=0.0)
         angle = w * np.repeat([p.duration for p in run], counts)
         sin, cos, end = np.sin(angle), np.cos(angle), 0
-        c = [(ipow(p.k - 1) if p.k else -1j) * cmath.exp(-1j * p.phase) for p in run]
-        c = np.repeat(c, counts)
+        c = np.repeat([_coefficient(p.k, p.phase) for p in run], counts)
         # a complex cosine keeps every product below on one dtype, so none takes a cast
         cos, fwd, back = cos.astype(complex), c * sin, c.conj() * sin
         for i, (p, (n, shift, scan)) in enumerate(zip(run, plan[start : start + step]), start):

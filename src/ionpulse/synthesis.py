@@ -15,10 +15,10 @@ turn angle follows from the target's tail norms a_j = |c_{>j}| alone:
 
 with t_j = theta_j / W_0j.  Only the levels j >= 1 with c_j != 0 get a
 red pulse, and the top one takes theta = pi/2 (the reservoir is fully
-deposited).  Every laser phase is solved from the reservoir's phase,
-which one kernel application of the carrier gives and the red turns only
-scale, so that each deposit lands with the target's argument.  Solved
-phases make the compiler immune to sign-convention drift in the
+deposited).  Every laser phase is solved by _land from states._coefficient,
+the kernel's pulse coefficient: the reservoir's phase is the carrier's, which
+the red turns only scale, and each deposit lands with the target's argument.
+Solved phases make the compiler immune to sign-convention drift in the
 coefficient algebra; quoting fixed phases does not.
 
 compile_target takes one pass over the target: it builds the weights
@@ -37,13 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _LOG_RESCALE, _RESCALE, PhysicalParams, _coupling, ipow, parse_float, parse_int
+from .core import _LOG_RESCALE, _RESCALE, PhysicalParams, _coupling, parse_float, parse_int
 from .states import (
     EXCITED,
     GROUND,
     JointState,
     Pulse,
     PulseSchedule,
+    _coefficient,
     fidelity,
     run_schedule,
 )
@@ -106,23 +107,20 @@ def _turn(params: PhysicalParams, kind: str, k: int, m: int, angle: float, phase
     return Pulse(kind, k, phase + (math.pi if w < 0.0 else 0.0), angle / abs(w))
 
 
-def _reservoir(params: PhysicalParams, carrier: Pulse) -> complex:
-    """The |0>|e> amplitude carrier leaves from |0>|g>: what the red deposits draw on."""
-    final = run_schedule(JointState.ground(params.fock_dim), PulseSchedule(params, (carrier,)))
-    return final.amplitude(0, EXCITED)
-
-
-def _deposit(
-    params: PhysicalParams, reservoir: complex, j: int, theta: float, desired: complex
+def _land(
+    params: PhysicalParams, kind: str, k: int, m: int, angle: float, source, desired, up: bool
 ) -> Pulse:
-    """Red-j pulse turning the reservoir by theta into |j>|g> at arg(desired).
+    """Pulse turning pair m by angle so that source, in its lower member if up
+    else its upper one, lands in the other member at arg(desired).
 
-    The deposit is the C~ amplitude, which at laser phase 0 is probe and
-    scales as e^{i phase}; the phase is solved from it, not quoted.
+    With unit = _coefficient(k, 0.0), source moves up as unit e^{-i phase}
+    and down as -conj(unit) e^{i phase}, times sin(angle) > 0; the phase is
+    solved from them, not quoted.
     """
-    probe = reservoir * (-ipow(1 - j)) * math.sin(theta)
-    phase = (cmath.phase(desired) - cmath.phase(probe)) % _TWO_PI
-    return _turn(params, "red", j, 0, theta, phase)
+    unit = _coefficient(k, 0.0)
+    moved = cmath.phase(unit * source if up else -unit.conjugate() * source)
+    phase = moved - cmath.phase(desired) if up else cmath.phase(desired) - moved
+    return _turn(params, kind, k, m, angle, phase % _TWO_PI)
 
 
 def _validated_target(amplitudes) -> np.ndarray:
@@ -154,10 +152,10 @@ def _ladder(c: np.ndarray, params: PhysicalParams, provenance: str) -> PulseSche
     carrier = _turn(params, "carrier", 0, 0, math.atan2(tails[0], c[0].real), _HALF_PI)
     if carrier.duration == 0.0:  # an empty reservoir: every deposit would be wasted
         return PulseSchedule(params, (), provenance)
-    # each red turn scales the reservoir by cos(theta_j) >= 0, so its phase stays put
-    reservoir = _reservoir(params, carrier)
+    # |0>|e> holds the carrier's C, W_00 > 0, which each red turn scales by cos(theta_j) >= 0
+    reservoir = _coefficient(0, carrier.phase)
     pulses = [carrier] + [
-        _deposit(params, reservoir, j, math.atan2(mags[j], tails[j]), complex(c[j]))
+        _land(params, "red", j, 0, math.atan2(mags[j], tails[j]), reservoir, complex(c[j]), False)
         for j in (np.flatnonzero(mags[1:]) + 1).tolist()
     ]
     return PulseSchedule(params, tuple(p for p in pulses if p.duration > 0.0), provenance)
@@ -272,12 +270,10 @@ class FockTarget(TargetState):
         if n == 0 or _coupling(params.eta, params.omega_carrier, n, 0, n + 1) == 0.0:
             strategy = "blue-then-carrier" if n == 0 else "carrier-then-red"
             return _ladder(c, params, f"fock(n={n}, strategy={strategy})")
-        # two full transfers, sin(|W| t) = 1; at laser phases 0 they end at -i^n
-        pulses = (
-            _turn(params, "blue", n, 0, _HALF_PI, 0.0),
-            _turn(params, "carrier", 0, n, _HALF_PI, (2 - n) % 4 * _HALF_PI),
-        )
-        return PulseSchedule(params, pulses, f"fock(n={n}, strategy=blue-then-carrier)")
+        # two full transfers, sin(|W| t) = 1; the carrier lands the blue one's |n>|e> at +1
+        blue = _turn(params, "blue", n, 0, _HALF_PI, 0.0)
+        carrier = _land(params, "carrier", 0, n, _HALF_PI, _coefficient(n, blue.phase), 1.0, False)
+        return PulseSchedule(params, (blue, carrier), f"fock(n={n}, strategy=blue-then-carrier)")
 
 
 @dataclass(frozen=True)
@@ -407,10 +403,9 @@ class BellTarget(TargetState):
         return JointState(amps)
 
     def _compile(self, params, c):
-        # sin(W_00 t0) = 1, and -i e^{-3i pi/2} = +1
-        carrier = _turn(params, "carrier", 0, 0, _HALF_PI, 3.0 * _HALF_PI)
-        theta = math.asin(1.0 / math.sqrt(2.0))
-        red = _deposit(params, _reservoir(params, carrier), 1, theta, complex(c[1]))
+        carrier = _land(params, "carrier", 0, 0, _HALF_PI, 1.0, complex(c[0]), True)
+        theta, reservoir = math.asin(1.0 / math.sqrt(2.0)), _coefficient(0, carrier.phase)
+        red = _land(params, "red", 1, 0, theta, reservoir, complex(c[1]), False)
         return PulseSchedule(params, (carrier, red), provenance="bell")
 
 

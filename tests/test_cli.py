@@ -481,6 +481,25 @@ def test_fock_dim_past_any_address_space_exits_2(capsys, tmp_path, command):
     assert json.loads(err)["error"]["type"].endswith("MemoryError")
 
 
+def test_an_order_past_the_truncation_exits_2_in_simulate_and_verify(capsys, tmp_path):
+    # red k = D has no pair: simulate once ran it as a no-op while verify refused it
+    doc = {
+        "params": {"eta": 0.25, "omega_carrier_rad_s": 5e4, "fock_dim": 4},
+        "pulses": [{"kind": "red", "k": 4, "phase_rad": 0.0, "duration_s": 1e-5}],
+        "provenance": "",
+    }
+    path = tmp_path / "past.json"
+    path.write_text(json.dumps(doc))
+    errors = []
+    for command in ("simulate", "verify"):
+        code, out, err = run_cli(capsys, command, "--schedule", str(path))
+        assert_one_json_error(code, out, err)
+        errors.append(json.loads(err)["error"])
+    assert errors[0] == errors[1] == {
+        "type": "ValueError", "message": "pulse 0: sideband order k=4 needs k < fock_dim=4"
+    }
+
+
 # flags that the subcommand does not read; argparse's usage error exits 2
 @pytest.mark.parametrize(
     "argv",

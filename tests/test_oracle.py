@@ -425,16 +425,12 @@ class TestSeries:
         assert calls == [5] * 6
 
     def test_rejects_an_order_past_the_truncation_mid_schedule(self):
-        # the kernel passes red k = D from |0>|g> (no pair, nothing in the
-        # guard); the oracle must refuse it before summing any series
+        # red k = D has no pair, so the kernel would pass it from |0>|g>; the
+        # schedule refuses it when built, before either loop can run it
         params = _params(8)
-        schedule = PulseSchedule(params, (
-            Pulse("carrier", 0, 0.0, 0.0),
-            Pulse("red", 8, 0.0, 1e-5),
-            Pulse("red", 1, 0.3, 1e-5),
-        ))
-        with pytest.raises(ValueError, match="sideband order k=8 needs k < fock_dim=8"):
-            verify_schedule(JointState.ground(8), schedule)
+        pulses = (Pulse("carrier", 0, 0.0, 0.0), Pulse("red", 8, 0.0, 1e-5), Pulse("red", 1, 0.3, 1e-5))
+        with pytest.raises(ValueError, match="pulse 1: sideband order k=8 needs k < fock_dim=8"):
+            PulseSchedule(params, pulses)
 
 
 class TestPropagate:

@@ -426,6 +426,27 @@ def _mixed_schedule(params, rng, size, max_k=3):
     return PulseSchedule(params, tuple(pulses))
 
 
+def _fitting_schedule(params, rng, size, amps):
+    """Red, blue and carrier pulses whose sideband orders the support can take:
+    each below D less the top level of the cells its guard scans, above the
+    guard tolerance in amps and moved by the pulses before it as the support
+    bound moves (the module docstring of states).  A sideband that no order
+    fits is a carrier."""
+    dim, pulses = params.fock_dim, []
+    top_g, top_e = (int(np.flatnonzero(np.abs(amps[s::2]) > 1e-12).max(initial=-1)) for s in (0, 1))
+    for kind in rng.choice(("carrier", "red", "blue"), size=size).tolist():
+        guard = top_e if kind == "red" else top_g
+        if kind == "carrier" or guard >= dim - 1:
+            kind, k = "carrier", 0
+        else:
+            k = int(rng.integers(1, dim - max(guard, 0)))
+        k_g, k_e = k * (kind == "red"), k * (kind == "blue")
+        n = max(min(max(top_g - k_g, top_e - k_e) + 1, dim - k), 0)
+        top_g, top_e = (max(top_g, n - 1 + k_g), max(top_e, n - 1 + k_e)) if n else (top_g, top_e)
+        pulses.append(Pulse(kind, k, rng.uniform(0, 2 * math.pi), rng.uniform(0, 3e-4)))
+    return PulseSchedule(params, tuple(pulses))
+
+
 def _matches_dense_reference(amps, schedule) -> str:
     """Assert that every state of run_schedule's trace equals the dense
     reference's, or that both raise the same error type, message and
@@ -460,8 +481,10 @@ class TestSupportBoundedKernel:
         schedule = _mixed_schedule(params, rng, int(rng.integers(1, 25)))
         _matches_dense_reference(_start(start, params.fock_dim, rng), schedule)
 
-    # eta log-uniform over four decades and orders up to D - 1: huge angles on
-    # empty pairs, truncation overflows and, at small eta, coupling underflows
+    # eta log-uniform over four decades and orders up to D - 1 that the support
+    # can take: huge angles on empty pairs and, at small eta, coupling
+    # underflows; one example in eight draws any order up to D - 1, and most
+    # of those overflow the truncation
     @settings(max_examples=400, deadline=None)
     @given(
         log_eta=st.floats(math.log(1e-3), math.log(30.0)),
@@ -476,8 +499,11 @@ class TestSupportBoundedKernel:
         if start == "underflow":  # where every W_{m,k} of the top 20 orders underflows
             eta, dim = min(eta, 1e-2), max(dim, 140)
         params = PhysicalParams(eta=eta, omega_carrier=5e4, fock_dim=dim)
-        schedule = _mixed_schedule(params, rng, size, max_k=dim - 1)
         amps = _start(start, dim, rng)
+        if rng.integers(8):
+            schedule = _fitting_schedule(params, rng, size, amps)
+        else:
+            schedule = _mixed_schedule(params, rng, size, max_k=dim - 1)
         if start == "underflow":
             # a red pulse of one of those orders goes first, on all amplitude in
             # |m>|e> of a pair m whose coupling underflows: the kernel raises there

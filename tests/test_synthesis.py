@@ -33,6 +33,7 @@ from ionpulse import (
 )
 from ionpulse import core, oracle, states, synthesis
 from ionpulse.cli import main
+from ionpulse.core import ipow
 from ionpulse.serialization import report_to_dict, target_from_dict
 from ionpulse.synthesis import _coherent_weights
 
@@ -957,3 +958,51 @@ class TestCouplingColumnsFollowTheSupport:
         monkeypatch.setattr(oracle, "_pairs", spy)
         assert verify_schedule(JointState.ground(params.fock_dim), schedule) >= 1 - 1e-12
         assert built == [1, 4]
+
+
+class TestPhasesSolvedFromTheKernelCoefficient:
+    """Every laser phase is solved from states._coefficient, the kernel's one
+    statement of its coefficient convention; a compile runs the kernel only
+    for its report."""
+
+    @pytest.mark.parametrize("tag", sorted(path.stem for path in GOLDEN.glob("*.json")))
+    def test_a_compile_runs_the_kernel_once(self, monkeypatch, tag):
+        target = target_from_dict(json.loads((GOLDEN / f"{tag}.json").read_text())["target"])
+        run, calls = states._run, []
+
+        def spy(*args):
+            calls.append(args)
+            return run(*args)
+
+        monkeypatch.setattr(states, "_run", spy)
+        compile_target(target, _params(default_fock_dim(target)))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("eta", [0.25, 1.0, 1.5])
+    @pytest.mark.parametrize(
+        "target,global_phase",
+        [
+            (FockTarget(1), True),
+            (FockTarget(3), True),
+            (PhaseStateTarget(4, 0.3), False),
+            (CoherentTarget(1 + 1j, 8), False),
+            (ParityCoherentTarget(1.5, 9, "odd"), True),
+            (SuperpositionTarget((0.6, 0.0, 0.48j, 0.0, -0.64)), False),
+            (BellTarget(), False),
+        ],
+        ids=repr,
+    )
+    def test_lands_the_target_under_a_moved_kernel_convention(
+        self, monkeypatch, target, global_phase, eta
+    ):
+        # the kernel's sideband coefficient i^(k-1) read as i^k, as in test_oracle's
+        # test_flags_a_kernel_phase_convention_it_does_not_share: the compiled phases
+        # follow the kernel, and the oracle, which keeps its own convention, still
+        # refuses the schedule where the mutant moves more than a global phase (it
+        # turns every deposit of a target without |0>|g>, and Fock's blue pulse, alike)
+        monkeypatch.setattr(states, "ipow", lambda n: ipow(n + 1))
+        params = _params(default_fock_dim(target), eta=eta)
+        report = compile_target(target, params)
+        assert report.fidelity_vs_target >= 1 - 1e-12
+        if not global_phase:
+            assert verify_schedule(JointState.ground(params.fock_dim), report.schedule) < 1 - 1e-8
