@@ -35,9 +35,11 @@ propagation stays stable for long durations (slow high-order sidebands
 need t of order seconds).
 
 Only the pairs that can hold amplitude are built: pulse p's pairs m < n_p,
-n_p from the top levels of |g> and |e> that the initial state and earlier
-pulses reach.  One running product and one loop of max n_p - 1 steps sum
-the series of all K orders in O(K max n_p), each element as in a loop of its own.
+n_p from states._support, the support bound the pulse kernel reads too.  It
+is kinematics (the top levels of |g> and |e> that the initial state and earlier
+pulses reach), not couplings, so the oracle's arithmetic stays its own.  One
+running product and one loop of max n_p - 1 steps sum the series of all K
+orders in O(K max n_p), each element as in a loop of its own.
 """
 
 from __future__ import annotations
@@ -48,14 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PhysicalParams, _check_kind, ipow
-from .states import RUN_PAIRS, JointState, PulseSchedule, fidelity, run_schedule
+from .states import RUN_PAIRS, JointState, PulseSchedule, _support, fidelity, run_schedule
 
-__all__ = [
-    "HamiltonianMatrix",
-    "build_hamiltonian",
-    "propagate",
-    "verify_schedule",
-]
+__all__ = ["HamiltonianMatrix", "build_hamiltonian", "propagate", "verify_schedule"]
 
 
 @dataclass(frozen=True)
@@ -96,12 +93,12 @@ def _check_pairs(pairs: np.ndarray, couplings: np.ndarray, dim: int, sizes):
         )
     if pairs.size and not (0 <= pairs.min() and pairs.max() < 2 * dim):
         raise ValueError(f"a pair index is outside [0, {2 * dim})")
-    if (pairs[:, 0] == pairs[:, 1]).any():
-        raise ValueError("a pair couples a basis state to itself")
     # pulse p's keys from 2 dim p, as intp (uint64 + int is float); stable sort: two ascending runs
-    offsets = np.repeat(2 * dim * np.arange(len(sizes)), sizes)
+    offsets = (2 * dim * np.arange(len(sizes))).repeat(sizes)
     keys = np.sort(pairs.T.astype(np.intp, copy=False) + offsets, axis=None, kind="stable")
-    if (keys[1:] == keys[:-1]).any():
+    if (keys[1:] == keys[:-1]).any():  # a pair that joins a state to itself repeats a key too
+        if (pairs[:, 0] == pairs[:, 1]).any():
+            raise ValueError("a pair couples a basis state to itself")
         raise ValueError("Hamiltonian couples a basis state to more than one other")
 
 
@@ -120,7 +117,7 @@ def _series(x: float, dim: int, ks: list[int], width: int) -> np.ndarray:
         first = np.searchsorted(orders, lo)  # orders from first on need the columns from lo on
         rows = min(width, dim - ks[first])
         i = np.arange(lo, min(lo + cap // rows, ks[-1] + 1), dtype=float)[:, None]
-        block = np.cumprod(np.vstack((block[-1:, :rows], np.sqrt(m[:rows] + i) / i)), axis=0)
+        block = np.concatenate((block[-1:, :rows], np.sqrt(m[:rows] + i) / i)).cumprod(axis=0)
         held = slice(first, np.searchsorted(orders, lo + i.size))
         term[held, :rows] = block[orders[held] - lo + 1]
         lo += i.size
@@ -137,16 +134,16 @@ def _series(x: float, dim: int, ks: list[int], width: int) -> np.ndarray:
 
 
 def _pairs(params: PhysicalParams, pulses: list[tuple[str, int, float]], sizes, ks, table):
-    """The pairs m < n of (kind, k, phase) pulses, n from sizes, pulse after
-    pulse, and their couplings from table (the _series rows of orders ks)."""
-    dim, eta, w = params.fock_dim, params.eta, params.omega_carrier / 2.0
-    m = np.arange(sum(sizes)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    """The pairs m < n of (kind, k, phase) pulses, n from the int array sizes,
+    pulse after pulse, and their couplings from table (the _series rows of orders ks)."""
+    eta, w = params.eta, params.omega_carrier / 2.0
     pref = [w * ipow(k) * eta**k * cmath.exp(-eta * eta / 2.0 - 1j * phi) for _, k, phi in pulses]
-    rows = np.searchsorted(ks, [k for _, k, _ in pulses])
-    couplings = np.repeat(pref, sizes) * table[np.repeat(rows, sizes), m]
+    orders = np.array([k for _, k, _ in pulses])
+    red, blue = (np.array([kind == name for kind, _, _ in pulses]) for name in ("red", "blue"))
+    m = np.arange(sizes.sum()) - (sizes.cumsum() - sizes).repeat(sizes)
+    couplings = np.array(pref).repeat(sizes) * table[np.searchsorted(ks, orders).repeat(sizes), m]
     # element m couples |g, m + k_g> to |e, m + k_e>; sigma+ = |e><g| in (g, e) order
-    k_e = np.repeat([k * (kind == "blue") for kind, k, _ in pulses], sizes)
-    k_g = np.repeat([k * (kind == "red") for kind, k, _ in pulses], sizes)
+    k_e, k_g = (orders * blue).repeat(sizes), (orders * red).repeat(sizes)
     return np.stack((2 * (m + k_e) + 1, 2 * (m + k_g)), axis=1), couplings
 
 
@@ -157,17 +154,17 @@ def build_hamiltonian(params: PhysicalParams, kind: str, k: int, phase: float) -
     _check_kind(kind, k)
     if not k < dim:
         raise ValueError(f"sideband order k={k} needs k < fock_dim={dim}")
-    table = _series(params.eta * params.eta, dim, [k], dim - k)
-    return HamiltonianMatrix(*_pairs(params, [(kind, k, phase)], [dim - k], [k], table), dim)
+    table, size = _series(params.eta * params.eta, dim, [k], dim - k), np.array([dim - k])
+    return HamiltonianMatrix(*_pairs(params, [(kind, k, phase)], size, [k], table), dim)
 
 
 def _evolve(amps: np.ndarray, pairs: np.ndarray, couplings: np.ndarray, durations, sizes):
-    """exp(-i H t) amps in place, pulse after pulse of a run (sizes: each one's
-    pair count): pair (i, j) takes (a_i, a_j) to (cos a_i + off a_j,
+    """exp(-i H t) amps in place, pulse after pulse of a run (arrays durations and
+    sizes, each one's pair count): pair (i, j) takes (a_i, a_j) to (cos a_i + off a_j,
     cos a_j - conj(off) a_i), with cos = cos(|c| t) and off = -i sin(|c| t) c / |c|
     (zero where c is).  A pulse takes its pairs' four terms in one product."""
     mag = np.abs(couplings)
-    angle = mag * np.repeat(durations, sizes)
+    angle = mag * durations.repeat(sizes)
     cos = np.cos(angle)
     off = -1j * couplings
     off *= np.divide(np.sin(angle, out=angle), mag, out=angle, where=mag != 0.0)
@@ -175,7 +172,7 @@ def _evolve(amps: np.ndarray, pairs: np.ndarray, couplings: np.ndarray, duration
     coeffs[:, 0], coeffs[:, 1], coeffs[:, 2], coeffs[:, 3] = cos, off, off.conj(), cos
     coeffs, scatter = coeffs.ravel(), pairs.ravel()
     gather = np.concatenate((pairs, pairs), axis=1).ravel()
-    ends = np.cumsum(sizes).tolist()
+    ends = sizes.cumsum().tolist()
     for a, b in zip([0, *ends], ends):
         terms = coeffs[4 * a : 4 * b] * amps[gather[4 * a : 4 * b]]
         # a_j's sum is redone as a difference: a negated coefficient could sign a zero
@@ -191,7 +188,7 @@ def propagate(ham: HamiltonianMatrix, state: JointState, duration: float) -> Joi
     if duration < 0.0:
         raise ValueError(f"duration must be >= 0, got {duration}")
     amps = state.amplitudes.copy()
-    _evolve(amps, ham.pairs, ham.couplings, [duration], [ham.couplings.size])
+    _evolve(amps, ham.pairs, ham.couplings, np.array([duration]), np.array([ham.couplings.size]))
     return JointState(amps)
 
 
@@ -200,22 +197,16 @@ def _oracle_final(initial: JointState, schedule: PulseSchedule) -> JointState:
     pulses, each on its pairs that can hold amplitude; the schedule holds
     only orders below fock_dim, so the one series loop sums every order."""
     params, pulses, dim = schedule.params, schedule.pulses, schedule.params.fock_dim
-    # the top levels that can hold amplitude; pair m joins |g, m + k_g> and |e, m + k_e>
-    top_g, top_e = (int(np.flatnonzero(initial.amplitudes[s::2]).max(initial=-1)) for s in (0, 1))
-    sizes = []
-    for p in pulses:
-        k_g, k_e = p.k * (p.kind == "red"), p.k * (p.kind == "blue")
-        sizes.append(n := max(min(max(top_g - k_g, top_e - k_e) + 1, dim - p.k), 0))
-        top_g, top_e = (max(top_g, n - 1 + k_g), max(top_e, n - 1 + k_e)) if n else (top_g, top_e)
-    ks, width = sorted({pulse.k for pulse in pulses}), max(sizes, default=0)
+    sizes = np.array(_support(initial.amplitudes, dim, pulses)[0], dtype=np.intp)
+    ks, width = sorted({pulse.k for pulse in pulses}), int(sizes.max(initial=0))
     table = _series(params.eta * params.eta, dim, ks, width)
-    amps = initial.amplitudes.copy()
+    amps, durations = initial.amplitudes.copy(), np.array([p.duration for p in pulses])
     step = max(RUN_PAIRS // max(width, 1), 1)
     for i in range(0, len(pulses), step):
         run, counts = pulses[i : i + step], sizes[i : i + step]
         pairs, couplings = _pairs(params, [(p.kind, p.k, p.phase) for p in run], counts, ks, table)
         _check_pairs(pairs, couplings, dim, counts)
-        _evolve(amps, pairs, couplings, [p.duration for p in run], counts)
+        _evolve(amps, pairs, couplings, durations[i : i + step], counts)
     return JointState(amps)
 
 

@@ -31,9 +31,10 @@ amplitude before the pulse is applied ("support guard"); this keeps every
 operator exactly unitary on the guarded subspace instead of silently
 clipping probability.
 
-Support bound: top_g and top_e, the highest levels that can hold
-amplitude in |g> and |e>, come from the initial state's nonzero entries
-and move with each pulse's kind and k.  A pulse has amplitude only in
+Support bound (_support; the oracle builds its pairs from it too): top_g
+and top_e, the highest levels that can hold amplitude in |g> and |e>, come
+from the initial state's nonzero entries and move with each pulse's kind
+and k, nothing else, so it is kinematics.  A pulse has amplitude only in
 its pairs m < n: n = min(max(top_e, top_g - k) + 1, D - k) for red k,
 g and e swapped for blue k, n = max(top_g, top_e) + 1 for the carrier.
 Only those rotate, coupled from one column per order as long as the
@@ -56,15 +57,8 @@ from .core import PhysicalParams, RabiUnderflowError, _check_kind, _column, ipow
 from .core import parse_float, parse_int
 
 __all__ = [
-    "GROUND",
-    "EXCITED",
-    "JointState",
-    "Pulse",
-    "PulseSchedule",
-    "TruncationOverflowError",
-    "apply_pulse_amplitudes",
-    "run_schedule",
-    "fidelity",
+    "GROUND", "EXCITED", "JointState", "Pulse", "PulseSchedule", "TruncationOverflowError",
+    "apply_pulse_amplitudes", "run_schedule", "fidelity",
 ]
 
 GROUND = 0
@@ -197,16 +191,13 @@ class JointState:
 
 
 def _check_guard(amps: np.ndarray, kind: str, k: int, dim: int, pulse_index: int):
-    """Raise if a red or blue k pulse would push amplitude past the truncation."""
-    s, first = EXCITED if kind == "red" else GROUND, max(dim - k, 0)
+    """Raise if a red or blue k pulse (k < dim) would push amplitude past the truncation."""
+    s, first = EXCITED if kind == "red" else GROUND, dim - k
     bad = np.flatnonzero(np.abs(amps[2 * first + s :: 2]) > GUARD_TOL)
     if bad.size:
         m = first + int(bad[0])
-        raise TruncationOverflowError(
-            f"{kind} k={k} pulse would push |{m}>|{'ge'[s]}> past truncation D={dim}; "
-            "increase fock_dim",
-            pulse_index=pulse_index,
-        )
+        raise TruncationOverflowError(f"{kind} k={k} pulse would push |{m}>|{'ge'[s]}> past "
+                                      f"truncation D={dim}; increase fock_dim", pulse_index)
 
 
 def _coefficient(k: int, phase: float) -> complex:
@@ -214,23 +205,35 @@ def _coefficient(k: int, phase: float) -> complex:
     return (ipow(k - 1) if k else -1j) * cmath.exp(-1j * phase)
 
 
+def _support(amps: np.ndarray, dim: int, pulses) -> tuple[list[int], list[tuple[int, int, bool]]]:
+    """The support bound from amps (module docstring), pulse by pulse: the pair
+    counts n and each pulse's (lower shift, upper shift, scan): the k or 0 its
+    pairs' member levels take, and whether the bound reaches its guard cells."""
+    top_g, top_e = (int(max(amps[s::2].nonzero()[0][-1:], default=-1)) for s in (GROUND, EXCITED))
+    sizes, plan = [], []
+    for p in pulses:  # the bound moves with kind and k alone; comparisons, not min/max calls
+        k, room = p.k, dim - p.k
+        lo, up = (k, 0) if p.kind == "red" else (0, k)
+        plan.append((lo, up, (top_e if lo else top_g) >= room))
+        top = top_g - lo if top_g - lo > top_e - up else top_e - up  # the top pair holding any
+        top = room - 1 if top >= room else top
+        if top >= 0:
+            top_g = top + lo if top + lo > top_g else top_g
+            top_e = top + up if top + up > top_e else top_e
+        sizes.append(top + 1 if top >= 0 else 0)
+    return sizes, plan
+
+
 def _run(amps: np.ndarray, params: PhysicalParams, pulses, trace: list | None) -> np.ndarray:
     """The pulses applied in turn to a copy of amps, each to its pairs m < n
     of the support bound; a trace list gets the state after each pulse.
 
     Lower pair members sit at flat indices 2*(m + k if red else m) + GROUND,
-    upper ones at 2*(m + k if blue else m) + EXCITED: two stride-2 slices.
+    upper ones at 2*(m + k if blue else m) + EXCITED: two stride-2 views.
     One sine and one cosine pass a run; errors carry their pulse's index.
     """
     dim, amps = params.fock_dim, np.array(amps, dtype=complex)
-    top = [int(max(amps[s::2].nonzero()[0][-1:], default=-1)) for s in (GROUND, EXCITED)]
-    plan, sizes = [], []
-    for p in pulses:  # the bound moves with kind and k alone
-        shift = (p.k * (p.kind == "red"), p.k * (p.kind == "blue"))  # of (lower, upper)
-        n = max(min(max(top[0] - shift[0], top[1] - shift[1]) + 1, dim - p.k), 0)
-        plan.append((n, shift, top[EXCITED if p.kind == "red" else GROUND] >= dim - p.k))
-        sizes.append(n)
-        top = [max(t, n - 1 + d) for t, d in zip(top, shift)] if n else top
+    sizes, plan = _support(amps, dim, pulses)
     width, eta, omega = max(sizes, default=0), params.eta, params.omega_carrier
     columns = {p.k: _column(eta, omega, p.k, width) for p in pulses}
     lost, step = any(marks for _, marks in columns.values()), max(RUN_PAIRS // max(width, 1), 1)
@@ -239,22 +242,26 @@ def _run(amps: np.ndarray, params: PhysicalParams, pulses, trace: list | None) -
         w = np.concatenate([columns[p.k][0][:n] for p, n in zip(run, counts)])
         if lost:  # an underflow, marked NaN, turns a pair of zeros by no angle
             nan, w = np.isnan(w), np.nan_to_num(w, nan=0.0)
-        angle = w * np.repeat([p.duration for p in run], counts)
+        angle = w * np.array([p.duration for p in run]).repeat(counts)
         sin, cos, end = np.sin(angle), np.cos(angle), 0
-        c = np.repeat([_coefficient(p.k, p.phase) for p in run], counts)
+        c = np.array([_coefficient(p.k, p.phase) for p in run]).repeat(counts)
         # a complex cosine keeps every product below on one dtype, so none takes a cast
         cos, fwd, back = cos.astype(complex), c * sin, c.conj() * sin
-        for i, (p, (n, shift, scan)) in enumerate(zip(run, plan[start : start + step]), start):
+        for i, p in enumerate(run, start):
+            n, (lo, up, scan) = sizes[i], plan[i]
             if scan:  # else the bound proves the guard cells empty
                 _check_guard(amps, p.kind, p.k, dim, i)
-            lo = slice(2 * shift[0] + GROUND, 2 * (shift[0] + n), 2)
-            up = slice(2 * shift[1] + EXCITED, 2 * (shift[1] + n), 2)
+            a_lo = amps[2 * lo + GROUND : 2 * (lo + n) : 2]
+            a_up = amps[2 * up + EXCITED : 2 * (up + n) : 2]
             s, end = slice(end, end + n), end + n
-            a_lo, a_up = amps[lo], amps[up]  # views: both right-hand sides are built first
             # an underflowing coupling raises where its pair holds amplitude
             if lost and (held := nan[s] & ((a_lo != 0) | (a_up != 0))).any():
                 raise RabiUnderflowError(m := int(held.argmax()), p.k, columns[p.k][1][m], i)
-            amps[lo], amps[up] = cos[s] * a_lo - back[s] * a_up, fwd[s] * a_lo + cos[s] * a_up
+            # all four products are taken before either member is written
+            cos_s = cos[s]
+            terms = cos_s * a_lo, back[s] * a_up, fwd[s] * a_lo, cos_s * a_up
+            np.subtract(terms[0], terms[1], out=a_lo)
+            np.add(terms[2], terms[3], out=a_up)
             if trace is not None:
                 trace.append(JointState(amps))
     return amps
@@ -271,6 +278,8 @@ def apply_pulse_amplitudes(
     dim, amps = params.fock_dim, np.asarray(amps, dtype=complex)
     if amps.shape != (2 * dim,):
         raise ValueError(f"amplitude vector must have shape ({2 * dim},), got {amps.shape}")
+    if not pulse.k < dim:  # as PulseSchedule and build_hamiltonian refuse it
+        raise ValueError(f"sideband order k={pulse.k} needs k < fock_dim={dim}")
     try:
         return _run(amps, params, (pulse,), None)
     except (TruncationOverflowError, RabiUnderflowError) as err:
@@ -285,10 +294,8 @@ def run_schedule(initial: JointState, schedule: PulseSchedule, keep_trace: bool 
     each pulse when keep_trace is set.  Truncation-overflow errors carry
     the index of the offending pulse.
     """
-    if initial.dim != schedule.params.fock_dim:
-        raise ValueError(
-            f"initial dim {initial.dim} != schedule fock_dim {schedule.params.fock_dim}"
-        )
+    if initial.dim != (dim := schedule.params.fock_dim):
+        raise ValueError(f"initial dim {initial.dim} != schedule fock_dim {dim}")
     trace = [] if keep_trace else None
     final = JointState(_run(initial.amplitudes, schedule.params, schedule.pulses, trace))
     return (final, trace) if keep_trace else final

@@ -369,6 +369,35 @@ class TestSeries:
         assert np.array_equal(_oracle_final(initial, schedule).amplitudes, state.amplitudes)
         assert built == sizes
 
+    @pytest.mark.parametrize("start", ["ground", "partial"])
+    def test_builds_the_pairs_the_kernel_rotates(self, monkeypatch, rng, start):
+        # the kernel's pair count of each pulse, read from the np.subtract that
+        # writes its lower members, is the size oracle._pairs gets for it, over
+        # 20 schedules of five orders from |0>|g> or from a state on the levels
+        # up to D/2 in |g> and at |3>|e>
+        params = _params(128)
+        rotated, built, build = [], [], oracle._pairs
+
+        def subtract(a, b, out):
+            rotated.append(out.size)
+            return np.subtract(a, b, out=out)
+
+        def spy(params, pulses, sizes, ks, table):
+            built.extend(sizes)
+            return build(params, pulses, sizes, ks, table)
+
+        monkeypatch.setattr(states, "np", SimpleNamespace(**{**vars(np), "subtract": subtract}))
+        monkeypatch.setattr(oracle, "_pairs", spy)
+        for _ in range(20):
+            initial = JointState.ground(params.fock_dim)
+            if start == "partial":
+                initial = _start(rng, params.fock_dim, partial=True)
+            schedule = _long_schedule(params, rng)
+            rotated.clear()
+            built.clear()
+            assert verify_schedule(initial, schedule) >= 1 - 1e-9
+            assert rotated == built and len(built) == len(schedule.pulses)
+
     def test_series_table_spans_only_the_support_bound(self, monkeypatch):
         # from |0>|g> every pulse of the N = 80 ladder has one pair that can
         # hold amplitude, so D = 242 sums the series of its 81 orders at m = 0,
@@ -596,23 +625,33 @@ class TestVerifySchedule:
         monkeypatch.setattr(states, name, mutant)
         assert verify_schedule(ground, schedule) < 1 - 1e-8
 
-    def test_flags_a_kernel_that_rotates_one_pair_short_of_its_bound(self, monkeypatch, rng):
-        """The oracle bounds each pulse's pairs in its own code.
+    def test_a_bound_one_pair_short_fails_the_all_pairs_reference(self, monkeypatch, rng):
+        """Both pulse loops take their pairs from the one support bound,
+        states._support, so verify, which compares the loops, cannot see a
+        wrong bound; the references that bound nothing can.
 
-        A kernel whose bound n = max(min(top + 1, D - k), 0) leaves out the
-        top pair fails the gate from a partly populated start; an oracle that
-        read the kernel's bound would pass.
+        A bound that leaves out each pulse's top pair fails the all-pairs
+        build_hamiltonian/propagate reference from a partly populated start, in
+        the kernel and in the oracle alike, while verify still passes.
         """
         params = _params(14)
         schedule = compile_target(PhaseStateTarget(4, math.pi / 3), params).schedule
-        initial = _start(rng, params.fock_dim, partial=True)
+        state = initial = _start(rng, params.fock_dim, partial=True)
+        for p in schedule.pulses:
+            state = propagate(build_hamiltonian(params, p.kind, p.k, p.phase), state, p.duration)
+        assert fidelity(run_schedule(initial, schedule), state) >= 1 - 1e-12
+        assert fidelity(_oracle_final(initial, schedule), state) >= 1 - 1e-12
+        support = states._support
+
+        def one_short(amps, dim, pulses):
+            sizes, plan = support(amps, dim, pulses)
+            return [max(n - 1, 0) for n in sizes], plan
+
+        monkeypatch.setattr(states, "_support", one_short)
+        monkeypatch.setattr(oracle, "_support", one_short)
+        assert fidelity(run_schedule(initial, schedule), state) < 1 - 1e-8
+        assert fidelity(_oracle_final(initial, schedule), state) < 1 - 1e-8
         assert verify_schedule(initial, schedule) >= 1 - 1e-12
-
-        def one_short(a, b):  # only the kernel's integer bound, not fidelity's clamp
-            return min(a, b) - 1 if isinstance(a, int) else min(a, b)
-
-        monkeypatch.setattr(states, "min", one_short, raising=False)
-        assert verify_schedule(initial, schedule) < 1 - 1e-8
 
     @pytest.mark.parametrize("dim", [82, 242])
     def test_phase_state_eighty(self, monkeypatch, dim):

@@ -25,6 +25,7 @@ from ionpulse import (
     run_schedule,
 )
 from ionpulse.core import _column, ipow
+from ionpulse.states import _support
 
 from ionpulse.serialization import load_schedule, save_schedule
 
@@ -586,6 +587,17 @@ class TestSupportBoundedKernel:
         want = _dense_reference(amps, params, [pulse])[0]
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("kind,k", [("red", 8), ("blue", 8), ("red", 9)])
+    def test_one_pulse_call_refuses_an_order_past_the_truncation(self, kind, k):
+        # as PulseSchedule and build_hamiltonian do: red 8 at D = 8 has no pair,
+        # and the one-pulse call used to hand back the state unchanged
+        params = PhysicalParams(eta=0.25, omega_carrier=5e4, fock_dim=8)
+        ground = JointState.ground(params.fock_dim).amplitudes
+        with pytest.raises(ValueError, match=f"^sideband order k={k} needs k < fock_dim=8$"):
+            apply_pulse_amplitudes(ground, params, Pulse(kind, k, 0.0, 1e-5))
+        with pytest.raises(ValueError, match=f"sideband order k={k} needs k < fock_dim=8"):
+            build_hamiltonian(params, kind, k, 0.0)
+
     def test_empty_pairs_keep_positive_zeros(self):
         # pairs past the support bound are not rotated, so their zeros stay +0.0;
         # rotating them would leave -0.0 in some of them here
@@ -594,6 +606,58 @@ class TestSupportBoundedKernel:
         schedule = PulseSchedule(params, pulses)
         out = run_schedule(JointState.ground(params.fock_dim), schedule).amplitudes.view(float)
         assert not np.signbit(out[out == 0.0]).any()
+
+
+def _dense_support(amps, dim, pulses):
+    """Each pulse's pair count, from an exact mask of the levels that can hold
+    amplitude (the nonzero entries, then every member of a pair counted): the
+    top pair with a member that can, plus one, or every pair of the pulse when
+    one of its guard cells (the levels its pairs would push past D) can.  Also
+    whether each pulse's guard cells can hold amplitude."""
+    can = [amps[s::2] != 0 for s in (GROUND, EXCITED)]
+    sizes, scans = [], []
+    for p in pulses:
+        lo, up = p.k * (p.kind == "red"), p.k * (p.kind == "blue")
+        m = np.arange(dim - p.k)
+        scans.append(bool(can[EXCITED if p.kind == "red" else GROUND][dim - p.k :].any()))
+        holds = np.full(m.size, scans[-1]) | can[GROUND][m + lo] | can[EXCITED][m + up]
+        sizes.append(int(np.flatnonzero(holds).max(initial=-1)) + 1)
+        can[GROUND][m[holds] + lo] = can[EXCITED][m[holds] + up] = True
+    return sizes, scans
+
+
+class TestOneSupportRule:
+    """states._support is the one support bound: the kernel rotates, and the
+    oracle builds, the pairs it counts."""
+
+    @pytest.mark.parametrize("start", ["ground", "third_excited", "half_support", "full_support"])
+    def test_counts_the_pairs_that_can_hold_amplitude(self, start):
+        # 60 seeded schedules of repeated orders up to D - 1, each from the start;
+        # only the bound is taken, so no guard check limits the orders
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            dim = int(rng.integers(6, 80))
+            orders = rng.choice(np.arange(1, dim), size=3).tolist()
+            pulses = []
+            for kind in rng.choice(("carrier", "red", "blue"), size=int(rng.integers(1, 40))):
+                k = 0 if kind == "carrier" else int(rng.choice(orders))
+                pulses.append(Pulse(str(kind), k, 0.0, 1e-5))
+            amps = np.zeros(2 * dim, dtype=complex)
+            if start == "ground":
+                amps[0] = 1.0
+            elif start == "third_excited":
+                amps[2 * (dim // 3) + EXCITED] = 1.0
+            else:  # random on the levels below D / 2 with holes, or on every level
+                top = dim // 2 if start == "half_support" else dim
+                amps[: 2 * top] = rng.normal(size=2 * top) * (rng.random(2 * top) < 0.6)
+                amps[2 * top - 1] = 1.0
+            sizes, plan = _support(amps, dim, pulses)
+            want, scans = _dense_support(amps, dim, pulses)
+            assert sizes == want, seed
+            assert [scan for _, _, scan in plan] == scans, seed
+            assert [(lo, up) for lo, up, _ in plan] == [
+                (p.k * (p.kind == "red"), p.k * (p.kind == "blue")) for p in pulses
+            ]
 
 
 def _awkward(rng, size):

@@ -1,0 +1,215 @@
+"""Bit-identity of two trees: compiled pulses, kernel finals and oracle finals.
+
+    python3 tools/identity.py --base REV
+
+checks out REV with `git worktree add` into a temporary directory, runs one
+fixed sweep under REV's src/ and under this working tree's src/, each in its
+own Python process, and compares the results through uint64 views, so a
+changed sign of zero counts.  Every mismatch is printed with its case; the
+exit code is 0 when there are none, 1 otherwise.  Nothing is written to the
+repository, and no digest is kept: numpy's sin and cos may round differently
+on another build, so the two trees are compared on one machine.
+
+The sweep:
+  - the golden targets of tests/golden at eta 0.25, 0.9, 1.5 and 3, at their
+    default fock_dim D and at 3 D, from |0>|g>, also stepped pulse by pulse
+    through apply_pulse_amplitudes and through build_hamiltonian and propagate;
+  - phase states N = 5, 10, 20, 40, 60, 80 at the same etas, D = N + 2 and
+    3 N + 2, from |0>|g> and from a seeded start on every level the ladder
+    cannot push past the truncation;
+  - 60 seeded schedules of carrier, red and blue pulses with repeated
+    orders, from |0>|g>, from a start on the levels below D / 3 and from a
+    start on every level.
+A case that raises records the error's type and message instead, and that
+is compared too.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import pickle
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+ETAS = (0.25, 0.9, 1.5, 3.0)
+OMEGA = 5e4
+
+
+def _outcome(call):
+    """call()'s value, or the type and message of the error it raised."""
+    try:
+        return call()
+    except (ValueError, ArithmeticError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def _finals(ip, oracle, initial, schedule, case, out):
+    """The kernel's and the oracle's final amplitudes of schedule from initial."""
+    out[case + " kernel"] = _outcome(lambda: ip.run_schedule(initial, schedule).amplitudes)
+    out[case + " oracle"] = _outcome(lambda: oracle._oracle_final(initial, schedule).amplitudes)
+
+
+def _stepped(ip, initial, schedule, case, out):
+    """The final amplitudes of schedule from initial, stepped pulse by pulse
+    through apply_pulse_amplitudes and through build_hamiltonian and propagate."""
+    params, amps, state = schedule.params, initial.amplitudes, initial
+    for p in schedule.pulses:
+        amps = ip.apply_pulse_amplitudes(amps, params, p)
+        state = ip.propagate(ip.build_hamiltonian(params, p.kind, p.k, p.phase), state, p.duration)
+    out[case + " one-pulse kernel"], out[case + " propagate"] = amps, state.amplitudes
+
+
+def _compiled(ip, target, params, case, out):
+    """The compiled schedule of target, with its pulses recorded; None if it raised."""
+    report = _outcome(lambda: ip.compile_target(target, params))
+    if isinstance(report, str):
+        out[case + " pulses"] = report
+        return None
+    pulses = report.schedule.pulses
+    out[case + " pulses"] = {
+        "orders": [f"{p.kind} {p.k}" for p in pulses],
+        "phases": np.array([p.phase for p in pulses]),
+        "durations": np.array([p.duration for p in pulses]),
+    }
+    return report.schedule
+
+
+def _seeded(rng, dim, top):
+    """A normalized random state on the levels 0..top of |g> and |e>."""
+    amps = np.zeros(2 * dim, dtype=complex)
+    amps[: 2 * (top + 1)] = rng.normal(size=2 * (top + 1)) + 1j * rng.normal(size=2 * (top + 1))
+    return amps / np.linalg.norm(amps)
+
+
+def sweep(goldens: list[dict]) -> dict:
+    """Every result of the sweep, keyed by case and field, from the ionpulse on sys.path."""
+    import ionpulse as ip
+    from ionpulse import oracle
+    from ionpulse.serialization import target_from_dict
+
+    out = {}
+    for eta in ETAS:
+        for spec in goldens:
+            target = target_from_dict(spec)
+            for dim in (ip.default_fock_dim(target), 3 * ip.default_fock_dim(target)):
+                case = f"golden {json.dumps(spec, sort_keys=True)} eta={eta} D={dim}"
+                params = ip.PhysicalParams(eta, OMEGA, dim)
+                schedule = _compiled(ip, target, params, case, out)
+                if schedule is not None:
+                    _finals(ip, oracle, ip.JointState.ground(dim), schedule, case, out)
+                    _stepped(ip, ip.JointState.ground(dim), schedule, case, out)
+        for n in (5, 10, 20, 40, 60, 80):
+            for dim in (n + 2, 3 * n + 2):
+                case = f"phase_state N={n} eta={eta} D={dim}"
+                params = ip.PhysicalParams(eta, OMEGA, dim)
+                schedule = _compiled(ip, ip.PhaseStateTarget(n, 0.3), params, case, out)
+                if schedule is None:
+                    continue
+                _finals(ip, oracle, ip.JointState.ground(dim), schedule, case + " ground", out)
+                seeded = ip.JointState(_seeded(np.random.default_rng(n * dim), dim, dim - n - 2))
+                _finals(ip, oracle, seeded, schedule, case + " seeded", out)
+    rng = np.random.default_rng(18)
+    for i in range(60):
+        eta, dim = ETAS[i % len(ETAS)], int(rng.integers(6, 61))
+        max_k = dim - 1 if i % 6 == 5 else 3
+        pulses = []
+        for kind in rng.choice(("carrier", "red", "blue"), size=int(rng.integers(1, 31))).tolist():
+            k = 0 if kind == "carrier" else int(rng.integers(1, max_k + 1))
+            pulses.append(ip.Pulse(kind, k, float(rng.uniform(0, 2 * math.pi)),
+                                   float(rng.uniform(0, 3e-4))))
+        schedule = ip.PulseSchedule(ip.PhysicalParams(eta, OMEGA, dim), tuple(pulses))
+        for start, top in (("ground", 0), ("third", dim // 3), ("full", dim - 1)):
+            initial = ip.JointState(_seeded(rng, dim, top)) if top else ip.JointState.ground(dim)
+            _finals(ip, oracle, initial, schedule, f"mixed {i} eta={eta} D={dim} {start}", out)
+    return out
+
+
+def _differences(base, head) -> str | None:
+    """None if base and head are bit-identical, else what differs."""
+    if isinstance(base, dict) and isinstance(head, dict) and base.keys() == head.keys():
+        found = [f"{key}: {d}" for key in base if (d := _differences(base[key], head[key]))]
+        return "; ".join(found) or None
+    if isinstance(base, np.ndarray) and isinstance(head, np.ndarray):
+        if base.dtype != head.dtype or base.shape != head.shape:
+            return f"{base.dtype}{base.shape} against {head.dtype}{head.shape}"
+        words = [np.ascontiguousarray(a).view(np.uint64) for a in (base, head)]
+        bits = words[0] != words[1]
+        if not bits.any():
+            return None
+        i = int(np.flatnonzero(bits)[0]) // (base.itemsize // 8)
+        return (f"{int(bits.sum())} words differ, the first in entry {i}: "
+                f"{base[i]!r} against {head[i]!r}")
+    if type(base) is type(head) and not isinstance(base, (dict, np.ndarray)) and base == head:
+        return None
+    return f"{base!r} against {head!r}"
+
+
+def compare(base: dict, head: dict) -> list[str]:
+    """One line per case and field whose results differ, or that one side lacks."""
+    lines = [f"{key}: only in the base" for key in base.keys() - head.keys()]
+    lines += [f"{key}: only in the working tree" for key in head.keys() - base.keys()]
+    for key in sorted(base.keys() & head.keys()):
+        if (found := _differences(base[key], head[key])) is not None:
+            lines.append(f"{key}: {found}")
+    return sorted(lines)
+
+
+def _sweep_to(src: str, goldens: str, out: str):
+    """Run the sweep with the ionpulse of src, which must be first on sys.path,
+    and pickle its results to out."""
+    import ionpulse
+
+    if not ionpulse.__file__.startswith(src):
+        raise SystemExit(f"ionpulse was imported from {ionpulse.__file__}, not from {src}")
+    with open(goldens) as f:
+        results = sweep(json.load(f))
+    with open(out, "wb") as f:
+        pickle.dump(results, f)
+
+
+def _run_sweep(src: Path, goldens: Path, out: Path) -> dict:
+    """The sweep in a fresh Python process that imports ionpulse from src."""
+    paths = [str(src), str(Path(__file__).resolve().parent)]
+    args = [str(src), str(goldens), str(out)]
+    code = f"import sys; sys.path[:0] = {paths!r}; import identity; identity._sweep_to(*{args!r})"
+    subprocess.run([sys.executable, "-c", code], check=True)
+    with open(out, "rb") as f:  # written by the sweep above
+        return pickle.load(f)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="the git revision to compare against")
+    args = parser.parse_args(argv)
+    git = ["git", "-C", str(ROOT)]
+    rev = subprocess.run(git + ["rev-parse", "--verify", args.base + "^{commit}"],
+                         check=True, capture_output=True, text=True).stdout.strip()
+    golden = sorted((ROOT / "tests" / "golden").glob("*.json"))
+    goldens = [json.loads(path.read_text())["target"] for path in golden]
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "base"
+        (Path(tmp) / "goldens.json").write_text(json.dumps(goldens))
+        subprocess.run(git + ["worktree", "add", "--quiet", "--detach", str(tree), rev], check=True)
+        try:
+            base = _run_sweep(tree / "src", Path(tmp) / "goldens.json", Path(tmp) / "base.pkl")
+        finally:
+            subprocess.run(git + ["worktree", "remove", "--force", str(tree)], check=True)
+        head = _run_sweep(ROOT / "src", Path(tmp) / "goldens.json", Path(tmp) / "head.pkl")
+    mismatches = compare(base, head)
+    for line in mismatches:
+        print(line)
+    errors = sum(isinstance(value, str) for value in head.values())
+    print(f"identity: {len(head)} results ({errors} of them errors) against {args.base} "
+          f"({rev[:12]}): {len(mismatches)} mismatches")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
