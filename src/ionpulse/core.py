@@ -57,8 +57,6 @@ _LOG_MIN_NORMAL = math.log(2.2250738585072014e-308)
 _RESCALE = 2.0**500
 _LOG_RESCALE = 500 * math.log(2.0)
 
-_PULSE_KINDS = ("red", "blue", "carrier")
-
 # Exact integer powers of i (complex ** drifts for large exponents).
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -219,14 +217,3 @@ def rabi_frequency(params: PhysicalParams, m: int, k: int) -> RabiValue:
         raise ValueError(f"Fock index and sideband order must be >= 0, got m={m}, k={k}")
     w = _coupling(params.eta, params.omega_carrier, m, k, max(m + 1, params.fock_dim - k))
     return RabiValue(m, k, w)
-
-
-def _check_kind(kind: str, k: int):
-    if kind not in _PULSE_KINDS:
-        raise ValueError(f"unknown pulse kind {kind!r}")
-    if kind == "carrier":
-        if k != 0:
-            raise ValueError(f"carrier pulses have k = 0, got k={k}")
-    elif k < 1:
-        raise ValueError(f"{kind} sideband order must be >= 1, got k={k}")
-

@@ -49,8 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalParams, _check_kind, ipow
-from .states import RUN_PAIRS, JointState, PulseSchedule, _support, fidelity, run_schedule
+from .core import PhysicalParams, ipow
+from .states import JointState, Pulse, PulseSchedule, _support, fidelity, run_schedule
 
 __all__ = ["HamiltonianMatrix", "build_hamiltonian", "propagate", "verify_schedule"]
 
@@ -133,13 +133,13 @@ def _series(x: float, dim: int, ks: list[int], width: int) -> np.ndarray:
     return diagonal
 
 
-def _pairs(params: PhysicalParams, pulses: list[tuple[str, int, float]], sizes, ks, table):
-    """The pairs m < n of (kind, k, phase) pulses, n from the int array sizes,
-    pulse after pulse, and their couplings from table (the _series rows of orders ks)."""
+def _pairs(params: PhysicalParams, pulses, sizes, ks, table):
+    """The pairs m < n of the pulses, n from the int array sizes, pulse after
+    pulse, and their couplings from table (the _series rows of orders ks)."""
     eta, w = params.eta, params.omega_carrier / 2.0
-    pref = [w * ipow(k) * eta**k * cmath.exp(-eta * eta / 2.0 - 1j * phi) for _, k, phi in pulses]
-    orders = np.array([k for _, k, _ in pulses])
-    red, blue = (np.array([kind == name for kind, _, _ in pulses]) for name in ("red", "blue"))
+    pref = [w * ipow(p.k) * eta**p.k * cmath.exp(-eta * eta / 2.0 - 1j * p.phase) for p in pulses]
+    orders = np.array([p.k for p in pulses])
+    red, blue = (np.array([p.kind == name for p in pulses]) for name in ("red", "blue"))
     m = np.arange(sizes.sum()) - (sizes.cumsum() - sizes).repeat(sizes)
     couplings = np.array(pref).repeat(sizes) * table[np.searchsorted(ks, orders).repeat(sizes), m]
     # element m couples |g, m + k_g> to |e, m + k_e>; sigma+ = |e><g| in (g, e) order
@@ -149,13 +149,13 @@ def _pairs(params: PhysicalParams, pulses: list[tuple[str, int, float]], sizes, 
 
 def build_hamiltonian(params: PhysicalParams, kind: str, k: int, phase: float) -> HamiltonianMatrix:
     """Assemble the coupled pairs for one laser tuning, as a run of one pulse
-    on all its pairs: each element is summed to its last term j = m."""
-    dim = params.fock_dim
-    _check_kind(kind, k)
-    if not k < dim:
+    on all its pairs: each element is summed to its last term j = m.  kind, k
+    and phase are refused as Pulse refuses them, the phase taken modulo 2 pi."""
+    pulse, dim = Pulse(kind, k, phase, 0.0), params.fock_dim
+    if not (k := pulse.k) < dim:
         raise ValueError(f"sideband order k={k} needs k < fock_dim={dim}")
     table, size = _series(params.eta * params.eta, dim, [k], dim - k), np.array([dim - k])
-    return HamiltonianMatrix(*_pairs(params, [(kind, k, phase)], size, [k], table), dim)
+    return HamiltonianMatrix(*_pairs(params, [pulse], size, [k], table), dim)
 
 
 def _evolve(amps: np.ndarray, pairs: np.ndarray, couplings: np.ndarray, durations, sizes):
@@ -182,29 +182,27 @@ def _evolve(amps: np.ndarray, pairs: np.ndarray, couplings: np.ndarray, duration
 
 
 def propagate(ham: HamiltonianMatrix, state: JointState, duration: float) -> JointState:
-    """exp(-i H t) |state>, block by block in closed form; norm preserved to 1e-11."""
+    """exp(-i H t) |state>, block by block in closed form; norm preserved to 1e-11.
+    The duration is refused as a Pulse's is."""
     if ham.fock_dim != state.dim:
         raise ValueError(f"Hamiltonian fock_dim {ham.fock_dim} does not match state dim {state.dim}")
-    if duration < 0.0:
-        raise ValueError(f"duration must be >= 0, got {duration}")
-    amps = state.amplitudes.copy()
+    duration, amps = Pulse("carrier", 0, 0.0, duration).duration, state.amplitudes.copy()
     _evolve(amps, ham.pairs, ham.couplings, np.array([duration]), np.array([ham.couplings.size]))
     return JointState(amps)
 
 
 def _oracle_final(initial: JointState, schedule: PulseSchedule) -> JointState:
-    """The schedule's final state by Hamiltonian exponentiation, in runs of
-    pulses, each on its pairs that can hold amplitude; the schedule holds
-    only orders below fock_dim, so the one series loop sums every order."""
+    """The schedule's final state by Hamiltonian exponentiation, in the runs
+    and on the pairs that can hold amplitude that states._support gives; the
+    schedule holds only orders below fock_dim, so one series loop sums every order."""
     params, pulses, dim = schedule.params, schedule.pulses, schedule.params.fock_dim
-    sizes = np.array(_support(initial.amplitudes, dim, pulses)[0], dtype=np.intp)
-    ks, width = sorted({pulse.k for pulse in pulses}), int(sizes.max(initial=0))
+    sizes, _, width, step = _support(initial.amplitudes, dim, pulses)
+    sizes, ks = np.array(sizes, dtype=np.intp), sorted({pulse.k for pulse in pulses})
     table = _series(params.eta * params.eta, dim, ks, width)
     amps, durations = initial.amplitudes.copy(), np.array([p.duration for p in pulses])
-    step = max(RUN_PAIRS // max(width, 1), 1)
     for i in range(0, len(pulses), step):
         run, counts = pulses[i : i + step], sizes[i : i + step]
-        pairs, couplings = _pairs(params, [(p.kind, p.k, p.phase) for p in run], counts, ks, table)
+        pairs, couplings = _pairs(params, run, counts, ks, table)
         _check_pairs(pairs, couplings, dim, counts)
         _evolve(amps, pairs, couplings, durations[i : i + step], counts)
     return JointState(amps)

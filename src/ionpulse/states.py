@@ -31,7 +31,7 @@ amplitude before the pulse is applied ("support guard"); this keeps every
 operator exactly unitary on the guarded subspace instead of silently
 clipping probability.
 
-Support bound (_support; the oracle builds its pairs from it too): top_g
+Support bound (_support; the oracle takes its pairs and runs from it too): top_g
 and top_e, the highest levels that can hold amplitude in |g> and |e>, come
 from the initial state's nonzero entries and move with each pulse's kind
 and k, nothing else, so it is kinematics.  A pulse has amplitude only in
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalParams, RabiUnderflowError, _check_kind, _column, ipow
+from .core import PhysicalParams, RabiUnderflowError, _column, ipow
 from .core import parse_float, parse_int
 
 __all__ = [
@@ -93,8 +93,14 @@ class Pulse:
     duration: float
 
     def __post_init__(self):
-        object.__setattr__(self, "k", parse_int(self.k))
-        _check_kind(self.kind, self.k)
+        object.__setattr__(self, "k", k := parse_int(self.k))
+        if self.kind not in ("red", "blue", "carrier"):
+            raise ValueError(f"unknown pulse kind {self.kind!r}")
+        if self.kind == "carrier":
+            if k != 0:
+                raise ValueError(f"carrier pulses have k = 0, got k={k}")
+        elif k < 1:
+            raise ValueError(f"{self.kind} sideband order must be >= 1, got k={k}")
         duration, phase = parse_float(self.duration), parse_float(self.phase)
         if not (duration >= 0.0 and math.isfinite(duration)):
             raise ValueError(f"duration must be finite and >= 0, got {duration}")
@@ -159,7 +165,8 @@ class JointState:
 
     @classmethod
     def fock(cls, n: int, dim: int, internal: int = GROUND) -> "JointState":
-        """|n>|g> or |n>|e>."""
+        """|n>|g> or |n>|e>; n, dim and internal are integers, as parse_int reads them."""
+        n, dim, internal = parse_int(n), parse_int(dim), parse_int(internal)
         if not 0 <= n < dim:
             raise ValueError(f"Fock index {n} outside truncation 0..{dim - 1}")
         if internal not in (GROUND, EXCITED):
@@ -205,10 +212,12 @@ def _coefficient(k: int, phase: float) -> complex:
     return (ipow(k - 1) if k else -1j) * cmath.exp(-1j * phase)
 
 
-def _support(amps: np.ndarray, dim: int, pulses) -> tuple[list[int], list[tuple[int, int, bool]]]:
+def _support(amps: np.ndarray, dim: int, pulses):
     """The support bound from amps (module docstring), pulse by pulse: the pair
     counts n and each pulse's (lower shift, upper shift, scan): the k or 0 its
-    pairs' member levels take, and whether the bound reaches its guard cells."""
+    pairs' member levels take, and whether the bound reaches its guard cells;
+    then the run rule of both pulse loops: the widest pulse's pair count, and
+    as many pulses a run as RUN_PAIRS pairs of it leave room for (at least 1)."""
     top_g, top_e = (int(max(amps[s::2].nonzero()[0][-1:], default=-1)) for s in (GROUND, EXCITED))
     sizes, plan = [], []
     for p in pulses:  # the bound moves with kind and k alone; comparisons, not min/max calls
@@ -221,7 +230,8 @@ def _support(amps: np.ndarray, dim: int, pulses) -> tuple[list[int], list[tuple[
             top_g = top + lo if top + lo > top_g else top_g
             top_e = top + up if top + up > top_e else top_e
         sizes.append(top + 1 if top >= 0 else 0)
-    return sizes, plan
+    width = max(sizes, default=0)
+    return sizes, plan, width, max(RUN_PAIRS // max(width, 1), 1)
 
 
 def _run(amps: np.ndarray, params: PhysicalParams, pulses, trace: list | None) -> np.ndarray:
@@ -233,10 +243,9 @@ def _run(amps: np.ndarray, params: PhysicalParams, pulses, trace: list | None) -
     One sine and one cosine pass a run; errors carry their pulse's index.
     """
     dim, amps = params.fock_dim, np.array(amps, dtype=complex)
-    sizes, plan = _support(amps, dim, pulses)
-    width, eta, omega = max(sizes, default=0), params.eta, params.omega_carrier
-    columns = {p.k: _column(eta, omega, p.k, width) for p in pulses}
-    lost, step = any(marks for _, marks in columns.values()), max(RUN_PAIRS // max(width, 1), 1)
+    sizes, plan, width, step = _support(amps, dim, pulses)
+    columns = {p.k: _column(params.eta, params.omega_carrier, p.k, width) for p in pulses}
+    lost = any(marks for _, marks in columns.values())
     for start in range(0, len(pulses), step):
         run, counts = pulses[start : start + step], sizes[start : start + step]
         w = np.concatenate([columns[p.k][0][:n] for p, n in zip(run, counts)])

@@ -38,16 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _LOG_RESCALE, _RESCALE, PhysicalParams, _coupling, parse_float, parse_int
-from .states import (
-    EXCITED,
-    GROUND,
-    JointState,
-    Pulse,
-    PulseSchedule,
-    _coefficient,
-    fidelity,
-    run_schedule,
-)
+from .states import EXCITED, GROUND, NORM_TOL, TWO_PI, JointState, Pulse, PulseSchedule
+from .states import _coefficient, fidelity, run_schedule
 
 __all__ = [
     "FockTarget",
@@ -64,7 +56,6 @@ __all__ = [
 ]
 
 _HALF_PI = math.pi / 2.0
-_TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class SynthesisReport:
@@ -120,7 +111,7 @@ def _land(
     unit = _coefficient(k, 0.0)
     moved = cmath.phase(unit * source if up else -unit.conjugate() * source)
     phase = moved - cmath.phase(desired) if up else cmath.phase(desired) - moved
-    return _turn(params, kind, k, m, angle, phase % _TWO_PI)
+    return _turn(params, kind, k, m, angle, phase % TWO_PI)
 
 
 def _validated_target(amplitudes) -> np.ndarray:
@@ -128,7 +119,7 @@ def _validated_target(amplitudes) -> np.ndarray:
     if c.ndim != 1 or c.size == 0:
         raise ValueError("target amplitudes must be a nonempty 1-D sequence")
     norm = float(np.linalg.norm(c))
-    if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
+    if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
         raise ValueError(f"target amplitudes not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
     c = c / norm
     # trimmed after the last nonzero amplitude, where the ladder ends

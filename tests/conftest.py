@@ -6,7 +6,7 @@ import pytest
 from scipy.special import eval_genlaguerre
 
 from ionpulse import JointState, PhysicalParams, Pulse, PulseSchedule, rabi_frequency, run_schedule
-from ionpulse.core import _check_kind, ipow
+from ionpulse.core import ipow
 
 
 @pytest.fixture
@@ -129,9 +129,7 @@ def pulse_coefficient(
     carrier C = -i e^{-i phase} sin(W_{m,0} duration).  m indexes the
     lower Fock level of the coupled pair.
     """
-    _check_kind(kind, k)
-    if duration < 0.0:
-        raise ValueError(f"duration must be >= 0, got {duration}")
+    Pulse(kind, k, phase, duration)  # refuses what a pulse refuses
     if not 0 <= m < params.fock_dim:
         raise ValueError(f"pair index m={m} outside truncation 0..{params.fock_dim - 1}")
     w = rabi_frequency(params, m, k).value

@@ -47,3 +47,30 @@ def test_errors_and_missing_cases_are_mismatches():
     ])
     # an error on one side and amplitudes on the other
     assert identity.compare({"x": final}, {"x": "ValueError: k"}) != []
+
+
+def test_one_byte_of_cli_output_is_a_mismatch():
+    out = b'{\n  "pass": true\n}\n'
+    base = {"cli verify exit": 0, "cli verify stdout": out, "cli verify stderr": b""}
+    head = {**base, "cli verify stdout": out.replace(b"true", b"True")}
+    assert identity.compare(base, {**base, "cli verify stdout": bytes(out)}) == []
+    assert identity.compare(base, head) == [
+        "cli verify stdout: 19 against 19 bytes, the first difference at byte 12: "
+        "b'true\\n}\\n' against b'True\\n}\\n'"
+    ]
+    # a missing last byte and another exit code count too
+    head = {**base, "cli verify exit": 1, "cli verify stdout": out[:-1]}
+    assert [line.split(":")[0] for line in identity.compare(base, head)] == [
+        "cli verify exit", "cli verify stdout"
+    ]
+
+
+def test_cli_cases_run_under_the_given_source_tree():
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = identity.cli_outputs(src, {"fock": {"variant": "fock", "n": 1}})
+    codes = {key: value for key, value in out.items() if key.endswith(" exit")}
+    assert codes.pop("cli input error exit") == 2 and set(codes.values()) == {0}
+    assert len(codes) == len(identity._GOLDEN_CLI) + 2
+    assert out["cli fock synthesize stdout"] == out["cli fock synthesize report.json"]
+    assert out["cli fock synthesize schedule.json"].startswith(b'{\n  "params"')
+    assert b'"type": "ValueError"' in out["cli input error stderr"]

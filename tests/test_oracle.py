@@ -142,6 +142,27 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError):
             build_hamiltonian(params, "carrier", 1, 0.0)
 
+    @pytest.mark.parametrize(
+        "kind,k,phase",
+        [
+            ("red", True, 0.0),
+            ("red", 1.0, 0.0),
+            ("red", 1, math.nan),
+            ("blue", 2, math.inf),
+            ("red", 1, "0.3"),
+            ("green", 1, 0.0),
+            ("carrier", 1, 0.0),
+        ],
+    )
+    def test_refuses_what_a_pulse_refuses(self, params, kind, k, phase):
+        # a bool order is not read as 1, a non-finite phase gives no NaN
+        # couplings, and a float order or a string phase is no bare TypeError
+        with pytest.raises(ValueError) as want:
+            Pulse(kind, k, phase, 0.0)
+        with pytest.raises(ValueError) as got:
+            build_hamiltonian(params, kind, k, phase)
+        assert str(got.value) == str(want.value)
+
     def test_verifies_past_a_dense_matrix_budget_in_a_few_mib(self):
         # a dense (2D, 2D) H at D = 2897 would take 512.2 MiB; the coupled
         # pairs take O(D)
@@ -303,7 +324,7 @@ class TestSeries:
         elif case == "long":
             params = _params(128, eta)
             schedule = _long_schedule(params, rng)
-            monkeypatch.setattr(oracle, "RUN_PAIRS", 180)
+            monkeypatch.setattr(states, "RUN_PAIRS", 180)
         else:
             params = _params(40, eta)
             orders = [("carrier", 0), ("red", 3), ("blue", 3), ("carrier", 0), ("red", 1),
@@ -436,7 +457,6 @@ class TestSeries:
         params = _params(128)
         schedule = _long_schedule(params, rng)
         monkeypatch.setattr(states, "RUN_PAIRS", 5 * 36)
-        monkeypatch.setattr(oracle, "RUN_PAIRS", 5 * 36)
         build, calls = oracle._pairs, []
 
         def wrong(params, pulses, sizes, ks, table):
@@ -468,6 +488,22 @@ class TestPropagate:
         ham = build_hamiltonian(params, "carrier", 0, 0.2)
         out = propagate(ham, state, 0.0)
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "duration,message",
+        [
+            (math.nan, "duration must be finite and >= 0, got nan"),
+            (math.inf, "duration must be finite and >= 0, got inf"),
+            (-1e-6, "duration must be finite and >= 0, got -1e-06"),
+            (True, "expected a number, got True"),
+        ],
+    )
+    def test_refuses_a_duration_as_a_pulse_does(self, params, duration, message):
+        # not later, as a state norm off by nan, and a bool is not read as 1 s
+        ham = build_hamiltonian(params, "red", 1, 0.2)
+        with pytest.raises(ValueError) as got:
+            propagate(ham, JointState.ground(params.fock_dim), duration)
+        assert str(got.value) == message
 
     def test_full_rabi_cycle_returns(self, params):
         # W_00 t = pi: |0>|g> returns to itself up to a sign
@@ -644,8 +680,8 @@ class TestVerifySchedule:
         support = states._support
 
         def one_short(amps, dim, pulses):
-            sizes, plan = support(amps, dim, pulses)
-            return [max(n - 1, 0) for n in sizes], plan
+            sizes, plan, width, step = support(amps, dim, pulses)
+            return [max(n - 1, 0) for n in sizes], plan, width, step
 
         monkeypatch.setattr(states, "_support", one_short)
         monkeypatch.setattr(oracle, "_support", one_short)

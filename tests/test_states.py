@@ -63,6 +63,26 @@ class TestJointState:
         s = JointState.fock(2, 5, internal=EXCITED)
         assert s.population(2, EXCITED) == 1.0
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((True, 4), "expected an integer, got True"),
+            ((1, 4, True), "expected an integer, got True"),
+            ((1.0, 4), "expected an integer, got 1.0"),
+            ((1, 4.0), "expected an integer, got 4.0"),
+            ((1, 4, 2), "internal index must be 0 (g) or 1 (e), got 2"),
+        ],
+    )
+    def test_fock_reads_integers_as_pulses_do(self, args, message):
+        # a bool is not read as 1 and a float is no bare numpy IndexError
+        with pytest.raises(ValueError) as got:
+            JointState.fock(*args)
+        assert str(got.value) == message
+
+    def test_fock_takes_numpy_integers(self):
+        s = JointState.fock(np.int64(1), np.int32(4), np.int8(EXCITED))
+        assert np.array_equal(s.amplitudes, JointState.fock(1, 4, EXCITED).amplitudes)
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             JointState(np.ones(8, dtype=complex))
@@ -651,9 +671,9 @@ class TestOneSupportRule:
                 top = dim // 2 if start == "half_support" else dim
                 amps[: 2 * top] = rng.normal(size=2 * top) * (rng.random(2 * top) < 0.6)
                 amps[2 * top - 1] = 1.0
-            sizes, plan = _support(amps, dim, pulses)
+            sizes, plan, width, _ = _support(amps, dim, pulses)
             want, scans = _dense_support(amps, dim, pulses)
-            assert sizes == want, seed
+            assert sizes == want and width == max(want), seed
             assert [scan for _, _, scan in plan] == scans, seed
             assert [(lo, up) for lo, up, _ in plan] == [
                 (p.k * (p.kind == "red"), p.k * (p.kind == "blue")) for p in pulses

@@ -1,14 +1,17 @@
-"""Bit-identity of two trees: compiled pulses, kernel finals and oracle finals.
+"""Bit-identity of two trees: compiled pulses, kernel and oracle finals, CLI bytes.
 
     python3 tools/identity.py --base REV
 
-checks out REV with `git worktree add` into a temporary directory, runs one
+extracts REV's src/ with `git archive` into a temporary directory, runs one
 fixed sweep under REV's src/ and under this working tree's src/, each in its
 own Python process, and compares the results through uint64 views, so a
-changed sign of zero counts.  Every mismatch is printed with its case; the
-exit code is 0 when there are none, 1 otherwise.  Nothing is written to the
-repository, and no digest is kept: numpy's sin and cos may round differently
-on another build, so the two trees are compared on one machine.
+changed sign of zero counts.  Then it runs the CLI cases below as
+`python -m ionpulse.cli` under each tree's src/, each tree in a temporary
+directory of its own, and compares every byte they write.  Every mismatch is
+printed with its case; the exit code is 0 when there are none, 1 otherwise.
+Nothing is written to the repository, and no digest is kept: numpy's sin and
+cos may round differently on another build, so the two trees are compared on
+one machine.
 
 The sweep:
   - the golden targets of tests/golden at eta 0.25, 0.9, 1.5 and 3, at their
@@ -22,6 +25,13 @@ The sweep:
     start on every level.
 A case that raises records the error's type and message instead, and that
 is compared too.
+
+The CLI cases, each compared by exit code, stdout, stderr and written files:
+  - for each golden target: synthesize with --out and --report; simulate
+    of that schedule as JSON, as CSV and with --trace; verify with and
+    without --target;
+  - rabi as CSV and as JSON;
+  - verify of a schedule whose "pulses" is not a list, an input error.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import pickle
 import subprocess
 import sys
@@ -131,8 +142,63 @@ def sweep(goldens: list[dict]) -> dict:
     return out
 
 
+# (case, arguments, files it writes); target.json holds the golden target
+_GOLDEN_CLI = (
+    ("synthesize", ["synthesize", "--target", "target.json", "--out", "schedule.json",
+                    "--report", "report.json"], ("schedule.json", "report.json")),
+    ("simulate json", ["simulate", "--schedule", "schedule.json"], ()),
+    ("simulate csv", ["simulate", "--schedule", "schedule.json", "--format", "csv"], ()),
+    ("simulate trace", ["simulate", "--schedule", "schedule.json", "--trace"], ()),
+    ("verify", ["verify", "--schedule", "schedule.json"], ()),
+    ("verify target", ["verify", "--schedule", "schedule.json", "--target", "target.json"], ()),
+)
+_BAD_SCHEDULE = {"params": {"eta": 0.25, "omega_carrier_rad_s": 5e4, "fock_dim": 4}, "pulses": ""}
+_OTHER_CLI = (
+    ("rabi csv", ["rabi", "--m-max", "3", "--k-max", "3"]),
+    ("rabi json", ["rabi", "--m-max", "3", "--k-max", "3", "--format", "json"]),
+    ("input error", ["verify", "--schedule", "bad.json"]),
+)
+
+
+def cli_outputs(src: Path, goldens: dict[str, dict]) -> dict:
+    """Exit code, stdout, stderr and written files of every CLI case, keyed by
+    case and field, from `python -m ionpulse.cli` with src on PYTHONPATH, run
+    in a temporary directory; goldens maps a tag to its target."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        where = subprocess.run([sys.executable, "-c", "import ionpulse; print(ionpulse.__file__)"],
+                               cwd=tmp, env=env, check=True, capture_output=True, text=True)
+        if not where.stdout.startswith(str(src)):
+            raise SystemExit(f"ionpulse was imported from {where.stdout.strip()}, not from {src}")
+
+        def run(cwd, case, args, files=()):
+            done = subprocess.run([sys.executable, "-m", "ionpulse.cli", *args],
+                                  cwd=cwd, env=env, capture_output=True)
+            out[f"{case} exit"], out[f"{case} stdout"] = done.returncode, done.stdout
+            out[f"{case} stderr"] = done.stderr
+            for name in files:
+                path = cwd / name
+                out[f"{case} {name}"] = path.read_bytes() if path.exists() else None
+
+        for tag, target in goldens.items():  # each in a directory of its own
+            (cwd := Path(tmp) / tag).mkdir()
+            (cwd / "target.json").write_text(json.dumps(target))
+            for case, args, files in _GOLDEN_CLI:
+                run(cwd, f"cli {tag} {case}", args, files)
+        (Path(tmp) / "bad.json").write_text(json.dumps(_BAD_SCHEDULE))
+        for case, args in _OTHER_CLI:
+            run(Path(tmp), f"cli {case}", args)
+    return out
+
+
 def _differences(base, head) -> str | None:
     """None if base and head are bit-identical, else what differs."""
+    if isinstance(base, bytes) and isinstance(head, bytes) and base != head:
+        pairs = enumerate(zip(base, head))
+        i = next((i for i, (a, b) in pairs if a != b), min(len(base), len(head)))
+        return (f"{len(base)} against {len(head)} bytes, the first difference at byte {i}: "
+                f"{base[i : i + 40]!r} against {head[i : i + 40]!r}")
     if isinstance(base, dict) and isinstance(head, dict) and base.keys() == head.keys():
         found = [f"{key}: {d}" for key in base if (d := _differences(base[key], head[key]))]
         return "; ".join(found) or None
@@ -192,16 +258,18 @@ def main(argv=None) -> int:
     rev = subprocess.run(git + ["rev-parse", "--verify", args.base + "^{commit}"],
                          check=True, capture_output=True, text=True).stdout.strip()
     golden = sorted((ROOT / "tests" / "golden").glob("*.json"))
-    goldens = [json.loads(path.read_text())["target"] for path in golden]
+    goldens = {path.stem: json.loads(path.read_text())["target"] for path in golden}
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "base"
-        (Path(tmp) / "goldens.json").write_text(json.dumps(goldens))
-        subprocess.run(git + ["worktree", "add", "--quiet", "--detach", str(tree), rev], check=True)
-        try:
-            base = _run_sweep(tree / "src", Path(tmp) / "goldens.json", Path(tmp) / "base.pkl")
-        finally:
-            subprocess.run(git + ["worktree", "remove", "--force", str(tree)], check=True)
+        tree.mkdir()
+        (Path(tmp) / "goldens.json").write_text(json.dumps(list(goldens.values())))
+        archive = subprocess.run(git + ["archive", "--format=tar", rev, "src"],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        base = _run_sweep(tree / "src", Path(tmp) / "goldens.json", Path(tmp) / "base.pkl")
         head = _run_sweep(ROOT / "src", Path(tmp) / "goldens.json", Path(tmp) / "head.pkl")
+        base.update(cli_outputs(tree / "src", goldens))
+        head.update(cli_outputs(ROOT / "src", goldens))
     mismatches = compare(base, head)
     for line in mismatches:
         print(line)
