@@ -19,7 +19,7 @@ import math
 import sys
 
 from .core import DEFAULT_ETA, DEFAULT_OMEGA_RAD_S, PhysicalParams, rabi_column
-from .oracle import _oracle_final
+from .oracle import _finals
 from .serialization import _populations, atomic_write_text, load_schedule, load_state, load_target
 from .serialization import report_to_dict, save_schedule, state_to_dict
 from .states import JointState, fidelity, run_schedule
@@ -153,8 +153,8 @@ def cmd_verify(args) -> int:
     schedule = load_schedule(args.schedule)
     initial = JointState.ground(schedule.params.fock_dim)
 
-    final = run_schedule(initial, schedule)
-    oracle_fid = fidelity(final, _oracle_final(initial, schedule))
+    final, oracle = _finals(initial, schedule)
+    oracle_fid = fidelity(final, oracle)
     passed = oracle_fid >= 1.0 - args.tolerance
 
     doc = {"oracle_fidelity": oracle_fid, "tolerance": args.tolerance}

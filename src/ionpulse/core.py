@@ -36,13 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DEFAULT_ETA",
-    "DEFAULT_OMEGA_RAD_S",
-    "PhysicalParams",
-    "RabiValue",
-    "RabiUnderflowError",
-    "rabi_column",
-    "rabi_frequency",
+    "DEFAULT_ETA", "DEFAULT_OMEGA_RAD_S", "PhysicalParams", "RabiValue", "RabiUnderflowError",
+    "rabi_column", "rabi_frequency",
 ]
 
 # Defaults mirror a 40Ca+ quadrupole-transition trap (729 nm, 135 kHz trap).

@@ -35,22 +35,25 @@ propagation stays stable for long durations (slow high-order sidebands
 need t of order seconds).
 
 Only the pairs that can hold amplitude are built: pulse p's pairs m < n_p,
-n_p from states._support, the support bound the pulse kernel reads too.  It
+n_p from states._support, the support bound the pulse kernel reads too; a
+verify reads it once, and the kernel and the oracle run from that one plan.  It
 is kinematics (the top levels of |g> and |e> that the initial state and earlier
-pulses reach), not couplings, so the oracle's arithmetic stays its own.  One
-running product and one loop of max n_p - 1 steps sum the series of all K
-orders in O(K max n_p), each element as in a loop of its own.
+pulses reach), not couplings: the oracle reads each pulse's kind, order and
+phase itself.  One running product and one loop of max n_p - 1 steps sum the
+series of all K orders in O(K max n_p), each element as in a loop of its own;
+a table one element wide (every ladder from |0>|g>) is its j = 0 terms.
 """
 
 from __future__ import annotations
 
 import cmath
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import PhysicalParams, ipow
-from .states import JointState, Pulse, PulseSchedule, _support, fidelity, run_schedule
+from .states import JointState, Pulse, PulseSchedule, _run, _support, fidelity
 
 __all__ = ["HamiltonianMatrix", "build_hamiltonian", "propagate", "verify_schedule"]
 
@@ -84,7 +87,7 @@ def _check_pairs(pairs: np.ndarray, couplings: np.ndarray, dim: int, sizes):
     in at most one pair of its pulse; sizes counts each pulse's pairs, in order."""
     if not (
         pairs.shape[1:] == (2,)
-        and np.issubdtype(pairs.dtype, np.integer)
+        and pairs.dtype.kind in "iu"
         and couplings.shape == pairs.shape[:1]
     ):
         raise ValueError(
@@ -114,14 +117,17 @@ def _series(x: float, dim: int, ks: list[int], width: int) -> np.ndarray:
     # sqrt(m + i) / i, in blocks of at most max(K, 64) width entries on the m orders hold
     term, block, cap = np.ones((len(ks), width)), np.ones((1, width)), max(len(ks), 64) * width
     while lo <= max(ks, default=0) and width:
-        first = np.searchsorted(orders, lo)  # orders from first on need the columns from lo on
+        first = bisect_left(ks, lo)  # orders from first on need the columns from lo on
         rows = min(width, dim - ks[first])
         i = np.arange(lo, min(lo + cap // rows, ks[-1] + 1), dtype=float)[:, None]
         block = np.concatenate((block[-1:, :rows], np.sqrt(m[:rows] + i) / i)).cumprod(axis=0)
-        held = slice(first, np.searchsorted(orders, lo + i.size))
+        held = slice(first, bisect_left(ks, lo + i.size))
         term[held, :rows] = block[orders[held] - lo + 1]
         lo += i.size
-    term[m >= dim - orders[:, None]] = 0.0
+    if ks and dim - ks[-1] < width:  # some order stops before the width: zero its rows past it
+        term[m >= dim - orders[:, None]] = 0.0
+    if width < 2:  # every element is its j = 0 term
+        return term
     diagonal = term.copy()
     # (j + 1)(j + k + 1) for every step and order, exact in floats below 2^53
     steps = np.arange(width - 1.0)[:, None, None]
@@ -136,15 +142,19 @@ def _series(x: float, dim: int, ks: list[int], width: int) -> np.ndarray:
 def _pairs(params: PhysicalParams, pulses, sizes, ks, table):
     """The pairs m < n of the pulses, n from the int array sizes, pulse after
     pulse, and their couplings from table (the _series rows of orders ks)."""
-    eta, w = params.eta, params.omega_carrier / 2.0
-    pref = [w * ipow(p.k) * eta**p.k * cmath.exp(-eta * eta / 2.0 - 1j * p.phase) for p in pulses]
-    orders = np.array([p.k for p in pulses])
-    red, blue = (np.array([p.kind == name for p in pulses]) for name in ("red", "blue"))
+    eta, w, pref, ints = params.eta, params.omega_carrier / 2.0, [], []
+    damp, row = -eta * eta / 2.0, {k: r for r, k in enumerate(ks)}
+    for p in pulses:  # each pulse's kind read here, never the kernel's plan shifts
+        k = p.k
+        pref.append(w * ipow(k) * eta**k * cmath.exp(damp - 1j * p.phase))
+        ints.append((row[k], k if p.kind == "blue" else 0, k if p.kind == "red" else 0))
     m = np.arange(sizes.sum()) - (sizes.cumsum() - sizes).repeat(sizes)
-    couplings = np.array(pref).repeat(sizes) * table[np.searchsorted(ks, orders).repeat(sizes), m]
+    rows, k_e, k_g = np.array(ints).T.repeat(sizes, axis=1)
+    couplings = np.array(pref).repeat(sizes) * table[rows, m]
     # element m couples |g, m + k_g> to |e, m + k_e>; sigma+ = |e><g| in (g, e) order
-    k_e, k_g = (orders * blue).repeat(sizes), (orders * red).repeat(sizes)
-    return np.stack((2 * (m + k_e) + 1, 2 * (m + k_g)), axis=1), couplings
+    pairs = np.empty((m.size, 2), dtype=m.dtype)
+    pairs[:, 0], pairs[:, 1] = 2 * (m + k_e) + 1, 2 * (m + k_g)
+    return pairs, couplings
 
 
 def build_hamiltonian(params: PhysicalParams, kind: str, k: int, phase: float) -> HamiltonianMatrix:
@@ -191,12 +201,12 @@ def propagate(ham: HamiltonianMatrix, state: JointState, duration: float) -> Joi
     return JointState(amps)
 
 
-def _oracle_final(initial: JointState, schedule: PulseSchedule) -> JointState:
-    """The schedule's final state by Hamiltonian exponentiation, in the runs
-    and on the pairs that can hold amplitude that states._support gives; the
-    schedule holds only orders below fock_dim, so one series loop sums every order."""
+def _oracle_final(initial: JointState, schedule: PulseSchedule, support=None) -> JointState:
+    """The schedule's final state by Hamiltonian exponentiation, in the runs and on
+    the pairs of support, initial's states._support (computed if None); the schedule
+    holds only orders below fock_dim, so one series loop sums every order."""
     params, pulses, dim = schedule.params, schedule.pulses, schedule.params.fock_dim
-    sizes, _, width, step = _support(initial.amplitudes, dim, pulses)
+    sizes, _, width, step = support or _support(initial.amplitudes, dim, pulses)
     sizes, ks = np.array(sizes, dtype=np.intp), sorted({pulse.k for pulse in pulses})
     table = _series(params.eta * params.eta, dim, ks, width)
     amps, durations = initial.amplitudes.copy(), np.array([p.duration for p in pulses])
@@ -208,7 +218,16 @@ def _oracle_final(initial: JointState, schedule: PulseSchedule) -> JointState:
     return JointState(amps)
 
 
+def _finals(initial: JointState, schedule: PulseSchedule) -> tuple[JointState, JointState]:
+    """The kernel's and the oracle's final states of schedule from initial, both
+    in the runs and on the pairs of one states._support result."""
+    params, pulses = schedule.params, schedule.pulses
+    support = _support(initial.amplitudes, params.fock_dim, pulses)
+    kernel = _run(initial.amplitudes, params, pulses, None, support)
+    return JointState(kernel), _oracle_final(initial, schedule, support)
+
+
 def verify_schedule(initial: JointState, schedule: PulseSchedule) -> float:
     """Fidelity (global phase discarded) of the closed-form pulse operators'
     final state against the oracle's, each pulse's Hamiltonian exponentiated."""
-    return fidelity(run_schedule(initial, schedule), _oracle_final(initial, schedule))
+    return fidelity(*_finals(initial, schedule))

@@ -29,19 +29,9 @@ from .states import JointState, Pulse, PulseSchedule
 from .synthesis import _VARIANTS, SynthesisReport, TargetState, parse_complex
 
 __all__ = [
-    "atomic_write_text",
-    "params_to_dict",
-    "params_from_dict",
-    "schedule_to_dict",
-    "schedule_from_dict",
-    "save_schedule",
-    "load_schedule",
-    "target_from_dict",
-    "load_target",
-    "state_to_dict",
-    "state_from_dict",
-    "load_state",
-    "report_to_dict",
+    "atomic_write_text", "params_to_dict", "params_from_dict", "schedule_to_dict",
+    "schedule_from_dict", "save_schedule", "load_schedule", "target_from_dict", "load_target",
+    "state_to_dict", "state_from_dict", "load_state", "report_to_dict",
 ]
 
 
@@ -111,12 +101,7 @@ def schedule_to_dict(schedule: PulseSchedule) -> dict:
     return {
         "params": params_to_dict(schedule.params),
         "pulses": [
-            {
-                "kind": p.kind,
-                "k": p.k,
-                "phase_rad": p.phase,
-                "duration_s": p.duration,
-            }
+            {"kind": p.kind, "k": p.k, "phase_rad": p.phase, "duration_s": p.duration}
             for p in schedule.pulses
         ],
         "provenance": schedule.provenance,

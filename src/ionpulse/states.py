@@ -167,13 +167,19 @@ class JointState:
     def fock(cls, n: int, dim: int, internal: int = GROUND) -> "JointState":
         """|n>|g> or |n>|e>; n, dim and internal are integers, as parse_int reads them."""
         n, dim, internal = parse_int(n), parse_int(dim), parse_int(internal)
-        if not 0 <= n < dim:
-            raise ValueError(f"Fock index {n} outside truncation 0..{dim - 1}")
-        if internal not in (GROUND, EXCITED):
-            raise ValueError(f"internal index must be 0 (g) or 1 (e), got {internal}")
-        amps = np.zeros(2 * dim, dtype=complex)
-        amps[2 * n + internal] = 1.0
+        index, amps = cls._index(n, internal, dim), np.zeros(2 * dim, dtype=complex)
+        amps[index] = 1.0
         return cls(amps)
+
+    @staticmethod
+    def _index(m, s, dim: int) -> int:
+        """2 m + s, the flat index of |m>|s> on dim levels; m and s read by parse_int."""
+        m, s = parse_int(m), parse_int(s)
+        if not 0 <= m < dim:
+            raise ValueError(f"Fock index {m} outside truncation 0..{dim - 1}")
+        if s not in (GROUND, EXCITED):
+            raise ValueError(f"internal index must be 0 (g) or 1 (e), got {s}")
+        return 2 * m + s
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -184,7 +190,7 @@ class JointState:
         return self._amps.size // 2
 
     def amplitude(self, m: int, s: int) -> complex:
-        return complex(self._amps[2 * m + s])
+        return complex(self._amps[self._index(m, s, self.dim)])
 
     def population(self, m: int, s: int) -> float:
         return abs(self.amplitude(m, s)) ** 2
@@ -213,11 +219,14 @@ def _coefficient(k: int, phase: float) -> complex:
 
 
 def _support(amps: np.ndarray, dim: int, pulses):
-    """The support bound from amps (module docstring), pulse by pulse: the pair
-    counts n and each pulse's (lower shift, upper shift, scan): the k or 0 its
-    pairs' member levels take, and whether the bound reaches its guard cells;
-    then the run rule of both pulse loops: the widest pulse's pair count, and
-    as many pulses a run as RUN_PAIRS pairs of it leave room for (at least 1)."""
+    """The support bound from amps, an initial state of 2 dim amplitudes (else
+    ValueError), pulse by pulse (module docstring): the pair counts n and each
+    pulse's (lower shift, upper shift, scan): the k or 0 its pairs' member levels
+    take, and whether the bound reaches its guard cells; then the run rule of
+    both pulse loops: the widest pulse's pair count, and as many pulses a run
+    as RUN_PAIRS pairs of it leave room for (at least 1)."""
+    if amps.size != 2 * dim:
+        raise ValueError(f"initial dim {amps.size // 2} != schedule fock_dim {dim}")
     top_g, top_e = (int(max(amps[s::2].nonzero()[0][-1:], default=-1)) for s in (GROUND, EXCITED))
     sizes, plan = [], []
     for p in pulses:  # the bound moves with kind and k alone; comparisons, not min/max calls
@@ -234,16 +243,16 @@ def _support(amps: np.ndarray, dim: int, pulses):
     return sizes, plan, width, max(RUN_PAIRS // max(width, 1), 1)
 
 
-def _run(amps: np.ndarray, params: PhysicalParams, pulses, trace: list | None) -> np.ndarray:
-    """The pulses applied in turn to a copy of amps, each to its pairs m < n
-    of the support bound; a trace list gets the state after each pulse.
+def _run(amps: np.ndarray, params: PhysicalParams, pulses, trace: list | None, support=None):
+    """The pulses applied in turn to a copy of amps, each to its pairs m < n of
+    support (amps' _support if None); a trace list gets the state after each pulse.
 
     Lower pair members sit at flat indices 2*(m + k if red else m) + GROUND,
     upper ones at 2*(m + k if blue else m) + EXCITED: two stride-2 views.
     One sine and one cosine pass a run; errors carry their pulse's index.
     """
     dim, amps = params.fock_dim, np.array(amps, dtype=complex)
-    sizes, plan, width, step = _support(amps, dim, pulses)
+    sizes, plan, width, step = support or _support(amps, dim, pulses)
     columns = {p.k: _column(params.eta, params.omega_carrier, p.k, width) for p in pulses}
     lost = any(marks for _, marks in columns.values())
     for start in range(0, len(pulses), step):
@@ -303,8 +312,6 @@ def run_schedule(initial: JointState, schedule: PulseSchedule, keep_trace: bool 
     each pulse when keep_trace is set.  Truncation-overflow errors carry
     the index of the offending pulse.
     """
-    if initial.dim != (dim := schedule.params.fock_dim):
-        raise ValueError(f"initial dim {initial.dim} != schedule fock_dim {dim}")
     trace = [] if keep_trace else None
     final = JointState(_run(initial.amplitudes, schedule.params, schedule.pulses, trace))
     return (final, trace) if keep_trace else final

@@ -42,17 +42,9 @@ from .states import EXCITED, GROUND, NORM_TOL, TWO_PI, JointState, Pulse, PulseS
 from .states import _coefficient, fidelity, run_schedule
 
 __all__ = [
-    "FockTarget",
-    "SuperpositionTarget",
-    "PhaseStateTarget",
-    "CoherentTarget",
-    "ParityCoherentTarget",
-    "BellTarget",
-    "TargetState",
-    "SynthesisReport",
-    "compile_target",
-    "target_state_vector",
-    "default_fock_dim",
+    "FockTarget", "SuperpositionTarget", "PhaseStateTarget", "CoherentTarget",
+    "ParityCoherentTarget", "BellTarget", "TargetState", "SynthesisReport", "compile_target",
+    "target_state_vector", "default_fock_dim",
 ]
 
 _HALF_PI = math.pi / 2.0

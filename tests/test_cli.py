@@ -23,6 +23,7 @@ from ionpulse import (
     oracle,
     rabi_column,
     run_schedule,
+    states,
 )
 from ionpulse.cli import main
 from ionpulse.serialization import atomic_write_text, save_schedule, state_to_dict
@@ -370,18 +371,34 @@ class TestVerify:
 
     def test_target_check_runs_the_closed_form_once(self, capsys, tmp_path, monkeypatch):
         target, sched = self._synth(capsys, tmp_path, {"variant": "fock", "n": 2})
-        calls = []
+        run, calls = states._run, []
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return run_schedule(*args, **kwargs)
+            return run(*args, **kwargs)
 
-        for module in (cli, oracle):
-            monkeypatch.setattr(module, "run_schedule", counted)
+        for module in (states, oracle):
+            monkeypatch.setattr(module, "_run", counted)
         code, out, _ = run_cli(capsys, "verify", "--schedule", sched, "--target", target)
         assert code == 0
         assert json.loads(out)["target_fidelity"] >= 1 - 1e-9
         assert len(calls) == 1
+
+    def test_reads_the_support_rule_once(self, capsys, tmp_path, monkeypatch):
+        # the kernel and the oracle pass both run from one states._support plan
+        phase_state = {"variant": "phase_state", "n_max": 4, "theta_rad": 0.3}
+        _, sched = self._synth(capsys, tmp_path, phase_state)
+        support, calls = states._support, []
+
+        def counted(amps, dim, pulses):
+            calls.append(len(pulses))
+            return support(amps, dim, pulses)
+
+        for module in (states, oracle):
+            monkeypatch.setattr(module, "_support", counted)
+        code, out, _ = run_cli(capsys, "verify", "--schedule", sched)
+        assert code == 0 and json.loads(out)["pass"] is True
+        assert calls == [5]
 
     def test_fock_dim_too_small_structured_error(self, capsys, tmp_path):
         doc = {

@@ -74,3 +74,20 @@ def test_cli_cases_run_under_the_given_source_tree():
     assert out["cli fock synthesize stdout"] == out["cli fock synthesize report.json"]
     assert out["cli fock synthesize schedule.json"].startswith(b'{\n  "params"')
     assert b'"type": "ValueError"' in out["cli input error stderr"]
+
+
+def test_verify_fidelity_is_recorded_bit_for_bit():
+    import ionpulse as ip
+    from ionpulse import oracle
+
+    params = ip.PhysicalParams(0.25, 5e4, 14)
+    schedule = ip.compile_target(ip.PhaseStateTarget(4, 0.3), params).schedule
+    ground, out = ip.JointState.ground(14), {}
+    identity._finals(ip, oracle, ground, schedule, "case", out)
+    assert sorted(out) == ["case kernel", "case oracle", "case verify"]
+    fid = np.float64(ip.verify_schedule(ground, schedule))
+    assert out["case verify"] == int(fid.view(np.uint64))
+    # one ulp of the fidelity is a mismatch, and so is an error in its place
+    ulp = {"case verify": int(np.nextafter(fid, 0.0).view(np.uint64))}
+    assert [line.split(":")[0] for line in identity.compare(out, {**out, **ulp})] == ["case verify"]
+    assert identity.compare(out, {**out, "case verify": "ValueError: dim"}) != []

@@ -298,6 +298,18 @@ class TestSeries:
                     assert np.array_equal(row[: dim - k], loop_series(x, dim, k)[:width]), (k, width)
                     assert not row[dim - k :].any(), (k, width)
 
+    @pytest.mark.parametrize("dim", [17, 62, 122])
+    @pytest.mark.parametrize("eta", [0.25, 0.9, 1.5, 3.0])
+    def test_rows_with_no_short_order_match_the_per_order_loop(self, eta, dim):
+        # every order holds the whole width, so no row is zeroed past its end
+        x, orders = eta * eta, [0, 1, 2, 3, 7]
+        for width in (2, dim // 2):
+            rows = _series(x, dim, orders, width)
+            assert rows.shape == (len(orders), width)
+            for row, k in zip(rows, orders):
+                want = loop_series(x, dim, k)[:width]
+                assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), (k, width)
+
     def test_head_of_a_high_order_takes_a_few_mib(self):
         # the j = 0 terms are one running product over i <= max k; at
         # D = 2897 that product over every element would take 192 MiB, but
@@ -624,6 +636,31 @@ class TestVerifySchedule:
         report = compile_target(PhaseStateTarget(4, math.pi / 3), params)
         fid = verify_schedule(JointState.ground(params.fock_dim), report.schedule)
         assert fid >= 1 - 1e-8
+
+    @pytest.mark.parametrize(
+        "check", [run_schedule, _oracle_final, verify_schedule], ids=["kernel", "oracle", "verify"]
+    )
+    def test_refuses_a_state_of_another_dimension(self, check):
+        # one rule, states._support's, for both passes: the oracle pass alone
+        # returned a 7-level state for a D = 6 schedule
+        schedule = compile_target(PhaseStateTarget(4, 0.3), _params(6)).schedule
+        with pytest.raises(ValueError, match="initial dim 7 != schedule fock_dim 6"):
+            check(JointState.ground(7), schedule)
+
+    def test_reads_the_support_rule_once(self, monkeypatch):
+        # the kernel and the oracle pass both run from one states._support plan
+        params = _params(14)
+        schedule = compile_target(PhaseStateTarget(4, math.pi / 3), params).schedule
+        support, calls = states._support, []
+
+        def counted(amps, dim, pulses):
+            calls.append(len(pulses))
+            return support(amps, dim, pulses)
+
+        monkeypatch.setattr(states, "_support", counted)
+        monkeypatch.setattr(oracle, "_support", counted)
+        assert verify_schedule(JointState.ground(params.fock_dim), schedule) >= 1 - 1e-12
+        assert calls == [len(schedule.pulses)]
 
     def test_flags_a_wrong_closed_form_coupling(self, monkeypatch):
         """A closed-form W_{0,2} off by 1e-3 relative fails the 1e-8 gate.

@@ -7,7 +7,7 @@ from pathlib import Path
 import ionpulse
 
 # the src/ionpulse line budget: lowered to the package's size whenever it shrinks
-LINE_BUDGET = 1641
+LINE_BUDGET = 1639
 
 # the per-pulse reference API: only the tests and the traced benchmark call it
 PER_PULSE_REFERENCE = {

@@ -79,6 +79,25 @@ class TestJointState:
             JointState.fock(*args)
         assert str(got.value) == message
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((-2, 0), "Fock index -2 outside truncation 0..4"),
+            ((5, 0), "Fock index 5 outside truncation 0..4"),
+            ((1, 2), "internal index must be 0 (g) or 1 (e), got 2"),
+            ((True, 0), "expected an integer, got True"),
+            ((3.0, 0), "expected an integer, got 3.0"),
+            ((3, 1.0), "expected an integer, got 1.0"),
+        ],
+    )
+    @pytest.mark.parametrize("read", ["amplitude", "population"])
+    def test_amplitude_reads_its_indices_as_fock_does(self, read, args, message):
+        # a negative m wrapped to the top level, s = 2 read the next level's
+        # |g>, a bool read m = 1, and a float or m = dim was numpy's IndexError
+        with pytest.raises(ValueError) as got:
+            getattr(JointState.fock(3, 5), read)(*args)
+        assert str(got.value) == message
+
     def test_fock_takes_numpy_integers(self):
         s = JointState.fock(np.int64(1), np.int32(4), np.int8(EXCITED))
         assert np.array_equal(s.amplitudes, JointState.fock(1, 4, EXCITED).amplitudes)

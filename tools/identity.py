@@ -1,4 +1,4 @@
-"""Bit-identity of two trees: compiled pulses, kernel and oracle finals, CLI bytes.
+"""Bit-identity of two trees: pulses, kernel and oracle finals, verify fidelities, CLI bytes.
 
     python3 tools/identity.py --base REV
 
@@ -23,8 +23,9 @@ The sweep:
   - 60 seeded schedules of carrier, red and blue pulses with repeated
     orders, from |0>|g>, from a start on the levels below D / 3 and from a
     start on every level.
-A case that raises records the error's type and message instead, and that
-is compared too.
+Each case with kernel and oracle finals also records verify_schedule's
+fidelity, as the uint64 word of its float.  A case that raises records the
+error's type and message instead, and that is compared too.
 
 The CLI cases, each compared by exit code, stdout, stderr and written files:
   - for each golden target: synthesize with --out and --report; simulate
@@ -62,9 +63,12 @@ def _outcome(call):
 
 
 def _finals(ip, oracle, initial, schedule, case, out):
-    """The kernel's and the oracle's final amplitudes of schedule from initial."""
+    """The kernel's and the oracle's final amplitudes of schedule from initial,
+    and verify_schedule's fidelity as the uint64 word of its float."""
     out[case + " kernel"] = _outcome(lambda: ip.run_schedule(initial, schedule).amplitudes)
     out[case + " oracle"] = _outcome(lambda: oracle._oracle_final(initial, schedule).amplitudes)
+    fid = _outcome(lambda: ip.verify_schedule(initial, schedule))
+    out[case + " verify"] = fid if isinstance(fid, str) else int(np.float64(fid).view(np.uint64))
 
 
 def _stepped(ip, initial, schedule, case, out):
