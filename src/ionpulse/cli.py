@@ -32,9 +32,8 @@ RABI_ETA_SET = (0.202, 0.25, 0.35, 0.5, 0.9)
 # flags that more than one subcommand reads
 _SHARED = {
     "--eta": dict(type=float, default=None, help="Lamb-Dicke parameter"),
-    "--omega-rad-s": dict(
-        type=float, default=DEFAULT_OMEGA_RAD_S, help="carrier Rabi frequency in rad/s"
-    ),
+    "--omega-rad-s": dict(type=float, default=DEFAULT_OMEGA_RAD_S,
+                          help="carrier Rabi frequency in rad/s"),
     "--out": dict(default=None, help="output file (stdout when omitted)"),
     "--format": dict(choices=("json", "csv"), default=None, help="output format"),
     "--tolerance": dict(type=float, default=None, help="fidelity deviation tolerance"),
@@ -151,16 +150,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     schedule = load_schedule(args.schedule)
-    initial = JointState.ground(schedule.params.fock_dim)
-
-    final, oracle = _finals(initial, schedule)
-    oracle_fid = fidelity(final, oracle)
+    final, oracle_fid = _finals(JointState.ground(schedule.params.fock_dim), schedule)
     passed = oracle_fid >= 1.0 - args.tolerance
 
     doc = {"oracle_fidelity": oracle_fid, "tolerance": args.tolerance}
     if args.target is not None:
-        target_fid = fidelity(target_state_vector(load_target(args.target), schedule.params), final)
-        doc["target_fidelity"] = target_fid
+        target = target_state_vector(load_target(args.target), schedule.params)
+        doc["target_fidelity"] = target_fid = fidelity(target, JointState(final))
         passed = passed and target_fid >= 1.0 - args.tolerance
     doc["pass"] = passed
     _emit(doc, args.out)

@@ -153,6 +153,12 @@ def _column(eta: float, omega: float, k: int, size: int) -> tuple[np.ndarray, di
     if parse_int(k) < 0 or parse_int(size) < 0:
         raise ValueError(f"sideband order and column size must be >= 0, got k={k}, size={size}")
     x = eta * eta
+    log_pref = math.log(omega / 2.0) + k * math.log(eta) - x / 2.0 - 0.5 * math.lgamma(k + 1)
+    if size == 1:  # g_0 = 1 at no scale: the entry is exp(log_pref) by the np.exp below
+        lost = {0: log_pref} if log_pref < _LOG_MIN_NORMAL else {}
+        values = np.where(bool(lost), np.nan, np.exp(np.array([log_pref])))
+        values.setflags(write=False)
+        return values, lost
     n = np.arange(max(size - 1, 0), dtype=float)
     a = np.sqrt((n + 1.0) / (n + 1.0 + k)) / (n + 1.0)
     g, log_scale = [1.0], [0.0]
@@ -164,7 +170,6 @@ def _column(eta: float, omega: float, k: int, size: int) -> tuple[np.ndarray, di
         g.append(cur)
         log_scale.append(scale)
     g = np.array(g[:size])
-    log_pref = math.log(omega / 2.0) + k * math.log(eta) - x / 2.0 - 0.5 * math.lgamma(k + 1)
     with np.errstate(divide="ignore"):
         log_mag = log_pref + np.array(log_scale[:size]) + np.log(np.abs(g))
     values = np.copysign(np.exp(log_mag), g)

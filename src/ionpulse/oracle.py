@@ -34,14 +34,13 @@ error grows with t only as the rounding of the angle |c| t does: the
 propagation stays stable for long durations (slow high-order sidebands
 need t of order seconds).
 
-Only the pairs that can hold amplitude are built: pulse p's pairs m < n_p,
-n_p from states._support, the support bound the pulse kernel reads too; a
-verify reads it once, and the kernel and the oracle run from that one plan.  It
-is kinematics (the top levels of |g> and |e> that the initial state and earlier
-pulses reach), not couplings: the oracle reads each pulse's kind, order and
-phase itself.  One running product and one loop of max n_p - 1 steps sum the
-series of all K orders in O(K max n_p), each element as in a loop of its own;
-a table one element wide (every ladder from |0>|g>) is its j = 0 terms.
+Only pulse p's pairs m < n_p are built, n_p from the support bound of
+states._support, which a verify computes once for the kernel and the oracle.
+It is kinematics, not couplings: the oracle reads each pulse's kind, order and
+phase itself.  One loop of max n_p - 1 steps sums the series of all K orders
+in O(K max n_p), each element as in a loop of its own.  A table one element
+wide (every ladder from |0>|g>) is its j = 0 terms, 1/sqrt(k!) at m = 0: one
+running product of sqrt(i) / i up to the largest order.
 """
 
 from __future__ import annotations
@@ -49,11 +48,12 @@ from __future__ import annotations
 import cmath
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .core import PhysicalParams, ipow
-from .states import JointState, Pulse, PulseSchedule, _run, _support, fidelity
+from .states import JointState, Pulse, PulseSchedule, _check_norm, _run, _support
 
 __all__ = ["HamiltonianMatrix", "build_hamiltonian", "propagate", "verify_schedule"]
 
@@ -85,23 +85,19 @@ class HamiltonianMatrix:
 def _check_pairs(pairs: np.ndarray, couplings: np.ndarray, dim: int, sizes):
     """Raise ValueError unless pairs (P, 2) join distinct states of 2*dim, each
     in at most one pair of its pulse; sizes counts each pulse's pairs, in order."""
-    if not (
-        pairs.shape[1:] == (2,)
-        and pairs.dtype.kind in "iu"
-        and couplings.shape == pairs.shape[:1]
-    ):
-        raise ValueError(
-            f"pairs need shape (P, 2) and an integer dtype, couplings shape (P,); got "
-            f"{pairs.shape} {pairs.dtype} and {couplings.shape}"
-        )
+    if pairs.shape[1:] != (2,) or pairs.dtype.kind not in "iu" or couplings.shape != pairs.shape[:1]:
+        raise ValueError(f"pairs need shape (P, 2) and an integer dtype, couplings shape (P,); got "
+                         f"{pairs.shape} {pairs.dtype} and {couplings.shape}")
     if pairs.size and not (0 <= pairs.min() and pairs.max() < 2 * dim):
         raise ValueError(f"a pair index is outside [0, {2 * dim})")
+    if (pairs[:, 0] == pairs[:, 1]).any():
+        raise ValueError("a pair couples a basis state to itself")
+    if sum(sizes) == len(sizes) == len(pairs) and max(sizes, default=0) == 1:
+        return  # one pair a pulse: only a pair that joins a state to itself holds it twice
     # pulse p's keys from 2 dim p, as intp (uint64 + int is float); stable sort: two ascending runs
     offsets = (2 * dim * np.arange(len(sizes))).repeat(sizes)
     keys = np.sort(pairs.T.astype(np.intp, copy=False) + offsets, axis=None, kind="stable")
-    if (keys[1:] == keys[:-1]).any():  # a pair that joins a state to itself repeats a key too
-        if (pairs[:, 0] == pairs[:, 1]).any():
-            raise ValueError("a pair couples a basis state to itself")
+    if (keys[1:] == keys[:-1]).any():
         raise ValueError("Hamiltonian couples a basis state to more than one other")
 
 
@@ -112,11 +108,14 @@ def _series(x: float, dim: int, ks: list[int], width: int) -> np.ndarray:
     last term j = m in one loop for all orders (see the module docstring),
     and zeros past them up to width.  Each k must be below dim.
     """
+    if width < 2:  # m = 0 alone, if any: its j = 0 term sqrt(k!) / k!, one running product
+        i = np.arange(1.0, max(ks, default=0) + 1)
+        return np.concatenate(([1.0], np.sqrt(i) / i)).cumprod()[ks, None][:, :width]
     m, orders, lo = np.arange(width, dtype=float), np.array(ks, dtype=int), 1
     # j = 0 term: [a^k]_{m,m+k} / k! = sqrt((m+k)!/m!) / k!: one running product over i of
     # sqrt(m + i) / i, in blocks of at most max(K, 64) width entries on the m orders hold
     term, block, cap = np.ones((len(ks), width)), np.ones((1, width)), max(len(ks), 64) * width
-    while lo <= max(ks, default=0) and width:
+    while lo <= max(ks, default=0):
         first = bisect_left(ks, lo)  # orders from first on need the columns from lo on
         rows = min(width, dim - ks[first])
         i = np.arange(lo, min(lo + cap // rows, ks[-1] + 1), dtype=float)[:, None]
@@ -126,8 +125,6 @@ def _series(x: float, dim: int, ks: list[int], width: int) -> np.ndarray:
         lo += i.size
     if ks and dim - ks[-1] < width:  # some order stops before the width: zero its rows past it
         term[m >= dim - orders[:, None]] = 0.0
-    if width < 2:  # every element is its j = 0 term
-        return term
     diagonal = term.copy()
     # (j + 1)(j + k + 1) for every step and order, exact in floats below 2^53
     steps = np.arange(width - 1.0)[:, None, None]
@@ -140,21 +137,24 @@ def _series(x: float, dim: int, ks: list[int], width: int) -> np.ndarray:
 
 
 def _pairs(params: PhysicalParams, pulses, sizes, ks, table):
-    """The pairs m < n of the pulses, n from the int array sizes, pulse after
+    """The pairs m < n of the pulses, n from the int list sizes, pulse after
     pulse, and their couplings from table (the _series rows of orders ks)."""
-    eta, w, pref, ints = params.eta, params.omega_carrier / 2.0, [], []
+    eta, w, pref, bases, rows = params.eta, params.omega_carrier / 2.0, [], [], []
     damp, row = -eta * eta / 2.0, {k: r for r, k in enumerate(ks)}
     for p in pulses:  # each pulse's kind read here, never the kernel's plan shifts
         k = p.k
         pref.append(w * ipow(k) * eta**k * cmath.exp(damp - 1j * p.phase))
-        ints.append((row[k], k if p.kind == "blue" else 0, k if p.kind == "red" else 0))
+        # pair m is (|e, m + k_e>, |g, m + k_g>), as sigma+ = |e><g|: its indices at m = 0, + 2 m
+        bases += (2 * k + 1 if p.kind == "blue" else 1, 2 * k if p.kind == "red" else 0)
+        rows.append(row[k])
+    bases, pref, rows = np.array(bases).reshape(-1, 2), np.array(pref), np.array(rows)
+    if table.shape[1] == 1 and sum(sizes) == len(sizes):  # one pair a pulse, at m = 0
+        return bases, pref * table[rows, 0]
+    sizes = np.array(sizes)
     m = np.arange(sizes.sum()) - (sizes.cumsum() - sizes).repeat(sizes)
-    rows, k_e, k_g = np.array(ints).T.repeat(sizes, axis=1)
-    couplings = np.array(pref).repeat(sizes) * table[rows, m]
-    # element m couples |g, m + k_g> to |e, m + k_e>; sigma+ = |e><g| in (g, e) order
     pairs = np.empty((m.size, 2), dtype=m.dtype)
-    pairs[:, 0], pairs[:, 1] = 2 * (m + k_e) + 1, 2 * (m + k_g)
-    return pairs, couplings
+    pairs[:, 0], pairs[:, 1] = bases.T.repeat(sizes, axis=1) + 2 * m
+    return pairs, pref.repeat(sizes) * table[rows.repeat(sizes), m]
 
 
 def build_hamiltonian(params: PhysicalParams, kind: str, k: int, phase: float) -> HamiltonianMatrix:
@@ -164,13 +164,13 @@ def build_hamiltonian(params: PhysicalParams, kind: str, k: int, phase: float) -
     pulse, dim = Pulse(kind, k, phase, 0.0), params.fock_dim
     if not (k := pulse.k) < dim:
         raise ValueError(f"sideband order k={k} needs k < fock_dim={dim}")
-    table, size = _series(params.eta * params.eta, dim, [k], dim - k), np.array([dim - k])
+    table, size = _series(params.eta * params.eta, dim, [k], dim - k), [dim - k]
     return HamiltonianMatrix(*_pairs(params, [pulse], size, [k], table), dim)
 
 
 def _evolve(amps: np.ndarray, pairs: np.ndarray, couplings: np.ndarray, durations, sizes):
-    """exp(-i H t) amps in place, pulse after pulse of a run (arrays durations and
-    sizes, each one's pair count): pair (i, j) takes (a_i, a_j) to (cos a_i + off a_j,
+    """exp(-i H t) amps in place, pulse after pulse of a run (array durations and
+    list sizes, each one's pair count): pair (i, j) takes (a_i, a_j) to (cos a_i + off a_j,
     cos a_j - conj(off) a_i), with cos = cos(|c| t) and off = -i sin(|c| t) c / |c|
     (zero where c is).  A pulse takes its pairs' four terms in one product."""
     mag = np.abs(couplings)
@@ -182,7 +182,7 @@ def _evolve(amps: np.ndarray, pairs: np.ndarray, couplings: np.ndarray, duration
     coeffs[:, 0], coeffs[:, 1], coeffs[:, 2], coeffs[:, 3] = cos, off, off.conj(), cos
     coeffs, scatter = coeffs.ravel(), pairs.ravel()
     gather = np.concatenate((pairs, pairs), axis=1).ravel()
-    ends = sizes.cumsum().tolist()
+    ends = list(accumulate(sizes))
     for a, b in zip([0, *ends], ends):
         terms = coeffs[4 * a : 4 * b] * amps[gather[4 * a : 4 * b]]
         # a_j's sum is redone as a difference: a negated coefficient could sign a zero
@@ -197,37 +197,40 @@ def propagate(ham: HamiltonianMatrix, state: JointState, duration: float) -> Joi
     if ham.fock_dim != state.dim:
         raise ValueError(f"Hamiltonian fock_dim {ham.fock_dim} does not match state dim {state.dim}")
     duration, amps = Pulse("carrier", 0, 0.0, duration).duration, state.amplitudes.copy()
-    _evolve(amps, ham.pairs, ham.couplings, np.array([duration]), np.array([ham.couplings.size]))
+    _evolve(amps, ham.pairs, ham.couplings, np.array([duration]), [ham.couplings.size])
     return JointState(amps)
 
 
-def _oracle_final(initial: JointState, schedule: PulseSchedule, support=None) -> JointState:
-    """The schedule's final state by Hamiltonian exponentiation, in the runs and on
-    the pairs of support, initial's states._support (computed if None); the schedule
-    holds only orders below fock_dim, so one series loop sums every order."""
+def _oracle_pass(amps: np.ndarray, schedule: PulseSchedule, support=None) -> np.ndarray:
+    """The schedule's final amplitudes from amps by Hamiltonian exponentiation, in the runs
+    and on the pairs of support (amps' states._support if None); one series loop, all orders."""
     params, pulses, dim = schedule.params, schedule.pulses, schedule.params.fock_dim
-    sizes, _, width, step = support or _support(initial.amplitudes, dim, pulses)
-    sizes, ks = np.array(sizes, dtype=np.intp), sorted({pulse.k for pulse in pulses})
-    table = _series(params.eta * params.eta, dim, ks, width)
-    amps, durations = initial.amplitudes.copy(), np.array([p.duration for p in pulses])
+    sizes, _, width, step = support or _support(amps, dim, pulses)
+    table = _series(params.eta * params.eta, dim, ks := sorted({p.k for p in pulses}), width)
+    amps, durations = amps.copy(), np.array([p.duration for p in pulses])
     for i in range(0, len(pulses), step):
         run, counts = pulses[i : i + step], sizes[i : i + step]
         pairs, couplings = _pairs(params, run, counts, ks, table)
         _check_pairs(pairs, couplings, dim, counts)
         _evolve(amps, pairs, couplings, durations[i : i + step], counts)
-    return JointState(amps)
+    return amps
 
 
-def _finals(initial: JointState, schedule: PulseSchedule) -> tuple[JointState, JointState]:
-    """The kernel's and the oracle's final states of schedule from initial, both
-    in the runs and on the pairs of one states._support result."""
-    params, pulses = schedule.params, schedule.pulses
-    support = _support(initial.amplitudes, params.fock_dim, pulses)
-    kernel = _run(initial.amplitudes, params, pulses, None, support)
-    return JointState(kernel), _oracle_final(initial, schedule, support)
+def _oracle_final(initial: JointState, schedule: PulseSchedule) -> JointState:
+    """The schedule's final state from initial by Hamiltonian exponentiation."""
+    return JointState(_oracle_pass(initial.amplitudes, schedule))
+
+
+def _finals(initial: JointState, schedule: PulseSchedule) -> tuple[np.ndarray, float]:
+    """The kernel's final amplitudes of schedule from initial and the oracle's fidelity to them
+    (global phase discarded): both passes from one _support plan, both finals' norms checked."""
+    support = _support(amps := initial.amplitudes, schedule.params.fock_dim, schedule.pulses)
+    _check_norm(kernel := _run(amps, schedule.params, schedule.pulses, None, support))
+    _check_norm(oracle := _oracle_pass(amps, schedule, support))
+    return kernel, min(1.0, abs(complex(np.vdot(kernel, oracle))) ** 2)
 
 
 def verify_schedule(initial: JointState, schedule: PulseSchedule) -> float:
     """Fidelity (global phase discarded) of the closed-form pulse operators'
     final state against the oracle's, each pulse's Hamiltonian exponentiated."""
-    return fidelity(*_finals(initial, schedule))
+    return _finals(initial, schedule)[1]

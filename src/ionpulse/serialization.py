@@ -82,11 +82,8 @@ def _json(value, what: str, kind: str):
 
 
 def params_to_dict(params: PhysicalParams) -> dict:
-    return {
-        "eta": params.eta,
-        "omega_carrier_rad_s": params.omega_carrier,
-        "fock_dim": params.fock_dim,
-    }
+    return {"eta": params.eta, "omega_carrier_rad_s": params.omega_carrier,
+            "fock_dim": params.fock_dim}
 
 
 def params_from_dict(data: dict) -> PhysicalParams:
@@ -98,14 +95,10 @@ def params_from_dict(data: dict) -> PhysicalParams:
 
 
 def schedule_to_dict(schedule: PulseSchedule) -> dict:
-    return {
-        "params": params_to_dict(schedule.params),
-        "pulses": [
-            {"kind": p.kind, "k": p.k, "phase_rad": p.phase, "duration_s": p.duration}
-            for p in schedule.pulses
-        ],
-        "provenance": schedule.provenance,
-    }
+    pulses = [{"kind": p.kind, "k": p.k, "phase_rad": p.phase, "duration_s": p.duration}
+              for p in schedule.pulses]
+    return {"params": params_to_dict(schedule.params), "pulses": pulses,
+            "provenance": schedule.provenance}
 
 
 def schedule_from_dict(data: dict) -> PulseSchedule:

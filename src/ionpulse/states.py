@@ -50,6 +50,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import accumulate, count
 
 import numpy as np
 
@@ -152,9 +153,7 @@ class JointState:
             raise ValueError(
                 f"amplitudes must be a flat vector of even length >= 4, got shape {arr.shape}"
             )
-        norm = float(np.linalg.norm(arr))
-        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
-            raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
+        _check_norm(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "_amps", arr)
 
@@ -201,6 +200,13 @@ class JointState:
 
     def __repr__(self) -> str:
         return f"JointState(dim={self.dim})"
+
+
+def _check_norm(amps: np.ndarray):
+    """Raise ValueError unless the norm of amps is 1 within NORM_TOL."""
+    norm = float(np.linalg.norm(amps))
+    if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
+        raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
 
 
 def _check_guard(amps: np.ndarray, kind: str, k: int, dim: int, pulse_index: int):
@@ -253,41 +259,42 @@ def _run(amps: np.ndarray, params: PhysicalParams, pulses, trace: list | None, s
     """
     dim, amps = params.fock_dim, np.array(amps, dtype=complex)
     sizes, plan, width, step = support or _support(amps, dim, pulses)
-    columns = {p.k: _column(params.eta, params.omega_carrier, p.k, width) for p in pulses}
+    columns = {k: _column(params.eta, params.omega_carrier, k, width) for k in {p.k for p in pulses}}
     lost = any(marks for _, marks in columns.values())
     for start in range(0, len(pulses), step):
-        run, counts = pulses[start : start + step], sizes[start : start + step]
-        w = np.concatenate([columns[p.k][0][:n] for p, n in zip(run, counts)])
+        span = slice(start, start + step)
+        run, counts, plans = pulses[span], sizes[span], plan[span]
+        if width == 1 and 0 not in counts:  # one pair a pulse: whole columns, nothing repeated
+            w, reps = np.concatenate([columns[p.k][0] for p in run]), 1
+        else:
+            w, reps = np.concatenate([columns[p.k][0][:n] for p, n in zip(run, counts)]), counts
         if lost:  # an underflow, marked NaN, turns a pair of zeros by no angle
             nan, w = np.isnan(w), np.nan_to_num(w, nan=0.0)
-        angle = w * np.array([p.duration for p in run]).repeat(counts)
-        sin, cos, end = np.sin(angle), np.cos(angle), 0
-        c = np.array([_coefficient(p.k, p.phase) for p in run]).repeat(counts)
+        angle = w * np.array([p.duration for p in run]).repeat(reps)
+        sin, cos, ends = np.sin(angle), np.cos(angle), list(accumulate(counts))
+        c = np.array([_coefficient(p.k, p.phase) for p in run]).repeat(reps)
         # a complex cosine keeps every product below on one dtype, so none takes a cast
         cos, fwd, back = cos.astype(complex), c * sin, c.conj() * sin
-        for i, p in enumerate(run, start):
-            n, (lo, up, scan) = sizes[i], plan[i]
+        for i, p, (lo, up, scan), a, b in zip(count(start), run, plans, [0, *ends], ends):
             if scan:  # else the bound proves the guard cells empty
                 _check_guard(amps, p.kind, p.k, dim, i)
-            a_lo = amps[2 * lo + GROUND : 2 * (lo + n) : 2]
-            a_up = amps[2 * up + EXCITED : 2 * (up + n) : 2]
-            s, end = slice(end, end + n), end + n
+            a_lo = amps[2 * lo + GROUND : 2 * (lo + b - a) : 2]
+            a_up = amps[2 * up + EXCITED : 2 * (up + b - a) : 2]
             # an underflowing coupling raises where its pair holds amplitude
-            if lost and (held := nan[s] & ((a_lo != 0) | (a_up != 0))).any():
+            if lost and (held := nan[a:b] & ((a_lo != 0) | (a_up != 0))).any():
                 raise RabiUnderflowError(m := int(held.argmax()), p.k, columns[p.k][1][m], i)
             # all four products are taken before either member is written
-            cos_s = cos[s]
-            terms = cos_s * a_lo, back[s] * a_up, fwd[s] * a_lo, cos_s * a_up
-            np.subtract(terms[0], terms[1], out=a_lo)
-            np.add(terms[2], terms[3], out=a_up)
+            cos_s = cos[a:b]
+            terms = cos_s * a_lo, back[a:b] * a_up, fwd[a:b] * a_lo, cos_s * a_up
+            np.subtract(terms[0], terms[1], a_lo)
+            np.add(terms[2], terms[3], a_up)
             if trace is not None:
                 trace.append(JointState(amps))
     return amps
 
 
-def apply_pulse_amplitudes(
-    amps: np.ndarray, params: PhysicalParams, pulse: Pulse, pulse_index: int | None = None
-) -> np.ndarray:
+def apply_pulse_amplitudes(amps: np.ndarray, params: PhysicalParams, pulse: Pulse,
+                           pulse_index: int | None = None) -> np.ndarray:
     """Raw linear pulse action on an amplitude vector, as a new array.
 
     Does not require or enforce normalization (the action is linear), but

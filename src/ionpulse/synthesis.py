@@ -90,9 +90,8 @@ def _turn(params: PhysicalParams, kind: str, k: int, m: int, angle: float, phase
     return Pulse(kind, k, phase + (math.pi if w < 0.0 else 0.0), angle / abs(w))
 
 
-def _land(
-    params: PhysicalParams, kind: str, k: int, m: int, angle: float, source, desired, up: bool
-) -> Pulse:
+def _land(params: PhysicalParams, kind: str, k: int, m: int, angle: float, source, desired,
+          up: bool) -> Pulse:
     """Pulse turning pair m by angle so that source, in its lower member if up
     else its upper one, lands in the other member at arg(desired).
 
@@ -422,10 +421,8 @@ def compile_target(target: TargetState, params: PhysicalParams) -> SynthesisRepo
     c, overlap = target._weights()
     need = c.size + 1
     if params.fock_dim < need:
-        raise ValueError(
-            f"fock_dim {params.fock_dim} too small for top Fock level "
-            f"{need - 2} (need >= {need})"
-        )
+        raise ValueError(f"fock_dim {params.fock_dim} too small for top Fock level {need - 2} "
+                         f"(need >= {need})")
     rotation = 0.0 if c[0] == 0 else 0.0 - cmath.phase(complex(c[0]))  # never -0.0
     turn = cmath.exp(1j * rotation)
     schedule = target._compile(params, c * turn)
@@ -443,7 +440,6 @@ def target_state_vector(target: TargetState, params: PhysicalParams) -> JointSta
     """
     c, _ = target._weights()
     if params.fock_dim < c.size:
-        raise ValueError(
-            f"fock_dim {params.fock_dim} cannot hold top Fock level {c.size - 1} (need >= {c.size})"
-        )
+        raise ValueError(f"fock_dim {params.fock_dim} cannot hold top Fock level {c.size - 1} "
+                         f"(need >= {c.size})")
     return target._vector(params, c)

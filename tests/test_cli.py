@@ -369,6 +369,18 @@ class TestVerify:
         # the two propagation paths still agree on the (wrong) state
         assert result["oracle_fidelity"] >= 1 - 1e-8
 
+    @pytest.mark.parametrize("name", ["_run", "_oracle_pass"], ids=["kernel", "oracle"])
+    def test_an_unnormalized_final_is_an_input_error(self, capsys, tmp_path, monkeypatch, name):
+        # a kernel or oracle final scaled by 1 + 1e-9 fails the norm check verify
+        # keeps on both raw finals: exit 2, the ValueError on stderr, nothing on stdout
+        _, sched = self._synth(capsys, tmp_path, {"variant": "fock", "n": 2})
+        final = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *args: final(*args) * (1 + 1e-9))
+        code, out, err = run_cli(capsys, "verify", "--schedule", sched)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error == {"type": "ValueError", "message": "state norm deviates from 1 by 1.000e-09"}
+
     def test_target_check_runs_the_closed_form_once(self, capsys, tmp_path, monkeypatch):
         target, sched = self._synth(capsys, tmp_path, {"variant": "fock", "n": 2})
         run, calls = states._run, []

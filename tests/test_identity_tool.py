@@ -91,3 +91,14 @@ def test_verify_fidelity_is_recorded_bit_for_bit():
     ulp = {"case verify": int(np.nextafter(fid, 0.0).view(np.uint64))}
     assert [line.split(":")[0] for line in identity.compare(out, {**out, **ulp})] == ["case verify"]
     assert identity.compare(out, {**out, "case verify": "ValueError: dim"}) != []
+
+
+def test_an_error_is_recorded_with_its_pulse_index():
+    from ionpulse import RabiUnderflowError
+
+    def underflow(index):
+        raise RabiUnderflowError(0, 400, -1544.67, index)
+
+    message = "Rabi frequency for m=0, k=400 underflows double precision (ln|W| = -1544.67)"
+    assert identity._outcome(lambda: underflow(1)) == f"RabiUnderflowError: {message} (pulse 1)"
+    assert identity._outcome(lambda: underflow(None)) == f"RabiUnderflowError: {message}"

@@ -310,6 +310,24 @@ class TestSeries:
                 want = loop_series(x, dim, k)[:width]
                 assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), (k, width)
 
+    @pytest.mark.parametrize("eta", [0.25, 3.0])
+    @pytest.mark.parametrize(
+        "orders", [list(range(321)), [3, 150, 300, 301, 314]], ids=["all", "some"]
+    )
+    def test_width_one_head_matches_the_per_order_loop(self, eta, orders):
+        # a table one element wide holds m = 0 alone, its j = 0 term: one running
+        # product of sqrt(i) / i; at D = 330 the heads of orders up to 320 run from
+        # normal numbers through subnormal ones (from order 301) to zero (from 314)
+        x = eta * eta
+        rows = _series(x, 330, orders, 1)
+        assert rows.shape == (len(orders), 1)
+        want = np.array([loop_series(x, 330, k)[0] for k in orders])
+        assert rows[:, 0].view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        heads = dict(zip(orders, rows[:, 0].tolist()))
+        assert np.finfo(float).tiny < heads[300] and 0.0 < heads[301] < np.finfo(float).tiny
+        assert heads[314] == 0.0
+        assert _series(x, 330, orders, 0).shape == (len(orders), 0)
+
     def test_head_of_a_high_order_takes_a_few_mib(self):
         # the j = 0 terms are one running product over i <= max k; at
         # D = 2897 that product over every element would take 192 MiB, but
@@ -661,6 +679,19 @@ class TestVerifySchedule:
         monkeypatch.setattr(oracle, "_support", counted)
         assert verify_schedule(JointState.ground(params.fock_dim), schedule) >= 1 - 1e-12
         assert calls == [len(schedule.pulses)]
+
+    @pytest.mark.parametrize("name", ["_run", "_oracle_pass"], ids=["kernel", "oracle"])
+    def test_checks_the_norm_of_both_finals(self, monkeypatch, name):
+        # verify reads the two finals as raw arrays; each is still held to the
+        # norm a JointState is: a final scaled by 1 + 1e-9 is refused
+        params = _params(14)
+        schedule = compile_target(PhaseStateTarget(4, math.pi / 3), params).schedule
+        ground = JointState.ground(params.fock_dim)
+        assert verify_schedule(ground, schedule) >= 1 - 1e-12
+        final = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *args: final(*args) * (1 + 1e-9))
+        with pytest.raises(ValueError, match=r"^state norm deviates from 1 by 1\.000e-09$"):
+            verify_schedule(ground, schedule)
 
     def test_flags_a_wrong_closed_form_coupling(self, monkeypatch):
         """A closed-form W_{0,2} off by 1e-3 relative fails the 1e-8 gate.

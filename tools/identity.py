@@ -20,12 +20,16 @@ The sweep:
   - phase states N = 5, 10, 20, 40, 60, 80 at the same etas, D = N + 2 and
     3 N + 2, from |0>|g> and from a seeded start on every level the ladder
     cannot push past the truncation;
+  - seeded random complex superpositions N = 5, 20 and 40 at eta 0.25, 0.9
+    and 1.5, D = 3 N + 2, from |0>|g>: the benchmark's ladders;
+  - a carrier and a blue-400 pulse at eta = 0.25, D = 402, whose coupling
+    W_{0,400} underflows, so the kernel raises at pulse 1;
   - 60 seeded schedules of carrier, red and blue pulses with repeated
     orders, from |0>|g>, from a start on the levels below D / 3 and from a
     start on every level.
 Each case with kernel and oracle finals also records verify_schedule's
 fidelity, as the uint64 word of its float.  A case that raises records the
-error's type and message instead, and that is compared too.
+error's type, message and pulse index instead, and that is compared too.
 
 The CLI cases, each compared by exit code, stdout, stderr and written files:
   - for each golden target: synthesize with --out and --report; simulate
@@ -55,11 +59,13 @@ OMEGA = 5e4
 
 
 def _outcome(call):
-    """call()'s value, or the type and message of the error it raised."""
+    """call()'s value, or the type and message of the error it raised, and its
+    pulse index where it carries one."""
     try:
         return call()
     except (ValueError, ArithmeticError) as err:
-        return f"{type(err).__name__}: {err}"
+        index = getattr(err, "pulse_index", None)
+        return f"{type(err).__name__}: {err}" + ("" if index is None else f" (pulse {index})")
 
 
 def _finals(ip, oracle, initial, schedule, case, out):
@@ -130,6 +136,18 @@ def sweep(goldens: list[dict]) -> dict:
                 _finals(ip, oracle, ip.JointState.ground(dim), schedule, case + " ground", out)
                 seeded = ip.JointState(_seeded(np.random.default_rng(n * dim), dim, dim - n - 2))
                 _finals(ip, oracle, seeded, schedule, case + " seeded", out)
+    for eta in ETAS[:3]:  # seeded superposition ladders at the benchmark's D = 3 N + 2
+        for n in (5, 20, 40):
+            c = (1.0, 1j) @ np.random.default_rng(n).normal(size=(2, n + 1))
+            target, dim = ip.SuperpositionTarget(tuple(c / np.linalg.norm(c))), 3 * n + 2
+            case = f"superposition N={n} eta={eta} D={dim}"
+            schedule = _compiled(ip, target, ip.PhysicalParams(eta, OMEGA, dim), case, out)
+            if schedule is not None:
+                _finals(ip, oracle, ip.JointState.ground(dim), schedule, case, out)
+    # W_{0,400} underflows at eta = 0.25: the kernel raises at the blue pulse, index 1
+    pulses = (ip.Pulse("carrier", 0, 0.3, 1e-5), ip.Pulse("blue", 400, 0.0, 1e-3))
+    schedule = ip.PulseSchedule(ip.PhysicalParams(0.25, OMEGA, 402), pulses)
+    _finals(ip, oracle, ip.JointState.ground(402), schedule, "underflow blue 400", out)
     rng = np.random.default_rng(18)
     for i in range(60):
         eta, dim = ETAS[i % len(ETAS)], int(rng.integers(6, 61))
