@@ -6,24 +6,22 @@ synthesize take --eta and --omega-rad-s, and only synthesize --fock-dim.
 Exit codes: 0 success, 1 verification/fidelity failure, 2 input error
 (argparse's own usage errors included).  Input errors emit a
 machine-readable JSON object on stderr.  Number formatting is
-locale-independent ('.' decimal separator).
+locale-independent ('.' decimal separator).  A command imports synthesis,
+oracle and csv itself where it runs them, so simulate loads neither module.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
 
 from .core import DEFAULT_ETA, DEFAULT_OMEGA_RAD_S, PhysicalParams, rabi_column
-from .oracle import _finals
 from .serialization import _populations, atomic_write_text, load_schedule, load_state, load_target
 from .serialization import report_to_dict, save_schedule, state_to_dict
 from .states import JointState, fidelity, run_schedule
-from .synthesis import compile_target, default_fock_dim, target_state_vector
 
 # Lamb-Dicke parameters shown in the standard coupling-strength table.
 RABI_ETA_SET = (0.202, 0.25, 0.35, 0.5, 0.9)
@@ -41,10 +39,8 @@ _SHARED = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ionpulse",
-        description="Compile, simulate, and verify sideband pulse schedules for a trapped ion.",
-    )
+    parser = argparse.ArgumentParser(prog="ionpulse", description="Compile, simulate, and verify "
+                                     "sideband pulse schedules for a trapped ion.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_rabi = sub.add_parser("rabi", help="tabulate sideband Rabi frequencies")
@@ -65,12 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--schedule", required=True, help="schedule JSON file")
     p_ver.add_argument("--target", default=None, help="optional target JSON to also check")
 
-    for p, flags in (
-        (p_rabi, ("--eta", "--omega-rad-s", "--out", "--format")),
-        (p_syn, ("--eta", "--omega-rad-s", "--out", "--tolerance")),
-        (p_sim, ("--out", "--format")),
-        (p_ver, ("--out", "--tolerance")),
-    ):
+    for p, flags in ((p_rabi, ("--eta", "--omega-rad-s", "--out", "--format")),
+                     (p_syn, ("--eta", "--omega-rad-s", "--out", "--tolerance")),
+                     (p_sim, ("--out", "--format")), (p_ver, ("--out", "--tolerance"))):
         for flag in flags:
             p.add_argument(flag, **_SHARED[flag])
     p_syn.set_defaults(eta=DEFAULT_ETA, tolerance=1e-9)
@@ -86,6 +79,7 @@ def _emit(doc, out: str | None):
     if isinstance(doc, dict):
         text = json.dumps(doc, indent=2) + "\n"
     else:
+        import csv  # only CSV output loads it
         buf = io.StringIO()
         csv.writer(buf).writerows(doc)
         text = buf.getvalue()
@@ -97,8 +91,7 @@ def _emit(doc, out: str | None):
 
 def cmd_rabi(args) -> int:
     etas = [args.eta] if args.eta is not None else list(RABI_ETA_SET)
-    size = max(args.m_max, -1) + 1
-    orders = range(max(args.k_max, -1) + 1)
+    size, orders = max(args.m_max, -1) + 1, range(max(args.k_max, -1) + 1)
     omega, rows = args.omega_rad_s, []
     for eta in etas:
         columns = [rabi_column(eta, omega, k, size).tolist() for k in orders]
@@ -113,11 +106,11 @@ def cmd_rabi(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    from .synthesis import compile_target, default_fock_dim
     target = load_target(args.target)
     fock_dim = args.fock_dim if args.fock_dim is not None else default_fock_dim(target)
     params = PhysicalParams(eta=args.eta, omega_carrier=args.omega_rad_s, fock_dim=fock_dim)
-    report = compile_target(target, params)
-    doc = report_to_dict(report)
+    doc = report_to_dict(report := compile_target(target, params))
     if args.out:
         save_schedule(args.out, report.schedule)
     if args.report:
@@ -134,12 +127,10 @@ def cmd_simulate(args) -> int:
     initial = JointState.ground(schedule.params.fock_dim) if ground else load_state(args.initial)
     result = run_schedule(initial, schedule, keep_trace=args.trace)
     final, trace = result if args.trace else (result, None)
-
     if args.format == "csv":
-        pairs = state_to_dict(final)["amplitudes"]
-        doc = [("m", "state", "re", "im", "population")] + [
-            (p["m"], p["state"], *z, p["population"]) for p, z in zip(_populations(final), pairs)
-        ]
+        rows = zip(_populations(final), state_to_dict(final)["amplitudes"])
+        doc = [("m", "state", "re", "im", "population")]
+        doc += [(p["m"], p["state"], *z, p["population"]) for p, z in rows]
     else:
         doc = {"final": state_to_dict(final), "populations": _populations(final)}
         if trace is not None:
@@ -149,12 +140,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import _finals
     schedule = load_schedule(args.schedule)
     final, oracle_fid = _finals(JointState.ground(schedule.params.fock_dim), schedule)
     passed = oracle_fid >= 1.0 - args.tolerance
-
     doc = {"oracle_fidelity": oracle_fid, "tolerance": args.tolerance}
     if args.target is not None:
+        from .synthesis import target_state_vector
         target = target_state_vector(load_target(args.target), schedule.params)
         doc["target_fidelity"] = target_fid = fidelity(target, JointState(final))
         passed = passed and target_fid >= 1.0 - args.tolerance
@@ -171,8 +163,7 @@ _INPUT_ERRORS = (ValueError, ArithmeticError, KeyError, TypeError, OSError, Memo
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         for name in ("tolerance", "eta", "omega_rad_s"):  # each finite and positive, if given
             value = getattr(args, name, None)

@@ -35,10 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "DEFAULT_ETA", "DEFAULT_OMEGA_RAD_S", "PhysicalParams", "RabiValue", "RabiUnderflowError",
-    "rabi_column", "rabi_frequency",
-]
+__all__ = ["DEFAULT_ETA", "DEFAULT_OMEGA_RAD_S", "PhysicalParams", "RabiValue",
+           "RabiUnderflowError", "rabi_column", "rabi_frequency"]
 
 # Defaults mirror a 40Ca+ quadrupole-transition trap (729 nm, 135 kHz trap).
 DEFAULT_ETA = 0.25
@@ -74,6 +72,13 @@ def parse_float(value) -> float:
     return float(value)
 
 
+def parse_complex(value) -> complex:
+    """A JSON number or [re, im] pair of numbers as a complex."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(parse_float(value[0]), parse_float(value[1]))
+    return complex(parse_float(value))
+
+
 def ipow(n: int) -> complex:
     """i**n, exact for any integer n."""
     return _I_POW[n % 4]
@@ -87,14 +92,9 @@ class RabiUnderflowError(ArithmeticError):
     """
 
     def __init__(self, m: int, k: int, log_magnitude: float, pulse_index: int | None = None):
-        super().__init__(
-            f"Rabi frequency for m={m}, k={k} underflows double precision "
-            f"(ln|W| = {log_magnitude:.2f})"
-        )
-        self.m = m
-        self.k = k
-        self.log_magnitude = log_magnitude
-        self.pulse_index = pulse_index
+        super().__init__(f"Rabi frequency for m={m}, k={k} underflows double precision "
+                         f"(ln|W| = {log_magnitude:.2f})")
+        self.m, self.k, self.log_magnitude, self.pulse_index = m, k, log_magnitude, pulse_index
 
 
 def _check_rates(eta: float, omega: float):
@@ -122,10 +122,9 @@ class PhysicalParams:
         object.__setattr__(self, "eta", parse_float(self.eta))
         object.__setattr__(self, "omega_carrier", parse_float(self.omega_carrier))
         _check_rates(self.eta, self.omega_carrier)
-        dim = parse_int(self.fock_dim)
+        object.__setattr__(self, "fock_dim", dim := parse_int(self.fock_dim))
         if dim < 2:
             raise ValueError(f"fock_dim must be an integer >= 2, got {dim}")
-        object.__setattr__(self, "fock_dim", dim)
 
 
 @dataclass(frozen=True)

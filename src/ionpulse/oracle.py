@@ -55,8 +55,6 @@ import numpy as np
 from .core import PhysicalParams, ipow
 from .states import JointState, Pulse, PulseSchedule, _check_norm, _run, _support
 
-__all__ = ["HamiltonianMatrix", "build_hamiltonian", "propagate", "verify_schedule"]
-
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:

@@ -21,18 +21,19 @@ import json
 import math
 import os
 import stat
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import PhysicalParams, parse_int
+from .core import PhysicalParams, parse_complex, parse_int
 from .states import JointState, Pulse, PulseSchedule
-from .synthesis import _VARIANTS, SynthesisReport, TargetState, parse_complex
 
-__all__ = [
-    "atomic_write_text", "params_to_dict", "params_from_dict", "schedule_to_dict",
-    "schedule_from_dict", "save_schedule", "load_schedule", "target_from_dict", "load_target",
-    "state_to_dict", "state_from_dict", "load_state", "report_to_dict",
-]
+if TYPE_CHECKING:  # synthesis loads only when a target is read
+    from .synthesis import SynthesisReport, TargetState
+
+__all__ = ["atomic_write_text", "params_to_dict", "params_from_dict", "schedule_to_dict",
+           "schedule_from_dict", "save_schedule", "load_schedule", "target_from_dict",
+           "load_target", "state_to_dict", "state_from_dict", "load_state", "report_to_dict"]
 
 
 def atomic_write_text(path: str, text: str):
@@ -128,6 +129,7 @@ def load_schedule(path: str) -> PulseSchedule:
 
 
 def target_from_dict(data: dict) -> TargetState:
+    from .synthesis import _VARIANTS
     tag = _json(data, "a target", "object").get("variant")
     if tag not in _VARIANTS:
         raise ValueError(f"unknown target variant {tag!r}")
@@ -168,8 +170,9 @@ def load_state(path: str) -> JointState:
 
 
 def _populations(state: JointState) -> list[dict]:
-    pops = state.populations().ravel().tolist()
-    return [{"m": i // 2, "state": "ge"[i % 2], "population": p} for i, p in enumerate(pops)]
+    amps = state.amplitudes.tolist()  # the scalar abs(z) ** 2, as populations() reads it
+    return [{"m": i // 2, "state": "ge"[i % 2], "population": abs(z) ** 2}
+            for i, z in enumerate(amps)]
 
 
 def report_to_dict(report: SynthesisReport) -> dict:

@@ -57,10 +57,8 @@ import numpy as np
 from .core import PhysicalParams, RabiUnderflowError, _column, ipow
 from .core import parse_float, parse_int
 
-__all__ = [
-    "GROUND", "EXCITED", "JointState", "Pulse", "PulseSchedule", "TruncationOverflowError",
-    "apply_pulse_amplitudes", "run_schedule", "fidelity",
-]
+__all__ = ["GROUND", "EXCITED", "JointState", "Pulse", "PulseSchedule",
+           "TruncationOverflowError", "apply_pulse_amplitudes", "run_schedule", "fidelity"]
 
 GROUND = 0
 EXCITED = 1
@@ -150,9 +148,8 @@ class JointState:
     def __init__(self, amplitudes):
         arr = np.array(amplitudes, dtype=complex)
         if arr.ndim != 1 or arr.size < 4 or arr.size % 2 != 0:
-            raise ValueError(
-                f"amplitudes must be a flat vector of even length >= 4, got shape {arr.shape}"
-            )
+            raise ValueError(f"amplitudes must be a flat vector of even length >= 4, "
+                             f"got shape {arr.shape}")
         _check_norm(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "_amps", arr)

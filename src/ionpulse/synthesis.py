@@ -37,17 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _LOG_RESCALE, _RESCALE, PhysicalParams, _coupling, parse_float, parse_int
+from .core import _LOG_RESCALE, _RESCALE, PhysicalParams, _coupling
+from .core import parse_complex, parse_float, parse_int
 from .states import EXCITED, GROUND, NORM_TOL, TWO_PI, JointState, Pulse, PulseSchedule
 from .states import _coefficient, fidelity, run_schedule
 
-__all__ = [
-    "FockTarget", "SuperpositionTarget", "PhaseStateTarget", "CoherentTarget",
-    "ParityCoherentTarget", "BellTarget", "TargetState", "SynthesisReport", "compile_target",
-    "target_state_vector", "default_fock_dim",
-]
-
 _HALF_PI = math.pi / 2.0
+
 
 @dataclass(frozen=True)
 class SynthesisReport:
@@ -183,13 +179,6 @@ def _coherent_weights(alpha: complex, n_max: int, rem: int | None = None):
 
 # ---------------------------------------------------------------------------
 # Target variants
-
-
-def parse_complex(value) -> complex:
-    """A JSON number or [re, im] pair of numbers as a complex."""
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(parse_float(value[0]), parse_float(value[1]))
-    return complex(parse_float(value))
 
 
 class TargetState:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -793,3 +794,47 @@ def test_module_entry_point_smoke(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.startswith("eta,m,k")
+
+
+# what a fresh ionpulse process holds after cli.main: the package, cli and the
+# modules every command reads, plus those of the command's own path
+_LOADED_CODE = (
+    "import contextlib, io, json, sys\n"
+    "from ionpulse.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:])\n"
+    "names = [m for m in sys.modules if m == 'csv' or m.split('.')[0] == 'ionpulse']\n"
+    "print(json.dumps([code, sorted(names)]))\n"
+)
+_ALWAYS = ["ionpulse", "ionpulse.cli", "ionpulse.core", "ionpulse.serialization", "ionpulse.states"]
+
+
+@pytest.mark.parametrize(
+    "argv,extra",
+    [
+        (["synthesize", "--target", "t.json", "--out", "s2.json"], ["ionpulse.synthesis"]),
+        (["simulate", "--schedule", "s.json"], []),
+        (["simulate", "--schedule", "s.json", "--format", "csv"], ["csv"]),
+        (["verify", "--schedule", "s.json"], ["ionpulse.oracle"]),
+        (["verify", "--schedule", "s.json", "--target", "t.json"],
+         ["ionpulse.oracle", "ionpulse.synthesis"]),
+        (["rabi", "--k-max", "1"], ["csv"]),
+        (["rabi", "--k-max", "1", "--format", "json"], []),
+    ],
+    ids=["synthesize", "simulate", "simulate-csv", "verify", "verify-target", "rabi",
+         "rabi-json"],
+)
+def test_a_process_loads_only_the_modules_its_command_runs(tmp_path, argv, extra):
+    target = PhaseStateTarget(n_max=3, theta=0.4)
+    write_target(tmp_path, {"variant": "phase_state", "n_max": 3, "theta_rad": 0.4}, "t.json")
+    report = compile_target(target, PhysicalParams(0.25, DEFAULT_OMEGA_RAD_S, 5))
+    save_schedule(str(tmp_path / "s.json"), report.schedule)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", _LOADED_CODE, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == sorted(_ALWAYS + extra)

@@ -33,7 +33,8 @@ from ionpulse.serialization import (
     state_to_dict,
     target_from_dict,
 )
-from ionpulse.synthesis import parse_complex
+from ionpulse.core import parse_complex
+from ionpulse.serialization import _populations
 
 
 @pytest.fixture
@@ -162,6 +163,26 @@ class TestStateFormat:
         doc["fock_dim"] = 3
         with pytest.raises(ValueError):
             state_from_dict(doc)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_population_records_match_the_populations_array(self, seed):
+        # the records read each population straight from the amplitudes, as the
+        # scalar abs(z) ** 2; their JSON is byte for byte that of populations(),
+        # signed zeros and subnormal parts included
+        rng = np.random.default_rng(seed)
+        size = 2 * int(rng.integers(2, 80))
+        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+        amps /= np.linalg.norm(amps)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-160]
+        picked = rng.choice(size, size=size // 2, replace=False)
+        amps.real[picked] = rng.choice(special, size=picked.size)
+        amps.imag[picked[::2]] = rng.choice(special, size=picked[::2].size)
+        state = JointState(amps / np.linalg.norm(amps))
+        pops = state.populations().ravel().tolist()
+        expected = [{"m": i // 2, "state": "ge"[i % 2], "population": p}
+                    for i, p in enumerate(pops)]
+        assert json.dumps(_populations(state)) == json.dumps(expected)
+        assert any(p == 0.0 for p in pops) and any(0.0 < p < 2.2250738585072014e-308 for p in pops)
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
