@@ -21,7 +21,7 @@ import sys
 from .core import DEFAULT_ETA, DEFAULT_OMEGA_RAD_S, PhysicalParams, rabi_column
 from .serialization import _populations, atomic_write_text, load_schedule, load_state, load_target
 from .serialization import report_to_dict, save_schedule, state_to_dict
-from .states import JointState, fidelity, run_schedule
+from .states import JointState, _overlaps, run_schedule
 
 # Lamb-Dicke parameters shown in the standard coupling-strength table.
 RABI_ETA_SET = (0.202, 0.25, 0.35, 0.5, 0.9)
@@ -72,10 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(doc, out: str | None):
-    """Write doc to out, or to stdout when out is None.
-
-    A dict is written as indented JSON, a list of rows (header first) as CSV.
-    """
+    """Write doc, a dict as indented JSON or a list of rows (header first) as CSV,
+    to out, or to stdout when out is None."""
     if isinstance(doc, dict):
         text = json.dumps(doc, indent=2) + "\n"
     else:
@@ -148,16 +146,15 @@ def cmd_verify(args) -> int:
     if args.target is not None:
         from .synthesis import target_state_vector
         target = target_state_vector(load_target(args.target), schedule.params)
-        doc["target_fidelity"] = target_fid = fidelity(target, JointState(final))
+        doc["target_fidelity"] = target_fid = _overlaps(target.amplitudes, final)[0]
         passed = passed and target_fid >= 1.0 - args.tolerance
     doc["pass"] = passed
     _emit(doc, args.out)
     return 0 if passed else 1
 
 
-_COMMANDS = {
-    "rabi": cmd_rabi, "synthesize": cmd_synthesize, "simulate": cmd_simulate, "verify": cmd_verify
-}
+_COMMANDS = {"rabi": cmd_rabi, "synthesize": cmd_synthesize, "simulate": cmd_simulate,
+             "verify": cmd_verify}
 
 _INPUT_ERRORS = (ValueError, ArithmeticError, KeyError, TypeError, OSError, MemoryError)
 

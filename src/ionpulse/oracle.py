@@ -53,7 +53,7 @@ from itertools import accumulate
 import numpy as np
 
 from .core import PhysicalParams, ipow
-from .states import JointState, Pulse, PulseSchedule, _check_norm, _run, _support
+from .states import JointState, Pulse, PulseSchedule, _check_norm, _overlaps, _run, _support
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,7 @@ def _finals(initial: JointState, schedule: PulseSchedule) -> tuple[np.ndarray, f
     support = _support(amps := initial.amplitudes, schedule.params.fock_dim, schedule.pulses)
     _check_norm(kernel := _run(amps, schedule.params, schedule.pulses, None, support))
     _check_norm(oracle := _oracle_pass(amps, schedule, support))
-    return kernel, min(1.0, abs(complex(np.vdot(kernel, oracle))) ** 2)
+    return kernel, _overlaps(kernel, oracle)[0]
 
 
 def verify_schedule(initial: JointState, schedule: PulseSchedule) -> float:

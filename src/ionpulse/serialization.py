@@ -78,10 +78,7 @@ def _json(value, what: str, kind: str):
     return value
 
 
-# ---------------------------------------------------------------------------
 # Physical parameters and schedules
-
-
 def params_to_dict(params: PhysicalParams) -> dict:
     return {"eta": params.eta, "omega_carrier_rad_s": params.omega_carrier,
             "fock_dim": params.fock_dim}
@@ -124,10 +121,7 @@ def load_schedule(path: str) -> PulseSchedule:
     return schedule_from_dict(_load_json(path))
 
 
-# ---------------------------------------------------------------------------
 # Targets
-
-
 def target_from_dict(data: dict) -> TargetState:
     from .synthesis import _VARIANTS
     tag = _json(data, "a target", "object").get("variant")
@@ -145,10 +139,7 @@ def load_target(path: str) -> TargetState:
     return target_from_dict(_load_json(path))
 
 
-# ---------------------------------------------------------------------------
 # States and reports
-
-
 def state_to_dict(state: JointState) -> dict:
     pairs = state.amplitudes.view(float).reshape(-1, 2)  # [re, im] rows
     return {"fock_dim": state.dim, "amplitudes": pairs.tolist()}
@@ -176,16 +167,12 @@ def _populations(state: JointState) -> list[dict]:
 
 
 def report_to_dict(report: SynthesisReport) -> dict:
-    schedule = schedule_to_dict(report.schedule)
-    return {
-        "schedule": schedule,
-        "pulses": [{"index": i, **p} for i, p in enumerate(schedule["pulses"])],
-        "predicted_final": state_to_dict(report.predicted_final),
-        "populations": _populations(report.predicted_final),
-        "fidelity_vs_target": report.fidelity_vs_target,
-        "exact_phase_fidelity": report.exact_phase_fidelity,
-        "total_duration_s": report.schedule.total_duration,
-        "target_rotation_rad": report.target_rotation_rad,
-        "final_internal_state": report.final_internal_state,
-        "truncation_overlap": report.truncation_overlap,
-    }
+    schedule, final = schedule_to_dict(report.schedule), report.predicted_final
+    pulses = [{"index": i, **p} for i, p in enumerate(schedule["pulses"])]
+    return {"schedule": schedule, "pulses": pulses, "predicted_final": state_to_dict(final),
+            "populations": _populations(final), "fidelity_vs_target": report.fidelity_vs_target,
+            "exact_phase_fidelity": report.exact_phase_fidelity,
+            "total_duration_s": report.schedule.total_duration,
+            "target_rotation_rad": report.target_rotation_rad,
+            "final_internal_state": report.final_internal_state,
+            "truncation_overlap": report.truncation_overlap}

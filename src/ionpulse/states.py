@@ -43,6 +43,15 @@ them, so a pulse costs O(populated pairs), not O(D).  The other pairs
 hold exact zeros, which keep their sign, where a rotation could have left
 -0.0; nonzero amplitudes are bit-identical to rotating all, and an
 underflowing W_{m,k} raises only where its pair holds amplitude.
+
+Reservoir runs (_reservoir): in a run of one pair a pulse with no trace and
+no underflow, the pulses after the first, which the loop takes, go at once
+if they scan no guard cell and turn one shared upper member against distinct
+lower members holding exact zeros, as a ladder's deposits from |0>|e> do: the
+upper member as one running product of the cosines, every deposit in one
+np.subtract.  Each nonzero part is the loop's: the same products, and the +-0
+the loop adds from an empty member moves none.  A product with an exact-zero
+part, whose sign could differ, sends the run back to the loop, as others go.
 """
 
 from __future__ import annotations
@@ -261,7 +270,7 @@ def _run(amps: np.ndarray, params: PhysicalParams, pulses, trace: list | None, s
     for start in range(0, len(pulses), step):
         span = slice(start, start + step)
         run, counts, plans = pulses[span], sizes[span], plan[span]
-        if width == 1 and 0 not in counts:  # one pair a pulse: whole columns, nothing repeated
+        if one := width == 1 and 0 not in counts:  # one pair a pulse: whole columns, no repeat
             w, reps = np.concatenate([columns[p.k][0] for p in run]), 1
         else:
             w, reps = np.concatenate([columns[p.k][0][:n] for p, n in zip(run, counts)]), counts
@@ -272,6 +281,7 @@ def _run(amps: np.ndarray, params: PhysicalParams, pulses, trace: list | None, s
         c = np.array([_coefficient(p.k, p.phase) for p in run]).repeat(reps)
         # a complex cosine keeps every product below on one dtype, so none takes a cast
         cos, fwd, back = cos.astype(complex), c * sin, c.conj() * sin
+        shared = one and len(run) > 1 and not lost  # may be a reservoir run
         for i, p, (lo, up, scan), a, b in zip(count(start), run, plans, [0, *ends], ends):
             if scan:  # else the bound proves the guard cells empty
                 _check_guard(amps, p.kind, p.k, dim, i)
@@ -287,7 +297,24 @@ def _run(amps: np.ndarray, params: PhysicalParams, pulses, trace: list | None, s
             np.add(terms[2], terms[3], a_up)
             if trace is not None:
                 trace.append(JointState(amps))
+            elif shared and i == start and _reservoir(amps, plans[1:], cos[1:], back[1:]):
+                break  # the run's other pulses, at once
     return amps
+
+
+def _reservoir(amps: np.ndarray, plans, cos, back) -> bool:
+    """Apply a reservoir run's pulses after its first to amps (module docstring)
+    and return True; return False, amps untouched, if they are not all such."""
+    (lows, ups, scans), up = zip(*plans), 2 * plans[0][1] + EXCITED
+    if (len(set(lows)) < len(lows) or len(set(ups)) > 1 or any(scans)
+            or amps[(lows := 2 * np.array(lows) + GROUND)].any()):
+        return False
+    # step j is the loop's cos_j * upper; the loop adds fwd_j * 0 = +-0 to it
+    run = np.multiply.accumulate(np.concatenate((amps[up : up + 1], cos)))
+    if not run[1:].view(float).all():
+        return False
+    amps[lows], amps[up] = np.subtract(cos * amps[lows], back * run[:-1]), run[-1]
+    return True
 
 
 def apply_pulse_amplitudes(amps: np.ndarray, params: PhysicalParams, pulse: Pulse,
@@ -330,6 +357,10 @@ def fidelity(a: JointState, b: JointState, up_to_global_phase: bool = True) -> f
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-    ov = complex(np.vdot(a.amplitudes, b.amplitudes))
-    val = abs(ov) ** 2 if up_to_global_phase else max(0.0, ov.real) ** 2
-    return min(1.0, float(val))
+    return _overlaps(a.amplitudes, b.amplitudes)[0 if up_to_global_phase else 1]
+
+
+def _overlaps(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """fidelity's two values of amplitude vectors a and b, from one np.vdot."""
+    ov = complex(np.vdot(a, b))
+    return min(1.0, abs(ov) ** 2), min(1.0, max(0.0, ov.real) ** 2)

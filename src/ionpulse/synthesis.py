@@ -40,7 +40,7 @@ import numpy as np
 from .core import _LOG_RESCALE, _RESCALE, PhysicalParams, _coupling
 from .core import parse_complex, parse_float, parse_int
 from .states import EXCITED, GROUND, NORM_TOL, TWO_PI, JointState, Pulse, PulseSchedule
-from .states import _coefficient, fidelity, run_schedule
+from .states import _coefficient, _overlaps, run_schedule
 
 _HALF_PI = math.pi / 2.0
 
@@ -69,10 +69,7 @@ class SynthesisReport:
             raise ValueError(f"fidelity {self.fidelity_vs_target} outside [0, 1]")
 
 
-# ---------------------------------------------------------------------------
 # Shared machinery
-
-
 def _turn(params: PhysicalParams, kind: str, k: int, m: int, angle: float, phase: float) -> Pulse:
     """Pulse turning pair m of a (kind, k) tuning by angle at laser phase phase.
 
@@ -177,10 +174,7 @@ def _coherent_weights(alpha: complex, n_max: int, rem: int | None = None):
     return c / math.sqrt(kept), min(1.0, captured)
 
 
-# ---------------------------------------------------------------------------
 # Target variants
-
-
 class TargetState:
     """A target variant: a frozen dataclass that checks its fields when built.
 
@@ -381,21 +375,13 @@ class BellTarget(TargetState):
 
 
 # JSON tag -> (variant, the field values the tag fixes)
-_VARIANTS = {
-    "fock": (FockTarget, {}),
-    "superposition": (SuperpositionTarget, {}),
-    "phase_state": (PhaseStateTarget, {}),
-    "coherent": (CoherentTarget, {}),
-    "even_coherent": (ParityCoherentTarget, {"parity": "even"}),
-    "odd_coherent": (ParityCoherentTarget, {"parity": "odd"}),
-    "bell": (BellTarget, {}),
-}
+_VARIANTS = {"fock": (FockTarget, {}), "superposition": (SuperpositionTarget, {}),
+             "phase_state": (PhaseStateTarget, {}), "coherent": (CoherentTarget, {}),
+             "even_coherent": (ParityCoherentTarget, {"parity": "even"}),
+             "odd_coherent": (ParityCoherentTarget, {"parity": "odd"}), "bell": (BellTarget, {})}
 
 
-# ---------------------------------------------------------------------------
 # Dispatch
-
-
 def default_fock_dim(target: TargetState) -> int:
     """The smallest fock_dim compile_target accepts for target: its top Fock level + 2."""
     return target._weights()[0].size + 1
@@ -416,10 +402,9 @@ def compile_target(target: TargetState, params: PhysicalParams) -> SynthesisRepo
     turn = cmath.exp(1j * rotation)
     schedule = target._compile(params, c * turn)
     final = run_schedule(JointState.ground(params.fock_dim), schedule)
-    ideal = JointState(target._vector(params, c).amplitudes * turn)
-    exact = fidelity(ideal, final, up_to_global_phase=False)
+    ideal = target._vector(params, c).amplitudes * turn  # checked by _vector; turn is a phase
     fields = (rotation, target._FINAL_INTERNAL_STATE, overlap)
-    return SynthesisReport(schedule, final, fidelity(ideal, final), exact, *fields)
+    return SynthesisReport(schedule, final, *_overlaps(ideal, final.amplitudes), *fields)
 
 
 def target_state_vector(target: TargetState, params: PhysicalParams) -> JointState:

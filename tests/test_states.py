@@ -8,7 +8,11 @@ from hypothesis import event, given, settings, strategies as st
 from ionpulse import (
     EXCITED,
     GROUND,
+    BellTarget,
+    CoherentTarget,
     JointState,
+    ParityCoherentTarget,
+    PhaseStateTarget,
     PhysicalParams,
     Pulse,
     PulseSchedule,
@@ -24,6 +28,7 @@ from ionpulse import (
     rabi_frequency,
     run_schedule,
 )
+from ionpulse import states
 from ionpulse.core import _column, ipow
 from ionpulse.states import _support
 
@@ -699,6 +704,128 @@ class TestOneSupportRule:
             ]
 
 
+def _reservoir_calls(monkeypatch) -> list:
+    """What each call of states._reservoir returns, in order, from now on."""
+    calls, reservoir = [], states._reservoir
+
+    def spy(*args):
+        calls.append(reservoir(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(states, "_reservoir", spy)
+    return calls
+
+
+def _same_bits(got, want):
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _ladder_target(family, n):
+    """A target of a family that compiles to a carrier and red deposits, top level n."""
+    c = (1.0, 1j) @ np.random.default_rng(n).normal(size=(2, n + 1))
+    return {
+        "phase_state": lambda: PhaseStateTarget(n, 0.3),
+        "superposition": lambda: SuperpositionTarget(tuple(c / np.linalg.norm(c))),
+        "coherent": lambda: CoherentTarget(1.1 - 0.7j, n),
+        "even_coherent": lambda: ParityCoherentTarget(0.9j, n, "even"),
+        "odd_coherent": lambda: ParityCoherentTarget(1.3, n, "odd"),
+        "bell": BellTarget,
+    }[family]()
+
+
+class TestReservoirRuns:
+    """A run whose pulses after the first turn one shared upper member against
+    distinct empty lower members (every ladder from |0>|g>) goes through
+    states._reservoir at once; it must match the per-pulse loop, which a trace
+    keeps, and the dense reference bit for bit, and every other run falls back."""
+
+    def _check(self, amps, schedule):
+        """Run schedule from amps without and with a trace (which keeps the loop),
+        bit for bit, and against the dense reference, bit for bit where a part is
+        nonzero (its rotated empty pairs may hold -0.0); the final amplitudes."""
+        got = run_schedule(JointState(amps), schedule).amplitudes
+        _same_bits(got, run_schedule(JointState(amps), schedule, keep_trace=True)[0].amplitudes)
+        want = (_dense_reference(amps, schedule.params, schedule.pulses) or [amps])[-1].view(float)
+        np.testing.assert_array_equal(got.view(float), want)
+        _same_bits(got.view(float)[want != 0.0], want[want != 0.0])
+        return got
+
+    @pytest.mark.parametrize("family", ["phase_state", "superposition", "coherent",
+                                        "even_coherent", "odd_coherent", "bell"])
+    @pytest.mark.parametrize("eta", [0.25, 0.9, 1.5, 3.0])
+    def test_ladders_take_the_path_bit_for_bit(self, family, eta, monkeypatch):
+        calls = _reservoir_calls(monkeypatch)
+        for n in (1, 2, 3, 8, 21, 55, 80):
+            target = _ladder_target(family, n)
+            for dim in (n + 2, 3 * n + 2):
+                schedule = compile_target(target, PhysicalParams(eta, 5e4, dim)).schedule
+                calls.clear()
+                self._check(JointState.ground(dim).amplitudes, schedule)
+                # the untraced run alone calls it, once: a ladder from |0>|g> is one run
+                assert calls == ([True] if len(schedule.pulses) > 1 else []), (n, dim)
+
+    def test_a_reservoir_with_an_exact_zero_part_falls_back(self, monkeypatch):
+        # a carrier at laser phase 0 leaves -i sin(W t) in |0>|e>: its real part is
+        # an exact zero, which the loop's added +-0 could sign otherwise
+        params = PhysicalParams(eta=0.25, omega_carrier=5e4, fock_dim=12)
+        ladder = compile_target(PhaseStateTarget(9, 0.3), params).schedule.pulses
+        pulses = (Pulse("carrier", 0, 0.0, ladder[0].duration), *ladder[1:])
+        schedule, ground = PulseSchedule(params, pulses), JointState.ground(params.fock_dim)
+        calls = _reservoir_calls(monkeypatch)
+        self._check(ground.amplitudes, schedule)
+        assert calls == [False]
+        assert run_schedule(ground, schedule, keep_trace=True)[1][0].amplitude(0, EXCITED).real == 0
+
+    def test_a_seeded_deposit_level_keeps_the_loop(self, monkeypatch):
+        # amplitude in |5>|g> widens the bound past one pair a pulse
+        params = PhysicalParams(eta=0.9, omega_carrier=5e4, fock_dim=92)
+        schedule = compile_target(PhaseStateTarget(30, 0.3), params).schedule
+        amps = JointState.ground(params.fock_dim).amplitudes.copy()
+        amps[2 * 5 + GROUND] = 1e-3j
+        calls = _reservoir_calls(monkeypatch)
+        self._check(amps / np.linalg.norm(amps), schedule)
+        assert calls == []
+
+    def test_an_underflow_keeps_the_loop(self, monkeypatch):
+        # W_{0,400} underflows at eta = 0.25: the loop raises at pulse 1
+        params = PhysicalParams(eta=0.25, omega_carrier=5e4, fock_dim=402)
+        pulses = (Pulse("carrier", 0, 0.3, 1e-5), Pulse("blue", 400, 0.0, 1e-3))
+        ground = JointState.ground(params.fock_dim)
+        calls = _reservoir_calls(monkeypatch)
+        with pytest.raises(RabiUnderflowError) as want:
+            _dense_reference(ground.amplitudes, params, pulses)
+        with pytest.raises(RabiUnderflowError) as got:
+            run_schedule(ground, PulseSchedule(params, pulses))
+        assert (str(got.value), got.value.pulse_index) == (str(want.value), 1)
+        assert calls == []
+
+    def test_runs_of_three_each_take_the_path(self, monkeypatch):
+        # 40 pulses in runs of 3: each run's first pulse goes through the loop
+        # and its other two through the path; the last run, one pulse, the loop alone
+        params = PhysicalParams(eta=1.5, omega_carrier=5e4, fock_dim=119)
+        schedule = compile_target(PhaseStateTarget(39, 0.3), params).schedule
+        ground = JointState.ground(params.fock_dim)
+        one_run = run_schedule(ground, schedule).amplitudes
+        monkeypatch.setattr(states, "RUN_PAIRS", 3)
+        calls = _reservoir_calls(monkeypatch)
+        _same_bits(self._check(ground.amplitudes, schedule), one_run)
+        assert calls == [True] * 13
+
+    @pytest.mark.parametrize("plans", [
+        ((1, 0, False), (2, 0, False), (3, 0, True)),  # a guard scan
+        ((1, 0, False), (2, 1, False), (3, 0, False)),  # another upper member
+        ((1, 0, False), (2, 0, False), (1, 0, False)),  # a lower member twice
+        ((1, 0, False), (4, 0, False), (3, 0, False)),  # amplitude in |4>|g>
+    ])
+    def test_other_pulses_are_refused_untouched(self, plans):
+        amps = np.zeros(12, dtype=complex)
+        amps[0 + EXCITED], amps[2 * 4 + GROUND] = 0.6 - 0.6j, 0.1 + 0.2j
+        before = amps.copy()
+        cos, back = np.full(3, 0.5 + 0j), np.full(3, 0.3 - 0.1j)
+        assert states._reservoir(amps, plans, cos, back) is False
+        _same_bits(amps, before)
+
+
 def _awkward(rng, size):
     """Complex values whose parts are random, +-0.0, +-1.0 or subnormal."""
     parts = rng.normal(size=(2, size))
@@ -750,6 +877,41 @@ def test_complex_products_round_alike_in_every_layout():
     np.testing.assert_array_equal(flipped, negated)  # as numbers: -0.0 == 0.0
     nonzero = negated != 0.0
     np.testing.assert_array_equal(bits(flipped[nonzero]), bits(negated[nonzero]))
+
+
+def test_running_products_and_added_zeros_round_as_the_pulse_loop():
+    # states._reservoir rests on two numpy facts.  np.multiply.accumulate over a
+    # start and real cosines cast to complex gives, in every part that is not an
+    # exact zero, the products the per-pulse loop takes one element at a time
+    # (cos_j times the upper member): a cosine whose imaginary part is exactly
+    # zero adds only +-0 terms to each part, so no nonzero part can move, though
+    # a zero's sign can (here it does).  And the loop's sum of that
+    # product and the +-0 an empty member contributes is the product in every
+    # nonzero part.
+    rng = np.random.default_rng(22)
+    starts, cos = _awkward(rng, 300), _awkward(rng, 300 * 12).real.reshape(300, 12)
+    cos = cos.astype(complex)
+
+    def parts(z):
+        return np.ascontiguousarray(z).view(float)
+
+    for start, chain in zip(starts, cos):
+        run = np.multiply.accumulate(np.concatenate(([start], chain)))
+        steps = [np.array([start])]
+        for j in range(chain.size):
+            steps.append(chain[j : j + 1] * steps[-1])
+        want = parts(np.concatenate(steps))
+        np.testing.assert_array_equal(parts(run), want)  # as numbers: -0.0 == 0.0
+        np.testing.assert_array_equal(parts(run)[want != 0.0].view(np.uint64),
+                                      want[want != 0.0].view(np.uint64))
+    x, zeros = _awkward(rng, 5000), np.empty(5000, dtype=complex)
+    zeros.real, zeros.imag = rng.choice([0.0, -0.0], size=(2, 5000))
+    nonzero = parts(x) != 0.0
+    for total in (zeros + x, x + zeros):
+        np.testing.assert_array_equal(parts(total)[nonzero].view(np.uint64),
+                                      parts(x)[nonzero].view(np.uint64))
+    # where a part is an exact zero the sum can flip its sign: the check on the product
+    assert not np.signbit(np.float64(-0.0) + np.float64(0.0))
 
 
 class TestFidelity:

@@ -22,6 +22,10 @@ The sweep:
     cannot push past the truncation;
   - seeded random complex superpositions N = 5, 20 and 40 at eta 0.25, 0.9
     and 1.5, D = 3 N + 2, from |0>|g>: the benchmark's ladders;
+  - a carrier at laser phase 0 and red deposits 1..N at seeded phases and
+    durations, N = 5 and 40 at each eta, D = N + 2, from |0>|g>: the carrier
+    leaves an exact-zero real part in |0>|e>, so the kernel's reservoir path
+    (which every ladder above takes) falls back to its per-pulse loop;
   - a carrier and a blue-400 pulse at eta = 0.25, D = 402, whose coupling
     W_{0,400} underflows, so the kernel raises at pulse 1;
   - 60 seeded schedules of carrier, red and blue pulses with repeated
@@ -144,6 +148,15 @@ def sweep(goldens: list[dict]) -> dict:
             schedule = _compiled(ip, target, ip.PhysicalParams(eta, OMEGA, dim), case, out)
             if schedule is not None:
                 _finals(ip, oracle, ip.JointState.ground(dim), schedule, case, out)
+    rng = np.random.default_rng(7)
+    for eta in ETAS:  # a reservoir with an exact-zero part: the kernel keeps its loop
+        for n in (5, 40):
+            pulses = [ip.Pulse("carrier", 0, 0.0, 2e-5)]
+            pulses += [ip.Pulse("red", j, float(rng.uniform(0, 2 * math.pi)),
+                                float(rng.uniform(0, 3e-4))) for j in range(1, n + 1)]
+            schedule = ip.PulseSchedule(ip.PhysicalParams(eta, OMEGA, n + 2), tuple(pulses))
+            case = f"carrier at phase 0, red 1-{n} eta={eta} D={n + 2}"
+            _finals(ip, oracle, ip.JointState.ground(n + 2), schedule, case, out)
     # W_{0,400} underflows at eta = 0.25: the kernel raises at the blue pulse, index 1
     pulses = (ip.Pulse("carrier", 0, 0.3, 1e-5), ip.Pulse("blue", 400, 0.0, 1e-3))
     schedule = ip.PulseSchedule(ip.PhysicalParams(0.25, OMEGA, 402), pulses)
