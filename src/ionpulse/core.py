@@ -73,9 +73,14 @@ def parse_float(value) -> float:
 
 
 def parse_complex(value) -> complex:
-    """A JSON number or [re, im] pair of numbers as a complex."""
+    """A number (numpy's and complex ones too) or an [re, im] pair of real numbers as a
+    complex; bools and strings are refused, not coerced."""
+    if type(value) is complex:  # the common case, ahead of the slow ABC checks
+        return value
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(parse_float(value[0]), parse_float(value[1]))
+    if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
+        return complex(value)
     return complex(parse_float(value))
 
 

@@ -214,11 +214,6 @@ def _oracle_pass(amps: np.ndarray, schedule: PulseSchedule, support=None) -> np.
     return amps
 
 
-def _oracle_final(initial: JointState, schedule: PulseSchedule) -> JointState:
-    """The schedule's final state from initial by Hamiltonian exponentiation."""
-    return JointState(_oracle_pass(initial.amplitudes, schedule))
-
-
 def _finals(initial: JointState, schedule: PulseSchedule) -> tuple[np.ndarray, float]:
     """The kernel's final amplitudes of schedule from initial and the oracle's fidelity to them
     (global phase discarded): both passes from one _support plan, both finals' norms checked."""

@@ -8,11 +8,11 @@ names are stable):
                  "phase_rad": f, "duration_s": f}, ...],
      "provenance": s}
 
-Target schema is a tagged union on "variant", with one tag and one set
-of keys per target variant (synthesis._VARIANTS).  Targets are input
-only: they are read, never written.  The loaders refuse non-finite
-numbers (NaN, Infinity, 1e999) and name the record a key is missing
-from.  All file writes are atomic (write-temp-then-rename).
+Target schema is a tagged union on "variant": synthesis._VARIANTS lists each
+tag's keys, whose values the variant parses as its constructor parses any.
+Targets are input only: they are read, never written.  The loaders refuse
+non-finite numbers (NaN, Infinity, 1e999) and name the record a key is
+missing from.  All file writes are atomic (write-temp-then-rename).
 """
 
 from __future__ import annotations
@@ -72,9 +72,19 @@ def _load_json(path: str):
         return json.load(fh, parse_float=_finite, parse_constant=_finite)
 
 
-def _json(value, what: str, kind: str):
-    if not isinstance(value, dict if kind == "object" else list):
-        raise ValueError(f"{what} is a JSON {kind}, got {type(value).__name__}")
+def _record(value, what: str, *keys) -> list:
+    """The values of keys in value, a JSON object; a ValueError names what otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} is a JSON object, got {type(value).__name__}")
+    try:
+        return [value[key] for key in keys]
+    except KeyError as exc:
+        raise ValueError(f"{what} has no {exc}") from None
+
+
+def _array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} is a JSON array, got {type(value).__name__}")
     return value
 
 
@@ -85,11 +95,7 @@ def params_to_dict(params: PhysicalParams) -> dict:
 
 
 def params_from_dict(data: dict) -> PhysicalParams:
-    data = _json(data, "params", "object")
-    try:
-        return PhysicalParams(data["eta"], data["omega_carrier_rad_s"], data["fock_dim"])
-    except KeyError as exc:
-        raise ValueError(f"params has no {exc}") from None
+    return PhysicalParams(*_record(data, "params", "eta", "omega_carrier_rad_s", "fock_dim"))
 
 
 def schedule_to_dict(schedule: PulseSchedule) -> dict:
@@ -100,16 +106,15 @@ def schedule_to_dict(schedule: PulseSchedule) -> dict:
 
 
 def schedule_from_dict(data: dict) -> PulseSchedule:
-    pulses = None  # a list once the schedule's own keys are read
-    try:
-        params = params_from_dict(_json(data, "a schedule", "object")["params"])
-        records, pulses = _json(data["pulses"], "pulses", "array"), []
-        for p in records:
-            p = _json(p, "a pulse", "object")
+    params, records = _record(data, "a schedule", "params", "pulses")
+    params, pulses = params_from_dict(params), []
+    try:  # each pulse read inline, not by _record: this loop runs once a pulse on every load
+        for p in _array(records, "pulses"):
+            if not isinstance(p, dict):
+                _record(p, "a pulse")  # raises
             pulses.append(Pulse(p["kind"], p["k"], p["phase_rad"], p["duration_s"]))
-    except KeyError as exc:  # raised by the schedule, or by the pulse after the last appended
-        record = "a schedule" if pulses is None else f"pulse {len(pulses)}"
-        raise ValueError(f"{record} has no {exc}") from None
+    except KeyError as exc:  # raised by the pulse after the last appended
+        raise ValueError(f"pulse {len(pulses)} has no {exc}") from None
     return PulseSchedule(params, pulses, provenance=data.get("provenance", ""))
 
 
@@ -124,15 +129,11 @@ def load_schedule(path: str) -> PulseSchedule:
 # Targets
 def target_from_dict(data: dict) -> TargetState:
     from .synthesis import _VARIANTS
-    tag = _json(data, "a target", "object").get("variant")
-    if tag not in _VARIANTS:
+    _record(data, "a target")  # refuses a non-object
+    if (tag := data.get("variant")) not in _VARIANTS:
         raise ValueError(f"unknown target variant {tag!r}")
-    variant, fixed = _VARIANTS[tag]
-    try:
-        fields = {name: parse(data[key]) for key, (name, parse) in variant._JSON.items()}
-    except KeyError as exc:
-        raise ValueError(f"a target has no {exc}") from None
-    return variant(**fields, **fixed)
+    variant, keys, fixed = _VARIANTS[tag]
+    return variant(*_record(data, "a target", *keys), *fixed)
 
 
 def load_target(path: str) -> TargetState:
@@ -146,11 +147,8 @@ def state_to_dict(state: JointState) -> dict:
 
 
 def state_from_dict(data: dict) -> JointState:
-    try:
-        amplitudes = _json(_json(data, "a state", "object")["amplitudes"], "amplitudes", "array")
-    except KeyError as exc:
-        raise ValueError(f"a state has no {exc}") from None
-    amps = np.array([parse_complex(a) for a in amplitudes], dtype=complex)
+    (amplitudes,) = _record(data, "a state", "amplitudes")
+    amps = np.array([parse_complex(a) for a in _array(amplitudes, "amplitudes")], dtype=complex)
     if "fock_dim" in data and parse_int(data["fock_dim"]) * 2 != amps.size:
         raise ValueError(f"fock_dim {data['fock_dim']} inconsistent with {amps.size} amplitudes")
     return JointState(amps)

@@ -149,13 +149,16 @@ class JointState:
     """Normalized complex amplitude vector over |m> x {|g>, |e>}.
 
     Immutable value type; the backing array is read-only.  Construction
-    rejects vectors whose norm deviates from 1 by more than 1e-12.
+    rejects vectors whose norm deviates from 1 by more than 1e-12, and arrays
+    numpy reads as bools, strings or objects (a list mixing bools and floats it reads as floats).
     """
 
     __slots__ = ("_amps",)
 
     def __init__(self, amplitudes):
-        arr = np.array(amplitudes, dtype=complex)
+        if (arr := np.asarray(amplitudes)).dtype.kind not in "iufc":
+            raise ValueError(f"amplitudes must be numbers, got dtype {arr.dtype}")
+        arr = np.array(arr, dtype=complex)
         if arr.ndim != 1 or arr.size < 4 or arr.size % 2 != 0:
             raise ValueError(f"amplitudes must be a flat vector of even length >= 4, "
                              f"got shape {arr.shape}")
@@ -348,19 +351,14 @@ def run_schedule(initial: JointState, schedule: PulseSchedule, keep_trace: bool 
     return (final, trace) if keep_trace else final
 
 
-def fidelity(a: JointState, b: JointState, up_to_global_phase: bool = True) -> float:
-    """Overlap fidelity of two pure states, in [0, 1].
-
-    Default |<a|b>|^2 discards the unobservable global phase.  With
-    up_to_global_phase=False the overlap is taken as max(0, Re<a|b>)^2,
-    which is 1 only when the states match including phase.
-    """
+def fidelity(a: JointState, b: JointState) -> float:
+    """Overlap fidelity |<a|b>|^2 of two pure states, in [0, 1]; the global phase is discarded."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-    return _overlaps(a.amplitudes, b.amplitudes)[0 if up_to_global_phase else 1]
+    return _overlaps(a.amplitudes, b.amplitudes)[0]
 
 
 def _overlaps(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """fidelity's two values of amplitude vectors a and b, from one np.vdot."""
+    """|<a|b>|^2 and, 1 only if the phase matches too, max(0, Re<a|b>)^2, from one np.vdot."""
     ov = complex(np.vdot(a, b))
     return min(1.0, abs(ov) ** 2), min(1.0, max(0.0, ov.real) ** 2)

@@ -176,13 +176,12 @@ def _coherent_weights(alpha: complex, n_max: int, rem: int | None = None):
 
 # Target variants
 class TargetState:
-    """A target variant: a frozen dataclass that checks its fields when built.
+    """A target variant: a frozen dataclass that parses (by core's parsers) and checks its fields.
 
-    _JSON maps each JSON key to (field, parser).  _weights() returns
-    (c, truncation_overlap): c holds one weight per Fock level up to the
-    top one, and truncation_overlap is None but for coherent targets.  The
-    targets in |g> check, normalize and trim c after its last nonzero
-    weight in one place, _validated_target.
+    _weights() returns (c, truncation_overlap): c holds one weight per Fock
+    level up to the top one, and truncation_overlap is None but for coherent
+    targets.  The targets in |g> check, normalize and trim c after its last
+    nonzero weight in one place, _validated_target.
 
     compile_target and target_state_vector build c once and pass it on:
     _vector(params, c) gives the ideal state, and _compile(params, c),
@@ -191,11 +190,10 @@ class TargetState:
     Every variant builds its ideal state from its own fields, and _vector
     never runs the pulse kernel, so a kernel error cannot move the state
     the kernel's output is scored against.
-    _FINAL_INTERNAL_STATE is the internal state it ends in.  _VARIANTS
-    maps each JSON tag to its variant.
+    _FINAL_INTERNAL_STATE is the internal state it ends in.  _VARIANTS maps each
+    JSON tag to (variant, the JSON keys of its leading fields in order, the fields the tag fixes).
     """
 
-    _JSON: dict = {}
     _FINAL_INTERNAL_STATE = "g"
 
     def _vector(self, params: PhysicalParams, c: np.ndarray) -> JointState:
@@ -218,7 +216,6 @@ class FockTarget(TargetState):
     """
 
     n: int
-    _JSON = {"n": ("n", parse_int)}
 
     def __post_init__(self):
         object.__setattr__(self, "n", parse_int(self.n))
@@ -250,10 +247,9 @@ class SuperpositionTarget(TargetState):
     """
 
     amplitudes: tuple[complex, ...]
-    _JSON = {"amplitudes": ("amplitudes", lambda value: tuple(map(parse_complex, value)))}
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitudes", tuple(complex(a) for a in self.amplitudes))
+        object.__setattr__(self, "amplitudes", tuple(map(parse_complex, self.amplitudes)))
         _validated_target(self.amplitudes)
 
     def _weights(self):
@@ -274,12 +270,12 @@ class PhaseStateTarget(TargetState):
 
     n_max: int
     theta: float
-    _JSON = {"n_max": ("n_max", parse_int), "theta_rad": ("theta", parse_float)}
 
     def __post_init__(self):
         object.__setattr__(self, "n_max", parse_int(self.n_max))
         if self.n_max < 1:
             raise ValueError(f"phase state needs n_max >= 1, got {self.n_max}")
+        object.__setattr__(self, "theta", parse_float(self.theta))
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
 
@@ -302,11 +298,10 @@ class CoherentTarget(TargetState):
 
     alpha: complex
     n_max: int
-    _JSON = {"alpha": ("alpha", parse_complex), "n_max": ("n_max", parse_int)}
     _rem = None  # the parity of the kept levels; None keeps them all
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
+        object.__setattr__(self, "alpha", parse_complex(self.alpha))
         if not cmath.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
         object.__setattr__(self, "n_max", parse_int(self.n_max))
@@ -374,11 +369,12 @@ class BellTarget(TargetState):
         return PulseSchedule(params, (carrier, red), provenance="bell")
 
 
-# JSON tag -> (variant, the field values the tag fixes)
-_VARIANTS = {"fock": (FockTarget, {}), "superposition": (SuperpositionTarget, {}),
-             "phase_state": (PhaseStateTarget, {}), "coherent": (CoherentTarget, {}),
-             "even_coherent": (ParityCoherentTarget, {"parity": "even"}),
-             "odd_coherent": (ParityCoherentTarget, {"parity": "odd"}), "bell": (BellTarget, {})}
+_VARIANTS = {"fock": (FockTarget, ("n",), ()), "bell": (BellTarget, (), ()),
+             "superposition": (SuperpositionTarget, ("amplitudes",), ()),
+             "phase_state": (PhaseStateTarget, ("n_max", "theta_rad"), ()),
+             "coherent": (CoherentTarget, ("alpha", "n_max"), ()),
+             "even_coherent": (ParityCoherentTarget, ("alpha", "n_max"), ("even",)),
+             "odd_coherent": (ParityCoherentTarget, ("alpha", "n_max"), ("odd",))}
 
 
 # Dispatch

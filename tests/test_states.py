@@ -115,6 +115,18 @@ class TestJointState:
         with pytest.raises(ValueError, match="norm"):
             JointState([math.nan, 1.0, 0.0, 0.0])
 
+    # strings and bools were cast to complex and built |0>|g>; a list mixing
+    # bools with floats numpy reads as floats, so it is not refused
+    @pytest.mark.parametrize(
+        "amps",
+        [["1", "0", "0", "0"], [True, False, False, False], [b"1", b"0", b"0", b"0"],
+         np.array([1.0, 0.0, 0.0, 0.0], dtype=object), [None, 1.0, 0.0, 0.0]],
+        ids=["str", "bool", "bytes", "object", "none"],
+    )
+    def test_rejects_amplitudes_that_are_not_numbers(self, amps):
+        with pytest.raises(ValueError, match="amplitudes must be numbers, got dtype"):
+            JointState(amps)
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             JointState(np.ones((2, 2), dtype=complex))
@@ -929,13 +941,13 @@ class TestFidelity:
         for gamma in (0.1, 1.7, math.pi):
             rotated = JointState(amps * cmath.exp(1j * gamma))
             assert fidelity(JointState(amps), rotated) == pytest.approx(1.0, abs=1e-14)
-            assert fidelity(JointState(amps), rotated, up_to_global_phase=False) < 1.0
+            assert states._overlaps(amps, rotated.amplitudes)[1] < 1.0  # exact phase
 
     def test_exact_phase_detects_sign(self):
         a = JointState.fock(1, 4)
         b = JointState(-a.amplitudes)
         assert fidelity(a, b) == pytest.approx(1.0)
-        assert fidelity(a, b, up_to_global_phase=False) == 0.0
+        assert states._overlaps(a.amplitudes, b.amplitudes)[1] == 0.0  # exact phase
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -721,6 +721,14 @@ class TestConstruction:
             (PhaseStateTarget, (4.0, 0.3), "expected an integer"),
             (CoherentTarget, (0.5, "3"), "expected an integer"),
             (ParityCoherentTarget, (0.5, False, "even"), "expected an integer"),
+            # strings and bools were cast to complex or passed on as numbers
+            (CoherentTarget, ("1", 3), "expected a number"),
+            (CoherentTarget, (True, 3), "expected a number"),
+            (SuperpositionTarget, (("1", "0"),), "expected a number"),
+            (SuperpositionTarget, ((True, False),), "expected a number"),
+            (PhaseStateTarget, (3, "0.3"), "expected a number"),
+            (PhaseStateTarget, (3, True), "expected a number"),
+            (PhaseStateTarget, (3, None), "expected a number"),
         ],
     )
     def test_invalid_field_raises_on_construction(self, variant, args, message):
@@ -731,6 +739,36 @@ class TestConstruction:
         assert FockTarget(np.int64(3)) == FockTarget(3)
         assert type(FockTarget(np.int64(3)).n) is int
         assert PhaseStateTarget(np.int32(4), 0.3) == PhaseStateTarget(4, 0.3)
+
+    def test_complex_and_float_fields_accept_python_and_numpy_numbers(self):
+        alpha = CoherentTarget(0.5 + 0.25j, 3)
+        for value in (np.complex128(0.5 + 0.25j), np.complex64(0.5 + 0.25j), [0.5, 0.25]):
+            assert CoherentTarget(value, 3) == alpha
+            assert type(CoherentTarget(value, 3).alpha) is complex
+        amplitudes = SuperpositionTarget((0.6, 0.8j))
+        numpy = (np.array([0.6, 0.8j]), [np.float64(0.6), np.complex128(0.8j)])
+        for value in (*numpy, [[0.6, 0], [0, 0.8]]):
+            assert SuperpositionTarget(value) == amplitudes
+            assert {type(a) for a in SuperpositionTarget(value).amplitudes} == {complex}
+        assert PhaseStateTarget(4, np.float64(0.3)) == PhaseStateTarget(4, 0.3)
+        assert type(PhaseStateTarget(4, np.float64(0.3)).theta) is float
+
+    # the same values a golden's JSON holds, passed by field name as a library
+    # caller would: each tag's keys and fixed fields in _VARIANTS, checked
+    @pytest.mark.parametrize("tag", sorted(synthesis._VARIANTS))
+    def test_golden_values_build_the_target_the_loader_builds(self, tag):
+        doc = json.loads((GOLDEN / f"{tag}.json").read_text())["target"]
+        alpha, n_max = doc.get("alpha"), doc.get("n_max")
+        built = {
+            "fock": lambda: FockTarget(n=doc["n"]),
+            "superposition": lambda: SuperpositionTarget(amplitudes=doc["amplitudes"]),
+            "phase_state": lambda: PhaseStateTarget(n_max=n_max, theta=doc["theta_rad"]),
+            "coherent": lambda: CoherentTarget(alpha=alpha, n_max=n_max),
+            "even_coherent": lambda: ParityCoherentTarget(alpha=alpha, n_max=n_max, parity="even"),
+            "odd_coherent": lambda: ParityCoherentTarget(alpha=alpha, n_max=n_max, parity="odd"),
+            "bell": BellTarget,
+        }[tag]()
+        assert built == target_from_dict(doc)
 
 
 DISPATCH_TARGETS = [
