@@ -15,32 +15,26 @@ with no cutoff, as a running product of ladder matrix elements,
     t_0 = sqrt((m+k)!/m!) / k!,   t_(j+1) = t_j (-eta^2) (m-j) / ((j+1)(j+k+1)).
 
 The sum still alternates, so it loses digits where eta^2 m is large
-(1.3e-4 relative at eta = 1.5, m = 111, k = 10).
+(1.3e-4 relative at eta = 1.5, m = 111, k = 10).  No closed-form Rabi
+frequency enters; tests assert that the coupling magnitudes equal core's
+W_{m,k}, which is what makes this an independent check of the pulse operators.
 
-No closed-form Rabi frequency enters the construction; that the coupling
-magnitudes equal the W_{m,k} of ionpulse.core is asserted in tests, which
-is precisely what makes this an independent check of the pulse operators.
+H is held as disjoint two-level pairs |n_g, g> <-> |n_e, e> and one coupling
+each: Hermitian by construction, in O(D) memory.  Each 2x2 block
+B = [[0, c], [conj(c), 0]], its pair read from the pair list (not the pulse
+kind), squares to |c|^2 I, so exp(-i t B) = cos(|c| t) I - i sin(|c| t) B / |c|
+for a run's pairs at once: nothing is iterated or factored, so the error grows
+with t only as the rounding of |c| t does (slow sidebands need t of seconds).
+A pulse takes its pairs' four terms in one numpy product, whose rounding Python's
+complex product does not share.  In a run of at most one pair a pulse, Python
+takes the two sums: each is two IEEE additions, rounded as numpy's, zero signs too.
 
-H is held as what it is, disjoint two-level pairs |n_g, g> <-> |n_e, e>
-and one coupling each, so it is Hermitian by construction and takes
-O(D) memory.  It is exponentiated by its own 2x2 blocks, with the pairs
-read from its pair list (not from the pulse kind).  A block
-B = [[0, c], [conj(c), 0]] squares to |c|^2 I, so for any coupling c
-
-    exp(-i t B) = cos(|c| t) I - i sin(|c| t) B / |c|,
-
-computed for a run's pairs at once.  Nothing is iterated or factored, so the
-error grows with t only as the rounding of the angle |c| t does: the
-propagation stays stable for long durations (slow high-order sidebands
-need t of order seconds).
-
-Only pulse p's pairs m < n_p are built, n_p from the support bound of
-states._support, which a verify computes once for the kernel and the oracle.
-It is kinematics, not couplings: the oracle reads each pulse's kind, order and
-phase itself.  One loop of max n_p - 1 steps sums the series of all K orders
-in O(K max n_p), each element as in a loop of its own.  A table one element
-wide (every ladder from |0>|g>) is its j = 0 terms, 1/sqrt(k!) at m = 0: one
-running product of sqrt(i) / i up to the largest order.
+Only pulse p's pairs m < n_p are built, n_p from states._support's bound, which a
+verify computes once for the kernel and the oracle: kinematics, not couplings,
+as the oracle reads each pulse's kind, order and phase itself.  One loop of
+max n_p - 1 steps sums the series of all K orders in O(K max n_p), each element
+as in a loop of its own; a table one element wide (every ladder from |0>|g>) is
+the j = 0 terms at m = 0, 1/sqrt(k!), one running product of sqrt(i) / i.
 """
 
 from __future__ import annotations
@@ -58,12 +52,9 @@ from .states import JointState, Pulse, PulseSchedule, _check_norm, _overlaps, _r
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """Interaction Hamiltonian H/hbar (rad/s) on the 2*D truncated space.
-
-    H[i, j] = c and H[j, i] = conj(c) for each pair (i, j) and its
-    coupling c; every other element is zero.  A basis state is in at
-    most one pair.
-    """
+    """Interaction Hamiltonian H/hbar (rad/s) on the 2*D truncated space: H[i, j] = c
+    and H[j, i] = conj(c) for each pair (i, j) and its coupling c, zero elsewhere.
+    A basis state is in at most one pair."""
 
     pairs: np.ndarray
     couplings: np.ndarray
@@ -170,7 +161,7 @@ def _evolve(amps: np.ndarray, pairs: np.ndarray, couplings: np.ndarray, duration
     """exp(-i H t) amps in place, pulse after pulse of a run (array durations and
     list sizes, each one's pair count): pair (i, j) takes (a_i, a_j) to (cos a_i + off a_j,
     cos a_j - conj(off) a_i), with cos = cos(|c| t) and off = -i sin(|c| t) c / |c|
-    (zero where c is).  A pulse takes its pairs' four terms in one product."""
+    (zero where c is).  Numpy takes the products; at most one pair a pulse, Python the sums."""
     mag = np.abs(couplings)
     angle = mag * durations.repeat(sizes)
     cos = np.cos(angle)
@@ -178,8 +169,13 @@ def _evolve(amps: np.ndarray, pairs: np.ndarray, couplings: np.ndarray, duration
     off *= np.divide(np.sin(angle, out=angle), mag, out=angle, where=mag != 0.0)
     coeffs = np.empty((off.size, 4), dtype=complex)  # times (a_i, a_j, a_i, a_j)
     coeffs[:, 0], coeffs[:, 1], coeffs[:, 2], coeffs[:, 3] = cos, off, off.conj(), cos
-    coeffs, scatter = coeffs.ravel(), pairs.ravel()
-    gather = np.concatenate((pairs, pairs), axis=1).ravel()
+    gather = np.concatenate((pairs, pairs), axis=1)
+    if max(sizes, default=0) < 2:  # a pulse without pairs has no row here
+        for c, g, (i, j) in zip(coeffs, gather, pairs.tolist()):
+            t0, t1, t2, t3 = (c * amps[g]).tolist()
+            amps[i], amps[j] = t0 + t1, t3 - t2
+        return
+    coeffs, scatter, gather = coeffs.ravel(), pairs.ravel(), gather.ravel()
     ends = list(accumulate(sizes))
     for a, b in zip([0, *ends], ends):
         terms = coeffs[4 * a : 4 * b] * amps[gather[4 * a : 4 * b]]

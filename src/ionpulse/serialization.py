@@ -130,7 +130,7 @@ def load_schedule(path: str) -> PulseSchedule:
 def target_from_dict(data: dict) -> TargetState:
     from .synthesis import _VARIANTS
     _record(data, "a target")  # refuses a non-object
-    if (tag := data.get("variant")) not in _VARIANTS:
+    if not isinstance(tag := data.get("variant"), str) or tag not in _VARIANTS:
         raise ValueError(f"unknown target variant {tag!r}")
     variant, keys, fixed = _VARIANTS[tag]
     return variant(*_record(data, "a target", *keys), *fixed)

@@ -174,7 +174,7 @@ class JointState:
     @classmethod
     def fock(cls, n: int, dim: int, internal: int = GROUND) -> "JointState":
         """|n>|g> or |n>|e>; n, dim and internal are integers, as parse_int reads them."""
-        n, dim, internal = parse_int(n), parse_int(dim), parse_int(internal)
+        dim = parse_int(dim)  # _index parses n and internal
         index, amps = cls._index(n, internal, dim), np.zeros(2 * dim, dtype=complex)
         amps[index] = 1.0
         return cls(amps)

@@ -249,6 +249,8 @@ class SuperpositionTarget(TargetState):
     amplitudes: tuple[complex, ...]
 
     def __post_init__(self):
+        if not isinstance(c := self.amplitudes, (list, tuple)) and np.ndim(c) != 1:
+            raise ValueError(f"target amplitudes must be a nonempty 1-D sequence, got {c!r}")
         object.__setattr__(self, "amplitudes", tuple(map(parse_complex, self.amplitudes)))
         _validated_target(self.amplitudes)
 

@@ -159,6 +159,25 @@ class TestSynthesize:
         assert code == 2
         assert "variant" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"variant": []}, "unknown target variant []"),
+            ({"variant": {"fock": 1}}, "unknown target variant {'fock': 1}"),
+            ({"variant": "superposition", "amplitudes": 3},
+             "target amplitudes must be a nonempty 1-D sequence, got 3"),
+            ({"variant": "superposition", "amplitudes": {"a": 1}},
+             "target amplitudes must be a nonempty 1-D sequence, got {'a': 1}"),
+        ],
+        ids=["list_variant", "object_variant", "number_amplitudes", "object_amplitudes"],
+    )
+    def test_a_target_field_of_the_wrong_shape_exits_2(self, capsys, tmp_path, doc, message):
+        target = write_target(tmp_path, doc)
+        code, out, err = run_cli(capsys, "synthesize", "--target", target)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
+
     def test_fock_dim_below_default_exits_2(self, capsys, tmp_path):
         # the phase state N = 3 needs fock_dim >= 5
         target = write_target(tmp_path, {"variant": "phase_state", "n_max": 3, "theta_rad": 0.4})

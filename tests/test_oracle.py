@@ -512,6 +512,55 @@ class TestSeries:
             PulseSchedule(params, pulses)
 
 
+def _numpy_update(amps, pairs, couplings, durations, sizes):
+    """oracle._evolve's per-pulse numpy update on any run, written out: a pulse's
+    four terms a pair in one product, both sums in numpy, and one scatter."""
+    mag = np.abs(couplings)
+    angle = mag * durations.repeat(sizes)
+    off = -1j * couplings
+    off *= np.divide(np.sin(angle), mag, out=np.sin(angle), where=mag != 0.0)
+    coeffs = np.stack((np.cos(angle), off, off.conj(), np.cos(angle)), axis=1).ravel()
+    gather = np.concatenate((pairs, pairs), axis=1).ravel()
+    ends = np.cumsum(sizes, dtype=int).tolist()
+    for a, b in zip([0, *ends], ends):
+        terms = coeffs[4 * a : 4 * b] * amps[gather[4 * a : 4 * b]]
+        new = terms[0::2] + terms[1::2]
+        new[1::2] = terms[3::4] - terms[2::4]
+        amps[pairs.ravel()[2 * a : 2 * b]] = new
+    return amps
+
+
+def _assert_evolve_matches_the_numpy_update(rng, dim, sizes):
+    """_evolve on a random run with these pair counts (each pulse's pairs disjoint),
+    couplings whose parts are +-0.0 or +-2e4, durations of 0 to 2e3 s, and
+    amplitudes whose parts are +-0.0 or +-1: every bit the numpy update's."""
+    pairs = np.concatenate([rng.permutation(2 * dim)[: 2 * n].reshape(n, 2) for n in sizes])
+    couplings = 2e4 * signed_zero_amplitudes(rng, len(pairs))
+    durations = rng.choice([0.0, 1e-5, 3e-4, 1e3], size=len(sizes)) * rng.uniform(1, 2, len(sizes))
+    amps = signed_zero_amplitudes(rng, 2 * dim)
+    want = _numpy_update(amps.copy(), pairs, couplings, durations, sizes)
+    oracle._evolve(amps, pairs, couplings, durations, sizes)
+    np.testing.assert_array_equal(amps.view(np.uint64), want.view(np.uint64))
+
+
+class TestEvolve:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_pair_runs_match_the_numpy_update_bit_for_bit(self, seed):
+        # runs of at most one pair a pulse take numpy's products and Python's sums:
+        # 30 runs of up to 40 pulses on 6 to 16 states, so pulses share members,
+        # with zero couplings, zero and long durations, and some pulses without a
+        # pair; each amplitude is the numpy update's, the sign of every zero included
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            sizes = rng.choice([0, 1, 1, 1], size=int(rng.integers(1, 41))).tolist()
+            _assert_evolve_matches_the_numpy_update(rng, int(rng.integers(3, 9)), sizes)
+
+    def test_a_run_with_wider_pulses_takes_the_numpy_update(self):
+        # pulses of 0, 1 and several pairs in one run: the vector body throughout
+        sizes = [0, 1, 3, 1, 0, 2, 1, 5, 1, 1]
+        _assert_evolve_matches_the_numpy_update(np.random.default_rng(35), 6, sizes)
+
+
 class TestPropagate:
     def test_zero_duration_identity(self, params, rng):
         state = JointState(random_guarded_amplitudes(rng, params.fock_dim, "carrier", 0))

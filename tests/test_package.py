@@ -12,7 +12,7 @@ import pytest
 import ionpulse
 
 # the src/ionpulse line budget: lowered to the package's size whenever it shrinks
-LINE_BUDGET = 1630
+LINE_BUDGET = 1628
 
 # the per-pulse reference API: only the tests and the traced benchmark call it
 PER_PULSE_REFERENCE = {

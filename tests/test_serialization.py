@@ -149,6 +149,20 @@ class TestTargetFormat:
         with pytest.raises(ValueError):
             target_from_dict({"variant": "squeezed"})
 
+    @pytest.mark.parametrize("tag", [[], {}, ["fock"], None, 3], ids=repr)
+    def test_a_variant_that_is_no_tag_is_unknown(self, tag):
+        # an unhashable tag is refused as an unknown one, not looked up
+        with pytest.raises(ValueError, match=r"^unknown target variant ") as err:
+            target_from_dict({"variant": tag, "n": 1})
+        assert str(err.value) == f"unknown target variant {tag!r}"
+
+    @pytest.mark.parametrize("amplitudes", [3, 0.6, {"a": 1}, "ab", None, True], ids=repr)
+    def test_superposition_amplitudes_that_are_no_sequence_are_refused(self, amplitudes):
+        # neither iterated nor read key by key: the message names the field
+        doc = {"variant": "superposition", "amplitudes": amplitudes}
+        with pytest.raises(ValueError, match="target amplitudes must be a nonempty 1-D sequence"):
+            target_from_dict(doc)
+
 
 class TestStateFormat:
     def test_round_trip_exact(self, rng):

@@ -76,6 +76,11 @@ class TestJointState:
             ((1.0, 4), "expected an integer, got 1.0"),
             ((1, 4.0), "expected an integer, got 4.0"),
             ((1, 4, 2), "internal index must be 0 (g) or 1 (e), got 2"),
+            (("1", 4), "expected an integer, got '1'"),
+            ((1, "4"), "expected an integer, got '4'"),
+            ((1, 4, "0"), "expected an integer, got '0'"),
+            ((4, 4), "Fock index 4 outside truncation 0..3"),
+            ((-1, 4), "Fock index -1 outside truncation 0..3"),
         ],
     )
     def test_fock_reads_integers_as_pulses_do(self, args, message):

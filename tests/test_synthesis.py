@@ -729,6 +729,12 @@ class TestConstruction:
             (PhaseStateTarget, (3, "0.3"), "expected a number"),
             (PhaseStateTarget, (3, True), "expected a number"),
             (PhaseStateTarget, (3, None), "expected a number"),
+            # amplitudes that are no sequence were iterated, or read key by key
+            (SuperpositionTarget, (3,), "amplitudes must be a nonempty 1-D sequence, got 3"),
+            (SuperpositionTarget, ({"a": 1},), "amplitudes must be a nonempty 1-D sequence"),
+            (SuperpositionTarget, ("10",), "amplitudes must be a nonempty 1-D sequence"),
+            (SuperpositionTarget, (np.array(1.0),), "amplitudes must be a nonempty 1-D sequence"),
+            (SuperpositionTarget, (np.eye(2),), "amplitudes must be a nonempty 1-D sequence"),
         ],
     )
     def test_invalid_field_raises_on_construction(self, variant, args, message):

@@ -26,6 +26,13 @@ The sweep:
     durations, N = 5 and 40 at each eta, D = N + 2, from |0>|g>: the carrier
     leaves an exact-zero real part in |0>|e>, so the kernel's reservoir path
     (which every ladder above takes) falls back to its per-pulse loop;
+  - one pair a pulse, N = 5 and 40 at each eta, D = N + 2: a carrier at a
+    seeded phase, then red 1..N, blue 1..N or 2 N blue-1 pulses at seeded phases
+    and durations, from a seeded start whose parts on the ladder's levels
+    0..N are +0.0 or -0.0, but on |0>|g> and |0>|e>, which may hold +-1: the
+    support bound keeps one pair a pulse, so the oracle's Python sums meet
+    zeros of either sign, and CI's parent comparison checks their signs on
+    each numpy it installs;
   - a carrier and a blue-400 pulse at eta = 0.25, D = 402, whose coupling
     W_{0,400} underflows, so the kernel raises at pulse 1;
   - 60 seeded schedules of carrier, red and blue pulses with repeated
@@ -157,6 +164,27 @@ def sweep(goldens: list[dict]) -> dict:
             schedule = ip.PulseSchedule(ip.PhysicalParams(eta, OMEGA, n + 2), tuple(pulses))
             case = f"carrier at phase 0, red 1-{n} eta={eta} D={n + 2}"
             _finals(ip, oracle, ip.JointState.ground(n + 2), schedule, case, out)
+    rng = np.random.default_rng(35)
+    for eta in ETAS:  # one pair a pulse: the oracle's Python sums meet zeros of either sign
+        for n in (5, 40):
+            dim = n + 2
+            start = np.zeros(2 * dim, dtype=complex)
+            levels = slice(0, 2 * n + 2)  # |0..N>|g> and |0..N>|e>
+            start.real[levels], start.imag[levels] = rng.choice([0.0, -0.0], (2, 2 * n + 2))
+            start.real[:2], start.imag[:2] = rng.choice([1.0, -1.0, 0.0, -0.0], (2, 2))
+            start.real[0] = rng.choice([1.0, -1.0])  # |0>|g> holds amplitude
+            initial = ip.JointState(start / np.linalg.norm(start))
+            for kind, orders in (("red", range(1, n + 1)), ("blue", range(1, n + 1)),
+                                 ("blue", [1] * 2 * n)):
+                # half the phases 0: coefficients with exact-zero parts
+                size = len(orders) + 1
+                phases = rng.uniform(0, 2 * math.pi, size) * rng.integers(2, size=size)
+                pulses = [ip.Pulse("carrier", 0, float(phases[0]), 2e-5)]
+                pulses += [ip.Pulse(kind, k, float(phase), float(rng.uniform(0, 3e-4)))
+                           for k, phase in zip(orders, phases[1:])]
+                schedule = ip.PulseSchedule(ip.PhysicalParams(eta, OMEGA, dim), tuple(pulses))
+                case = f"signed zeros, carrier and {kind} {orders[0]}-{orders[-1]} x{len(orders)}"
+                _finals(ip, oracle, initial, schedule, f"{case} eta={eta} D={dim}", out)
     # W_{0,400} underflows at eta = 0.25: the kernel raises at the blue pulse, index 1
     pulses = (ip.Pulse("carrier", 0, 0.3, 1e-5), ip.Pulse("blue", 400, 0.0, 1e-3))
     schedule = ip.PulseSchedule(ip.PhysicalParams(0.25, OMEGA, 402), pulses)
