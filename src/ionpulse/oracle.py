@@ -147,14 +147,12 @@ def _pairs(params: PhysicalParams, pulses, sizes, ks, table):
 
 
 def build_hamiltonian(params: PhysicalParams, kind: str, k: int, phase: float) -> HamiltonianMatrix:
-    """Assemble the coupled pairs for one laser tuning, as a run of one pulse
-    on all its pairs: each element is summed to its last term j = m.  kind, k
-    and phase are refused as Pulse refuses them, the phase taken modulo 2 pi."""
-    pulse, dim = Pulse(kind, k, phase, 0.0), params.fock_dim
-    if not (k := pulse.k) < dim:
-        raise ValueError(f"sideband order k={k} needs k < fock_dim={dim}")
-    table, size = _series(params.eta * params.eta, dim, [k], dim - k), [dim - k]
-    return HamiltonianMatrix(*_pairs(params, [pulse], size, [k], table), dim)
+    """Assemble the coupled pairs for one laser tuning, as a run of one pulse on
+    all its pairs: each element is summed to its last term j = m.  kind, k and
+    phase are refused as a one-pulse PulseSchedule's, the phase taken modulo 2 pi."""
+    (pulse,), dim = PulseSchedule(params, (Pulse(kind, k, phase, 0.0),)).pulses, params.fock_dim
+    table, size = _series(params.eta * params.eta, dim, [pulse.k], dim - pulse.k), [dim - pulse.k]
+    return HamiltonianMatrix(*_pairs(params, [pulse], size, [pulse.k], table), dim)
 
 
 def _evolve(amps: np.ndarray, pairs: np.ndarray, couplings: np.ndarray, durations, sizes):

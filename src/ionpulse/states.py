@@ -234,14 +234,14 @@ def _coefficient(k: int, phase: float) -> complex:
 
 
 def _support(amps: np.ndarray, dim: int, pulses):
-    """The support bound from amps, an initial state of 2 dim amplitudes (else
-    ValueError), pulse by pulse (module docstring): the pair counts n and each
-    pulse's (lower shift, upper shift, scan): the k or 0 its pairs' member levels
-    take, and whether the bound reaches its guard cells; then the run rule of
-    both pulse loops: the widest pulse's pair count, and as many pulses a run
-    as RUN_PAIRS pairs of it leave room for (at least 1)."""
-    if amps.size != 2 * dim:
-        raise ValueError(f"initial dim {amps.size // 2} != schedule fock_dim {dim}")
+    """The support bound from amps, an initial state of shape (2 dim,) (else
+    ValueError: the one shape check of every pulse loop), pulse by pulse (module
+    docstring): the pair counts n and each pulse's (lower shift, upper shift, scan):
+    the k or 0 its pairs' member levels take, and whether the bound reaches its guard
+    cells; then the run rule of both pulse loops: the widest pulse's pair count, and
+    as many pulses a run as RUN_PAIRS pairs of it leave room for (at least 1)."""
+    if amps.shape != (2 * dim,):
+        raise ValueError(f"initial state shape {amps.shape} != ({2 * dim},) for fock_dim {dim}")
     top_g, top_e = (int(max(amps[s::2].nonzero()[0][-1:], default=-1)) for s in (GROUND, EXCITED))
     sizes, plan = [], []
     for p in pulses:  # the bound moves with kind and k alone; comparisons, not min/max calls
@@ -322,18 +322,11 @@ def _reservoir(amps: np.ndarray, plans, cos, back) -> bool:
 
 def apply_pulse_amplitudes(amps: np.ndarray, params: PhysicalParams, pulse: Pulse,
                            pulse_index: int | None = None) -> np.ndarray:
-    """Raw linear pulse action on an amplitude vector, as a new array.
-
-    Does not require or enforce normalization (the action is linear), but
-    does enforce the truncation support guard.
-    """
-    dim, amps = params.fock_dim, np.asarray(amps, dtype=complex)
-    if amps.shape != (2 * dim,):
-        raise ValueError(f"amplitude vector must have shape ({2 * dim},), got {amps.shape}")
-    if not pulse.k < dim:  # as PulseSchedule and build_hamiltonian refuse it
-        raise ValueError(f"sideband order k={pulse.k} needs k < fock_dim={dim}")
+    """Raw linear pulse action on amps, as a new array: a run of the one-pulse
+    PulseSchedule, refused as its run is, support guard included; no norm is
+    required, as the action is linear."""
     try:
-        return _run(amps, params, (pulse,), None)
+        return _run(amps, params, PulseSchedule(params, (pulse,)).pulses, None)
     except (TruncationOverflowError, RabiUnderflowError) as err:
         err.pulse_index = pulse_index
         raise

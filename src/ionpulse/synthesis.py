@@ -100,8 +100,6 @@ def _land(params: PhysicalParams, kind: str, k: int, m: int, angle: float, sourc
 
 def _validated_target(amplitudes) -> np.ndarray:
     c = np.asarray(amplitudes, dtype=complex)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("target amplitudes must be a nonempty 1-D sequence")
     norm = float(np.linalg.norm(c))
     if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
         raise ValueError(f"target amplitudes not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
@@ -206,13 +204,13 @@ class TargetState:
 class FockTarget(TargetState):
     """Motional number state |n>, reached by two full transfers.
 
-    A blue-n full transfer followed by a carrier returning |e> to |g>.
-    Where W_{n,0} = 0 (a Laguerre zero, e.g. eta = 1, n = 1) the carrier
-    cannot turn pair n, so a carrier transfer into |e> followed by a red-n
-    full transfer is emitted instead; the provenance names the choice.
-    Multi-quantum sidebands make any n reachable with exactly two pulses,
-    and the carrier's phase lands |n>|g> at +1; n = 0 compiles to an empty
-    schedule.
+    A blue-n full transfer followed by a carrier returning |e> to |g>, unless
+    a carrier transfer into |e> followed by a red-n full transfer (the ladder)
+    is at least 2x shorter in total, as near a Laguerre zero of W_{n,0}; where
+    W_{n,0} = 0 (e.g. eta = 1, n = 1) the carrier cannot turn pair n at all, and
+    the ladder is emitted.  The provenance names the choice.  Multi-quantum
+    sidebands make any n reachable with exactly two pulses, and the carrier's
+    phase lands |n>|g> at +1; n = 0 compiles to an empty schedule.
     """
 
     n: int
@@ -235,7 +233,9 @@ class FockTarget(TargetState):
         # two full transfers, sin(|W| t) = 1; the carrier lands the blue one's |n>|e> at +1
         blue = _turn(params, "blue", n, 0, _HALF_PI, 0.0)
         carrier = _land(params, "carrier", 0, n, _HALF_PI, _coefficient(n, blue.phase), 1.0, False)
-        return PulseSchedule(params, (blue, carrier), f"fock(n={n}, strategy=blue-then-carrier)")
+        pair = PulseSchedule(params, (blue, carrier), f"fock(n={n}, strategy=blue-then-carrier)")
+        ladder = _ladder(c, params, f"fock(n={n}, strategy=carrier-then-red)")
+        return ladder if 2.0 * ladder.total_duration <= pair.total_duration else pair
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ class SuperpositionTarget(TargetState):
     amplitudes: tuple[complex, ...]
 
     def __post_init__(self):
-        if not isinstance(c := self.amplitudes, (list, tuple)) and np.ndim(c) != 1:
+        if not (isinstance(c := self.amplitudes, (list, tuple)) or np.ndim(c) == 1) or not len(c):
             raise ValueError(f"target amplitudes must be a nonempty 1-D sequence, got {c!r}")
         object.__setattr__(self, "amplitudes", tuple(map(parse_complex, self.amplitudes)))
         _validated_target(self.amplitudes)

@@ -188,6 +188,19 @@ class TestSynthesize:
         assert error["type"] == "ValueError"
         assert error["message"] == "fock_dim 4 too small for top Fock level 3 (need >= 5)"
 
+    def test_out_onto_a_directory_exits_2_and_leaves_no_temporary_file(self, capsys, tmp_path):
+        # the rename onto the directory fails: the temporary file is removed, the
+        # directory is left as it was, and nothing reaches stdout
+        target = write_target(tmp_path, {"variant": "fock", "n": 1})
+        (out_dir := tmp_path / "schedule.json").mkdir()
+        (out_dir / "kept.txt").write_text("kept")
+        code, out, err = run_cli(capsys, "synthesize", "--target", target, "--out", str(out_dir))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "IsADirectoryError"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["schedule.json", "target.json"]
+        assert [(p.name, p.read_text()) for p in out_dir.iterdir()] == [("kept.txt", "kept")]
+
     def test_csv_rejected(self, tmp_path):
         target = write_target(tmp_path, {"variant": "fock", "n": 1})
         with pytest.raises(SystemExit) as exc:
@@ -330,6 +343,15 @@ class TestSimulate:
         )
         assert code == 0
         assert json.loads(out)["final"]["amplitudes"][2] == [1.0, 0.0]
+
+    def test_initial_state_of_another_fock_dim_exits_2(self, capsys, tmp_path):
+        path = self._fock_schedule(tmp_path, n=1, dim=4)
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(state_to_dict(JointState.ground(5))))
+        code, out, err = run_cli(capsys, "simulate", "--schedule", path, "--initial", str(state_path))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "type": "ValueError", "message": "initial state shape (10,) != (8,) for fock_dim 4"}
 
     def test_nan_initial_amplitude_exits_2(self, capsys, tmp_path):
         path = self._fock_schedule(tmp_path, n=1, dim=4)

@@ -584,6 +584,13 @@ class TestPropagate:
             propagate(ham, JointState.ground(params.fock_dim), duration)
         assert str(got.value) == message
 
+    def test_refuses_a_state_of_another_dimension(self, params):
+        ham = build_hamiltonian(params, "red", 1, 0.2)
+        with pytest.raises(ValueError) as got:
+            propagate(ham, JointState.ground(params.fock_dim + 1), 1e-5)
+        assert str(got.value) == (f"Hamiltonian fock_dim {params.fock_dim} does not match "
+                                  f"state dim {params.fock_dim + 1}")
+
     def test_full_rabi_cycle_returns(self, params):
         # W_00 t = pi: |0>|g> returns to itself up to a sign
         w = rabi_frequency(params, 0, 0).value
@@ -714,7 +721,7 @@ class TestVerifySchedule:
         # one rule, states._support's, for both passes: the oracle pass alone
         # returned a 7-level state for a D = 6 schedule
         schedule = compile_target(PhaseStateTarget(4, 0.3), _params(6)).schedule
-        with pytest.raises(ValueError, match="initial dim 7 != schedule fock_dim 6"):
+        with pytest.raises(ValueError, match=r"^initial state shape \(14,\) != \(12,\) for fock_dim 6$"):
             check(JointState.ground(7), schedule)
 
     def test_reads_the_support_rule_once(self, monkeypatch):

@@ -650,14 +650,30 @@ class TestSupportBoundedKernel:
 
     @pytest.mark.parametrize("kind,k", [("red", 8), ("blue", 8), ("red", 9)])
     def test_one_pulse_call_refuses_an_order_past_the_truncation(self, kind, k):
-        # as PulseSchedule and build_hamiltonian do: red 8 at D = 8 has no pair,
-        # and the one-pulse call used to hand back the state unchanged
+        # the one-pulse PulseSchedule, which the one-pulse call runs and
+        # build_hamiltonian builds, owns the rule and its message: red 8 at
+        # D = 8 has no pair
         params = PhysicalParams(eta=0.25, omega_carrier=5e4, fock_dim=8)
+        with pytest.raises(ValueError) as owner:
+            PulseSchedule(params, (Pulse(kind, k, 0.3, 1e-5),))
+        assert str(owner.value) == f"pulse 0: sideband order k={k} needs k < fock_dim=8"
         ground = JointState.ground(params.fock_dim).amplitudes
-        with pytest.raises(ValueError, match=f"^sideband order k={k} needs k < fock_dim=8$"):
-            apply_pulse_amplitudes(ground, params, Pulse(kind, k, 0.0, 1e-5))
-        with pytest.raises(ValueError, match=f"sideband order k={k} needs k < fock_dim=8"):
-            build_hamiltonian(params, kind, k, 0.0)
+        for call in (lambda: apply_pulse_amplitudes(ground, params, Pulse(kind, k, 0.3, 1e-5)),
+                     lambda: build_hamiltonian(params, kind, k, 0.3)):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert (type(got.value), str(got.value)) == (ValueError, str(owner.value))
+
+    @pytest.mark.parametrize("shape", [(14,), (10,), (3, 4), (12, 1)])
+    def test_one_pulse_call_refuses_a_vector_of_another_shape(self, shape):
+        # _support's rule, the schedule loops' own; a (3, 4) array has the
+        # right size, and its message names the shape it got
+        params = PhysicalParams(eta=0.25, omega_carrier=5e4, fock_dim=6)
+        amps = np.zeros(shape, dtype=complex)
+        amps.flat[0] = 1.0
+        with pytest.raises(ValueError) as got:
+            apply_pulse_amplitudes(amps, params, Pulse("red", 1, 0.0, 1e-5))
+        assert str(got.value) == f"initial state shape {shape} != (12,) for fock_dim 6"
 
     def test_empty_pairs_keep_positive_zeros(self):
         # pairs past the support bound are not rotated, so their zeros stay +0.0;

@@ -161,6 +161,56 @@ class TestCarrierSignChange:
         assert verify_schedule(JointState.ground(params.fock_dim), report.schedule) >= 1 - 1e-9
 
 
+class TestFockStrategyByDuration:
+    """Blue-then-carrier unless carrier-then-red is at least 2x shorter in total.
+
+    The two pulses of blue-then-carrier take pi/2 (1/W_{0,n} + 1/|W_{n,0}|),
+    those of carrier-then-red pi/2 (1/W_{0,0} + 1/W_{0,n}).
+    """
+
+    @pytest.mark.parametrize(
+        "eta,n,strategy",
+        [
+            # the golden fock target's n at the etas of the bit-identity sweep
+            (0.25, 2, "blue-then-carrier"),
+            (0.9, 2, "blue-then-carrier"),
+            (1.5, 2, "blue-then-carrier"),
+            (3.0, 2, "blue-then-carrier"),
+            # 3.0x, 11x and 66x shorter
+            (0.9, 1, "carrier-then-red"),
+            (1.5, 3, "carrier-then-red"),
+            (1.5, 8, "carrier-then-red"),
+            # near W_{1,0}'s zero at eta = 1, and on it
+            (1 - 1e-9, 1, "carrier-then-red"),
+            (0.999, 1, "carrier-then-red"),
+            (1.0, 1, "carrier-then-red"),
+        ],
+    )
+    def test_picks_the_strategy_by_total_duration(self, eta, n, strategy):
+        params = _params(default_fock_dim(FockTarget(n)), eta=eta)
+        carrier = abs(_w(params, n, 0))  # 0.0 at eta = 1, where the pair cannot be emitted
+        pair = math.pi / 2 * (1 / _w(params, 0, n) + (1 / carrier if carrier else math.inf))
+        ladder = math.pi / 2 * (1 / _w(params, 0, 0) + 1 / _w(params, 0, n))
+        assert (2 * ladder <= pair) == (strategy == "carrier-then-red")
+        schedule = compile_target(FockTarget(n), params).schedule
+        assert schedule.provenance == f"fock(n={n}, strategy={strategy})"
+        want = ladder if strategy == "carrier-then-red" else pair
+        assert schedule.total_duration == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("eta,before", [(1 - 1e-9, 5.2e4), (0.999, 5.2e-2)])
+    def test_near_a_laguerre_zero_the_ladder_is_exact_and_short(self, eta, before):
+        # blue-then-carrier took `before` seconds here, against the ladder's 2.07e-4 s
+        params = _params(default_fock_dim(FockTarget(1)), eta=eta)
+        pair = math.pi / 2 * (1 / _w(params, 0, 1) + 1 / abs(_w(params, 1, 0)))
+        assert pair == pytest.approx(before, rel=0.01, abs=0.0)
+        report = compile_target(FockTarget(1), params)
+        assert [p.kind for p in report.schedule.pulses] == ["carrier", "red"]
+        assert report.schedule.total_duration == pytest.approx(2.07e-4, rel=0.01, abs=0.0)
+        assert report.fidelity_vs_target == 1.0
+        assert report.exact_phase_fidelity >= 1 - 1e-12
+        assert verify_schedule(JointState.ground(params.fock_dim), report.schedule) >= 1 - 1e-9
+
+
 class TestCompileSuperposition:
     def test_vacuum_target_all_zero_durations(self):
         report = compile_target(SuperpositionTarget([1.0, 0.0, 0.0]), _params(6))
@@ -735,6 +785,10 @@ class TestConstruction:
             (SuperpositionTarget, ("10",), "amplitudes must be a nonempty 1-D sequence"),
             (SuperpositionTarget, (np.array(1.0),), "amplitudes must be a nonempty 1-D sequence"),
             (SuperpositionTarget, (np.eye(2),), "amplitudes must be a nonempty 1-D sequence"),
+            # an empty sequence, by the same check, names what it got
+            (SuperpositionTarget, ((),), "amplitudes must be a nonempty 1-D sequence, got ()"),
+            (SuperpositionTarget, ([],), "amplitudes must be a nonempty 1-D sequence, got []"),
+            (SuperpositionTarget, (np.zeros(0),), "nonempty 1-D sequence, got array([], dtype="),
         ],
     )
     def test_invalid_field_raises_on_construction(self, variant, args, message):
