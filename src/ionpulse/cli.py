@@ -156,7 +156,7 @@ def cmd_verify(args) -> int:
 _COMMANDS = {"rabi": cmd_rabi, "synthesize": cmd_synthesize, "simulate": cmd_simulate,
              "verify": cmd_verify}
 
-_INPUT_ERRORS = (ValueError, ArithmeticError, KeyError, TypeError, OSError, MemoryError)
+_INPUT_ERRORS = (ValueError, ArithmeticError, OSError, MemoryError)
 
 
 def main(argv=None) -> int:

@@ -11,8 +11,9 @@ names are stable):
 Target schema is a tagged union on "variant": synthesis._VARIANTS lists each
 tag's keys, whose values the variant parses as its constructor parses any.
 Targets are input only: they are read, never written.  The loaders refuse
-non-finite numbers (NaN, Infinity, 1e999) and name the record a key is
-missing from.  All file writes are atomic (write-temp-then-rename).
+non-finite numbers (NaN, Infinity, 1e999), and read every JSON object,
+each pulse too, through _record, which names the record that is no object
+or misses a key.  All file writes are atomic (write-temp-then-rename).
 """
 
 from __future__ import annotations
@@ -107,14 +108,9 @@ def schedule_to_dict(schedule: PulseSchedule) -> dict:
 
 def schedule_from_dict(data: dict) -> PulseSchedule:
     params, records = _record(data, "a schedule", "params", "pulses")
-    params, pulses = params_from_dict(params), []
-    try:  # each pulse read inline, not by _record: this loop runs once a pulse on every load
-        for p in _array(records, "pulses"):
-            if not isinstance(p, dict):
-                _record(p, "a pulse")  # raises
-            pulses.append(Pulse(p["kind"], p["k"], p["phase_rad"], p["duration_s"]))
-    except KeyError as exc:  # raised by the pulse after the last appended
-        raise ValueError(f"pulse {len(pulses)} has no {exc}") from None
+    params = params_from_dict(params)
+    pulses = [Pulse(*_record(p, f"pulse {i}", "kind", "k", "phase_rad", "duration_s"))
+              for i, p in enumerate(_array(records, "pulses"))]
     return PulseSchedule(params, pulses, provenance=data.get("provenance", ""))
 
 
@@ -159,9 +155,8 @@ def load_state(path: str) -> JointState:
 
 
 def _populations(state: JointState) -> list[dict]:
-    amps = state.amplitudes.tolist()  # the scalar abs(z) ** 2, as populations() reads it
-    return [{"m": i // 2, "state": "ge"[i % 2], "population": abs(z) ** 2}
-            for i, z in enumerate(amps)]
+    return [{"m": i // 2, "state": "ge"[i % 2], "population": p}
+            for i, p in enumerate(state.populations().ravel().tolist())]
 
 
 def report_to_dict(report: SynthesisReport) -> dict:

@@ -124,7 +124,7 @@ class PulseSchedule:
 
     provenance is a free-text label of the producing routine, a str.
     Schedules may be empty (a target already equal to the initial state
-    compiles to no pulses).  Every pulse's order k is below params.fock_dim.
+    compiles to no pulses).  Each pulse has k < fock_dim and a finite W/2 * duration.
     """
 
     params: PhysicalParams
@@ -135,10 +135,13 @@ class PulseSchedule:
         object.__setattr__(self, "pulses", tuple(self.pulses))
         if not isinstance(self.provenance, str):
             raise ValueError(f"provenance must be a string, got {self.provenance!r}")
-        dim = self.params.fock_dim
+        dim, half = self.params.fock_dim, self.params.omega_carrier / 2.0
         for i, pulse in enumerate(self.pulses):
             if pulse.k >= dim:
                 raise ValueError(f"pulse {i}: sideband order k={pulse.k} needs k < fock_dim={dim}")
+            if not math.isfinite(half * pulse.duration):  # every |W_{m,k}| <= W/2
+                raise ValueError(f"pulse {i}: angle W/2 * duration overflows a double, "
+                                 f"duration_s={pulse.duration}")
 
     @property
     def total_duration(self) -> float:
@@ -204,7 +207,7 @@ class JointState:
         return abs(self.amplitude(m, s)) ** 2
 
     def populations(self) -> np.ndarray:
-        """(dim, 2) array of abs(z) ** 2, columns (g, e), by the scalar abs (not np.abs)."""
+        """(dim, 2) array of the scalar abs(z) ** 2, columns (g, e); serialization reports it."""
         return np.array([abs(z) ** 2 for z in self._amps.tolist()]).reshape(self.dim, 2)
 
     def __repr__(self) -> str:

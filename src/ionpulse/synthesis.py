@@ -151,7 +151,7 @@ def _coherent_weights(alpha: complex, n_max: int, rem: int | None = None):
     scale = 0.0  # ln of what the weights were divided by
     for j in range(1, n_max + 1):
         c[j] = c[j - 1] * alpha / math.sqrt(j)
-        if abs(c[j]) > _RESCALE:  # all divided, exactly, so that their norm stays finite
+        while abs(c[j]) > _RESCALE:  # all divided, exactly, so that their norm stays finite
             c[: j + 1] /= _RESCALE
             scale += _LOG_RESCALE
     if rem is not None:
@@ -280,6 +280,8 @@ class PhaseStateTarget(TargetState):
         object.__setattr__(self, "theta", parse_float(self.theta))
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
+        if not math.isfinite(self.theta * min(self.n_max, 2**1023)):  # an int float() can take
+            raise ValueError(f"theta * n_max must be finite, got theta={self.theta}")
 
     def _weights(self):
         c = np.exp(1j * self.theta * np.arange(self.n_max + 1)) / math.sqrt(self.n_max + 1)
@@ -306,6 +308,8 @@ class CoherentTarget(TargetState):
         object.__setattr__(self, "alpha", parse_complex(self.alpha))
         if not cmath.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
+        if not math.isfinite((r := math.hypot(self.alpha.real, self.alpha.imag)) * r):
+            raise ValueError(f"|alpha|^2 must be finite, got alpha={self.alpha}")
         object.__setattr__(self, "n_max", parse_int(self.n_max))
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")

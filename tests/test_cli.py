@@ -682,6 +682,47 @@ def test_document_of_the_wrong_json_type_exits_2(capsys, tmp_path, file, doc, ex
         assert expected in error["message"]
 
 
+# accepted numbers whose products overflow a double: each owner refuses its
+# value before numpy runs, in a ValueError that names the field or the pulse;
+# numpy's overflow warnings, which filterwarnings = error raises, once came first
+@pytest.mark.parametrize(
+    "file,doc,expected",
+    [
+        ("schedule", {"params": _PARAMS, "pulses": [
+            {"kind": "carrier", "k": 0, "phase_rad": 0.0, "duration_s": 1e308}]},
+         "pulse 0: angle W/2 * duration overflows a double, duration_s=1e+308"),
+        ("target", {"variant": "phase_state", "n_max": 3, "theta_rad": 1e308},
+         "theta * n_max must be finite, got theta=1e+308"),
+        ("target", {"variant": "coherent", "alpha": [1e155, 0], "n_max": 3},
+         "|alpha|^2 must be finite, got alpha=(1e+155+0j)"),
+        ("target", {"variant": "even_coherent", "alpha": [1e300, 1e300], "n_max": 3},
+         "|alpha|^2 must be finite, got alpha=(1e+300+1e+300j)"),
+    ],
+    ids=["duration", "theta", "alpha", "even-alpha"],
+)
+def test_an_overflowing_input_exits_2_naming_its_field(capsys, tmp_path, file, doc, expected):
+    path = write_target(tmp_path, doc)
+    runs = {"schedule": [(command, "--schedule", path) for command in ("simulate", "verify")],
+            "target": [("synthesize", "--target", path)]}[file]
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert_one_json_error(code, out, err)
+        assert json.loads(err)["error"] == {"type": "ValueError", "message": expected}
+
+
+# exit 2 is an input the program refuses: a fault of the program itself,
+# which a KeyError or TypeError now always is, leaves main as it was raised
+@pytest.mark.parametrize("error", [TypeError, KeyError])
+def test_a_programming_error_is_raised_not_reported(capsys, monkeypatch, error):
+    def broken(args):
+        raise error("not an input error")
+
+    monkeypatch.setitem(cli._COMMANDS, "rabi", broken)
+    with pytest.raises(error, match="not an input error"):
+        main(["rabi"])
+    assert capsys.readouterr() == ("", "")
+
+
 # a JSON value of the wrong type is refused, not rounded or parsed into one
 @pytest.mark.parametrize(
     "doc",

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 
 import numpy as np
@@ -98,6 +99,26 @@ class TestScheduleFormat:
     def test_params_round_trip(self, params):
         assert params_from_dict(params_to_dict(params)).eta == params.eta
 
+    @pytest.mark.parametrize("index,record", [(0, 3), (2, [1, 2]), (1, None)])
+    def test_a_pulse_that_is_no_object_is_named_by_its_index(self, schedule, index, record):
+        # the pulse reader names its pulse whichever fault it finds, as for a missing key
+        doc = schedule_to_dict(schedule)
+        doc["pulses"][index] = record
+        with pytest.raises(ValueError) as exc:
+            schedule_from_dict(doc)
+        assert str(exc.value) == f"pulse {index} is a JSON object, got {type(record).__name__}"
+
+    @pytest.mark.parametrize(
+        "params_doc,message",
+        [({"eta": 0.25, "fock_dim": 4}, "params has no 'omega_carrier_rad_s'"),
+         ({"eta": -0.25, "omega_carrier_rad_s": 5e4, "fock_dim": 4}, "eta must be positive"),
+         (3, "params is a JSON object, got int")],
+    )
+    @pytest.mark.parametrize("pulse", [3, {"kind": "red", "k": 1}])
+    def test_params_are_read_before_the_pulses(self, params_doc, message, pulse):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            schedule_from_dict({"params": params_doc, "pulses": [pulse]})
+
 
 # one document per tag, with README's keys, and the target it reads as
 TARGET_DOCS = [
@@ -180,9 +201,9 @@ class TestStateFormat:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_population_records_match_the_populations_array(self, seed):
-        # the records read each population straight from the amplitudes, as the
-        # scalar abs(z) ** 2; their JSON is byte for byte that of populations(),
-        # signed zeros and subnormal parts included
+        # the records are populations()' entries, the scalar abs(z) ** 2 of each
+        # amplitude; their JSON is byte for byte that of the array, signed zeros
+        # and subnormal parts included
         rng = np.random.default_rng(seed)
         size = 2 * int(rng.integers(2, 80))
         amps = rng.normal(size=size) + 1j * rng.normal(size=size)

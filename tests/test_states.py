@@ -664,6 +664,19 @@ class TestSupportBoundedKernel:
                 call()
             assert (type(got.value), str(got.value)) == (ValueError, str(owner.value))
 
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_schedule_refuses_an_angle_past_the_double_range(self, index):
+        # every |W_{m,k}| <= W/2, so W/2 * duration bounds each angle: past the
+        # double range the kernel's sin and cos once read inf and gave NaN
+        params = PhysicalParams(eta=0.25, omega_carrier=5e4, fock_dim=4)
+        pulses = [Pulse("carrier", 0, 0.0, 1e-5)] * 3
+        pulses[index] = Pulse("carrier", 0, 0.0, 1e308)
+        with pytest.raises(ValueError) as got:
+            PulseSchedule(params, pulses)
+        assert str(got.value) == (f"pulse {index}: angle W/2 * duration overflows a double, "
+                                  "duration_s=1e+308")
+        PulseSchedule(params, [Pulse("carrier", 0, 0.0, 7e303)])  # W/2 * 7e303 = 1.75e308
+
     @pytest.mark.parametrize("shape", [(14,), (10,), (3, 4), (12, 1)])
     def test_one_pulse_call_refuses_a_vector_of_another_shape(self, shape):
         # _support's rule, the schedule loops' own; a (3, 4) array has the

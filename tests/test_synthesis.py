@@ -766,6 +766,13 @@ class TestConstruction:
             (ParityCoherentTarget, (0.5, 0, "odd"), "n_max=0 excludes every odd level"),
             (PhaseStateTarget, (3, math.inf), "theta must be finite"),
             (PhaseStateTarget, (3, math.nan), "theta must be finite"),
+            # finite fields whose products overflow, each refused by its own range rule
+            (CoherentTarget, (complex(1e155, 0), 3), "|alpha|^2 must be finite"),
+            (CoherentTarget, (complex(1.7e308, 1.7e308), 3), "|alpha|^2 must be finite"),
+            (ParityCoherentTarget, (complex(1e300, 1e300), 3, "even"), "|alpha|^2 must be finite"),
+            (PhaseStateTarget, (3, 1e308), "theta * n_max must be finite, got theta=1e+308"),
+            (PhaseStateTarget, (2, -1e308), "theta * n_max must be finite"),
+            (PhaseStateTarget, (10**400, 2.0), "theta * n_max must be finite, got theta=2.0"),
             (FockTarget, (2.5,), "expected an integer"),
             (FockTarget, (True,), "expected an integer"),
             (PhaseStateTarget, (4.0, 0.3), "expected an integer"),
@@ -1011,6 +1018,71 @@ class TestWideRange:
         assert report.fidelity_vs_target >= 1 - 1e-9
         assert report.exact_phase_fidelity >= 1 - 1e-9
         assert all(p.duration > 0.0 for p in report.schedule.pulses)
+
+
+def _compiled_or_refused(doc):
+    """The report of doc's target at eta 0.25, or None if a ValueError or an
+    ArithmeticError refuses it; any other exception, a numpy warning too, fails."""
+    try:
+        target = target_from_dict(doc)
+        return compile_target(target, _params(default_fock_dim(target)))
+    except (ValueError, ArithmeticError):
+        return None
+
+
+class TestDoubleRange:
+    """Accepted values up to the top of the double range compile, run and
+    verify, or raise a ValueError or ArithmeticError; never a numpy warning."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tag=st.sampled_from(["coherent", "even_coherent", "odd_coherent"]),
+           alpha=st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
+           n_max=st.integers(1, 60))
+    def test_coherent_alpha_up_to_1e300(self, tag, alpha, n_max):
+        report = _compiled_or_refused({"variant": tag, "alpha": list(alpha), "n_max": n_max})
+        if report is not None:
+            assert report.fidelity_vs_target >= 1 - 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(theta=st.floats(-1e308, 1e308), n_max=st.integers(1, 60))
+    def test_phase_state_theta_up_to_1e308(self, theta, n_max):
+        report = _compiled_or_refused({"variant": "phase_state", "n_max": n_max, "theta_rad": theta})
+        if report is not None:
+            assert report.fidelity_vs_target >= 1 - 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(omega=st.floats(0.0, math.log(1e300)).map(math.exp),
+           pulses=st.lists(st.tuples(st.sampled_from([("carrier", 0), ("red", 1), ("blue", 2)]),
+                                     st.floats(0.0, 6.0), st.floats(0.0, 1e308)),
+                           min_size=1, max_size=3))
+    def test_schedule_omega_up_to_1e300_and_durations_up_to_1e308(self, omega, pulses):
+        # angles this large are rounding noise, so only finiteness is asserted
+        params = _params(12, omega=omega)
+        try:
+            schedule = PulseSchedule(params, [Pulse(*kk, *rest) for kk, *rest in pulses])
+            final = run_schedule(JointState.ground(12), schedule)
+            fid = verify_schedule(JointState.ground(12), schedule)
+        except (ValueError, ArithmeticError):
+            return
+        assert np.isfinite(final.amplitudes).all() and math.isfinite(fid)
+
+    def test_an_n_max_past_the_double_range_is_no_overflow_error(self):
+        # theta * n_max takes n_max no further than 2**1023, which float() holds,
+        # so the constructor accepts it and numpy refuses the array size, as before
+        assert PhaseStateTarget(10**400, 0.1).n_max == 10**400
+
+    def test_coherent_weights_rescale_until_they_fit(self):
+        # past |alpha| = 2^500 one division by 2^500 a level no longer kept the
+        # weights below it, and alpha times the next one overflowed
+        report = compile_target(CoherentTarget(1e154, 60), _params(62))
+        assert report.fidelity_vs_target >= 1 - 1e-9
+        assert report.predicted_final.population(60, GROUND) == pytest.approx(1.0)
+
+    def test_a_ladder_past_the_double_range_is_refused_by_the_schedule(self):
+        # W_{0,143} at eta 0.05 is 3.6e-306 rad/s: the top deposit would take 4.4e305 s
+        target = SuperpositionTarget([1 / math.sqrt(2)] + [0.0] * 142 + [1 / math.sqrt(2)])
+        with pytest.raises(ValueError, match=r"^pulse 1: angle W/2 \* duration overflows"):
+            compile_target(target, _params(default_fock_dim(target), eta=0.05))
 
 
 class TestCouplingColumnsFollowTheSupport:
